@@ -10,7 +10,10 @@
 //!    optimum;
 //! 3. solve one parametric LP (System (3), or (5) with the per-job bound)
 //!    on that range, minimizing `F` as an ordinary LP variable — legal
-//!    because within the range interval lengths are affine in `F`;
+//!    because within the range interval lengths are affine in `F`. Over
+//!    exact scalars an `f64` copy is solved first and only its optimal
+//!    basis seeds the exact solve, which certifies or repairs it (or
+//!    falls back to a cold exact solve);
 //! 4. rebuild an explicit schedule: interval packing for divisible,
 //!    Lawler–Labetoulle phase decomposition for preemptive.
 
@@ -19,7 +22,7 @@ use crate::instance::Instance;
 use crate::lp_build::{build_deadline_lp, build_range_lp};
 use crate::milestones::milestones;
 use crate::schedule::{Schedule, ScheduleKind, Slice};
-use dlflow_lp::{solve, solve_warm, WarmBasis};
+use dlflow_lp::{solve, solve_float_guided, solve_warm, WarmBasis};
 use dlflow_num::Scalar;
 
 /// Search statistics (reported by the Theorem-2 experiment binary).
@@ -38,6 +41,11 @@ pub struct FlowStats {
     /// instance no simplex runs at all, so both LP counters stay 0 even
     /// though `n_probes` counts the max-flow checks.
     pub n_cold_probes: usize,
+    /// The final range LP was served by its float guide: an `f64` solve
+    /// picked the basis and the exact solve only re-realized and repaired
+    /// it (see `dlflow_lp::solve_float_guided`). `false` when the exact
+    /// solve fell back to a cold start, or the scalar is inexact.
+    pub range_lp_guided: bool,
 }
 
 /// Stateful LP feasibility prober: carries the optimal basis of the last
@@ -176,10 +184,6 @@ pub enum ProbeMethod {
     MaxFlowUniform,
 }
 
-fn solve_min_flow<S: Scalar>(inst: &Instance<S>, preemptive: bool) -> RangeSolution<S> {
-    solve_min_flow_with(inst, preemptive, ProbeMethod::Lp)
-}
-
 fn solve_min_flow_with<S: Scalar>(
     inst: &Instance<S>,
     preemptive: bool,
@@ -206,7 +210,10 @@ fn solve_min_flow_with<S: Scalar>(
         }
     };
     let built = build_range_lp(inst, &f_lo, f_hi.as_ref(), &reference, preemptive);
-    let sol = solve(&built.lp);
+    // Float-first, certified exactly: only the f64 solve's basis crosses
+    // into the exact solve, so the optimum is the exact one.
+    let range = solve_float_guided(&built.lp);
+    let sol = range.solution;
     assert!(
         sol.is_optimal(),
         "the range LP must be feasible on the located milestone range (got {:?}) — \
@@ -241,6 +248,7 @@ fn solve_min_flow_with<S: Scalar>(
             n_probes: probes,
             n_warm_probes: warm_probes,
             n_cold_probes: cold_probes,
+            range_lp_guided: range.warm_used,
         },
     }
 }
@@ -248,44 +256,14 @@ fn solve_min_flow_with<S: Scalar>(
 /// Theorem 2: exact optimal max weighted flow in the **divisible** model,
 /// with an achieving schedule.
 pub fn min_max_weighted_flow_divisible<S: Scalar>(inst: &Instance<S>) -> FlowOutcome<S> {
-    let rs = solve_min_flow(inst, false);
-    let mut sched = Schedule::empty(inst.n_machines(), ScheduleKind::Divisible);
-    let mut cursor: Vec<Vec<S>> = rs
-        .bounds
-        .iter()
-        .map(|(inf, _)| vec![inf.clone(); inst.n_machines()])
-        .collect();
-    for (t, i, j, frac) in &rs.fractions {
-        let c = inst
-            .cost(*i, *j)
-            .finite()
-            .expect("fraction implies finite cost");
-        let dur = frac.mul(c);
-        let start = cursor[*t][*i].clone();
-        let end = start.add(&dur);
-        sched.push(
-            *i,
-            Slice {
-                job: *j,
-                start,
-                end: end.clone(),
-            },
-        );
-        cursor[*t][*i] = end;
-    }
-    sched.normalize();
-    FlowOutcome {
-        optimum: rs.optimum,
-        schedule: sched,
-        stats: rs.stats,
-    }
+    min_max_weighted_flow_divisible_with(inst, ProbeMethod::Lp)
 }
 
 /// §4.4: exact optimal max weighted flow with **preemption but no
 /// divisibility**, with an explicit schedule rebuilt by the
 /// Lawler–Labetoulle decomposition.
 pub fn min_max_weighted_flow_preemptive<S: Scalar>(inst: &Instance<S>) -> FlowOutcome<S> {
-    let rs = solve_min_flow(inst, true);
+    let rs = solve_min_flow_with(inst, true, ProbeMethod::Lp);
     let mut sched = Schedule::empty(inst.n_machines(), ScheduleKind::Preemptive);
     for (t, (inf, sup)) in rs.bounds.iter().enumerate() {
         let len = sup.sub(inf);
@@ -618,6 +596,61 @@ mod tests {
         let lp = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::Lp);
         let mf = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::MaxFlowUniform);
         assert_eq!(lp.optimum, mf.optimum);
+    }
+
+    /// A tournament-shaped exact instance: 8 jobs on 4 uniform machines
+    /// with restricted availability (each job needs one of 5 databanks),
+    /// sizes and release gaps with 12 significant bits, dyadic cycle
+    /// times, stretch weights.
+    fn campaign_shaped(seed: u64) -> Instance<Rat> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as i64 & i64::MAX
+        };
+        // k · 2⁻ᵉ with a 12-bit significand k ∈ [2¹¹, 2¹²).
+        let mut sig12 = |e: i64| Rat::from_ratio(2048 + next() % 2048, 1 << e);
+        let sizes: Vec<Rat> = (0..8).map(|_| sig12(8)).collect();
+        let mut release = Rat::zero();
+        let releases: Vec<Rat> = (0..8)
+            .map(|_| {
+                let r = release.clone();
+                release = release.add_ref(&sig12(10));
+                r
+            })
+            .collect();
+        let cycles: Vec<Rat> = (0..4).map(|_| Rat::from_ratio(4 + next() % 8, 4)).collect();
+        let banks: Vec<i64> = (0..8).map(|_| next() % 5).collect();
+        let holds: Vec<Vec<bool>> = (0..4)
+            .map(|i| (0..5).map(|b| b % 4 == i || next() % 2 == 0).collect())
+            .collect();
+        let avail: Vec<Vec<bool>> = holds
+            .iter()
+            .map(|h| banks.iter().map(|&b| h[b as usize]).collect())
+            .collect();
+        Instance::uniform_restricted(&sizes, &releases, &vec![Rat::one(); 8], &cycles, &avail)
+            .unwrap()
+            .with_stretch_weights()
+    }
+
+    #[test]
+    fn range_lp_float_guide_engages_on_campaign_shapes() {
+        // The guide is invisible in every result (the exact solve decides
+        // the optimum either way); only its engagement shows that the
+        // exact yardstick still skips the cold rational range-LP solve.
+        for seed in 0..12 {
+            let inst = campaign_shaped(seed);
+            let out = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::MaxFlowUniform);
+            assert!(
+                out.stats.range_lp_guided,
+                "seed {seed}: the range LP fell back to a cold exact solve"
+            );
+            validate(&inst, &out.schedule).unwrap();
+            assert_eq!(out.schedule.max_weighted_flow(&inst), out.optimum);
+        }
     }
 
     #[test]

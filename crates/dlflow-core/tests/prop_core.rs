@@ -4,7 +4,9 @@ use dlflow_core::deadline::deadline_feasible_divisible;
 use dlflow_core::decompose::{decompose_interval, verify_phases};
 use dlflow_core::instance::{Cost, Instance, Job};
 use dlflow_core::matching::hopcroft_karp;
-use dlflow_core::maxflow::{feasible_at, min_max_weighted_flow_preemptive};
+use dlflow_core::maxflow::{
+    feasible_at, min_max_weighted_flow_divisible, min_max_weighted_flow_preemptive,
+};
 use dlflow_core::uniform::{deadline_feasible_with_factors, uniform_factors};
 use dlflow_core::validate::validate;
 use dlflow_num::Rat;
@@ -121,8 +123,9 @@ proptest! {
         }
     }
 
-    /// The preemptive optimum is feasible for the preemptive probe and
-    /// infeasible slightly below — and its schedule is legal.
+    /// The preemptive and divisible optima are infeasible slightly below
+    /// (by the plain exact probe, independent of the range LP's float
+    /// guide) and achieved by legal schedules.
     #[test]
     fn preemptive_optimum_is_tight(
         costs in proptest::collection::vec(1i64..6, 2..4),
@@ -136,12 +139,18 @@ proptest! {
             .map(|i| (0..n).map(|j| Cost::Finite(ri(costs[j] * (i as i64 + 1)))).collect())
             .collect();
         let inst = Instance::new(jobs, cost).unwrap();
-        let out = min_max_weighted_flow_preemptive(&inst);
-        prop_assert!(validate(&inst, &out.schedule).is_ok());
-        prop_assert_eq!(out.schedule.max_weighted_flow(&inst), out.optimum.clone());
-        let below = out.optimum.mul_ref(&Rat::from_ratio(99, 100));
-        if below.is_positive() {
-            prop_assert!(!feasible_at(&inst, &below, true));
+        for preemptive in [true, false] {
+            let out = if preemptive {
+                min_max_weighted_flow_preemptive(&inst)
+            } else {
+                min_max_weighted_flow_divisible(&inst)
+            };
+            prop_assert!(validate(&inst, &out.schedule).is_ok());
+            prop_assert_eq!(out.schedule.max_weighted_flow(&inst), out.optimum.clone());
+            let below = out.optimum.mul_ref(&Rat::from_ratio(99, 100));
+            if below.is_positive() {
+                prop_assert!(!feasible_at(&inst, &below, preemptive));
+            }
         }
     }
 }

@@ -16,7 +16,9 @@
 //! * **`LpProblem<Rat>`** — exact rational arithmetic with Bland's rule:
 //!   terminates, never cycles, returns *the* optimum. Used by the
 //!   Theorem 2 milestone search, where "optimal max weighted flow" is an
-//!   exact rational number.
+//!   exact rational number; its range LP goes through
+//!   [`solve_float_guided`], which lets an `f64` solve pick the basis
+//!   that the exact solve then certifies.
 //! * **`LpProblem<f64>`** — fast approximate mode for large parameter
 //!   sweeps in the benchmark harness.
 //!
@@ -48,6 +50,8 @@ pub mod simplex;
 pub mod solution;
 
 pub use problem::{Constraint, LinExpr, LpProblem, Rel, Sense, VarId};
-pub use revised::{certifies, solve, solve_warm, ProbeCache, ProbeSolve, WarmBasis, WarmSolve};
+pub use revised::{
+    certifies, solve, solve_float_guided, solve_warm, ProbeCache, ProbeSolve, WarmBasis, WarmSolve,
+};
 pub use simplex::solve as solve_dense;
 pub use solution::{LpSolution, LpStatus};

@@ -221,6 +221,30 @@ impl<S: Scalar> LpProblem<S> {
         self.add_constraint(LinExpr::term(var, S::one()), Rel::Ge, lb);
     }
 
+    /// The same program over another scalar: same variables, rows,
+    /// relations and sense, every objective coefficient, row coefficient
+    /// and right-hand side converted by `f`.
+    pub(crate) fn map_scalar<T: Scalar>(&self, f: impl Fn(&S) -> T) -> LpProblem<T> {
+        let map_expr = |e: &LinExpr<S>| LinExpr {
+            terms: e.terms.iter().map(|(v, c)| (*v, f(c))).collect(),
+        };
+        LpProblem {
+            var_names: self.var_names.clone(),
+            objective: map_expr(&self.objective),
+            sense: self.sense,
+            constraints: self
+                .constraints
+                .iter()
+                .map(|c| Constraint {
+                    expr: map_expr(&c.expr),
+                    rel: c.rel,
+                    rhs: f(&c.rhs),
+                    label: c.label.clone(),
+                })
+                .collect(),
+        }
+    }
+
     /// Evaluates an expression at a point (dense value vector).
     pub fn eval_expr(expr: &LinExpr<S>, values: &[S]) -> S {
         let mut acc = S::zero();

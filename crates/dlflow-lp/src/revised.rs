@@ -20,12 +20,16 @@
 //!   **dual simplex** repair (valid whenever the warm basis is dual
 //!   feasible, which always holds for pure feasibility probes with a zero
 //!   objective). On any mismatch or failure it falls back to a cold solve.
+//! * **Float guides**: [`solve_float_guided`] solves an `f64` copy of an
+//!   exact problem and hands only its optimal basis to the exact warm
+//!   path, so the exact solve starts at (or next to) the optimum instead
+//!   of pivoting there in rational arithmetic.
 //!
 //! The seed's dense two-phase solver survives as `solve_dense`
 //! ([`crate::simplex::solve`]) and is the reference oracle in the
 //! property tests.
 
-use crate::problem::{LpProblem, Rel, Sense};
+use crate::problem::{LinExpr, LpProblem, Rel, Sense};
 use crate::solution::LpSolution;
 use dlflow_num::Scalar;
 
@@ -127,6 +131,37 @@ pub fn solve_warm<S: Scalar>(p: &LpProblem<S>, hint: Option<&WarmBasis>) -> Warm
         basis,
         warm_used: false,
     }
+}
+
+/// Solves an exact problem float-first: an `f64` copy of `p` (same
+/// variables, rows and relations, every entry through
+/// [`Scalar::to_f64`]) is solved cold, and its optimal basis seeds
+/// [`solve_warm`] on `p`, which re-realizes it with exact pivots and
+/// repairs it by exact dual/primal simplex — or solves cold when the
+/// basis does not fit. Only column indices cross from the float solve
+/// into the exact one, so status and objective are exactly those of
+/// [`solve`]; when the optimum is tied, the returned vertex may differ.
+/// `warm_used` reports whether the float basis served.
+///
+/// Inexact scalars (nonzero [`Scalar::tolerance`]), and programs with an
+/// entry outside `f64` range, take the plain cold solve.
+pub fn solve_float_guided<S: Scalar>(p: &LpProblem<S>) -> WarmSolve<S> {
+    let guide = (S::tolerance() == S::zero())
+        .then(|| p.map_scalar(|v| v.to_f64()))
+        .filter(all_finite)
+        .and_then(|f| solve_warm(&f, None).basis);
+    solve_warm(p, guide.as_ref())
+}
+
+/// `true` when every objective coefficient, row coefficient and
+/// right-hand side is finite — a NaN or infinity would poison the
+/// float pivots.
+fn all_finite(p: &LpProblem<f64>) -> bool {
+    let finite = |e: &LinExpr<f64>| e.terms.iter().all(|(_, v)| v.is_finite());
+    finite(p.objective())
+        && p.constraints()
+            .iter()
+            .all(|c| finite(&c.expr) && c.rhs.is_finite())
 }
 
 /// Verifies that an optimal-claiming solution actually satisfies `p`:
@@ -1032,7 +1067,6 @@ fn same_matrix<S: Scalar>(a: &LpProblem<S>, b: &LpProblem<S>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::LinExpr;
     use crate::solution::LpStatus;
     use dlflow_num::Rat;
 
@@ -1270,6 +1304,61 @@ mod tests {
         let out = solve_warm(&probe(1), basis.as_ref());
         assert!(out.warm_used);
         assert_eq!(out.solution.status, LpStatus::Infeasible);
+    }
+
+    #[test]
+    fn float_guided_matches_plain_exact_solve() {
+        // max x + y s.t. 3x + y ≤ 1, x + 3y ≤ 1 → opt 1/2: the f64 basis
+        // is the exact optimal basis, so the guide serves.
+        let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective(LinExpr::from_iter([(x, Rat::one()), (y, Rat::one())]));
+        lp.add_constraint(
+            LinExpr::from_iter([(x, Rat::from_i64(3)), (y, Rat::one())]),
+            Rel::Le,
+            Rat::one(),
+        );
+        lp.add_constraint(
+            LinExpr::from_iter([(x, Rat::one()), (y, Rat::from_i64(3))]),
+            Rel::Le,
+            Rat::one(),
+        );
+        let guided = solve_float_guided(&lp);
+        assert!(guided.warm_used);
+        assert_eq!(guided.solution.objective, Some(Rat::from_ratio(1, 2)));
+        assert!(certifies(&lp, &guided.solution));
+
+        // Inexact scalars take the plain cold solve.
+        let lp_f = lp.map_scalar(Rat::to_f64);
+        let out = solve_float_guided(&lp_f);
+        assert!(!out.warm_used);
+        assert_eq!(out.solution.objective, solve(&lp_f).objective);
+    }
+
+    #[test]
+    fn float_guide_skips_entries_beyond_f64_range() {
+        // min x + y s.t. 2¹¹⁰⁰·x + y ≥ 2¹¹⁰⁰, x ≤ 1 → opt 1 at (1, 0). The
+        // f64 copy would carry infinities into the float pivots, so the
+        // guided solve must take the plain exact path instead.
+        let huge = Rat::from_i64(2).powi(1100);
+        assert!(huge.to_f64().is_infinite());
+        let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Minimize);
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective(LinExpr::from_iter([(x, Rat::one()), (y, Rat::one())]));
+        lp.add_constraint(
+            LinExpr::from_iter([(x, huge.clone()), (y, Rat::one())]),
+            Rel::Ge,
+            huge,
+        );
+        lp.add_constraint(LinExpr::term(x, Rat::one()), Rel::Le, Rat::one());
+        let guided = solve_float_guided(&lp);
+        let plain = solve(&lp);
+        assert!(!guided.warm_used);
+        assert_eq!(guided.solution.status, plain.status);
+        assert_eq!(guided.solution.objective, plain.objective);
+        assert_eq!(plain.objective, Some(Rat::one()));
     }
 
     /// Zero-objective probe with tunable inequality RHS, the

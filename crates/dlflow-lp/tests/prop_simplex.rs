@@ -2,11 +2,12 @@
 //!
 //! Strategy: generate small random LPs with integer data, solve them with
 //! both the exact-rational and the f64 instantiations, and check
-//! (a) agreement of statuses and objective values,
+//! (a) agreement of statuses and objective values (and, over `Rat`, the
+//!     float-guided solve's exact agreement with the plain one),
 //! (b) primal feasibility of the returned point,
 //! (c) optimality against brute-force vertex enumeration in 2 variables.
 
-use dlflow_lp::{solve, LinExpr, LpProblem, LpStatus, Rel, Sense};
+use dlflow_lp::{solve, solve_float_guided, LinExpr, LpProblem, LpStatus, Rel, Sense};
 use dlflow_num::Rat;
 use proptest::prelude::*;
 
@@ -78,11 +79,17 @@ proptest! {
         prop_assert_eq!(sf.status, LpStatus::Optimal);
         prop_assert_eq!(sr.status, LpStatus::Optimal);
         let of = sf.objective.unwrap();
-        let or = sr.objective.unwrap().to_f64();
+        let or = sr.objective.as_ref().unwrap().to_f64();
         prop_assert!((of - or).abs() < 1e-6, "objectives disagree: f64={of}, exact={or}");
         // Returned points must be primal feasible.
         prop_assert!(lp_f.check_feasible(&sf.values).is_ok());
         prop_assert!(lp_r.check_feasible(&sr.values).is_ok());
+        // The float guide may pick another optimal vertex, never another
+        // verdict or optimum.
+        let sg = solve_float_guided(&lp_r).solution;
+        prop_assert_eq!(sg.status, sr.status);
+        prop_assert_eq!(sg.objective, sr.objective);
+        prop_assert!(lp_r.check_feasible(&sg.values).is_ok());
     }
 
     #[test]

@@ -134,12 +134,14 @@ impl UBig {
         match self.limbs.len() {
             0 => 0.0,
             1 => self.limbs[0] as f64,
+            // dlflint:allow(float-into-exact, "exact-to-f64 conversion: the result leaves the exact domain and never returns to it")
             2 => self.limbs[0] as f64 + self.limbs[1] as f64 * 2f64.powi(64),
             n => {
                 // Use the top 128 bits and scale by the remaining bit count.
                 let hi = self.limbs[n - 1] as u128;
                 let mid = self.limbs[n - 2] as u128;
                 let top = (hi << 64) | mid;
+                // dlflint:allow(float-into-exact, "exact-to-f64 conversion: the result leaves the exact domain and never returns to it")
                 top as f64 * 2f64.powi(((n - 2) * 64) as i32)
             }
         }
