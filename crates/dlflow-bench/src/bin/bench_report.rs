@@ -44,6 +44,12 @@
 //!   replay) because the guard stack pins the tolerance-band tail of
 //!   every bisection to the cold path by design — the per-event ratio
 //!   is structurally capped well below the per-probe one.
+//! * **LP-path allocation ceiling.** The eager replay's allocations are
+//!   counted and divided by its LP solves. Each OLA policy solves through
+//!   one reused `LpWorkspace`, so a solve allocates little beyond its
+//!   returned solution vector; the asserted ceiling is 2 allocations per
+//!   LP solve. `dlflow-lint`'s `alloc-in-hot-loop` rule covers only
+//!   `dlflow-sim`, so this is what guards the LP path.
 //!
 //! Usage: `cargo run --release -p dlflow-bench --bin bench-report`
 
@@ -436,8 +442,11 @@ fn main() {
     let mut lite = OlaLite::new();
     let (mut eager_ns, mut oracle_ns, mut lite_ns) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     let mut eager_stats = ResolveStats::default();
+    let mut eager_allocs = u64::MAX;
     for _ in 0..2 {
+        let a0 = allocmeter::alloc_count();
         let (ns, rs) = ola_round(&ola_trace, &mut eager);
+        eager_allocs = eager_allocs.min(allocmeter::alloc_count() - a0);
         if ns < eager_ns {
             eager_ns = ns;
             eager_stats = rs;
@@ -447,6 +456,7 @@ fn main() {
     }
     let ola_end_to_end_ratio = oracle_ns / eager_ns;
     let lite_ratio = oracle_ns / lite_ns;
+    let ola_allocs_per_lp_solve = eager_allocs as f64 / eager_stats.lp_solves().max(1) as f64;
     push("sim/ola_eager_replay_1k", eager_ns);
     push("sim/ola_cold_oracle_replay_1k", oracle_ns);
     push("sim/olalite_replay_1k", lite_ns);
@@ -464,6 +474,11 @@ fn main() {
         eager_stats.warm_lp_solves,
         eager_stats.cold_lp_solves,
         eager_stats.mean_lp_solves_per_resolve()
+    );
+    println!(
+        "  OLA eager allocations: {eager_allocs} over {} LP solves \
+         ({ola_allocs_per_lp_solve:.2} per LP solve)",
+        eager_stats.lp_solves()
     );
 
     // --- JSON emission (no serde in the offline dependency set). ---
@@ -532,7 +547,8 @@ fn main() {
          \"cold_resolves\": {},\n      \
          \"warm_lp_solves\": {},\n      \
          \"cold_lp_solves\": {},\n      \
-         \"mean_lp_solves_per_resolve\": {:.2}\n    }}\n  }},\n",
+         \"mean_lp_solves_per_resolve\": {:.2}\n    }}\n  }},\n  \
+         \"ola_allocs_per_lp_solve\": {ola_allocs_per_lp_solve:.2},\n",
         1e9 / eager_ns,
         eager_stats.n_resolves,
         eager_stats.warm_resolves,
@@ -621,5 +637,13 @@ fn main() {
     assert!(
         lite_ratio >= 2.0,
         "OLA-lite race win over cold OLA collapsed: {lite_ratio:.2}x"
+    );
+
+    // LP-path allocation ceiling: with one reused workspace per policy a
+    // solve allocates little beyond its returned solution (local reading
+    // ≈1.6 per LP solve).
+    assert!(
+        ola_allocs_per_lp_solve <= 2.0,
+        "OLA's LP path allocates per solve again: {ola_allocs_per_lp_solve:.2} allocations per LP solve"
     );
 }

@@ -22,9 +22,21 @@ pub struct ConcreteIntervals<S> {
 impl<S: Scalar> ConcreteIntervals<S> {
     /// Builds from an arbitrary collection of epochal times.
     pub fn from_points(mut points: Vec<S>) -> Self {
+        Self::normalize(&mut points);
+        ConcreteIntervals { points }
+    }
+
+    /// Rebuilds in place from new epochal times, reusing the point buffer.
+    pub(crate) fn refill(&mut self, points: impl IntoIterator<Item = S>) {
+        self.points.clear();
+        self.points.extend(points);
+        Self::normalize(&mut self.points);
+    }
+
+    /// Sorts the epochal times and merges coincident ones.
+    fn normalize(points: &mut Vec<S>) {
         points.sort_by(|a, b| a.cmp_total(b));
         points.dedup_by(|a, b| a.sub(b).is_negligible());
-        ConcreteIntervals { points }
     }
 
     /// Number of finite intervals (`points.len() − 1`).

@@ -118,42 +118,67 @@ pub struct DeadlineLp<S> {
     pub intervals: ConcreteIntervals<S>,
 }
 
+impl<S: Scalar> Default for DeadlineLp<S> {
+    /// An empty program, to be filled by [`build_deadline_lp_into`].
+    fn default() -> Self {
+        DeadlineLp {
+            lp: LpProblem::new(Sense::Minimize),
+            alpha: Vec::new(),
+            intervals: ConcreteIntervals::from_points(Vec::new()),
+        }
+    }
+}
+
 /// Builds System (2). `deadlines[j]` is `d̄_j`.
 ///
 /// When `per_job_interval_bound` is set, constraint (5b) is added on top —
 /// this is the concrete-`F` version of System (5) used as the feasibility
 /// probe for the *preemptive* (non-divisible) variant of the problem.
-///
-/// This builder sits on OLA's per-event hot path (one call per guarded
-/// bisection probe plus the final rate solve), so variables and
-/// constraints are anonymous — names and labels are display-only and the
-/// `format!` calls used to dominate the build at production sub-problem
-/// sizes — and row expressions are bucketed in the variable-creation pass
-/// instead of rescanning the `α` list per row. Both changes are
-/// numerically invisible: the emitted LP has the same terms in the same
-/// order, so every simplex pivot (and thus every verdict the campaign
-/// goldens pin) is unchanged.
 pub fn build_deadline_lp<S: Scalar>(
     inst: &Instance<S>,
     deadlines: &[S],
     per_job_interval_bound: bool,
 ) -> DeadlineLp<S> {
+    let mut out = DeadlineLp::default();
+    build_deadline_lp_into(&mut out, inst, deadlines, per_job_interval_bound);
+    out
+}
+
+/// [`build_deadline_lp`] into `out`, reusing its buffers: the program's
+/// rows and variable list, the `α` list and the interval points.
+///
+/// This builder sits on OLA's per-event hot path (one call per guarded
+/// bisection probe plus the final rate solve), so variables and
+/// constraints are anonymous — names and labels are display-only and the
+/// `format!` calls used to dominate the build at production sub-problem
+/// sizes — and each row's terms are read off the `α` list, which the
+/// variable pass emits in `(t, i, j)` order. Both choices are
+/// numerically invisible: the emitted LP has the same terms in the same
+/// order, so every simplex pivot (and thus every verdict the campaign
+/// goldens pin) is unchanged.
+pub fn build_deadline_lp_into<S: Scalar>(
+    out: &mut DeadlineLp<S>,
+    inst: &Instance<S>,
+    deadlines: &[S],
+    per_job_interval_bound: bool,
+) {
     assert_eq!(deadlines.len(), inst.n_jobs());
-    let mut points: Vec<S> = inst.jobs().iter().map(|j| j.release.clone()).collect();
-    points.extend(deadlines.iter().cloned());
-    let intervals = ConcreteIntervals::from_points(points);
+    let DeadlineLp {
+        lp,
+        alpha,
+        intervals,
+    } = out;
+    intervals.refill(
+        inst.jobs()
+            .iter()
+            .map(|j| j.release.clone())
+            .chain(deadlines.iter().cloned()),
+    );
     let n_int = intervals.n_intervals();
     let (m, n) = (inst.n_machines(), inst.n_jobs());
 
-    let mut lp: LpProblem<S> = LpProblem::new(Sense::Minimize);
-    let mut alpha: Vec<AlphaVar> = Vec::new();
-    let mut cap_expr: Vec<LinExpr<S>> = vec![LinExpr::new(); n_int * m];
-    let mut jobcap_expr: Vec<LinExpr<S>> = if per_job_interval_bound {
-        vec![LinExpr::new(); n_int * n]
-    } else {
-        Vec::new()
-    };
-    let mut done_expr: Vec<LinExpr<S>> = vec![LinExpr::new(); n];
+    lp.clear(Sense::Minimize);
+    alpha.clear();
     for t in 0..n_int {
         for i in 0..m {
             for j in 0..n {
@@ -169,35 +194,33 @@ pub fn build_deadline_lp<S: Scalar>(
                 }
                 let v = lp.add_var("");
                 alpha.push((t, i, j, v));
-                let c = inst.cost(i, j).finite().unwrap(); // dlflint:allow(hot-path-panic, "guarded by the is_finite check at the top of this loop body")
-                cap_expr[t * m + i].push(v, c.clone());
-                if per_job_interval_bound {
-                    jobcap_expr[t * n + j].push(v, c.clone());
-                }
-                done_expr[j].push(v, S::one());
             }
         }
     }
 
-    // (2c) machine capacity.
-    let mut cap_expr = cap_expr.into_iter();
-    for t in 0..n_int {
-        for _ in 0..m {
-            let expr = cap_expr.next().unwrap(); // dlflint:allow(hot-path-panic, "iterator was built with exactly n_int * m expressions")
-            if !expr.is_empty() {
-                lp.add_constraint(expr, Rel::Le, intervals.len(t));
-            }
+    // (2c) machine capacity: one row per (t, i) hosting some α — a
+    // contiguous run of the α list.
+    for run in alpha.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (t, i) = (run[0].0, run[0].1);
+        let row = lp.push_row(Rel::Le, intervals.len(t));
+        for &(_, _, j, v) in run {
+            let c = inst.cost(i, j).finite().unwrap(); // dlflint:allow(hot-path-panic, "alpha variables exist only for finite (i, j) cost pairs")
+            row.expr.push(v, c.clone());
         }
     }
 
     // (5b) optional: a job cannot occupy more wall-clock than the interval.
     if per_job_interval_bound {
-        let mut jobcap_expr = jobcap_expr.into_iter();
-        for t in 0..n_int {
-            for _ in 0..n {
-                let expr = jobcap_expr.next().unwrap(); // dlflint:allow(hot-path-panic, "iterator was built with exactly n_int * n expressions")
-                if !expr.is_empty() {
-                    lp.add_constraint(expr, Rel::Le, intervals.len(t));
+        for run in alpha.chunk_by(|a, b| a.0 == b.0) {
+            let t = run[0].0;
+            for j in 0..n {
+                if !run.iter().any(|a| a.2 == j) {
+                    continue;
+                }
+                let row = lp.push_row(Rel::Le, intervals.len(t));
+                for &(_, i, _, v) in run.iter().filter(|a| a.2 == j) {
+                    let c = inst.cost(i, j).finite().unwrap(); // dlflint:allow(hot-path-panic, "alpha variables exist only for finite (i, j) cost pairs")
+                    row.expr.push(v, c.clone());
                 }
             }
         }
@@ -205,14 +228,13 @@ pub fn build_deadline_lp<S: Scalar>(
 
     // (2d) completion. An empty expression (no interval can host the job)
     // yields `0 = 1`, i.e. infeasibility — exactly right.
-    for expr in done_expr {
-        lp.add_constraint(expr, Rel::Eq, S::one());
+    let done = lp.n_constraints();
+    for _ in 0..n {
+        lp.push_row(Rel::Eq, S::one());
     }
-
-    DeadlineLp {
-        lp,
-        alpha,
-        intervals,
+    let rows = lp.constraints_mut();
+    for &(_, _, j, v) in alpha.iter() {
+        rows[done + j].expr.push(v, S::one());
     }
 }
 
@@ -244,20 +266,53 @@ pub fn build_deadline_probe_lp<S: Scalar>(
     deadlines: &[S],
     per_job_interval_bound: bool,
 ) -> LpProblem<S> {
+    let mut lp = LpProblem::new(Sense::Minimize);
+    build_deadline_probe_lp_into(&mut lp, inst, deadlines, per_job_interval_bound);
+    lp
+}
+
+/// [`build_deadline_probe_lp`] into `lp`, reusing its rows and variable
+/// list. It runs once per probe of a binary search, so every row is
+/// emitted first — the frame fixes their order — and the single
+/// variable pass fills them in place.
+pub fn build_deadline_probe_lp_into<S: Scalar>(
+    lp: &mut LpProblem<S>,
+    inst: &Instance<S>,
+    deadlines: &[S],
+    per_job_interval_bound: bool,
+) {
     assert_eq!(deadlines.len(), inst.n_jobs());
-    let mut pts: Vec<S> = inst.jobs().iter().map(|j| j.release.clone()).collect();
+    let (m, n) = (inst.n_machines(), inst.n_jobs());
+    let mut pts: Vec<S> = Vec::with_capacity(2 * n);
+    pts.extend(inst.jobs().iter().map(|j| j.release.clone()));
     pts.extend(deadlines.iter().cloned());
     pts.sort_by(|a, b| a.cmp_total(b));
     let n_int = pts.len() - 1;
 
-    let (m, n) = (inst.n_machines(), inst.n_jobs());
-    let mut lp: LpProblem<S> = LpProblem::new(Sense::Minimize);
-    // This builder runs once per probe of the binary search, so constraint
-    // expressions are bucketed during variable creation (one pass) instead
-    // of rescanning the α list per row.
-    let mut cap_expr: Vec<LinExpr<S>> = vec![LinExpr::new(); n_int * m];
-    let mut jobcap_expr: Vec<LinExpr<S>> = vec![LinExpr::new(); n_int * n];
-    let mut done_expr: Vec<LinExpr<S>> = vec![LinExpr::new(); n];
+    lp.clear(Sense::Minimize);
+    // (2c) machine capacity — row t·m + i for every (t, i), even when empty.
+    for t in 0..n_int {
+        let len = pts[t + 1].sub(&pts[t]);
+        for _ in 0..m {
+            lp.push_row(Rel::Le, len.clone());
+        }
+    }
+    // (5b) per-job wall-clock bound — row n_int·m + t·n + j when requested.
+    if per_job_interval_bound {
+        for t in 0..n_int {
+            let len = pts[t + 1].sub(&pts[t]);
+            for _ in 0..n {
+                lp.push_row(Rel::Le, len.clone());
+            }
+        }
+    }
+    // (2d) completion — an empty expression yields `0 = 1`: infeasible.
+    let done = lp.n_constraints();
+    for _ in 0..n {
+        lp.push_row(Rel::Eq, S::one());
+    }
+
+    let jobcap = n_int * m;
     for t in 0..n_int {
         let (inf, sup) = (&pts[t], &pts[t + 1]);
         let degenerate = !sup.sub(inf).is_positive_tol();
@@ -271,42 +326,16 @@ pub fn build_deadline_probe_lp<S: Scalar>(
                     !degenerate && inst.job(j).release.le_tol(inf) && deadlines[j].ge_tol(sup);
                 if admissible {
                     let c = inst.cost(i, j).finite().unwrap(); // dlflint:allow(hot-path-panic, "guarded by the is_finite check at the top of this loop body")
-                    cap_expr[t * m + i].push(v, c.clone());
-                    jobcap_expr[t * n + j].push(v, c.clone());
-                    done_expr[j].push(v, S::one());
+                    let rows = lp.constraints_mut();
+                    rows[t * m + i].expr.push(v, c.clone());
+                    if per_job_interval_bound {
+                        rows[jobcap + t * n + j].expr.push(v, c.clone());
+                    }
+                    rows[done + j].expr.push(v, S::one());
                 }
             }
         }
     }
-
-    // (2c) machine capacity — one row per (t, i), even when empty.
-    let mut cap_expr = cap_expr.into_iter();
-    for t in 0..n_int {
-        let len = pts[t + 1].sub(&pts[t]);
-        for _ in 0..m {
-            let expr = cap_expr.next().unwrap(); // dlflint:allow(hot-path-panic, "iterator was built with exactly n_int * m expressions")
-            lp.add_constraint(expr, Rel::Le, len.clone());
-        }
-    }
-
-    // (5b) per-job wall-clock bound — one row per (t, j) when requested.
-    if per_job_interval_bound {
-        let mut jobcap_expr = jobcap_expr.into_iter();
-        for t in 0..n_int {
-            let len = pts[t + 1].sub(&pts[t]);
-            for _ in 0..n {
-                let expr = jobcap_expr.next().unwrap(); // dlflint:allow(hot-path-panic, "iterator was built with exactly n_int * n expressions")
-                lp.add_constraint(expr, Rel::Le, len.clone());
-            }
-        }
-    }
-
-    // (2d) completion — an empty expression yields `0 = 1`: infeasible.
-    for expr in done_expr {
-        lp.add_constraint(expr, Rel::Eq, S::one());
-    }
-
-    lp
 }
 
 /// Maps the variable indices of one probe-form LP onto another, so a
@@ -641,6 +670,62 @@ mod tests {
                 let probe = solve(&build_deadline_probe_lp(&inst, &d, pre)).status;
                 assert_eq!(filtered, probe, "deadlines {d:?} preemptive={pre}");
             }
+        }
+    }
+
+    /// Asserts two programs are the same to the bit: variables, sense,
+    /// objective and every row's relation, RHS, label and terms.
+    fn assert_same_program(a: &LpProblem<f64>, b: &LpProblem<f64>) {
+        let terms = |e: &LinExpr<f64>| -> Vec<(usize, u64)> {
+            e.terms
+                .iter()
+                .map(|(v, c)| (v.index(), c.to_bits()))
+                .collect()
+        };
+        assert_eq!(a.n_vars(), b.n_vars());
+        assert_eq!(a.sense(), b.sense());
+        assert_eq!(terms(a.objective()), terms(b.objective()));
+        assert_eq!(a.n_constraints(), b.n_constraints());
+        for (k, (ca, cb)) in a.constraints().iter().zip(b.constraints()).enumerate() {
+            assert_eq!(ca.rel, cb.rel, "row {k}");
+            assert_eq!(ca.rhs.to_bits(), cb.rhs.to_bits(), "row {k}");
+            assert_eq!(ca.label, cb.label, "row {k}");
+            assert_eq!(terms(&ca.expr), terms(&cb.expr), "row {k}");
+        }
+    }
+
+    #[test]
+    fn reusing_builders_match_fresh_builds_after_a_larger_instance() {
+        // Four jobs on three machines (one unavailable pair), then the
+        // two-job instance: the refilled programs must equal fresh builds
+        // of the last instance, with no trace of the larger one.
+        let mut b = InstanceBuilder::new();
+        for (r, w) in [(0.0, 1.0), (0.5, 2.0), (1.0, 1.0), (1.5, 3.0)] {
+            b.job(r, w);
+        }
+        b.machine(vec![Some(2.0), Some(3.0), None, Some(1.5)]);
+        b.machine(vec![Some(4.0), Some(1.0), Some(2.5), Some(3.0)]);
+        b.machine(vec![Some(1.0), Some(2.0), Some(2.0), None]);
+        let large = b.build().unwrap();
+        let small = simple();
+        let d_large = [9.0, 7.5, 8.0, 6.25];
+        let d_small = [6.0, 10.0];
+        for pre in [false, true] {
+            let mut filtered = DeadlineLp::default();
+            let mut probe = LpProblem::new(Sense::Maximize);
+            for (inst, d) in [(&large, &d_large[..]), (&small, &d_small[..])] {
+                build_deadline_lp_into(&mut filtered, inst, d, pre);
+                build_deadline_probe_lp_into(&mut probe, inst, d, pre);
+            }
+            let fresh = build_deadline_lp(&small, &d_small, pre);
+            assert_same_program(&filtered.lp, &fresh.lp);
+            assert_eq!(filtered.alpha, fresh.alpha);
+            let bits = |p: &[f64]| -> Vec<u64> { p.iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(
+                bits(filtered.intervals.points()),
+                bits(fresh.intervals.points())
+            );
+            assert_same_program(&probe, &build_deadline_probe_lp(&small, &d_small, pre));
         }
     }
 

@@ -253,8 +253,9 @@ const SCOPE_LOSSY_CAST: Scope = Scope {
 const PANIC_SURFACE_CRATES: &[&str] = &["dlflow-sim", "dlflow-core", "dlflow-lp"];
 
 /// Crate whose hot-reachable functions the transitive alloc rule scans
-/// (the per-event allocation budget is an engine-crate property; LP
-/// solve cost is ROADMAP item 3's problem).
+/// (the per-event allocation budget is an engine-crate property; the LP
+/// path is guarded by `bench-report`'s allocations-per-LP-solve ceiling,
+/// see docs/LINTS.md).
 const ALLOC_SURFACE_CRATES: &[&str] = &["dlflow-sim"];
 
 /// Entry points of exact-report construction (all in maxflow.rs).

@@ -10,6 +10,9 @@
 //! pricing, Bland anti-cycling fallback, warm-startable via
 //! [`solve_warm`]); the seed's dense two-phase tableau survives as
 //! [`solve_dense`] and serves as the reference oracle in property tests.
+//! Callers that solve many programs in a row pass one [`LpWorkspace`] to
+//! the `_in` forms ([`solve_in`], [`solve_warm_in`],
+//! [`ProbeCache::solve_in`]) and stop allocating tableau storage.
 //!
 //! Two instantiations matter:
 //!
@@ -51,7 +54,8 @@ pub mod solution;
 
 pub use problem::{Constraint, LinExpr, LpProblem, Rel, Sense, VarId};
 pub use revised::{
-    certifies, solve, solve_float_guided, solve_warm, ProbeCache, ProbeSolve, WarmBasis, WarmSolve,
+    certifies, solve, solve_float_guided, solve_in, solve_warm, solve_warm_in, LpWorkspace,
+    ProbeCache, ProbeSolve, WarmBasis, WarmSolve,
 };
 pub use simplex::solve as solve_dense;
 pub use solution::{LpSolution, LpStatus};

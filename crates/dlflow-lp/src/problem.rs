@@ -120,12 +120,50 @@ pub struct Constraint<S> {
 }
 
 /// A linear program with non-negative variables.
-#[derive(Clone, Debug)]
 pub struct LpProblem<S> {
     var_names: Vec<String>,
     objective: LinExpr<S>,
     sense: Sense,
     constraints: Vec<Constraint<S>>,
+    /// Rows retired by [`LpProblem::clear`], kept for their buffers'
+    /// capacity and handed out again by [`LpProblem::push_row`].
+    spare: Vec<Constraint<S>>,
+}
+
+impl<S: Scalar> Clone for LpProblem<S> {
+    fn clone(&self) -> Self {
+        LpProblem {
+            var_names: self.var_names.clone(),
+            objective: self.objective.clone(),
+            sense: self.sense,
+            constraints: self.constraints.clone(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Refills `self` with `src`'s program, reusing `self`'s buffers.
+    fn clone_from(&mut self, src: &Self) {
+        self.var_names.clone_from(&src.var_names);
+        self.objective.terms.clone_from(&src.objective.terms);
+        self.sense = src.sense;
+        self.spare.append(&mut self.constraints);
+        for c in &src.constraints {
+            let row = self.push_row(c.rel, c.rhs.clone());
+            row.expr.terms.extend_from_slice(&c.expr.terms);
+            row.label.clone_from(&c.label);
+        }
+    }
+}
+
+impl<S: fmt::Debug> fmt::Debug for LpProblem<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LpProblem")
+            .field("var_names", &self.var_names)
+            .field("objective", &self.objective)
+            .field("sense", &self.sense)
+            .field("constraints", &self.constraints)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<S: Scalar> LpProblem<S> {
@@ -136,7 +174,42 @@ impl<S: Scalar> LpProblem<S> {
             objective: LinExpr::new(),
             sense,
             constraints: Vec::new(),
+            spare: Vec::new(),
         }
+    }
+
+    /// Empties the program for a refill: no variables, no objective
+    /// terms, no rows, and the given direction. Every buffer keeps its
+    /// capacity; the removed rows are reused by [`LpProblem::push_row`].
+    pub fn clear(&mut self, sense: Sense) {
+        self.var_names.clear();
+        self.objective.terms.clear();
+        self.sense = sense;
+        self.spare.append(&mut self.constraints);
+    }
+
+    /// Appends the row `0 rel rhs` and returns it for its expression to
+    /// be filled. The row reuses the storage of one removed by
+    /// [`LpProblem::clear`] when there is one.
+    pub fn push_row(&mut self, rel: Rel, rhs: S) -> &mut Constraint<S> {
+        let row = match self.spare.pop() {
+            Some(mut c) => {
+                c.expr.terms.clear();
+                c.rel = rel;
+                c.rhs = rhs;
+                c.label = None;
+                c
+            }
+            None => Constraint {
+                expr: LinExpr::new(),
+                rel,
+                rhs,
+                label: None,
+            },
+        };
+        let k = self.constraints.len();
+        self.constraints.push(row);
+        &mut self.constraints[k]
     }
 
     /// Adds a non-negative variable and returns its handle.
@@ -183,6 +256,11 @@ impl<S: Scalar> LpProblem<S> {
     /// The constraint list.
     pub fn constraints(&self) -> &[Constraint<S>] {
         &self.constraints
+    }
+
+    /// The constraint list, for refilling rows in place.
+    pub fn constraints_mut(&mut self) -> &mut [Constraint<S>] {
+        &mut self.constraints
     }
 
     /// Adds a constraint `expr rel rhs`.
@@ -242,6 +320,7 @@ impl<S: Scalar> LpProblem<S> {
                     label: c.label.clone(),
                 })
                 .collect(),
+            spare: Vec::new(),
         }
     }
 

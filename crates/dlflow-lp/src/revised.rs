@@ -24,6 +24,13 @@
 //!   exact problem and hands only its optimal basis to the exact warm
 //!   path, so the exact solve starts at (or next to) the optimum instead
 //!   of pivoting there in rational arithmetic.
+//! * **Workspaces**: every tableau takes its buffers from an
+//!   [`LpWorkspace`] and hands them back when the solve ends, so a caller
+//!   that solves many programs in a row ([`solve_in`], [`solve_warm_in`],
+//!   [`ProbeCache::solve_in`]) stops allocating once the buffers have
+//!   grown. A workspace holds capacity only: every solve starts from the
+//!   same logical state as a fresh one, so it runs the same pivots on the
+//!   same operands. [`solve`] and [`solve_warm`] use a fresh workspace.
 //!
 //! The seed's dense two-phase solver survives as `solve_dense`
 //! ([`crate::simplex::solve`]) and is the reference oracle in the
@@ -32,6 +39,7 @@
 use crate::problem::{LinExpr, LpProblem, Rel, Sense};
 use crate::solution::LpSolution;
 use dlflow_num::Scalar;
+use std::mem;
 
 /// Hard cap on simplex pivots, as a defence against implementation bugs.
 const MAX_PIVOTS_FACTOR: usize = 2000;
@@ -44,7 +52,7 @@ const DEGENERACY_STREAK: usize = 1;
 /// of a *structurally identical* problem (same variable count, same
 /// constraint relations in the same order) whose coefficients or
 /// right-hand sides changed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WarmBasis {
     n_vars: usize,
     rels: Vec<Rel>,
@@ -111,21 +119,90 @@ pub struct WarmSolve<S> {
     pub warm_used: bool,
 }
 
+/// Reusable buffers for the sparse revised simplex: tableau columns,
+/// right-hand side, basis, pivot row and column, merge scratch, cost and
+/// reduced-cost vectors, and row flags.
+///
+/// A solve takes the buffers it needs and returns them when it ends, so
+/// repeated solves through one workspace stop allocating once capacity
+/// has grown to the largest program seen. Only capacity survives a
+/// solve; the next one starts from the same logical state as with a
+/// fresh workspace, so results are bit-identical either way.
+pub struct LpWorkspace<S> {
+    /// Storage of the last retired tableau.
+    tab: Tab<S>,
+    /// Cost vector of the running phase.
+    cost: Vec<S>,
+    /// Reduced costs.
+    r: Vec<S>,
+    /// Basic costs (scratch of `Tab::reduced_costs`).
+    cb: Vec<S>,
+    /// Per-row flags: sign flips of a cold build, realized rows of a
+    /// warm one.
+    flags: Vec<bool>,
+}
+
+impl<S> LpWorkspace<S> {
+    /// An empty workspace (allocates nothing until first used).
+    pub fn new() -> Self {
+        LpWorkspace {
+            tab: Tab::default(),
+            cost: Vec::new(),
+            r: Vec::new(),
+            cb: Vec::new(),
+            flags: Vec::new(),
+        }
+    }
+}
+
+impl<S> Default for LpWorkspace<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<S> std::fmt::Debug for LpWorkspace<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LpWorkspace")
+            .field("columns", &self.tab.cols.len())
+            .finish_non_exhaustive()
+    }
+}
+
 /// Solves the problem with the sparse revised simplex (cold start).
 pub fn solve<S: Scalar>(problem: &LpProblem<S>) -> LpSolution<S> {
-    solve_warm(problem, None).solution
+    solve_in(problem, &mut LpWorkspace::new())
+}
+
+/// [`solve`] with the buffers of `ws`.
+pub fn solve_in<S: Scalar>(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> LpSolution<S> {
+    let mut tab = Tab::build_cold(p, ws);
+    let (solution, _) = tab.solve_cold(p, ws, false);
+    tab.recycle(ws);
+    solution
 }
 
 /// Solves the problem, optionally warm-starting from a previous basis.
 pub fn solve_warm<S: Scalar>(p: &LpProblem<S>, hint: Option<&WarmBasis>) -> WarmSolve<S> {
+    solve_warm_in(p, hint, &mut LpWorkspace::new())
+}
+
+/// [`solve_warm`] with the buffers of `ws`.
+pub fn solve_warm_in<S: Scalar>(
+    p: &LpProblem<S>,
+    hint: Option<&WarmBasis>,
+    ws: &mut LpWorkspace<S>,
+) -> WarmSolve<S> {
     if let Some(h) = hint {
         if h.compatible_with(p) {
-            if let Some(out) = try_warm(p, h) {
+            if let Some(out) = try_warm(p, h, ws) {
                 return out;
             }
         }
     }
-    let (solution, basis) = Tab::build_cold(p).solve_cold(p);
+    let mut tab = Tab::build_cold(p, ws);
+    let (solution, basis) = tab.solve_cold(p, ws, true);
+    tab.recycle(ws);
     WarmSolve {
         solution,
         basis,
@@ -198,6 +275,11 @@ pub fn certifies<S: Scalar>(p: &LpProblem<S>, sol: &LpSolution<S>) -> bool {
 }
 
 /// Sparse column-major tableau.
+///
+/// Every buffer comes from an [`LpWorkspace`] and goes back to one
+/// ([`Tab::recycle`]). `cols` may hold more buffers than the tableau
+/// has columns: entries at `n_total` and beyond are spare capacity whose
+/// contents are never read.
 struct Tab<S> {
     /// Per column: sorted `(row, value)` pairs, structural zeros omitted.
     cols: Vec<Vec<(u32, S)>>,
@@ -213,118 +295,151 @@ struct Tab<S> {
     art_start: usize,
     /// Recycled merge buffer (see [`Tab::pivot`]).
     scratch: Vec<(u32, S)>,
+    /// The pivot column while a pivot runs (moved out of `cols`).
+    pcol: Vec<(u32, S)>,
+    /// The pivot row as sparse `(col, value)` pairs (see
+    /// [`Tab::extract_row`]).
+    prow: Vec<(usize, S)>,
+}
+
+impl<S> Default for Tab<S> {
+    fn default() -> Self {
+        Tab {
+            cols: Vec::new(),
+            b: Vec::new(),
+            basis: Vec::new(),
+            n_struct: 0,
+            n_total: 0,
+            art_start: 0,
+            scratch: Vec::new(),
+            pcol: Vec::new(),
+            prow: Vec::new(),
+        }
+    }
+}
+
+/// The relation of a constraint row after an optional sign flip.
+fn flipped(rel: Rel, flip: bool) -> Rel {
+    match (rel, flip) {
+        (Rel::Le, true) => Rel::Ge,
+        (Rel::Ge, true) => Rel::Le,
+        (r, _) => r,
+    }
 }
 
 impl<S: Scalar> Tab<S> {
-    /// Shared column assembly: structural columns from the constraint
-    /// expressions (duplicates summed, zeros dropped) and slack/surplus
-    /// columns. `flip[i]` negates row `i` on the fly.
-    fn structural_cols(p: &LpProblem<S>, flip: &[bool]) -> Vec<Vec<(u32, S)>> {
-        let n = p.n_vars();
-        let mut cols: Vec<Vec<(u32, S)>> = vec![Vec::new(); n];
+    /// Takes the workspace's retired storage as an empty tableau with `m`
+    /// unassigned rows and `n` empty structural columns.
+    fn recycled(ws: &mut LpWorkspace<S>, m: usize, n: usize) -> Tab<S> {
+        let mut tab = mem::take(&mut ws.tab);
+        tab.b.clear();
+        tab.basis.clear();
+        tab.basis.resize(m, usize::MAX);
+        tab.n_struct = n;
+        tab.n_total = 0;
+        for _ in 0..n {
+            tab.push_col();
+        }
+        tab
+    }
+
+    /// Hands this tableau's buffers back to `ws`. When `ws` already holds
+    /// a larger set, this one is dropped instead.
+    fn recycle(self, ws: &mut LpWorkspace<S>) {
+        if self.cols.len() >= ws.tab.cols.len() {
+            ws.tab = self;
+        }
+    }
+
+    /// Appends an empty column, reusing a spare buffer when one is left.
+    fn push_col(&mut self) -> &mut Vec<(u32, S)> {
+        let j = self.n_total;
+        if j == self.cols.len() {
+            self.cols.push(Vec::new());
+        }
+        self.n_total += 1;
+        let col = &mut self.cols[j];
+        col.clear();
+        col
+    }
+
+    /// Fills the structural columns from the constraint expressions
+    /// (duplicates summed, zeros dropped). `flip[i]` negates row `i` on
+    /// the fly; rows past the end of `flip` are not negated.
+    fn fill_structural(&mut self, p: &LpProblem<S>, flip: &[bool]) {
         for (i, c) in p.constraints().iter().enumerate() {
+            let negate = flip.get(i).is_some_and(|&f| f);
             for (v, coeff) in &c.expr.terms {
-                let val = if flip[i] { coeff.neg() } else { coeff.clone() };
-                cols[v.index()].push((i as u32, val));
+                let val = if negate { coeff.neg() } else { coeff.clone() };
+                self.cols[v.index()].push((i as u32, val));
             }
         }
-        for col in cols.iter_mut() {
-            col.sort_by_key(|(r, _)| *r);
-            // Sum duplicate rows, drop exact/negligible zeros.
-            let mut out: Vec<(u32, S)> = Vec::with_capacity(col.len());
-            for (r, v) in col.drain(..) {
-                match out.last_mut() {
-                    Some((lr, lv)) if *lr == r => *lv = lv.add(&v),
-                    _ => out.push((r, v)),
+        for col in &mut self.cols[..self.n_struct] {
+            // Rows arrive in constraint order, so the column is sorted:
+            // sum duplicate rows in place, then drop exact/negligible zeros.
+            let mut w = 0;
+            for k in 0..col.len() {
+                if w > 0 && col[w - 1].0 == col[k].0 {
+                    let (head, tail) = col.split_at_mut(k);
+                    head[w - 1].1 = head[w - 1].1.add(&tail[0].1);
+                } else {
+                    col.swap(w, k);
+                    w += 1;
                 }
             }
-            out.retain(|(_, v)| !v.is_negligible());
-            *col = out;
+            col.truncate(w);
+            col.retain(|(_, v)| !v.is_negligible());
         }
-        cols
     }
 
     /// Standard form with artificials and `b ≥ 0` (cold start, phase 1).
-    fn build_cold(p: &LpProblem<S>) -> Tab<S> {
-        let m = p.n_constraints();
-        let n = p.n_vars();
-        let flip: Vec<bool> = p
-            .constraints()
-            .iter()
-            .map(|c| c.rhs.is_negative_tol())
-            .collect();
-        let mut cols = Self::structural_cols(p, &flip);
-
-        let mut b = Vec::with_capacity(m);
-        let mut basis = vec![usize::MAX; m];
-        let mut needs_art = Vec::with_capacity(m);
+    fn build_cold(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> Tab<S> {
+        ws.flags.clear();
+        ws.flags
+            .extend(p.constraints().iter().map(|c| c.rhs.is_negative_tol()));
+        let mut tab = Tab::recycled(ws, p.n_constraints(), p.n_vars());
+        let flip = &ws.flags;
+        tab.fill_structural(p, flip);
         // Slack/surplus columns, in constraint order.
         for (i, c) in p.constraints().iter().enumerate() {
-            b.push(if flip[i] { c.rhs.neg() } else { c.rhs.clone() });
-            let rel = match (c.rel, flip[i]) {
-                (Rel::Le, true) => Rel::Ge,
-                (Rel::Ge, true) => Rel::Le,
-                (r, _) => r,
-            };
-            match rel {
+            tab.b
+                .push(if flip[i] { c.rhs.neg() } else { c.rhs.clone() });
+            match flipped(c.rel, flip[i]) {
                 Rel::Le => {
-                    basis[i] = cols.len();
-                    cols.push(vec![(i as u32, S::one())]);
-                    needs_art.push(false);
+                    tab.basis[i] = tab.n_total;
+                    tab.push_col().push((i as u32, S::one()));
                 }
-                Rel::Ge => {
-                    cols.push(vec![(i as u32, S::one().neg())]);
-                    needs_art.push(true);
-                }
-                Rel::Eq => needs_art.push(true),
+                Rel::Ge => tab.push_col().push((i as u32, S::one().neg())),
+                Rel::Eq => {}
             }
         }
-        let art_start = cols.len();
-        for (i, &need) in needs_art.iter().enumerate() {
-            if need {
-                basis[i] = cols.len();
-                cols.push(vec![(i as u32, S::one())]);
+        // Artificials for the rows without a basic slack.
+        tab.art_start = tab.n_total;
+        for (i, c) in p.constraints().iter().enumerate() {
+            if flipped(c.rel, flip[i]) != Rel::Le {
+                tab.basis[i] = tab.n_total;
+                tab.push_col().push((i as u32, S::one()));
             }
         }
-        let n_total = cols.len();
-        debug_assert!(basis.iter().all(|&bv| bv != usize::MAX));
-        Tab {
-            cols,
-            b,
-            basis,
-            n_struct: n,
-            n_total,
-            art_start,
-            scratch: Vec::new(),
-        }
+        debug_assert!(tab.basis.iter().all(|&bv| bv != usize::MAX));
+        tab
     }
 
     /// Standard form without artificials and without sign normalization
     /// (warm start; negative `b` entries are repaired by dual simplex).
-    fn build_warm(p: &LpProblem<S>) -> Tab<S> {
-        let m = p.n_constraints();
-        let n = p.n_vars();
-        let flip = vec![false; m];
-        let mut cols = Self::structural_cols(p, &flip);
-        let mut b = Vec::with_capacity(m);
+    fn build_warm(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> Tab<S> {
+        let mut tab = Tab::recycled(ws, p.n_constraints(), p.n_vars());
+        tab.fill_structural(p, &[]);
         for (i, c) in p.constraints().iter().enumerate() {
-            b.push(c.rhs.clone());
+            tab.b.push(c.rhs.clone());
             match c.rel {
-                Rel::Le => cols.push(vec![(i as u32, S::one())]),
-                Rel::Ge => cols.push(vec![(i as u32, S::one().neg())]),
+                Rel::Le => tab.push_col().push((i as u32, S::one())),
+                Rel::Ge => tab.push_col().push((i as u32, S::one().neg())),
                 Rel::Eq => {}
             }
         }
-        let n_total = cols.len();
-        Tab {
-            cols,
-            b,
-            basis: vec![usize::MAX; m],
-            n_struct: n,
-            n_total,
-            art_start: n_total,
-            scratch: Vec::new(),
-        }
+        tab.art_start = tab.n_total;
+        tab
     }
 
     /// Value at `(row, col)`, `None` when structurally zero.
@@ -336,44 +451,40 @@ impl<S: Scalar> Tab<S> {
             .map(|k| &c[k].1)
     }
 
-    /// The pivot row as sparse `(col, value)` pairs.
-    fn extract_row(&self, row: usize) -> Vec<(usize, S)> {
-        let mut out = Vec::new();
-        for j in 0..self.n_total {
-            if let Some(v) = self.at(row, j) {
-                out.push((j, v.clone()));
+    /// Loads row `row` into `prow` as sparse `(col, value)` pairs.
+    fn extract_row(&mut self, row: usize) {
+        self.prow.clear();
+        for (j, c) in self.cols[..self.n_total].iter().enumerate() {
+            if let Ok(k) = c.binary_search_by_key(&(row as u32), |(r, _)| *r) {
+                self.prow.push((j, c[k].1.clone()));
             }
         }
-        out
     }
 
     /// Pivots on `(row, col)`: `col` enters the basis, the basic variable
     /// of `row` leaves. `rc` is the maintained reduced-cost row and
-    /// negated objective, updated sparsely when present. `raw_prow` lets a
-    /// caller that already extracted the pivot row (dual ratio test) hand
-    /// it over instead of paying the scan again.
-    fn pivot(
-        &mut self,
-        row: usize,
-        col: usize,
-        rc: Option<(&mut [S], &mut S)>,
-        raw_prow: Option<Vec<(usize, S)>>,
-    ) {
-        let pcol = self.cols[col].clone();
+    /// negated objective, updated sparsely when present. `prow_loaded`
+    /// says a caller already loaded the pivot row into `prow` (dual
+    /// ratio test), which saves the scan.
+    fn pivot(&mut self, row: usize, col: usize, rc: Option<(&mut [S], &mut S)>, prow_loaded: bool) {
         // dlflint:allow(hot-path-panic, "ratio test only selects structurally nonzero pivots; a miss is a solver bug worth halting on")
         let piv = self.at(row, col).expect("pivot on structural zero").clone();
         debug_assert!(!piv.is_negligible());
+        if !prow_loaded {
+            self.extract_row(row);
+        }
         // Pivot row with the elimination factor `a_rj / piv` cached, so
         // the column update and the reduced-cost update share one division.
-        let prow: Vec<(usize, S)> = raw_prow
-            .unwrap_or_else(|| self.extract_row(row))
-            .into_iter()
-            .map(|(j, arj)| (j, arj.div(&piv)))
-            .collect();
+        for (_, arj) in self.prow.iter_mut() {
+            *arj = arj.div(&piv);
+        }
+        // The pivot column moves out of its slot; the slot gets the unit
+        // vector at the end.
+        mem::swap(&mut self.pcol, &mut self.cols[col]);
 
         let b_row_new = self.b[row].div(&piv);
         // RHS update, touching only the pivot column's nonzero rows.
-        for (i, e) in &pcol {
+        for (i, e) in &self.pcol {
             let i = *i as usize;
             if i == row {
                 continue;
@@ -387,15 +498,19 @@ impl<S: Scalar> Tab<S> {
         // entry (and in them only the pivot column's nonzero rows). The
         // merge moves entries out of the old column and recycles its
         // buffer as the next column's scratch — no steady-state allocation.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for (j, f) in &prow {
+        // A merged column has at most one entry per row, which caps its
+        // reservation.
+        let m = self.b.len();
+        let pcol = &self.pcol;
+        let mut scratch = mem::take(&mut self.scratch);
+        for (j, f) in &self.prow {
             if *j == col {
                 continue;
             }
-            let mut old = std::mem::replace(&mut self.cols[*j], scratch);
+            let mut old = mem::replace(&mut self.cols[*j], scratch);
             let merged = &mut self.cols[*j];
             merged.clear();
-            merged.reserve(old.len() + pcol.len());
+            merged.reserve((old.len() + pcol.len()).min(m));
             {
                 let mut a = old.drain(..).peekable();
                 let mut c = pcol.iter().peekable();
@@ -438,12 +553,14 @@ impl<S: Scalar> Tab<S> {
         }
         self.scratch = scratch;
         // The entering column becomes a unit vector.
-        self.cols[col] = vec![(row as u32, S::one())];
+        let unit = &mut self.cols[col];
+        unit.clear();
+        unit.push((row as u32, S::one()));
 
         if let Some((r, z)) = rc {
             let re = r[col].clone();
             if !re.is_negligible() {
-                for (j, f) in &prow {
+                for (j, f) in &self.prow {
                     if *j == col {
                         continue;
                     }
@@ -457,11 +574,14 @@ impl<S: Scalar> Tab<S> {
         self.basis[row] = col;
     }
 
-    /// Reduced costs `r_j = c_j − c_B · B⁻¹A_j` and the negated objective
-    /// value, computed sparsely per column.
-    fn reduced_costs(&self, cost: &[S]) -> (Vec<S>, S) {
-        let cb: Vec<S> = self.basis.iter().map(|&bv| cost[bv].clone()).collect();
-        let mut r = cost.to_vec();
+    /// Reduced costs `r_j = c_j − c_B · B⁻¹A_j` into `r` (with `cb` as the
+    /// basic-cost scratch), computed sparsely per column; returns the
+    /// negated objective value.
+    fn reduced_costs(&self, cost: &[S], cb: &mut Vec<S>, r: &mut Vec<S>) -> S {
+        cb.clear();
+        cb.extend(self.basis.iter().map(|&bv| cost[bv].clone()));
+        r.clear();
+        r.extend_from_slice(cost);
         for j in 0..self.n_total {
             let mut acc = S::zero();
             for (i, v) in &self.cols[j] {
@@ -480,7 +600,7 @@ impl<S: Scalar> Tab<S> {
                 z = z.sub(&c.mul(&self.b[i]));
             }
         }
-        (r, z)
+        z
     }
 
     /// Primal simplex until optimal (`true`) or unbounded (`false`).
@@ -532,7 +652,7 @@ impl<S: Scalar> Tab<S> {
             // enter was selected with r[enter] strictly negative, so the
             // pivot is degenerate iff the leaving basic variable sits at 0.
             let degenerate = !self.b[leave].is_positive_tol();
-            self.pivot(leave, enter, Some((r, z)), None);
+            self.pivot(leave, enter, Some((r, z)), false);
             streak = if degenerate { streak + 1 } else { 0 };
         }
         // dlflint:allow(hot-path-panic, "pivot-cap backstop: Bland's rule cannot cycle, so this is unreachable outside a solver bug")
@@ -570,9 +690,9 @@ impl<S: Scalar> Tab<S> {
             };
             // Entering column: dual ratio test over the leaving row's
             // negative entries; smallest-index tie-break.
-            let prow = self.extract_row(leave);
+            self.extract_row(leave);
             let mut best: Option<(S, usize)> = None;
-            for (j, arj) in &prow {
+            for (j, arj) in &self.prow {
                 if *j == self.basis[leave] || !arj.is_negative_tol() {
                     continue;
                 }
@@ -588,7 +708,7 @@ impl<S: Scalar> Tab<S> {
             let Some((_, enter)) = best else {
                 return Some(false); // row ≥ 0 with b < 0: infeasible
             };
-            self.pivot(leave, enter, Some((r, z)), Some(prow));
+            self.pivot(leave, enter, Some((r, z)), true);
         }
         None
     }
@@ -597,7 +717,7 @@ impl<S: Scalar> Tab<S> {
     /// every column's row indices).
     fn remove_row(&mut self, row: usize) {
         let last = self.b.len() - 1;
-        for col in self.cols.iter_mut() {
+        for col in self.cols[..self.n_total].iter_mut() {
             col.retain(|(r, _)| *r as usize != row);
             if row != last {
                 for (r, _) in col.iter_mut() {
@@ -613,7 +733,8 @@ impl<S: Scalar> Tab<S> {
     }
 
     /// After phase 1: pivot zero-level artificials out of the basis, drop
-    /// rows that prove redundant, and delete artificial columns.
+    /// rows that prove redundant, and delete artificial columns (their
+    /// buffers stay as spare capacity).
     fn purge_artificials(&mut self) {
         let mut row = 0;
         while row < self.b.len() {
@@ -623,7 +744,7 @@ impl<S: Scalar> Tab<S> {
                 match col {
                     Some(col) => {
                         // Degenerate pivot (b[row] == 0): keeps b ≥ 0.
-                        self.pivot(row, col, None, None);
+                        self.pivot(row, col, None, false);
                         row += 1;
                     }
                     None => self.remove_row(row),
@@ -632,19 +753,20 @@ impl<S: Scalar> Tab<S> {
                 row += 1;
             }
         }
-        self.cols.truncate(self.art_start);
         self.n_total = self.art_start;
     }
 
-    /// Phase-2 cost vector in the minimization convention.
-    fn phase2_cost(&self, p: &LpProblem<S>) -> (Vec<S>, bool) {
-        let mut cost = vec![S::zero(); self.n_total];
+    /// Phase-2 cost vector in the minimization convention, into `cost`;
+    /// returns whether the objective was negated.
+    fn phase2_cost(&self, p: &LpProblem<S>, cost: &mut Vec<S>) -> bool {
+        cost.clear();
+        cost.resize(self.n_total, S::zero());
         let negate = p.sense() == Sense::Maximize;
         for (v, c) in &p.objective().terms {
             let cur = cost[v.index()].clone();
             cost[v.index()] = if negate { cur.sub(c) } else { cur.add(c) };
         }
-        (cost, negate)
+        negate
     }
 
     /// Extracts the solution after an optimal phase 2.
@@ -668,15 +790,23 @@ impl<S: Scalar> Tab<S> {
         }
     }
 
-    /// Two-phase cold solve.
-    fn solve_cold(mut self, p: &LpProblem<S>) -> (LpSolution<S>, Option<WarmBasis>) {
+    /// Two-phase cold solve over the vectors of `ws`; the optimal basis
+    /// is snapshotted only when `want_basis` is set.
+    fn solve_cold(
+        &mut self,
+        p: &LpProblem<S>,
+        ws: &mut LpWorkspace<S>,
+        want_basis: bool,
+    ) -> (LpSolution<S>, Option<WarmBasis>) {
+        let LpWorkspace { cost, r, cb, .. } = ws;
         if self.art_start < self.n_total {
-            let mut cost = vec![S::zero(); self.n_total];
+            cost.clear();
+            cost.resize(self.n_total, S::zero());
             for c in cost.iter_mut().skip(self.art_start) {
                 *c = S::one();
             }
-            let (mut r, mut z) = self.reduced_costs(&cost);
-            if !self.run_primal(&mut r, &mut z) {
+            let mut z = self.reduced_costs(cost, cb, r);
+            if !self.run_primal(r, &mut z) {
                 unreachable!("phase-1 simplex reported unbounded");
             }
             if z.neg().is_positive_tol() {
@@ -684,13 +814,13 @@ impl<S: Scalar> Tab<S> {
             }
             self.purge_artificials();
         }
-        let (cost, negate) = self.phase2_cost(p);
-        let (mut r, mut z) = self.reduced_costs(&cost);
-        if !self.run_primal(&mut r, &mut z) {
+        let negate = self.phase2_cost(p, cost);
+        let mut z = self.reduced_costs(cost, cb, r);
+        if !self.run_primal(r, &mut z) {
             return (LpSolution::unbounded(p.n_vars()), None);
         }
-        let basis = self.snapshot_basis(p);
-        (self.extract(p, z, negate), Some(basis))
+        let basis = want_basis.then(|| self.snapshot_basis(p));
+        (self.extract(p, z, negate), basis)
     }
 }
 
@@ -708,9 +838,14 @@ struct WarmRun<S> {
 }
 
 /// Attempts the warm-start path; `None` means "fall back to cold".
-fn try_warm<S: Scalar>(p: &LpProblem<S>, hint: &WarmBasis) -> Option<WarmSolve<S>> {
-    let run = run_warm(p, hint)?;
+fn try_warm<S: Scalar>(
+    p: &LpProblem<S>,
+    hint: &WarmBasis,
+    ws: &mut LpWorkspace<S>,
+) -> Option<WarmSolve<S>> {
+    let run = run_warm(p, &hint.basis, ws)?;
     let basis = run.solution.is_optimal().then(|| run.tab.snapshot_basis(p));
+    run.tab.recycle(ws);
     Some(WarmSolve {
         solution: run.solution,
         basis,
@@ -719,17 +854,24 @@ fn try_warm<S: Scalar>(p: &LpProblem<S>, hint: &WarmBasis) -> Option<WarmSolve<S
 }
 
 /// The warm-start engine behind [`try_warm`] and [`ProbeCache`]:
-/// re-realizes the hinted basis and repairs it to a verdict, returning
-/// the terminal tableau. `None` means the basis could not be realized or
-/// the pivot budget ran out — fall back to a cold solve.
-fn run_warm<S: Scalar>(p: &LpProblem<S>, hint: &WarmBasis) -> Option<WarmRun<S>> {
-    let mut tab = Tab::build_warm(p);
+/// re-realizes the hinted basis (basic column per row, as in
+/// [`WarmBasis`]) and repairs it to a verdict, returning the terminal
+/// tableau. `None` means the basis could not be realized or the pivot
+/// budget ran out — fall back to a cold solve.
+fn run_warm<S: Scalar>(
+    p: &LpProblem<S>,
+    hint: &[usize],
+    ws: &mut LpWorkspace<S>,
+) -> Option<WarmRun<S>> {
+    let mut tab = Tab::build_warm(p, ws);
     let m = tab.b.len();
 
     // Re-realize the hinted basis by Gaussian pivoting: for each hinted
     // column pick the not-yet-assigned row with the largest pivot.
-    let mut assigned = vec![false; m];
-    for &c in &hint.basis {
+    let assigned = &mut ws.flags;
+    assigned.clear();
+    assigned.resize(m, false);
+    for &c in hint {
         if c >= tab.n_total || tab.basis.contains(&c) {
             continue;
         }
@@ -745,7 +887,7 @@ fn run_warm<S: Scalar>(p: &LpProblem<S>, hint: &WarmBasis) -> Option<WarmRun<S>>
             }
         }
         if let Some((row, _)) = pick {
-            tab.pivot(row, c, None, None);
+            tab.pivot(row, c, None, false);
             assigned[row] = true;
         }
     }
@@ -761,18 +903,20 @@ fn run_warm<S: Scalar>(p: &LpProblem<S>, hint: &WarmBasis) -> Option<WarmRun<S>>
                 !tab.basis.contains(&j) && tab.at(row, j).is_some_and(|v| !v.is_negligible())
             });
         let Some(col) = cand else {
+            tab.recycle(ws);
             return None; // cannot complete a basis — cold solve
         };
-        tab.pivot(row, col, None, None);
+        tab.pivot(row, col, None, false);
         assigned[row] = true;
     }
 
-    let (cost, negate) = tab.phase2_cost(p);
-    let (mut r, mut z) = tab.reduced_costs(&cost);
+    let LpWorkspace { cost, r, cb, .. } = ws;
+    let negate = tab.phase2_cost(p, cost);
+    let mut z = tab.reduced_costs(cost, cb, r);
     let dual_feasible = r.iter().all(|v| !v.is_negative_tol());
     let primal_feasible = tab.b.iter().all(|v| !v.is_negative_tol());
     if dual_feasible {
-        match tab.run_dual(&mut r, &mut z) {
+        match tab.run_dual(r, &mut z) {
             Some(true) => {}
             Some(false) => {
                 let margin = infeasibility_margin(&tab);
@@ -782,12 +926,16 @@ fn run_warm<S: Scalar>(p: &LpProblem<S>, hint: &WarmBasis) -> Option<WarmRun<S>>
                     margin: Some(margin),
                 });
             }
-            None => return None, // budget exhausted — cold solve
+            None => {
+                tab.recycle(ws);
+                return None; // budget exhausted — cold solve
+            }
         }
     } else if !primal_feasible {
+        tab.recycle(ws);
         return None; // neither primal nor dual feasible — cold solve
     }
-    if !tab.run_primal(&mut r, &mut z) {
+    if !tab.run_primal(r, &mut z) {
         return Some(WarmRun {
             tab,
             solution: LpSolution::unbounded(p.n_vars()),
@@ -854,8 +1002,14 @@ pub struct ProbeCache<S> {
     /// Realized tableau of the last retained solve (rows correspond 1:1
     /// to `matrix`'s constraints — the warm builder never drops rows).
     tab: Option<Tab<S>>,
+    /// Whether `tab` holds a retained factorization. A cleared cache
+    /// keeps the tableau only for its buffers, which go to the workspace
+    /// when the next one is retained.
+    live: bool,
     /// The problem the tableau was realized on. Its RHS is *stale*:
     /// `rhs` below tracks the values the tableau currently reflects.
+    /// Meaningful only while `live`; kept across [`ProbeCache::clear`] so
+    /// the next retain refills its buffers.
     matrix: Option<LpProblem<S>>,
     /// RHS the tableau currently reflects, in row order.
     rhs: Vec<S>,
@@ -867,7 +1021,7 @@ pub struct ProbeCache<S> {
 impl<S> std::fmt::Debug for ProbeCache<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProbeCache")
-            .field("retained", &self.tab.is_some())
+            .field("retained", &self.live)
             .field("rows", &self.rhs.len())
             .finish()
     }
@@ -877,6 +1031,7 @@ impl<S> Default for ProbeCache<S> {
     fn default() -> Self {
         ProbeCache {
             tab: None,
+            live: false,
             matrix: None,
             rhs: Vec::new(),
             slack: Vec::new(),
@@ -905,10 +1060,9 @@ impl<S: Scalar> ProbeCache<S> {
         Self::default()
     }
 
-    /// Drops all retained state.
+    /// Drops all retained state (buffers keep their capacity).
     pub fn clear(&mut self) {
-        self.tab = None;
-        self.matrix = None;
+        self.live = false;
         self.rhs.clear();
         self.slack.clear();
     }
@@ -917,7 +1071,7 @@ impl<S: Scalar> ProbeCache<S> {
     /// change (via [`WarmBasis::remap`]) or into a fresh cache.
     pub fn basis(&self) -> Option<WarmBasis> {
         match (&self.tab, &self.matrix) {
-            (Some(tab), Some(p)) => Some(tab.snapshot_basis(p)),
+            (Some(tab), Some(p)) if self.live => Some(tab.snapshot_basis(p)),
             _ => None,
         }
     }
@@ -928,37 +1082,64 @@ impl<S: Scalar> ProbeCache<S> {
     /// route exists — the caller should solve cold (and may seed the
     /// cache again later via `hint`).
     pub fn solve(&mut self, p: &LpProblem<S>, hint: Option<&WarmBasis>) -> Option<ProbeSolve<S>> {
-        if let Some(out) = self.try_persistent(p) {
+        self.solve_in(p, hint, &mut LpWorkspace::new())
+    }
+
+    /// [`ProbeCache::solve`] with the buffers of `ws`: a re-realization
+    /// builds its tableau there, and a tableau the cache lets go of goes
+    /// back there.
+    pub fn solve_in(
+        &mut self,
+        p: &LpProblem<S>,
+        hint: Option<&WarmBasis>,
+        ws: &mut LpWorkspace<S>,
+    ) -> Option<ProbeSolve<S>> {
+        if let Some(out) = self.try_persistent(p, ws) {
             return Some(out);
         }
-        let own = self.basis().filter(|b| b.compatible_with(p));
-        let run = own
-            .as_ref()
-            .or_else(|| hint.filter(|h| h.compatible_with(p)))
-            .and_then(|h| run_warm(p, h));
-        let Some(run) = run else {
+        let own = match (&self.tab, &self.matrix) {
+            (Some(tab), Some(m)) if self.live && same_shape(m, p) => Some(tab.basis.as_slice()),
+            _ => None,
+        };
+        let seed = own.or_else(|| {
+            hint.filter(|h| h.compatible_with(p))
+                .map(|h| h.basis.as_slice())
+        });
+        let Some(run) = seed.and_then(|b| run_warm(p, b, ws)) else {
             // Neither path worked; drop the stale tableau so the next
             // call goes straight to the caller's hint.
             self.clear();
             return None;
         };
-        let out = ProbeSolve {
-            solution: run.solution.clone(),
-            persistent: false,
-            infeasible_margin: run.margin,
-        };
-        if run.solution.is_optimal() || run.solution.status == crate::solution::LpStatus::Infeasible
-        {
-            self.retain(run.tab, p);
+        let WarmRun {
+            tab,
+            solution,
+            margin,
+        } = run;
+        if solution.is_optimal() || solution.status == crate::solution::LpStatus::Infeasible {
+            self.retain(tab, p, ws);
         } else {
+            tab.recycle(ws);
             self.clear();
         }
-        Some(out)
+        Some(ProbeSolve {
+            solution,
+            persistent: false,
+            infeasible_margin: margin,
+        })
     }
 
     /// The RHS-patch fast path; `None` when the retained matrix does not
     /// apply (caller falls through to re-realization).
-    fn try_persistent(&mut self, p: &LpProblem<S>) -> Option<ProbeSolve<S>> {
+    fn try_persistent(
+        &mut self,
+        p: &LpProblem<S>,
+        ws: &mut LpWorkspace<S>,
+    ) -> Option<ProbeSolve<S>> {
+        if !self.live {
+            return None;
+        }
+        let tab = self.tab.as_mut()?;
         if !self
             .matrix
             .as_ref()
@@ -974,7 +1155,6 @@ impl<S: Scalar> ProbeCache<S> {
                 return None;
             }
         }
-        let tab = self.tab.as_mut()?;
         for (i, c) in p.constraints().iter().enumerate() {
             if c.rhs.cmp_total(&self.rhs[i]) == std::cmp::Ordering::Equal {
                 continue;
@@ -992,9 +1172,11 @@ impl<S: Scalar> ProbeCache<S> {
         // basis stays dual feasible through any RHS change; the dual
         // simplex (smallest-index tie-breaks = Bland, so it terminates)
         // drives the patched b back to feasibility or refutes it.
-        let mut r = vec![S::zero(); tab.n_total];
+        let r = &mut ws.r;
+        r.clear();
+        r.resize(tab.n_total, S::zero());
         let mut z = S::zero();
-        match tab.run_dual(&mut r, &mut z) {
+        match tab.run_dual(r, &mut z) {
             Some(true) => Some(ProbeSolve {
                 solution: tab.extract(p, S::zero(), false),
                 persistent: true,
@@ -1014,9 +1196,9 @@ impl<S: Scalar> ProbeCache<S> {
         }
     }
 
-    /// Retains a terminal tableau for `p` (matrix clone, RHS snapshot,
-    /// row → slack-column map).
-    fn retain(&mut self, tab: Tab<S>, p: &LpProblem<S>) {
+    /// Retains a terminal tableau for `p` (matrix copy, RHS snapshot,
+    /// row → slack-column map), handing the one it replaces to `ws`.
+    fn retain(&mut self, tab: Tab<S>, p: &LpProblem<S>, ws: &mut LpWorkspace<S>) {
         self.rhs.clear();
         self.rhs
             .extend(p.constraints().iter().map(|c| c.rhs.clone()));
@@ -1037,9 +1219,27 @@ impl<S: Scalar> ProbeCache<S> {
                 Rel::Eq => None,
             });
         }
-        self.matrix = Some(p.clone());
-        self.tab = Some(tab);
+        self.matrix
+            .get_or_insert_with(|| LpProblem::new(p.sense()))
+            .clone_from(p);
+        if let Some(old) = self.tab.replace(tab) {
+            old.recycle(ws);
+        }
+        self.live = true;
     }
+}
+
+/// `true` when the two problems have the same variable count and the
+/// same constraint relations in the same order — the condition for a
+/// basis of one to seed a solve of the other
+/// ([`WarmBasis::compatible_with`]).
+fn same_shape<S: Scalar>(a: &LpProblem<S>, b: &LpProblem<S>) -> bool {
+    a.n_vars() == b.n_vars()
+        && a.n_constraints() == b.n_constraints()
+        && a.constraints()
+            .iter()
+            .zip(b.constraints())
+            .all(|(ca, cb)| ca.rel == cb.rel)
 }
 
 /// `true` when the two problems share every coefficient — variable

@@ -5,11 +5,78 @@
 //! (a) agreement of statuses and objective values (and, over `Rat`, the
 //!     float-guided solve's exact agreement with the plain one),
 //! (b) primal feasibility of the returned point,
-//! (c) optimality against brute-force vertex enumeration in 2 variables.
+//! (c) optimality against brute-force vertex enumeration in 2 variables,
+//! (d) bit-identity of solves through one reused `LpWorkspace` with
+//!     solves through a fresh one.
 
-use dlflow_lp::{solve, solve_float_guided, LinExpr, LpProblem, LpStatus, Rel, Sense};
-use dlflow_num::Rat;
+use dlflow_lp::{
+    solve, solve_float_guided, solve_in, solve_warm, solve_warm_in, LinExpr, LpProblem, LpSolution,
+    LpStatus, LpWorkspace, Rel, Sense,
+};
+use dlflow_num::{Rat, Scalar};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::fmt::Debug;
+
+thread_local! {
+    /// One workspace per scalar type for every case a test runs, so each
+    /// solve starts on buffers left behind by differently shaped LPs.
+    static WS_F64: RefCell<LpWorkspace<f64>> = RefCell::new(LpWorkspace::new());
+    static WS_RAT: RefCell<LpWorkspace<Rat>> = RefCell::new(LpWorkspace::new());
+}
+
+/// Status, objective and values of a solution, each scalar through `key`
+/// (bit patterns for `f64`), so that equality means bit-identity.
+type SolutionKey<K> = (LpStatus, Option<K>, Vec<K>);
+
+fn solution_key<S: Scalar, K>(s: &LpSolution<S>, key: &impl Fn(&S) -> K) -> SolutionKey<K> {
+    (
+        s.status,
+        s.objective.as_ref().map(key),
+        s.values.iter().map(key).collect(),
+    )
+}
+
+/// Solves `p` again through the reused workspace `ws` — cold, cold with
+/// a basis snapshot, and warm from that basis — and requires each result
+/// to equal the fresh-workspace solve: same status, objective, values and
+/// basis, every scalar compared through `key`.
+fn reused_workspace_matches_fresh<S: Scalar, K: PartialEq + Debug>(
+    p: &LpProblem<S>,
+    ws: &mut LpWorkspace<S>,
+    key: impl Fn(&S) -> K,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        solution_key(&solve_in(p, ws), &key),
+        solution_key(&solve(p), &key)
+    );
+    let fresh = solve_warm(p, None);
+    let reused = solve_warm_in(p, None, ws);
+    prop_assert_eq!(
+        solution_key(&reused.solution, &key),
+        solution_key(&fresh.solution, &key)
+    );
+    prop_assert_eq!(&reused.basis, &fresh.basis);
+    let fresh_warm = solve_warm(p, fresh.basis.as_ref());
+    let reused_warm = solve_warm_in(p, fresh.basis.as_ref(), ws);
+    prop_assert_eq!(reused_warm.warm_used, fresh_warm.warm_used);
+    prop_assert_eq!(
+        solution_key(&reused_warm.solution, &key),
+        solution_key(&fresh_warm.solution, &key)
+    );
+    prop_assert_eq!(&reused_warm.basis, &fresh_warm.basis);
+    Ok(())
+}
+
+/// [`reused_workspace_matches_fresh`] over the shared `f64` workspace.
+fn f64_reuse_is_bit_identical(p: &LpProblem<f64>) -> Result<(), TestCaseError> {
+    WS_F64.with(|ws| reused_workspace_matches_fresh(p, &mut ws.borrow_mut(), |v| v.to_bits()))
+}
+
+/// [`reused_workspace_matches_fresh`] over the shared `Rat` workspace.
+fn rat_reuse_is_identical(p: &LpProblem<Rat>) -> Result<(), TestCaseError> {
+    WS_RAT.with(|ws| reused_workspace_matches_fresh(p, &mut ws.borrow_mut(), Rat::clone))
+}
 
 /// Random small LP over integer coefficients:
 /// max cᵀx s.t. Ax ≤ b with b ≥ 0 — always feasible (x = 0) and bounded
@@ -90,6 +157,8 @@ proptest! {
         prop_assert_eq!(sg.status, sr.status);
         prop_assert_eq!(sg.objective, sr.objective);
         prop_assert!(lp_r.check_feasible(&sg.values).is_ok());
+        f64_reuse_is_bit_identical(&lp_f)?;
+        rat_reuse_is_identical(&lp_r)?;
     }
 
     #[test]
@@ -102,10 +171,12 @@ proptest! {
         let mut b: Vec<i64> = a.iter().map(|&(_, _, r)| r).collect();
         rows.push(vec![1, 1]);
         b.push(15);
-        let (lp_f, _) = build_pair(2, &[c0, c1], &rows[..rows.len() - 1], &b[..b.len() - 1], 15);
+        let (lp_f, lp_r) = build_pair(2, &[c0, c1], &rows[..rows.len() - 1], &b[..b.len() - 1], 15);
         let sol = solve(&lp_f);
         prop_assert_eq!(sol.status, LpStatus::Optimal);
         let got = sol.objective.unwrap();
+        f64_reuse_is_bit_identical(&lp_f)?;
+        rat_reuse_is_identical(&lp_r)?;
 
         // Brute force: enumerate pairwise constraint intersections
         // (including axes) and keep feasible ones.
@@ -158,5 +229,6 @@ proptest! {
         prop_assert_eq!(sol.status, LpStatus::Optimal);
         let expect = Rat::from_i64(c[0] * b[0] + c[1] * b[1]);
         prop_assert_eq!(sol.objective.unwrap(), expect);
+        rat_reuse_is_identical(&lp)?;
     }
 }

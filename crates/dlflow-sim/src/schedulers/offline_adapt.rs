@@ -81,8 +81,14 @@
 
 use crate::engine::{ActiveSet, Allocation, JobView, OnlineScheduler, ResolveStats};
 use dlflow_core::instance::{Cost, Instance, Job};
-use dlflow_core::lp_build::{build_deadline_lp, build_deadline_probe_lp, probe_var_remap};
-use dlflow_lp::{certifies, solve, solve_warm, LpStatus, ProbeCache, WarmBasis};
+use dlflow_core::lp_build::{
+    build_deadline_lp_into, build_deadline_probe_lp, build_deadline_probe_lp_into, probe_var_remap,
+    DeadlineLp,
+};
+use dlflow_lp::{
+    certifies, solve, solve_in, solve_warm_in, LpProblem, LpSolution, LpStatus, LpWorkspace,
+    ProbeCache, Sense, WarmBasis,
+};
 use std::mem;
 
 /// Weight floor used when a zero-weight job reaches the deadline maths
@@ -292,6 +298,50 @@ impl WarmChain {
     }
 }
 
+/// One policy's LP machinery: the persistent probe factorization, the
+/// simplex workspace that every solve of the policy draws its buffers
+/// from, and the two System-(2) programs the builders refill. Shared by
+/// [`OfflineAdapt`] and [`crate::schedulers::ola_lite::OlaLite`].
+///
+/// One workspace rather than one per solve kind: the probe cache's
+/// re-realizations, the seeding solves, the cold probes and the final
+/// rate solve never overlap, so a second pool would only hold a second
+/// tableau's worth of idle capacity.
+pub(crate) struct PolicyLp {
+    /// Persistent probe factorization (retained tableau + RHS-patch
+    /// re-solves) for the shape-stable probes. It holds state, so reset,
+    /// restore and platform changes clear it.
+    pub(crate) cache: ProbeCache<f64>,
+    /// Buffers of every simplex solve. Capacity only — each solve starts
+    /// from the same logical state as with a fresh workspace — so it is
+    /// never cleared.
+    pub(crate) ws: LpWorkspace<f64>,
+    /// Probe-form program of the current warm probe.
+    pub(crate) probe_lp: LpProblem<f64>,
+    /// Filtered program of the current cold probe or final solve.
+    pub(crate) built: DeadlineLp<f64>,
+}
+
+impl Default for PolicyLp {
+    fn default() -> Self {
+        PolicyLp {
+            cache: ProbeCache::new(),
+            ws: LpWorkspace::new(),
+            probe_lp: LpProblem::new(Sense::Minimize),
+            built: DeadlineLp::default(),
+        }
+    }
+}
+
+impl PolicyLp {
+    /// Builds the filtered program for deadlines `d` into `built` and
+    /// solves it cold: the legacy computation the goldens pin.
+    pub(crate) fn solve_filtered(&mut self, sub: &Instance<f64>, d: &[f64]) -> LpSolution<f64> {
+        build_deadline_lp_into(&mut self.built, sub, d, false);
+        solve_in(&self.built.lp, &mut self.ws)
+    }
+}
+
 /// Online adaptation of the offline divisible optimum.
 pub struct OfflineAdapt {
     /// Bisection iterations (each one LP feasibility solve).
@@ -330,9 +380,8 @@ pub struct OfflineAdapt {
     d_buf: Vec<f64>,
     /// Cross-event warm-basis carry.
     chain: WarmChain,
-    /// Persistent probe factorization (retained tableau + RHS-patch
-    /// re-solves) for the bisection's shape-stable probes.
-    probe: ProbeCache<f64>,
+    /// Probe cache, simplex workspace and reused programs.
+    lp: PolicyLp,
 }
 
 impl Default for OfflineAdapt {
@@ -352,7 +401,7 @@ impl Default for OfflineAdapt {
             sub_recycle: (Vec::new(), Vec::new()),
             d_buf: Vec::new(),
             chain: WarmChain::default(),
-            probe: ProbeCache::new(),
+            lp: PolicyLp::default(),
         }
     }
 }
@@ -635,7 +684,7 @@ impl OnlineScheduler for OfflineAdapt {
         self.cold_resolves = 0;
         self.up.clear();
         self.chain.clear();
-        self.probe.clear();
+        self.lp.cache.clear();
     }
 
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
@@ -667,7 +716,7 @@ impl OnlineScheduler for OfflineAdapt {
         // but the cheap, obviously-correct move is to rebuild. Platform
         // events are rare next to arrivals/completions.
         self.chain.clear();
-        self.probe.clear();
+        self.lp.cache.clear();
     }
 
     fn snapshot_state(&self) -> String {
@@ -707,7 +756,7 @@ impl OnlineScheduler for OfflineAdapt {
         self.cache = None;
         // Safe-to-drop warm state (see `snapshot_state`).
         self.chain.clear();
-        self.probe.clear();
+        self.lp.cache.clear();
         let Some(line) = lines.next() else {
             return Ok(());
         };
@@ -888,11 +937,12 @@ impl OfflineAdapt {
                 || tol_fragile(&d, now)
             {
                 self.cold_lp_solves += 1;
-                solve(&build_deadline_lp(&sub, &d, false).lp).is_optimal()
+                self.lp.solve_filtered(&sub, &d).is_optimal()
             } else {
-                let lp = build_deadline_probe_lp(&sub, &d, false);
+                let lp = &mut self.lp;
+                build_deadline_probe_lp_into(&mut lp.probe_lp, &sub, &d, false);
                 if let Some((basis, var_map)) = pending.take() {
-                    hint = Some(basis.remap(&lp, &var_map));
+                    hint = Some(basis.remap(&lp.probe_lp, &var_map));
                 }
                 // A warm verdict is trusted on exactly two routes (see
                 // the module docs): a primal-certified feasible point,
@@ -900,16 +950,16 @@ impl OfflineAdapt {
                 // margin. Everything else — including any infeasibility
                 // claimed by a freshly re-realized basis — is recomputed
                 // by the exact legacy path.
-                let served = self.probe.solve(&lp, hint.as_ref());
+                let served = lp.cache.solve_in(&lp.probe_lp, hint.as_ref(), &mut lp.ws);
                 cache_on_event_shape |= served.is_some();
                 let verdict = served.and_then(|out| {
                     if out.solution.is_optimal() {
-                        if certifies(&lp, &out.solution) {
+                        if certifies(&lp.probe_lp, &out.solution) {
                             Some(true)
                         } else {
                             // An uncertifiable "optimum" means the
                             // tableau cannot be trusted for anything.
-                            self.probe.clear();
+                            lp.cache.clear();
                             None
                         }
                     } else if out.persistent
@@ -935,10 +985,10 @@ impl OfflineAdapt {
                         // exactly how the pre-cache implementation
                         // seeded its basis chain.
                         if hint.is_none() {
-                            hint = solve_warm(&lp, None).basis;
+                            hint = solve_warm_in(&lp.probe_lp, None, &mut lp.ws).basis;
                         }
                         self.cold_lp_solves += 1;
-                        solve(&build_deadline_lp(&sub, &d, false).lp).is_optimal()
+                        lp.solve_filtered(&sub, &d).is_optimal()
                     }
                 }
             };
@@ -952,8 +1002,7 @@ impl OfflineAdapt {
         // Final solve at the feasible end of the bracket — always the
         // legacy cold path, whose basic solution the goldens pin.
         fill_deadlines(&mut d, now, hi, cols);
-        let built = build_deadline_lp(&sub, &d, false);
-        let sol = solve(&built.lp);
+        let sol = self.lp.solve_filtered(&sub, &d);
         debug_assert!(sol.is_optimal());
         self.cold_lp_solves += 1;
         self.n_resolves += 1;
@@ -964,7 +1013,7 @@ impl OfflineAdapt {
         }
         self.d_buf = d;
 
-        let (alloc, produced) = first_interval_rates(&built, &sol, &sub, cols, n_machines);
+        let (alloc, produced) = first_interval_rates(&self.lp.built, &sol, &sub, cols, n_machines);
 
         // Retire this event's sub-instance into the carry slot and rotate
         // the previous one's buffers back into the recycle pool. The
@@ -973,7 +1022,7 @@ impl OfflineAdapt {
         // cache's first re-realization there.
         if self.resolve_mode == ResolveMode::WarmIncremental {
             let carried = if cache_on_event_shape {
-                self.probe.basis()
+                self.lp.cache.basis()
             } else {
                 None
             };

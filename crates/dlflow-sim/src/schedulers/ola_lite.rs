@@ -25,13 +25,13 @@
 //! laxer deadline profile than OLA's.
 //!
 //! Probes run the warm path end to end: shape-stable probe LPs
-//! ([`build_deadline_probe_lp`]) served by a persistent [`ProbeCache`]
-//! (within an event every probe after the first is a pure RHS patch on
-//! the retained tableau), chained across events through the shared
-//! `WarmChain` carry. Warm feasible verdicts are accepted only with
-//! a primal certificate ([`certifies`]) in hand, warm infeasible ones
-//! only from the persistent path with a decisive margin — everything
-//! else is recomputed from scratch. Unlike `OfflineAdapt`, no golden
+//! ([`dlflow_core::lp_build::build_deadline_probe_lp`]) served by a
+//! persistent [`dlflow_lp::ProbeCache`] (within an event every probe
+//! after the first is a pure RHS patch on the retained tableau), chained
+//! across events through the shared `WarmChain` carry. Warm feasible
+//! verdicts are accepted only with a primal certificate ([`certifies`])
+//! in hand, warm infeasible ones only from the persistent path with a
+//! decisive margin — everything else is recomputed from scratch. Unlike `OfflineAdapt`, no golden
 //! pins this policy's output, so it needs none of the
 //! bit-compatibility guard stack — the certificate and the margin gate
 //! alone keep the walk sound. The final rate-extracting solve is a
@@ -41,13 +41,13 @@
 
 use crate::engine::{ActiveSet, Allocation, JobView, OnlineScheduler, ResolveStats};
 use dlflow_core::instance::Instance;
-use dlflow_core::lp_build::{build_deadline_lp, build_deadline_probe_lp};
-use dlflow_lp::{certifies, solve, solve_warm, LpStatus, ProbeCache, WarmBasis};
+use dlflow_core::lp_build::build_deadline_probe_lp_into;
+use dlflow_lp::{certifies, solve_in, solve_warm_in, LpStatus, WarmBasis};
 use std::mem;
 
 use super::offline_adapt::{
-    bracket, build_sub, fill_deadlines, first_interval_rates, JobCols, SubBuffers, WarmChain,
-    INFEASIBLE_MARGIN_GUARD,
+    bracket, build_sub, fill_deadlines, first_interval_rates, JobCols, PolicyLp, SubBuffers,
+    WarmChain, INFEASIBLE_MARGIN_GUARD,
 };
 
 /// Safety cap on geometric walk steps per direction. With the default
@@ -84,8 +84,8 @@ pub struct OlaLite {
     d_buf: Vec<f64>,
     /// Cross-event warm-basis carry (shared with `OfflineAdapt`).
     chain: WarmChain,
-    /// Persistent probe factorization for the walk's shape-stable LPs.
-    probe: ProbeCache<f64>,
+    /// Probe cache, simplex workspace and reused programs.
+    lp: PolicyLp,
 }
 
 impl Default for OlaLite {
@@ -103,7 +103,7 @@ impl Default for OlaLite {
             sub_recycle: (Vec::new(), Vec::new()),
             d_buf: Vec::new(),
             chain: WarmChain::default(),
-            probe: ProbeCache::new(),
+            lp: PolicyLp::default(),
         }
     }
 }
@@ -138,9 +138,10 @@ impl OlaLite {
 }
 
 /// One feasibility probe of the walk, served by the persistent
-/// [`ProbeCache`]: a warm feasible verdict needs a primal certificate,
-/// a warm infeasible one the persistent path plus a decisive margin
-/// (`margin_gate`), and everything else is recomputed from scratch.
+/// [`dlflow_lp::ProbeCache`]: a warm feasible verdict needs a primal
+/// certificate, a warm infeasible one the persistent path plus a
+/// decisive margin (`margin_gate`), and everything else is recomputed
+/// from scratch.
 /// `pending` (the cross-event basis carry) is consumed by the first
 /// probe of the event; `hint` keeps the remapped basis alive as the
 /// cache's re-seed for the rest of it.
@@ -152,7 +153,7 @@ fn walk_probe(
     margin_gate: f64,
     pending: &mut Option<(WarmBasis, Vec<Option<usize>>)>,
     hint: &mut Option<WarmBasis>,
-    probe: &mut ProbeCache<f64>,
+    lp: &mut PolicyLp,
     cache_on_event_shape: &mut bool,
     warm_lp_solves: &mut usize,
     cold_lp_solves: &mut usize,
@@ -160,18 +161,18 @@ fn walk_probe(
     if d.iter().any(|&dj| dj <= now) {
         return false; // an empty window needs no LP to refute
     }
-    let lp = build_deadline_probe_lp(sub, d, false);
+    build_deadline_probe_lp_into(&mut lp.probe_lp, sub, d, false);
     if let Some((basis, var_map)) = pending.take() {
-        *hint = Some(basis.remap(&lp, &var_map));
+        *hint = Some(basis.remap(&lp.probe_lp, &var_map));
     }
-    let served = probe.solve(&lp, hint.as_ref());
+    let served = lp.cache.solve_in(&lp.probe_lp, hint.as_ref(), &mut lp.ws);
     *cache_on_event_shape |= served.is_some();
     let verdict = served.and_then(|out| {
         if out.solution.is_optimal() {
-            if certifies(&lp, &out.solution) {
+            if certifies(&lp.probe_lp, &out.solution) {
                 Some(true)
             } else {
-                probe.clear();
+                lp.cache.clear();
                 None
             }
         } else if out.persistent
@@ -194,10 +195,11 @@ fn walk_probe(
             // cheaper shape-stable form — and its basis doubles as the
             // cache's seed on a fresh run.
             *cold_lp_solves += 1;
-            let out = solve_warm(&lp, None);
-            if hint.is_none() {
-                *hint = out.basis;
+            if hint.is_some() {
+                return solve_in(&lp.probe_lp, &mut lp.ws).is_optimal();
             }
+            let out = solve_warm_in(&lp.probe_lp, None, &mut lp.ws);
+            *hint = out.basis;
             out.solution.is_optimal()
         }
     }
@@ -221,7 +223,7 @@ impl OnlineScheduler for OlaLite {
         self.last_f = None;
         self.up.clear();
         self.chain.clear();
-        self.probe.clear();
+        self.lp.cache.clear();
     }
 
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
@@ -242,7 +244,7 @@ impl OnlineScheduler for OlaLite {
         // `last_f` survives: it is only a search anchor, and the grow
         // loop caps at the new platform's `hi` anyway.
         self.chain.clear();
-        self.probe.clear();
+        self.lp.cache.clear();
     }
 
     fn snapshot_state(&self) -> String {
@@ -276,7 +278,7 @@ impl OnlineScheduler for OlaLite {
             ),
         };
         self.chain.clear();
-        self.probe.clear();
+        self.lp.cache.clear();
         Ok(())
     }
 
@@ -358,7 +360,7 @@ impl OlaLite {
             margin_gate,
             &mut pending,
             &mut hint,
-            &mut self.probe,
+            &mut self.lp,
             &mut cache_on_event_shape,
             &mut self.warm_lp_solves,
             &mut self.cold_lp_solves,
@@ -377,7 +379,7 @@ impl OlaLite {
                     margin_gate,
                     &mut pending,
                     &mut hint,
-                    &mut self.probe,
+                    &mut self.lp,
                     &mut cache_on_event_shape,
                     &mut self.warm_lp_solves,
                     &mut self.cold_lp_solves,
@@ -405,7 +407,7 @@ impl OlaLite {
                     margin_gate,
                     &mut pending,
                     &mut hint,
-                    &mut self.probe,
+                    &mut self.lp,
                     &mut cache_on_event_shape,
                     &mut self.warm_lp_solves,
                     &mut self.cold_lp_solves,
@@ -423,14 +425,12 @@ impl OlaLite {
         // back to the guaranteed-feasible serial bound if the committed
         // `F` sits on a solver tolerance boundary.
         fill_deadlines(&mut d, now, f, cols);
-        let mut built = build_deadline_lp(&sub, &d, false);
-        let mut sol = solve(&built.lp);
+        let mut sol = self.lp.solve_filtered(&sub, &d);
         self.cold_lp_solves += 1;
         if !sol.is_optimal() && f < hi {
             f = hi;
             fill_deadlines(&mut d, now, f, cols);
-            built = build_deadline_lp(&sub, &d, false);
-            sol = solve(&built.lp);
+            sol = self.lp.solve_filtered(&sub, &d);
             self.cold_lp_solves += 1;
         }
         self.n_resolves += 1;
@@ -443,13 +443,13 @@ impl OlaLite {
 
         let committed = sol.is_optimal();
         let alloc = if committed {
-            first_interval_rates(&built, &sol, &sub, cols, n_machines).0
+            first_interval_rates(&self.lp.built, &sol, &sub, cols, n_machines).0
         } else {
             Allocation::idle(n_machines)
         };
 
         let carried = if cache_on_event_shape {
-            self.probe.basis()
+            self.lp.cache.basis()
         } else {
             None
         };

@@ -16,6 +16,12 @@
 //! (empty caches) and must still reproduce the uninterrupted cold
 //! oracle bit for bit; any verdict leaking out of a stale basis would
 //! surface as a diverging completion float.
+//!
+//! Reuse across runs: each policy keeps its LP buffers (one simplex
+//! workspace, the refilled programs, the probe cache's storage) through
+//! `reset()`. They hold capacity only, so a policy that replayed another
+//! trace and was then reset must replay the next one exactly like a
+//! fresh instance.
 
 use dlflow_sim::engine::{Engine, OnlineScheduler, ResolveStats, StepOutcome};
 use dlflow_sim::schedulers::{OfflineAdapt, OlaLite};
@@ -69,12 +75,16 @@ fn completions_of(eng: &mut Engine) -> Vec<(usize, u64)> {
     out
 }
 
-/// Uninterrupted run, returning completions and resolve telemetry.
-fn run_straight(trace: &Trace, policy: &mut OfflineAdapt) -> (Vec<(usize, u64)>, ResolveStats) {
+/// Uninterrupted run after a `reset()`, returning completions and
+/// resolve telemetry.
+fn run_straight(
+    trace: &Trace,
+    policy: &mut dyn OnlineScheduler,
+) -> (Vec<(usize, u64)>, ResolveStats) {
     policy.reset();
     let mut eng = load(trace);
     eng.drain(policy).unwrap();
-    let stats = OnlineScheduler::resolve_stats(policy).unwrap();
+    let stats = policy.resolve_stats().unwrap();
     (completions_of(&mut eng), stats)
 }
 
@@ -127,6 +137,13 @@ proptest! {
         // The oracle never serves a probe warm, by construction.
         prop_assert_eq!(cold_stats.warm_lp_solves, 0);
         prop_assert_eq!(cold_stats.warm_resolves, 0);
+        // A policy that replayed another trace, then reset, replays this
+        // one like a fresh instance: its LP buffers hold capacity only.
+        let mut reused = OfflineAdapt::new();
+        run_straight(&traced(seed ^ 0x5EED, n + 3, (intensity + 1) % 3), &mut reused);
+        let (reused_done, reused_stats) = run_straight(&trace, &mut reused);
+        prop_assert_eq!(&reused_done, &warm_done);
+        prop_assert_eq!(reused_stats, warm_stats);
     }
 
     /// Dropping the warm basis mid-run is safe: interrupting the warm
@@ -169,6 +186,15 @@ proptest! {
             sb.metrics.max_stretch.to_bits()
         );
         prop_assert!(sa.metrics.makespan.is_finite());
+        // Reuse across runs, as for OLA above: replay another trace,
+        // reset, and match a fresh instance's completions bit for bit.
+        let (fresh_done, fresh_stats) = run_straight(&trace, &mut OlaLite::with_alpha(alpha));
+        let mut reused = OlaLite::with_alpha(alpha);
+        run_straight(&traced(seed ^ 0x5EED, n + 3, (intensity + 1) % 3), &mut reused);
+        let (reused_done, reused_stats) = run_straight(&trace, &mut reused);
+        prop_assert_eq!(fresh_done.len(), n);
+        prop_assert_eq!(&reused_done, &fresh_done);
+        prop_assert_eq!(reused_stats, fresh_stats);
     }
 }
 
