@@ -29,21 +29,13 @@
 //!   (amortized zero per event) and records whole-replay allocation
 //!   totals, which bound capacity growth — not per-event traffic.
 //!
-//! The PR-10 `ola-resolve` group measures the persistent warm-basis LP
-//! machinery:
+//! The `ola-resolve` group measures OLA's LP re-solves:
 //!
-//! * **Per-probe resolve cost.** A representative deadline-probe LP is
-//!   re-solved cold vs through [`ProbeCache`] (alternating two RHS
-//!   variants so every warm iteration is a genuine patch + dual
-//!   repair). The asserted floor is a ≥ 3× warm-over-cold speedup; the
-//!   local headline is ~10×.
-//! * **End-to-end replay.** Eager-warm OLA (`throttle = 0`) vs the
-//!   cold-resolve oracle vs `OLA-lite` on a 1k-arrival trace, with the
-//!   event-level resolve telemetry ([`ResolveStats`]) recorded. The
-//!   end-to-end gate is conservative (warm must not *pessimize* the
-//!   replay) because the guard stack pins the tolerance-band tail of
-//!   every bisection to the cold path by design — the per-event ratio
-//!   is structurally capped well below the per-probe one.
+//! * **Per-probe solve cost.** A representative deadline-probe LP,
+//!   solved cold.
+//! * **End-to-end replay.** Eager OLA (`throttle = 0`) vs `OLA-lite` on
+//!   a 1k-arrival trace, with the resolve telemetry ([`ResolveStats`])
+//!   recorded. The asserted floor is OLA-lite ≥ 2× faster per event.
 //! * **LP-path allocation ceiling.** The eager replay's allocations are
 //!   counted and divided by its LP solves. Each OLA policy solves through
 //!   one reused `LpWorkspace`, so a solve allocates little beyond its
@@ -61,7 +53,6 @@ use dlflow_core::milestones::milestones;
 use dlflow_gripps::databank::{Databank, DatabankSpec};
 use dlflow_gripps::motif::Motif;
 use dlflow_gripps::scan::scan_databank;
-use dlflow_lp::ProbeCache;
 use dlflow_num::Rat;
 use dlflow_sim::engine::{simulate_dense, JobSpec, OnlineScheduler, ResolveStats};
 use dlflow_sim::reference::{Pr5Swrpt, ReferenceEngine};
@@ -379,12 +370,10 @@ fn main() {
     let warm_wave_allocs = (allocmeter::alloc_count() - a0).saturating_sub(1_000);
     println!("  warm-engine second wave (1k jobs): {warm_wave_allocs} engine allocations");
 
-    // --- ola-resolve: the PR-10 persistent warm-basis machinery. ---
+    // --- ola-resolve: OLA's LP re-solves. ---
 
-    // Per-probe resolve cost on a representative deadline-probe LP
-    // (6 jobs × 4 machines). The warm routine alternates two RHS
-    // variants so every iteration is a real persistent patch + dual
-    // repair, never a cache no-op.
+    // Per-probe solve cost on a representative deadline-probe LP
+    // (6 jobs × 4 machines).
     let probe_sub = {
         let jobs: Vec<Job<f64>> = (0..6)
             .map(|k| Job {
@@ -403,28 +392,12 @@ fn main() {
         Instance::new(jobs, cost).expect("probe instance")
     };
     let d0 = [14.0, 13.0, 12.5, 12.2, 15.0, 16.0];
-    let d1 = [14.1, 13.1, 12.6, 12.3, 15.1, 16.1];
     let probe_lp0 = build_deadline_probe_lp(&probe_sub, &d0, false);
-    let probe_lp1 = build_deadline_probe_lp(&probe_sub, &d1, false);
     let cold_probe_ns = median_ns(|| dlflow_lp::solve(&probe_lp0));
-    let mut probe_cache: ProbeCache<f64> = ProbeCache::new();
-    let probe_seed = dlflow_lp::solve_warm(&probe_lp0, None);
-    probe_cache
-        .solve(&probe_lp0, probe_seed.basis.as_ref())
-        .expect("seeded probe cache serves");
-    let mut flip = false;
-    let warm_probe_ns = median_ns(|| {
-        flip = !flip;
-        let p = if flip { &probe_lp1 } else { &probe_lp0 };
-        probe_cache.solve(p, None)
-    });
-    let warm_probe_speedup = cold_probe_ns / warm_probe_ns;
     push("ola/cold_probe_solve", cold_probe_ns);
-    push("ola/warm_probe_resolve", warm_probe_ns);
-    println!("  warm vs cold per-probe resolve: {warm_probe_speedup:.2}x");
 
-    // End-to-end replay: eager-warm OLA vs the cold oracle vs OLA-lite
-    // on a 1k-arrival trace, interleaved rounds, best ns/event each.
+    // End-to-end replay: eager OLA vs OLA-lite on a 1k-arrival trace,
+    // interleaved rounds, best ns/event each.
     let ola_trace = generate_trace(&TraceSpec {
         n_requests: 1_000,
         seed: 7,
@@ -438,9 +411,8 @@ fn main() {
         (ns, policy.resolve_stats().unwrap_or_default())
     }
     let mut eager = OfflineAdapt::new();
-    let mut oracle = OfflineAdapt::cold_oracle();
     let mut lite = OlaLite::new();
-    let (mut eager_ns, mut oracle_ns, mut lite_ns) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut eager_ns, mut lite_ns) = (f64::INFINITY, f64::INFINITY);
     let mut eager_stats = ResolveStats::default();
     let mut eager_allocs = u64::MAX;
     for _ in 0..2 {
@@ -451,28 +423,20 @@ fn main() {
             eager_ns = ns;
             eager_stats = rs;
         }
-        oracle_ns = oracle_ns.min(ola_round(&ola_trace, &mut oracle).0);
         lite_ns = lite_ns.min(ola_round(&ola_trace, &mut lite).0);
     }
-    let ola_end_to_end_ratio = oracle_ns / eager_ns;
-    let lite_ratio = oracle_ns / lite_ns;
+    let lite_ratio = eager_ns / lite_ns;
     let ola_allocs_per_lp_solve = eager_allocs as f64 / eager_stats.lp_solves().max(1) as f64;
     push("sim/ola_eager_replay_1k", eager_ns);
-    push("sim/ola_cold_oracle_replay_1k", oracle_ns);
     push("sim/olalite_replay_1k", lite_ns);
     println!(
-        "  OLA eager vs cold oracle end-to-end: {ola_end_to_end_ratio:.2}x \
-         ({:.2}M events/s eager); OLA-lite vs cold OLA: {lite_ratio:.2}x",
+        "  OLA eager: {:.2}M events/s; OLA-lite vs OLA: {lite_ratio:.2}x",
         1e3 / eager_ns
     );
     println!(
-        "  OLA eager telemetry: {} re-solves ({} warm-served + {} cold), \
-         {} warm + {} cold LP solves, {:.2} mean LP/resolve",
+        "  OLA eager telemetry: {} re-solves, {} LP solves, {:.2} mean LP/resolve",
         eager_stats.n_resolves,
-        eager_stats.warm_resolves,
-        eager_stats.cold_resolves,
-        eager_stats.warm_lp_solves,
-        eager_stats.cold_lp_solves,
+        eager_stats.lp_solves(),
         eager_stats.mean_lp_solves_per_resolve()
     );
     println!(
@@ -533,28 +497,18 @@ fn main() {
     json.push_str(&format!(
         "  \"ola_resolve\": {{\n    \
          \"cold_probe_ns\": {cold_probe_ns:.1},\n    \
-         \"warm_probe_ns\": {warm_probe_ns:.1},\n    \
-         \"warm_probe_speedup\": {warm_probe_speedup:.2},\n    \
          \"ola_eager_best_ns_per_event\": {eager_ns:.1},\n    \
-         \"ola_cold_oracle_best_ns_per_event\": {oracle_ns:.1},\n    \
-         \"ola_end_to_end_ratio\": {ola_end_to_end_ratio:.2},\n    \
          \"ola_eager_events_per_sec\": {:.0},\n    \
          \"olalite_best_ns_per_event\": {lite_ns:.1},\n    \
-         \"olalite_ratio_vs_cold_ola\": {lite_ratio:.2},\n    \
+         \"olalite_ratio_vs_ola\": {lite_ratio:.2},\n    \
          \"eager_resolve_stats\": {{\n      \
          \"n_resolves\": {},\n      \
-         \"warm_resolves\": {},\n      \
-         \"cold_resolves\": {},\n      \
-         \"warm_lp_solves\": {},\n      \
-         \"cold_lp_solves\": {},\n      \
+         \"lp_solves\": {},\n      \
          \"mean_lp_solves_per_resolve\": {:.2}\n    }}\n  }},\n  \
          \"ola_allocs_per_lp_solve\": {ola_allocs_per_lp_solve:.2},\n",
         1e9 / eager_ns,
         eager_stats.n_resolves,
-        eager_stats.warm_resolves,
-        eager_stats.cold_resolves,
-        eager_stats.warm_lp_solves,
-        eager_stats.cold_lp_solves,
+        eager_stats.lp_solves(),
         eager_stats.mean_lp_solves_per_resolve()
     ));
     json.push_str("  \"median_ns\": {\n");
@@ -615,33 +569,14 @@ fn main() {
         "warm engine steady state is no longer allocation-free: {warm_wave_allocs}"
     );
 
-    // PR-10 floors. The per-probe persistent resolve must clearly beat
-    // a from-scratch solve (local headline ~10×, floor 3× for noisy
-    // runners). End-to-end, warm OLA must at minimum not pessimize the
-    // replay (the guard stack pins every bisection's tolerance-band
-    // tail cold, so the per-event ratio is structurally modest), its
-    // warm machinery must dominate events, and OLA-lite must deliver a
-    // clear race win over the full cold bisection.
-    assert!(
-        warm_probe_speedup >= 3.0,
-        "persistent warm probe resolve no longer clearly beats cold: {warm_probe_speedup:.2}x"
-    );
-    assert!(
-        ola_end_to_end_ratio >= 0.9,
-        "warm-basis OLA pessimizes end-to-end replay: {ola_end_to_end_ratio:.2}x"
-    );
-    assert!(
-        eager_stats.warm_resolves > eager_stats.cold_resolves,
-        "eager-warm OLA no longer serves most events warm: {eager_stats:?}"
-    );
+    // OLA-lite must deliver a clear race win over the full bisection.
     assert!(
         lite_ratio >= 2.0,
-        "OLA-lite race win over cold OLA collapsed: {lite_ratio:.2}x"
+        "OLA-lite race win over OLA collapsed: {lite_ratio:.2}x"
     );
 
     // LP-path allocation ceiling: with one reused workspace per policy a
-    // solve allocates little beyond its returned solution (local reading
-    // ≈1.6 per LP solve).
+    // solve allocates little beyond its returned solution.
     assert!(
         ola_allocs_per_lp_solve <= 2.0,
         "OLA's LP path allocates per solve again: {ola_allocs_per_lp_solve:.2} allocations per LP solve"

@@ -147,8 +147,8 @@ pub fn build_deadline_lp<S: Scalar>(
 /// [`build_deadline_lp`] into `out`, reusing its buffers: the program's
 /// rows and variable list, the `α` list and the interval points.
 ///
-/// This builder sits on OLA's per-event hot path (one call per guarded
-/// bisection probe plus the final rate solve), so variables and
+/// This builder sits on OLA's per-event hot path (one call per bisection
+/// probe plus the final rate solve), so variables and
 /// constraints are anonymous — names and labels are display-only and the
 /// `format!` calls used to dominate the build at production sub-problem
 /// sizes — and each row's terms are read off the `α` list, which the
@@ -266,21 +266,6 @@ pub fn build_deadline_probe_lp<S: Scalar>(
     deadlines: &[S],
     per_job_interval_bound: bool,
 ) -> LpProblem<S> {
-    let mut lp = LpProblem::new(Sense::Minimize);
-    build_deadline_probe_lp_into(&mut lp, inst, deadlines, per_job_interval_bound);
-    lp
-}
-
-/// [`build_deadline_probe_lp`] into `lp`, reusing its rows and variable
-/// list. It runs once per probe of a binary search, so every row is
-/// emitted first — the frame fixes their order — and the single
-/// variable pass fills them in place.
-pub fn build_deadline_probe_lp_into<S: Scalar>(
-    lp: &mut LpProblem<S>,
-    inst: &Instance<S>,
-    deadlines: &[S],
-    per_job_interval_bound: bool,
-) {
     assert_eq!(deadlines.len(), inst.n_jobs());
     let (m, n) = (inst.n_machines(), inst.n_jobs());
     let mut pts: Vec<S> = Vec::with_capacity(2 * n);
@@ -289,7 +274,9 @@ pub fn build_deadline_probe_lp_into<S: Scalar>(
     pts.sort_by(|a, b| a.cmp_total(b));
     let n_int = pts.len() - 1;
 
-    lp.clear(Sense::Minimize);
+    // Every row is emitted first — the frame fixes their order — and the
+    // single variable pass fills them in place.
+    let mut lp = LpProblem::new(Sense::Minimize);
     // (2c) machine capacity — row t·m + i for every (t, i), even when empty.
     for t in 0..n_int {
         let len = pts[t + 1].sub(&pts[t]);
@@ -336,73 +323,7 @@ pub fn build_deadline_probe_lp_into<S: Scalar>(
             }
         }
     }
-}
-
-/// Maps the variable indices of one probe-form LP onto another, so a
-/// [`dlflow_lp::WarmBasis`] captured on `build_deadline_probe_lp(old, …)`
-/// can be carried (via [`dlflow_lp::WarmBasis::remap`]) onto
-/// `build_deadline_probe_lp(new, …)` after the job set churned.
-///
-/// `job_map[j_old]` gives the new column of old job `j_old` (`None` =
-/// departed). Machines must correspond 1:1 by index; a pair whose cost
-/// flipped between finite and infinite (platform change) simply drops
-/// out. The `t`-th interval frame of the old LP is identified with the
-/// `t`-th of the new one — with a different job set those frames cover
-/// different wall-clock windows, but a warm hint is only a pivot-order
-/// suggestion: the dual-simplex repair (or cold fallback) in
-/// `solve_warm` owns correctness, so an imperfect identification costs
-/// at most pivots, never accuracy.
-pub fn probe_var_remap<S: Scalar>(
-    old: &Instance<S>,
-    new: &Instance<S>,
-    job_map: &[Option<usize>],
-) -> Vec<Option<usize>> {
-    assert_eq!(job_map.len(), old.n_jobs());
-    assert_eq!(old.n_machines(), new.n_machines());
-    let m = old.n_machines();
-    let (n_old, n_new) = (old.n_jobs(), new.n_jobs());
-
-    // Rank of each finite (i, j) pair in the new LP's i-major order.
-    let mut new_rank = vec![usize::MAX; m * n_new];
-    let mut f_new = 0usize;
-    for i in 0..m {
-        for j in 0..n_new {
-            if new.cost(i, j).is_finite() {
-                new_rank[i * n_new + j] = f_new;
-                f_new += 1;
-            }
-        }
-    }
-
-    // Old finite pairs, mapped through the job map where they survive.
-    let mut pair_map: Vec<Option<usize>> = Vec::new();
-    for i in 0..m {
-        for j_old in 0..n_old {
-            if !old.cost(i, j_old).is_finite() {
-                continue;
-            }
-            pair_map.push(job_map[j_old].and_then(|j_new| {
-                let r = new_rank[i * n_new + j_new];
-                (r != usize::MAX).then_some(r)
-            }));
-        }
-    }
-    let f_old = pair_map.len();
-
-    // Probe-form interval count is shape-determined: 2n − 1.
-    let t_old = 2 * n_old - 1;
-    let t_new = 2 * n_new - 1;
-    let mut out = Vec::with_capacity(t_old * f_old);
-    for t in 0..t_old {
-        for fo in pair_map.iter().take(f_old) {
-            if t < t_new {
-                out.push(fo.map(|fn_| t * f_new + fn_));
-            } else {
-                out.push(None);
-            }
-        }
-    }
-    out
+    lp
 }
 
 /// Systems (3)/(5): minimize `F` over a milestone range.
@@ -697,7 +618,7 @@ mod tests {
     #[test]
     fn reusing_builders_match_fresh_builds_after_a_larger_instance() {
         // Four jobs on three machines (one unavailable pair), then the
-        // two-job instance: the refilled programs must equal fresh builds
+        // two-job instance: the refilled program must equal a fresh build
         // of the last instance, with no trace of the larger one.
         let mut b = InstanceBuilder::new();
         for (r, w) in [(0.0, 1.0), (0.5, 2.0), (1.0, 1.0), (1.5, 3.0)] {
@@ -712,10 +633,8 @@ mod tests {
         let d_small = [6.0, 10.0];
         for pre in [false, true] {
             let mut filtered = DeadlineLp::default();
-            let mut probe = LpProblem::new(Sense::Maximize);
             for (inst, d) in [(&large, &d_large[..]), (&small, &d_small[..])] {
                 build_deadline_lp_into(&mut filtered, inst, d, pre);
-                build_deadline_probe_lp_into(&mut probe, inst, d, pre);
             }
             let fresh = build_deadline_lp(&small, &d_small, pre);
             assert_same_program(&filtered.lp, &fresh.lp);
@@ -725,7 +644,6 @@ mod tests {
                 bits(filtered.intervals.points()),
                 bits(fresh.intervals.points())
             );
-            assert_same_program(&probe, &build_deadline_probe_lp(&small, &d_small, pre));
         }
     }
 
@@ -738,50 +656,6 @@ mod tests {
         assert_eq!(a.n_constraints(), b.n_constraints());
         for (ca, cb) in a.constraints().iter().zip(b.constraints()) {
             assert_eq!(ca.rel, cb.rel);
-        }
-    }
-
-    #[test]
-    fn probe_var_remap_carries_basis_across_job_churn() {
-        // Solve a 2-job probe, then drop job 0 and append a newcomer: the
-        // remapped basis must warm-start the new shape and the warm
-        // verdicts must agree with cold solves.
-        use dlflow_lp::solve_warm;
-        let old = simple();
-        let lp_old = build_deadline_probe_lp(&old, &[10.0, 10.0], false);
-        let first = solve_warm(&lp_old, None);
-        assert_eq!(first.solution.status, LpStatus::Optimal);
-        let basis = first.basis.expect("optimal probe must yield a basis");
-
-        // Old job 1 survives as new job 0; new job 1 is an arrival.
-        let mut b = InstanceBuilder::new();
-        b.job(2.0, 1.0);
-        b.job(3.0, 2.0);
-        b.machine(vec![Some(4.0), Some(6.0)]);
-        let new = b.build().unwrap();
-        let map = probe_var_remap(&old, &new, &[None, Some(0)]);
-        assert_eq!(map.len(), lp_old.n_vars());
-
-        for d in [vec![20.0, 20.0], vec![6.0, 30.0]] {
-            let lp_new = build_deadline_probe_lp(&new, &d, false);
-            let hint = basis.remap(&lp_new, &map);
-            let out = solve_warm(&lp_new, Some(&hint));
-            assert_eq!(
-                out.solution.status,
-                solve(&lp_new).status,
-                "warm and cold verdicts must agree for deadlines {d:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn probe_var_remap_is_identity_on_unchanged_shape() {
-        let inst = simple();
-        let lp = build_deadline_probe_lp(&inst, &[10.0, 10.0], false);
-        let map = probe_var_remap(&inst, &inst, &[Some(0), Some(1)]);
-        assert_eq!(map.len(), lp.n_vars());
-        for (v, mapped) in map.iter().enumerate() {
-            assert_eq!(*mapped, Some(v));
         }
     }
 

@@ -11,8 +11,7 @@
 //! [`solve_warm`]); the seed's dense two-phase tableau survives as
 //! [`solve_dense`] and serves as the reference oracle in property tests.
 //! Callers that solve many programs in a row pass one [`LpWorkspace`] to
-//! the `_in` forms ([`solve_in`], [`solve_warm_in`],
-//! [`ProbeCache::solve_in`]) and stop allocating tableau storage.
+//! [`solve_in`] and stop allocating tableau storage.
 //!
 //! Two instantiations matter:
 //!
@@ -54,8 +53,7 @@ pub mod solution;
 
 pub use problem::{Constraint, LinExpr, LpProblem, Rel, Sense, VarId};
 pub use revised::{
-    certifies, solve, solve_float_guided, solve_in, solve_warm, solve_warm_in, LpWorkspace,
-    ProbeCache, ProbeSolve, WarmBasis, WarmSolve,
+    solve, solve_float_guided, solve_in, solve_warm, LpWorkspace, WarmBasis, WarmSolve,
 };
 pub use simplex::solve as solve_dense;
 pub use solution::{LpSolution, LpStatus};

@@ -140,19 +140,6 @@ impl<S: Scalar> Clone for LpProblem<S> {
             spare: Vec::new(),
         }
     }
-
-    /// Refills `self` with `src`'s program, reusing `self`'s buffers.
-    fn clone_from(&mut self, src: &Self) {
-        self.var_names.clone_from(&src.var_names);
-        self.objective.terms.clone_from(&src.objective.terms);
-        self.sense = src.sense;
-        self.spare.append(&mut self.constraints);
-        for c in &src.constraints {
-            let row = self.push_row(c.rel, c.rhs.clone());
-            row.expr.terms.extend_from_slice(&c.expr.terms);
-            row.label.clone_from(&c.label);
-        }
-    }
 }
 
 impl<S: fmt::Debug> fmt::Debug for LpProblem<S> {

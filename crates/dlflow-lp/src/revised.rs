@@ -26,11 +26,11 @@
 //!   of pivoting there in rational arithmetic.
 //! * **Workspaces**: every tableau takes its buffers from an
 //!   [`LpWorkspace`] and hands them back when the solve ends, so a caller
-//!   that solves many programs in a row ([`solve_in`], [`solve_warm_in`],
-//!   [`ProbeCache::solve_in`]) stops allocating once the buffers have
-//!   grown. A workspace holds capacity only: every solve starts from the
-//!   same logical state as a fresh one, so it runs the same pivots on the
-//!   same operands. [`solve`] and [`solve_warm`] use a fresh workspace.
+//!   that solves many programs in a row ([`solve_in`]) stops allocating
+//!   once the buffers have grown. A workspace holds capacity only: every
+//!   solve starts from the same logical state as a fresh one, so it runs
+//!   the same pivots on the same operands. [`solve`] and [`solve_warm`]
+//!   use a fresh workspace.
 //!
 //! The seed's dense two-phase solver survives as `solve_dense`
 //! ([`crate::simplex::solve`]) and is the reference oracle in the
@@ -69,40 +69,6 @@ impl WarmBasis {
                 .iter()
                 .zip(&self.rels)
                 .all(|(c, r)| c.rel == *r)
-    }
-
-    /// Carries this basis across a *structural* change of the problem —
-    /// columns added, dropped, or renumbered — producing a hint shaped
-    /// for `target`. `var_map[old]` is the new index of old structural
-    /// column `old` (`None` = column dropped). Slack assignments and
-    /// dropped columns are discarded; [`solve_warm`] re-completes the
-    /// missing rows with slacks and runs the usual bounded dual-simplex
-    /// repair, falling back to a cold solve whenever the carried set
-    /// cannot be re-realized. Added columns simply start non-basic.
-    ///
-    /// # Panics
-    /// When `var_map` does not cover every old structural column.
-    pub fn remap<S: Scalar>(&self, target: &LpProblem<S>, var_map: &[Option<usize>]) -> WarmBasis {
-        assert_eq!(
-            var_map.len(),
-            self.n_vars,
-            "var_map must cover every old structural column"
-        );
-        let n_vars = target.n_vars();
-        let mut basis: Vec<usize> = self
-            .basis
-            .iter()
-            .filter(|&&b| b < self.n_vars)
-            .filter_map(|&b| var_map[b])
-            .filter(|&b| b < n_vars)
-            .collect();
-        basis.sort_unstable();
-        basis.dedup();
-        WarmBasis {
-            n_vars,
-            rels: target.constraints().iter().map(|c| c.rel).collect(),
-            basis,
-        }
     }
 }
 
@@ -184,25 +150,14 @@ pub fn solve_in<S: Scalar>(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> LpSolut
 
 /// Solves the problem, optionally warm-starting from a previous basis.
 pub fn solve_warm<S: Scalar>(p: &LpProblem<S>, hint: Option<&WarmBasis>) -> WarmSolve<S> {
-    solve_warm_in(p, hint, &mut LpWorkspace::new())
-}
-
-/// [`solve_warm`] with the buffers of `ws`.
-pub fn solve_warm_in<S: Scalar>(
-    p: &LpProblem<S>,
-    hint: Option<&WarmBasis>,
-    ws: &mut LpWorkspace<S>,
-) -> WarmSolve<S> {
-    if let Some(h) = hint {
-        if h.compatible_with(p) {
-            if let Some(out) = try_warm(p, h, ws) {
-                return out;
-            }
+    let mut ws = LpWorkspace::new();
+    if let Some(h) = hint.filter(|h| h.compatible_with(p)) {
+        if let Some(out) = try_warm(p, h, &mut ws) {
+            return out;
         }
     }
-    let mut tab = Tab::build_cold(p, ws);
-    let (solution, basis) = tab.solve_cold(p, ws, true);
-    tab.recycle(ws);
+    let mut tab = Tab::build_cold(p, &mut ws);
+    let (solution, basis) = tab.solve_cold(p, &mut ws, true);
     WarmSolve {
         solution,
         basis,
@@ -239,39 +194,6 @@ fn all_finite(p: &LpProblem<f64>) -> bool {
         && p.constraints()
             .iter()
             .all(|c| finite(&c.expr) && c.rhs.is_finite())
-}
-
-/// Verifies that an optimal-claiming solution actually satisfies `p`:
-/// every variable non-negative and every constraint met, all within the
-/// scalar tolerance.
-///
-/// A warm start re-realizes a hinted basis by Gaussian pivoting, and an
-/// ill-conditioned realization can corrupt the tableau badly enough that
-/// the terminal verdict is wrong (e.g. claiming a feasible point on an
-/// infeasible problem). This check is the caller's cheap — `O(nnz)` —
-/// primal certificate: a solution that passes is a genuine feasibility
-/// witness regardless of the pivot path that produced it, so "optimal
-/// and certified" can be trusted even from a repaired basis, while
-/// anything else should be recomputed cold. Returns `false` for
-/// non-optimal solutions.
-pub fn certifies<S: Scalar>(p: &LpProblem<S>, sol: &LpSolution<S>) -> bool {
-    if !sol.is_optimal() || sol.values.len() != p.n_vars() {
-        return false;
-    }
-    if sol.values.iter().any(|v| v.is_negative_tol()) {
-        return false;
-    }
-    p.constraints().iter().all(|c| {
-        let mut lhs = S::zero();
-        for (v, coeff) in &c.expr.terms {
-            lhs = lhs.add(&coeff.mul(&sol.values[v.index()]));
-        }
-        match c.rel {
-            Rel::Le => lhs.le_tol(&c.rhs),
-            Rel::Ge => lhs.ge_tol(&c.rhs),
-            Rel::Eq => lhs.sub(&c.rhs).is_negligible(),
-        }
-    })
 }
 
 /// Sparse column-major tableau.
@@ -822,19 +744,78 @@ impl<S: Scalar> Tab<S> {
         let basis = want_basis.then(|| self.snapshot_basis(p));
         (self.extract(p, z, negate), basis)
     }
-}
 
-/// A completed warm-path run: the terminal tableau alongside the
-/// solution, so callers that keep solving the same matrix can retain the
-/// realized factorization ([`ProbeCache`]) instead of re-pivoting it
-/// from scratch on the next call.
-struct WarmRun<S> {
-    tab: Tab<S>,
-    solution: LpSolution<S>,
-    /// For an infeasible verdict: how decisively the terminal tableau
-    /// refutes feasibility (the absolute value of the most negative
-    /// basic value). `None` otherwise.
-    margin: Option<S>,
+    /// Warm start on a [`Tab::build_warm`] tableau: re-realizes the
+    /// hinted basis (basic column per row, as in [`WarmBasis`]) and
+    /// repairs it to a verdict, with a basis snapshot iff it is optimal.
+    /// `None` means the basis could not be realized or the pivot budget
+    /// ran out — fall back to a cold solve.
+    fn run_warm(
+        &mut self,
+        p: &LpProblem<S>,
+        hint: &[usize],
+        ws: &mut LpWorkspace<S>,
+    ) -> Option<(LpSolution<S>, Option<WarmBasis>)> {
+        let m = self.b.len();
+
+        // Re-realize the hinted basis by Gaussian pivoting: for each hinted
+        // column pick the not-yet-assigned row with the largest pivot.
+        let assigned = &mut ws.flags;
+        assigned.clear();
+        assigned.resize(m, false);
+        for &c in hint {
+            if c >= self.n_total || self.basis.contains(&c) {
+                continue;
+            }
+            let mut pick: Option<(usize, S)> = None;
+            for (i, v) in &self.cols[c] {
+                let i = *i as usize;
+                if assigned[i] || v.is_negligible() {
+                    continue;
+                }
+                let mag = v.abs();
+                if pick.as_ref().is_none_or(|(_, pm)| mag.gt_tol(pm)) {
+                    pick = Some((i, mag));
+                }
+            }
+            if let Some((row, _)) = pick {
+                self.pivot(row, c, None, false);
+                assigned[row] = true;
+            }
+        }
+        // Cover leftover rows (hint shorter than m, or singular realization)
+        // with any usable non-basic column, preferring the row's own slack.
+        for row in 0..m {
+            if assigned[row] {
+                continue;
+            }
+            let col = (self.n_struct..self.n_total)
+                .chain(0..self.n_struct)
+                .find(|&j| {
+                    !self.basis.contains(&j) && self.at(row, j).is_some_and(|v| !v.is_negligible())
+                })?; // cannot complete a basis — cold solve
+            self.pivot(row, col, None, false);
+            assigned[row] = true;
+        }
+
+        let LpWorkspace { cost, r, cb, .. } = ws;
+        let negate = self.phase2_cost(p, cost);
+        let mut z = self.reduced_costs(cost, cb, r);
+        let dual_feasible = r.iter().all(|v| !v.is_negative_tol());
+        let primal_feasible = self.b.iter().all(|v| !v.is_negative_tol());
+        if dual_feasible {
+            // `None`: budget exhausted — cold solve.
+            if !self.run_dual(r, &mut z)? {
+                return Some((LpSolution::infeasible(p.n_vars()), None));
+            }
+        } else if !primal_feasible {
+            return None; // neither primal nor dual feasible — cold solve
+        }
+        if !self.run_primal(r, &mut z) {
+            return Some((LpSolution::unbounded(p.n_vars()), None));
+        }
+        Some((self.extract(p, z, negate), Some(self.snapshot_basis(p))))
+    }
 }
 
 /// Attempts the warm-start path; `None` means "fall back to cold".
@@ -843,425 +824,14 @@ fn try_warm<S: Scalar>(
     hint: &WarmBasis,
     ws: &mut LpWorkspace<S>,
 ) -> Option<WarmSolve<S>> {
-    let run = run_warm(p, &hint.basis, ws)?;
-    let basis = run.solution.is_optimal().then(|| run.tab.snapshot_basis(p));
-    run.tab.recycle(ws);
-    Some(WarmSolve {
-        solution: run.solution,
+    let mut tab = Tab::build_warm(p, ws);
+    let out = tab.run_warm(p, &hint.basis, ws);
+    tab.recycle(ws);
+    out.map(|(solution, basis)| WarmSolve {
+        solution,
         basis,
         warm_used: true,
     })
-}
-
-/// The warm-start engine behind [`try_warm`] and [`ProbeCache`]:
-/// re-realizes the hinted basis (basic column per row, as in
-/// [`WarmBasis`]) and repairs it to a verdict, returning the terminal
-/// tableau. `None` means the basis could not be realized or the pivot
-/// budget ran out — fall back to a cold solve.
-fn run_warm<S: Scalar>(
-    p: &LpProblem<S>,
-    hint: &[usize],
-    ws: &mut LpWorkspace<S>,
-) -> Option<WarmRun<S>> {
-    let mut tab = Tab::build_warm(p, ws);
-    let m = tab.b.len();
-
-    // Re-realize the hinted basis by Gaussian pivoting: for each hinted
-    // column pick the not-yet-assigned row with the largest pivot.
-    let assigned = &mut ws.flags;
-    assigned.clear();
-    assigned.resize(m, false);
-    for &c in hint {
-        if c >= tab.n_total || tab.basis.contains(&c) {
-            continue;
-        }
-        let mut pick: Option<(usize, S)> = None;
-        for (i, v) in &tab.cols[c] {
-            let i = *i as usize;
-            if assigned[i] || v.is_negligible() {
-                continue;
-            }
-            let mag = v.abs();
-            if pick.as_ref().is_none_or(|(_, pm)| mag.gt_tol(pm)) {
-                pick = Some((i, mag));
-            }
-        }
-        if let Some((row, _)) = pick {
-            tab.pivot(row, c, None, false);
-            assigned[row] = true;
-        }
-    }
-    // Cover leftover rows (hint shorter than m, or singular realization)
-    // with any usable non-basic column, preferring the row's own slack.
-    for row in 0..m {
-        if assigned[row] {
-            continue;
-        }
-        let cand = (tab.n_struct..tab.n_total)
-            .chain(0..tab.n_struct)
-            .find(|&j| {
-                !tab.basis.contains(&j) && tab.at(row, j).is_some_and(|v| !v.is_negligible())
-            });
-        let Some(col) = cand else {
-            tab.recycle(ws);
-            return None; // cannot complete a basis — cold solve
-        };
-        tab.pivot(row, col, None, false);
-        assigned[row] = true;
-    }
-
-    let LpWorkspace { cost, r, cb, .. } = ws;
-    let negate = tab.phase2_cost(p, cost);
-    let mut z = tab.reduced_costs(cost, cb, r);
-    let dual_feasible = r.iter().all(|v| !v.is_negative_tol());
-    let primal_feasible = tab.b.iter().all(|v| !v.is_negative_tol());
-    if dual_feasible {
-        match tab.run_dual(r, &mut z) {
-            Some(true) => {}
-            Some(false) => {
-                let margin = infeasibility_margin(&tab);
-                return Some(WarmRun {
-                    tab,
-                    solution: LpSolution::infeasible(p.n_vars()),
-                    margin: Some(margin),
-                });
-            }
-            None => {
-                tab.recycle(ws);
-                return None; // budget exhausted — cold solve
-            }
-        }
-    } else if !primal_feasible {
-        tab.recycle(ws);
-        return None; // neither primal nor dual feasible — cold solve
-    }
-    if !tab.run_primal(r, &mut z) {
-        return Some(WarmRun {
-            tab,
-            solution: LpSolution::unbounded(p.n_vars()),
-            margin: None,
-        });
-    }
-    let solution = tab.extract(p, z, negate);
-    Some(WarmRun {
-        tab,
-        solution,
-        margin: None,
-    })
-}
-
-/// How decisively a dual-terminal tableau refutes feasibility: the
-/// absolute value of its most negative basic value. A verdict backed by
-/// a large margin cannot be an artefact of accumulated pivot roundoff;
-/// one backed by a sliver should be recomputed from scratch.
-fn infeasibility_margin<S: Scalar>(tab: &Tab<S>) -> S {
-    let mut worst = S::zero();
-    for v in &tab.b {
-        if v.is_negative_tol() {
-            let mag = v.abs();
-            if mag.gt_tol(&worst) {
-                worst = mag;
-            }
-        }
-    }
-    worst
-}
-
-/// Persistent solving context for a *run of zero-objective feasibility
-/// probes on one constraint matrix* — the shape the Theorem-2 bisection
-/// produces: within a bracket segment, consecutive probe LPs
-/// (`build_deadline_probe_lp`-style) share every coefficient and
-/// differ only in their right-hand sides (the interval lengths tracking
-/// the bisected objective).
-///
-/// A plain [`solve_warm`] re-realizes the hinted basis by Gaussian
-/// pivoting on every call — `O(m)` pivots that dominate the solve at
-/// production sub-problem sizes. This cache instead *retains the
-/// realized tableau* between calls. When the next probe's matrix is
-/// bit-identical (checked in `O(nnz)`), the update is a pure RHS patch:
-///
-/// ```text
-/// B⁻¹b_new = B⁻¹b_old + Σᵢ Δᵢ · B⁻¹eᵢ
-/// ```
-///
-/// where every `B⁻¹eᵢ` is already present in the tableau as row `i`'s
-/// slack column. Dual feasibility is untouched by an RHS change (and is
-/// trivial anyway for a zero-objective probe), so a bounded dual-simplex
-/// repair — typically zero or a handful of pivots — reaches the new
-/// verdict. On any mismatch (matrix changed, an equality row's RHS
-/// moved, pivot budget exhausted) the cache falls back to the
-/// re-realization path, seeded from its own latest basis or the caller's
-/// hint, and `None` from [`ProbeCache::solve`] means "no warm route at
-/// all — solve cold".
-///
-/// The cache is a pivot-order accelerator, not an oracle: callers that
-/// need verdicts they can *trust* should certify optimal outcomes with
-/// [`certifies`] and gate infeasible ones on
-/// [`ProbeSolve::infeasible_margin`].
-pub struct ProbeCache<S> {
-    /// Realized tableau of the last retained solve (rows correspond 1:1
-    /// to `matrix`'s constraints — the warm builder never drops rows).
-    tab: Option<Tab<S>>,
-    /// Whether `tab` holds a retained factorization. A cleared cache
-    /// keeps the tableau only for its buffers, which go to the workspace
-    /// when the next one is retained.
-    live: bool,
-    /// The problem the tableau was realized on. Its RHS is *stale*:
-    /// `rhs` below tracks the values the tableau currently reflects.
-    /// Meaningful only while `live`; kept across [`ProbeCache::clear`] so
-    /// the next retain refills its buffers.
-    matrix: Option<LpProblem<S>>,
-    /// RHS the tableau currently reflects, in row order.
-    rhs: Vec<S>,
-    /// Per row: its slack column and sign (`true` = slack `+eᵢ`,
-    /// `false` = surplus `−eᵢ`); `None` for equality rows.
-    slack: Vec<Option<(usize, bool)>>,
-}
-
-impl<S> std::fmt::Debug for ProbeCache<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProbeCache")
-            .field("retained", &self.live)
-            .field("rows", &self.rhs.len())
-            .finish()
-    }
-}
-
-impl<S> Default for ProbeCache<S> {
-    fn default() -> Self {
-        ProbeCache {
-            tab: None,
-            live: false,
-            matrix: None,
-            rhs: Vec::new(),
-            slack: Vec::new(),
-        }
-    }
-}
-
-/// Result of a [`ProbeCache::solve`] call that was served warm.
-#[derive(Clone, Debug)]
-pub struct ProbeSolve<S> {
-    /// The LP solution.
-    pub solution: LpSolution<S>,
-    /// `true` when served by the retained-factorization RHS-patch fast
-    /// path; `false` when the basis had to be re-realized.
-    pub persistent: bool,
-    /// For an infeasible verdict: the absolute value of the most
-    /// negative basic value at termination — how decisively the tableau
-    /// refutes feasibility. Callers should treat a verdict with a tiny
-    /// margin as noise and recompute it from scratch.
-    pub infeasible_margin: Option<S>,
-}
-
-impl<S: Scalar> ProbeCache<S> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops all retained state (buffers keep their capacity).
-    pub fn clear(&mut self) {
-        self.live = false;
-        self.rhs.clear();
-        self.slack.clear();
-    }
-
-    /// Snapshot of the retained basis, for carrying across a structural
-    /// change (via [`WarmBasis::remap`]) or into a fresh cache.
-    pub fn basis(&self) -> Option<WarmBasis> {
-        match (&self.tab, &self.matrix) {
-            (Some(tab), Some(p)) if self.live => Some(tab.snapshot_basis(p)),
-            _ => None,
-        }
-    }
-
-    /// Solves `p` warm: by RHS patch when the retained matrix is
-    /// bit-identical, otherwise by re-realizing the freshest available
-    /// basis (the cache's own, else `hint`). Returns `None` when no warm
-    /// route exists — the caller should solve cold (and may seed the
-    /// cache again later via `hint`).
-    pub fn solve(&mut self, p: &LpProblem<S>, hint: Option<&WarmBasis>) -> Option<ProbeSolve<S>> {
-        self.solve_in(p, hint, &mut LpWorkspace::new())
-    }
-
-    /// [`ProbeCache::solve`] with the buffers of `ws`: a re-realization
-    /// builds its tableau there, and a tableau the cache lets go of goes
-    /// back there.
-    pub fn solve_in(
-        &mut self,
-        p: &LpProblem<S>,
-        hint: Option<&WarmBasis>,
-        ws: &mut LpWorkspace<S>,
-    ) -> Option<ProbeSolve<S>> {
-        if let Some(out) = self.try_persistent(p, ws) {
-            return Some(out);
-        }
-        let own = match (&self.tab, &self.matrix) {
-            (Some(tab), Some(m)) if self.live && same_shape(m, p) => Some(tab.basis.as_slice()),
-            _ => None,
-        };
-        let seed = own.or_else(|| {
-            hint.filter(|h| h.compatible_with(p))
-                .map(|h| h.basis.as_slice())
-        });
-        let Some(run) = seed.and_then(|b| run_warm(p, b, ws)) else {
-            // Neither path worked; drop the stale tableau so the next
-            // call goes straight to the caller's hint.
-            self.clear();
-            return None;
-        };
-        let WarmRun {
-            tab,
-            solution,
-            margin,
-        } = run;
-        if solution.is_optimal() || solution.status == crate::solution::LpStatus::Infeasible {
-            self.retain(tab, p, ws);
-        } else {
-            tab.recycle(ws);
-            self.clear();
-        }
-        Some(ProbeSolve {
-            solution,
-            persistent: false,
-            infeasible_margin: margin,
-        })
-    }
-
-    /// The RHS-patch fast path; `None` when the retained matrix does not
-    /// apply (caller falls through to re-realization).
-    fn try_persistent(
-        &mut self,
-        p: &LpProblem<S>,
-        ws: &mut LpWorkspace<S>,
-    ) -> Option<ProbeSolve<S>> {
-        if !self.live {
-            return None;
-        }
-        let tab = self.tab.as_mut()?;
-        if !self
-            .matrix
-            .as_ref()
-            .is_some_and(|retained| same_matrix(retained, p))
-        {
-            return None;
-        }
-        // Validate before touching the tableau: an equality row whose
-        // RHS moved has no slack column to patch through.
-        for (i, c) in p.constraints().iter().enumerate() {
-            if self.slack[i].is_none() && c.rhs.cmp_total(&self.rhs[i]) != std::cmp::Ordering::Equal
-            {
-                return None;
-            }
-        }
-        for (i, c) in p.constraints().iter().enumerate() {
-            if c.rhs.cmp_total(&self.rhs[i]) == std::cmp::Ordering::Equal {
-                continue;
-            }
-            let (col, positive) = self.slack[i].expect("validated above"); // dlflint:allow(hot-path-panic, "rows with a changed RHS were checked to carry a slack column in the loop above")
-            let delta = c.rhs.sub(&self.rhs[i]);
-            let delta = if positive { delta } else { delta.neg() };
-            for (r, v) in &tab.cols[col] {
-                let r = *r as usize;
-                tab.b[r] = tab.b[r].add(&delta.mul(v));
-            }
-            self.rhs[i] = c.rhs.clone();
-        }
-        // Zero objective ⇒ reduced costs are identically zero ⇒ the
-        // basis stays dual feasible through any RHS change; the dual
-        // simplex (smallest-index tie-breaks = Bland, so it terminates)
-        // drives the patched b back to feasibility or refutes it.
-        let r = &mut ws.r;
-        r.clear();
-        r.resize(tab.n_total, S::zero());
-        let mut z = S::zero();
-        match tab.run_dual(r, &mut z) {
-            Some(true) => Some(ProbeSolve {
-                solution: tab.extract(p, S::zero(), false),
-                persistent: true,
-                infeasible_margin: None,
-            }),
-            Some(false) => Some(ProbeSolve {
-                solution: LpSolution::infeasible(p.n_vars()),
-                persistent: true,
-                infeasible_margin: Some(infeasibility_margin(tab)),
-            }),
-            None => {
-                // Pivot budget exhausted: the tableau may be mid-repair;
-                // drop it and let the caller's path rebuild.
-                self.clear();
-                None
-            }
-        }
-    }
-
-    /// Retains a terminal tableau for `p` (matrix copy, RHS snapshot,
-    /// row → slack-column map), handing the one it replaces to `ws`.
-    fn retain(&mut self, tab: Tab<S>, p: &LpProblem<S>, ws: &mut LpWorkspace<S>) {
-        self.rhs.clear();
-        self.rhs
-            .extend(p.constraints().iter().map(|c| c.rhs.clone()));
-        self.slack.clear();
-        let mut next = p.n_vars();
-        for c in p.constraints() {
-            self.slack.push(match c.rel {
-                Rel::Le => {
-                    let s = Some((next, true));
-                    next += 1;
-                    s
-                }
-                Rel::Ge => {
-                    let s = Some((next, false));
-                    next += 1;
-                    s
-                }
-                Rel::Eq => None,
-            });
-        }
-        self.matrix
-            .get_or_insert_with(|| LpProblem::new(p.sense()))
-            .clone_from(p);
-        if let Some(old) = self.tab.replace(tab) {
-            old.recycle(ws);
-        }
-        self.live = true;
-    }
-}
-
-/// `true` when the two problems have the same variable count and the
-/// same constraint relations in the same order — the condition for a
-/// basis of one to seed a solve of the other
-/// ([`WarmBasis::compatible_with`]).
-fn same_shape<S: Scalar>(a: &LpProblem<S>, b: &LpProblem<S>) -> bool {
-    a.n_vars() == b.n_vars()
-        && a.n_constraints() == b.n_constraints()
-        && a.constraints()
-            .iter()
-            .zip(b.constraints())
-            .all(|(ca, cb)| ca.rel == cb.rel)
-}
-
-/// `true` when the two problems share every coefficient — variable
-/// count, sense, constraint relations and expressions — and both have a
-/// zero objective, i.e. they may differ *only* in constraint RHS values.
-fn same_matrix<S: Scalar>(a: &LpProblem<S>, b: &LpProblem<S>) -> bool {
-    use std::cmp::Ordering;
-    a.n_vars() == b.n_vars()
-        && a.sense() == b.sense()
-        && a.objective().terms.is_empty()
-        && b.objective().terms.is_empty()
-        && a.n_constraints() == b.n_constraints()
-        && a.constraints().iter().zip(b.constraints()).all(|(ca, cb)| {
-            ca.rel == cb.rel
-                && ca.expr.terms.len() == cb.expr.terms.len()
-                && ca
-                    .expr
-                    .terms
-                    .iter()
-                    .zip(&cb.expr.terms)
-                    .all(|((va, xa), (vb, xb))| va == vb && xa.cmp_total(xb) == Ordering::Equal)
-        })
 }
 
 #[cfg(test)]
@@ -1417,64 +987,6 @@ mod tests {
     }
 
     #[test]
-    fn remap_carries_basis_across_column_add_and_drop() {
-        // A feasibility-style LP over a variable set that churns the way
-        // OLA's active set does: solve over {x, y}, then remap the basis
-        // onto {y, z} (x dropped, z appended, y renumbered 1 → 0).
-        fn share_lp(vars: usize, budget: f64) -> LpProblem<f64> {
-            let mut lp: LpProblem<f64> = LpProblem::new(Sense::Minimize);
-            let ids: Vec<_> = (0..vars).map(|k| lp.add_var(format!("v{k}"))).collect();
-            lp.add_constraint(
-                LinExpr::from_iter(ids.iter().map(|&v| (v, 1.0))),
-                Rel::Eq,
-                1.0,
-            );
-            lp.add_constraint(
-                LinExpr::from_iter(ids.iter().enumerate().map(|(k, &v)| (v, 1.0 + k as f64))),
-                Rel::Le,
-                budget,
-            );
-            lp
-        }
-        let first = solve_warm(&share_lp(2, 4.0), None);
-        assert_eq!(first.solution.status, LpStatus::Optimal);
-        let basis = first.basis.expect("optimal solve must yield a basis");
-
-        let next = share_lp(2, 3.0);
-        let hint = basis.remap(&next, &[None, Some(0)]);
-        let out = solve_warm(&next, Some(&hint));
-        assert!(out.warm_used, "remapped basis must stay usable");
-        assert_eq!(out.solution.status, LpStatus::Optimal);
-
-        // Growing the problem (column append) keeps the carried columns.
-        let grown = share_lp(3, 3.0);
-        let hint = basis.remap(&grown, &[Some(0), Some(1)]);
-        let out = solve_warm(&grown, Some(&hint));
-        assert!(out.warm_used);
-        assert_eq!(out.solution.status, LpStatus::Optimal);
-    }
-
-    #[test]
-    fn remap_to_degenerate_target_still_solves() {
-        // Dropping every carried column leaves an all-slack hint; the
-        // warm path must still complete it (or fall back) and agree with
-        // the cold verdict.
-        let mut a: LpProblem<f64> = LpProblem::new(Sense::Minimize);
-        let x = a.add_var("x");
-        a.add_constraint(LinExpr::term(x, 1.0), Rel::Eq, 5.0);
-        let wa = solve_warm(&a, None);
-        let basis = wa.basis.expect("optimal solve must yield a basis");
-
-        let mut b: LpProblem<f64> = LpProblem::new(Sense::Minimize);
-        let y = b.add_var("y");
-        b.add_constraint(LinExpr::term(y, 1.0), Rel::Eq, 2.0);
-        let hint = basis.remap(&b, &[None]);
-        let out = solve_warm(&b, Some(&hint));
-        assert_eq!(out.solution.status, LpStatus::Optimal);
-        assert!((out.solution.values[0] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn warm_exact_rational_probe_chain() {
         // A Rat chain mimicking the Theorem-2 binary search: same shape,
         // shrinking deadline-like RHS.
@@ -1527,7 +1039,7 @@ mod tests {
         let guided = solve_float_guided(&lp);
         assert!(guided.warm_used);
         assert_eq!(guided.solution.objective, Some(Rat::from_ratio(1, 2)));
-        assert!(certifies(&lp, &guided.solution));
+        assert!(lp.check_feasible(&guided.solution.values).is_ok());
 
         // Inexact scalars take the plain cold solve.
         let lp_f = lp.map_scalar(Rat::to_f64);
@@ -1559,145 +1071,5 @@ mod tests {
         assert_eq!(guided.solution.status, plain.status);
         assert_eq!(guided.solution.objective, plain.objective);
         assert_eq!(plain.objective, Some(Rat::one()));
-    }
-
-    /// Zero-objective probe with tunable inequality RHS, the
-    /// [`ProbeCache`] target shape: `x + y = 2`, `2x + y ≤ r`, `y ≤ r`.
-    fn cache_probe(rhs: f64) -> LpProblem<f64> {
-        let mut lp: LpProblem<f64> = LpProblem::new(Sense::Minimize);
-        let x = lp.add_var("x");
-        let y = lp.add_var("y");
-        lp.add_constraint(LinExpr::from_iter([(x, 1.0), (y, 1.0)]), Rel::Eq, 2.0);
-        lp.add_constraint(LinExpr::from_iter([(x, 2.0), (y, 1.0)]), Rel::Le, rhs);
-        lp.add_constraint(LinExpr::term(y, 1.0), Rel::Le, rhs);
-        lp
-    }
-
-    #[test]
-    fn probe_cache_rhs_patch_matches_cold_verdicts() {
-        let mut cache: ProbeCache<f64> = ProbeCache::new();
-        assert!(
-            cache.solve(&cache_probe(4.0), None).is_none(),
-            "empty cache with no hint has no warm route"
-        );
-        // Seed it through a cold solve's basis, then sweep the RHS both
-        // ways: every verdict must match the cold solver's, and every
-        // call after the seeding one must take the persistent path.
-        let seed = solve_warm(&cache_probe(4.0), None);
-        let basis = seed.basis.expect("seed basis");
-        let mut seeded = false;
-        for rhs in [4.0, 3.0, 2.5, 2.0, 1.9, 1.5, 3.5, 8.0, 1.0, 2.1] {
-            let p = cache_probe(rhs);
-            let out = cache
-                .solve(&p, Some(&basis))
-                .expect("seeded cache must serve warm");
-            assert_eq!(
-                out.solution.status,
-                solve(&p).status,
-                "cache and cold verdicts must agree at rhs={rhs}"
-            );
-            if out.solution.is_optimal() {
-                assert!(certifies(&p, &out.solution), "optimal must certify");
-            }
-            if seeded {
-                assert!(out.persistent, "same matrix must take the RHS patch path");
-            }
-            seeded = true;
-        }
-    }
-
-    #[test]
-    fn probe_cache_margin_is_decisive_for_gross_infeasibility() {
-        let mut cache: ProbeCache<f64> = ProbeCache::new();
-        let seed = solve_warm(&cache_probe(4.0), None);
-        cache.solve(&cache_probe(4.0), seed.basis.as_ref()).unwrap();
-        // x + y = 2 with 2x + y ≤ 0.5 is violated by ≥ 1.5 units.
-        let out = cache.solve(&cache_probe(0.5), None).unwrap();
-        assert_eq!(out.solution.status, LpStatus::Infeasible);
-        let margin = out.infeasible_margin.expect("infeasible carries a margin");
-        assert!(margin > 0.5, "gross violation must be decisive: {margin}");
-    }
-
-    #[test]
-    fn probe_cache_matrix_change_rerealizes_own_basis() {
-        let mut cache: ProbeCache<f64> = ProbeCache::new();
-        let seed = solve_warm(&cache_probe(4.0), None);
-        cache.solve(&cache_probe(4.0), seed.basis.as_ref()).unwrap();
-        // Same shape, different coefficient: the RHS patch must NOT
-        // engage, but the cache's own basis re-realizes.
-        let mut p: LpProblem<f64> = LpProblem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
-        p.add_constraint(LinExpr::from_iter([(x, 1.0), (y, 1.0)]), Rel::Eq, 2.0);
-        p.add_constraint(LinExpr::from_iter([(x, 3.0), (y, 1.0)]), Rel::Le, 4.0);
-        p.add_constraint(LinExpr::term(y, 1.0), Rel::Le, 4.0);
-        let out = cache.solve(&p, None).expect("own basis re-realizes");
-        assert!(!out.persistent);
-        assert_eq!(out.solution.status, solve(&p).status);
-        // And the re-realized tableau is retained: an RHS-only change on
-        // the *new* matrix is persistent again.
-        let mut q: LpProblem<f64> = LpProblem::new(Sense::Minimize);
-        let x = q.add_var("x");
-        let y = q.add_var("y");
-        q.add_constraint(LinExpr::from_iter([(x, 1.0), (y, 1.0)]), Rel::Eq, 2.0);
-        q.add_constraint(LinExpr::from_iter([(x, 3.0), (y, 1.0)]), Rel::Le, 5.0);
-        q.add_constraint(LinExpr::term(y, 1.0), Rel::Le, 5.0);
-        let out = cache.solve(&q, None).unwrap();
-        assert!(out.persistent);
-        assert_eq!(out.solution.status, solve(&q).status);
-    }
-
-    #[test]
-    fn probe_cache_eq_rhs_change_falls_back_to_realization() {
-        let mut cache: ProbeCache<f64> = ProbeCache::new();
-        let seed = solve_warm(&cache_probe(4.0), None);
-        cache.solve(&cache_probe(4.0), seed.basis.as_ref()).unwrap();
-        // Moving the equality row's RHS has no slack column to patch
-        // through: must fall back to re-realization, still correct.
-        let mut p: LpProblem<f64> = LpProblem::new(Sense::Minimize);
-        let x = p.add_var("x");
-        let y = p.add_var("y");
-        p.add_constraint(LinExpr::from_iter([(x, 1.0), (y, 1.0)]), Rel::Eq, 1.0);
-        p.add_constraint(LinExpr::from_iter([(x, 2.0), (y, 1.0)]), Rel::Le, 4.0);
-        p.add_constraint(LinExpr::term(y, 1.0), Rel::Le, 4.0);
-        let out = cache.solve(&p, None).unwrap();
-        assert!(!out.persistent);
-        assert_eq!(out.solution.status, LpStatus::Optimal);
-        assert!(certifies(&p, &out.solution));
-    }
-
-    #[test]
-    fn probe_cache_exact_rational_patch_is_bit_identical() {
-        // Over Rat the RHS patch is exact algebra: the persistent path's
-        // solution must equal the cold solution outright, not just agree
-        // on the verdict.
-        fn probe(rhs: i64) -> LpProblem<Rat> {
-            let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Minimize);
-            let a = lp.add_var("a");
-            let b = lp.add_var("b");
-            lp.add_constraint(
-                LinExpr::from_iter([(a, Rat::one()), (b, Rat::one())]),
-                Rel::Eq,
-                Rat::one(),
-            );
-            lp.add_constraint(
-                LinExpr::from_iter([(a, Rat::from_i64(4)), (b, Rat::from_i64(2))]),
-                Rel::Le,
-                Rat::from_i64(rhs),
-            );
-            lp
-        }
-        let mut cache: ProbeCache<Rat> = ProbeCache::new();
-        let seed = solve_warm(&probe(8), None);
-        cache.solve(&probe(8), seed.basis.as_ref()).unwrap();
-        for rhs in [5, 3, 2, 4, 1] {
-            let p = probe(rhs);
-            let out = cache.solve(&p, None).unwrap();
-            let cold = solve(&p);
-            assert_eq!(out.solution.status, cold.status, "rhs={rhs}");
-            if cold.status == LpStatus::Optimal {
-                assert!(certifies(&p, &out.solution), "rhs={rhs}");
-            }
-        }
     }
 }

@@ -416,27 +416,23 @@ impl Allocation {
 /// include them stay byte-stable across runs and machines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResolveStats {
-    /// Full re-plans performed (bisection + final rate solve).
+    /// Full re-plans performed (feasibility probes + final rate solve).
     pub n_resolves: usize,
-    /// LP solves served by warm-basis reuse.
+    /// LP solves served by warm-basis reuse. Always 0: the OLA policies
+    /// solve every LP cold.
     pub warm_lp_solves: usize,
-    /// LP solves performed from scratch (cold starts, tolerance-band
-    /// probes pinned to the cold path, and the final rate solve).
+    /// LP solves performed from scratch: every probe and every final
+    /// rate solve.
     pub cold_lp_solves: usize,
-    /// Re-plans during which at least one LP solve was served warm —
-    /// the event-level "did the warm machinery engage" counter. A
-    /// resolve always ends with cold solves (the tolerance-band tail of
-    /// the bisection and the final rate extraction are pinned to the
-    /// legacy path by design), so the honest event-level question is
-    /// engagement, not purity.
+    /// Re-plans during which at least one LP solve was served warm.
+    /// Always 0, like `warm_lp_solves`.
     pub warm_resolves: usize,
-    /// Re-plans served entirely by cold solves (the oracle mode, plus
-    /// warm-mode events vetoed by the conditioning/coincidence guards).
+    /// Re-plans served entirely by cold solves: every re-plan.
     pub cold_resolves: usize,
 }
 
 impl ResolveStats {
-    /// Total LP solves across warm and cold paths.
+    /// Total LP solves.
     pub fn lp_solves(&self) -> usize {
         self.warm_lp_solves + self.cold_lp_solves
     }

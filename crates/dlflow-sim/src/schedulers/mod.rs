@@ -24,8 +24,8 @@
 //! * [`ola_lite::OlaLite`] — the production-cheap member of the OLA
 //!   family: instead of a full per-event bisection it geometrically
 //!   walks the previous event's objective into place (factor `α`),
-//!   spending O(1) warm LP probes per event in steady state at the cost
-//!   of an α-factor objective overshoot.
+//!   spending O(1) LP probes per event in steady state at the cost of
+//!   an α-factor objective overshoot.
 
 pub mod edf;
 pub mod greedy;

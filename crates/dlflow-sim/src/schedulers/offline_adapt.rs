@@ -19,131 +19,25 @@
 //! the active set the engine hands to `plan`, so it works unchanged on
 //! open-arrival traces.
 //!
-//! # Incremental re-solves
+//! # Per-event work
 //!
-//! Re-solving at every event is the paper's accuracy story and this
-//! module's cost story. The per-event work is dominated by the
-//! bisection's LP feasibility probes, and two facts make most of them
-//! cheap:
-//!
-//! * probes of one sub-problem share a **shape-stable** LP form
-//!   ([`build_deadline_probe_lp`]); within a bracket segment they share
-//!   every *coefficient* and differ only in RHS, so a [`ProbeCache`]
-//!   retains the realized tableau between probes and re-solves by a
-//!   pure RHS patch plus a handful of dual-simplex pivots — no basis
-//!   re-realization at all on the common path;
-//! * the sub-problem itself changes *incrementally* between events —
-//!   a completion blanks a job column, an arrival appends one — so the
-//!   last basis of the previous event carries across the active-set
-//!   churn via [`WarmBasis::remap`] + [`probe_var_remap`], seeding the
-//!   cache's first re-realization of the new shape.
-//!
-//! Warm starting must not change behaviour, only cost: the committed
-//! campaign goldens pin this policy's output bit-for-bit, so every
-//! probe verdict must equal what the legacy computation (filtered
-//! builder + cold solve) would have said. A warm simplex solve follows
-//! a different pivot path than a cold one, so the bisection runs the
-//! warm path only behind a stack of guards and falls back to the exact
-//! legacy computation everywhere else:
-//!
-//! * a warm *feasible* verdict is accepted only with a **primal
-//!   certificate** in hand ([`certifies`]): a certified feasible point
-//!   is true regardless of the pivot path, while an uncertified warm
-//!   optimum is recomputed cold — an ill-conditioned basis
-//!   re-realization can otherwise corrupt the tableau into claiming
-//!   either verdict;
-//! * a warm *infeasible* verdict is accepted only when it comes from
-//!   the persistent RHS-patch path (exact algebra on a tableau that was
-//!   realized once and never re-pivoted from scratch, so no
-//!   re-realization corruption risk) **and** refutes feasibility by a
-//!   decisive margin ([`dlflow_lp::ProbeSolve::infeasible_margin`] above
-//!   `INFEASIBLE_MARGIN_GUARD` × the bracket scale); every other
-//!   infeasibility claim — in particular any from a freshly
-//!   re-realized basis — is recomputed by the exact legacy path;
-//! * sub-problems whose LP entries span more than
-//!   `COST_SPREAD_GUARD`⁻¹ in magnitude (a nearly-finished job's
-//!   `remaining · c` next to full-size entries) sit the warm path out
-//!   entirely: such LPs have been observed to make even the *cold*
-//!   solver's verdict pivot-path dependent, and the goldens pin the
-//!   cold behaviour, warts and all;
-//! * probes whose deadlines nearly coincide with each other or with
-//!   `now` (`tol_fragile`) go legacy: admissibility is decided by ±1e-9
-//!   tolerance comparisons, and a probe on that boundary can differ
-//!   macroscopically between the two LP formulations;
-//! * once the bracket shrinks to `(hi − lo) ≤ ``WARM_SAFE_REL_WIDTH``
-//!   · hi` the probe sits near the feasibility boundary, where the
-//!   verdict is rounding noise — legacy decides.
-//!
-//! The final rate-extracting solve is always the legacy cold path.
-//! Allocations are thus bit-identical to a full cold re-solve
-//! ([`ResolveMode::ColdOracle`], the differential-test oracle), which
-//! the differential suite and the goldens enforce empirically.
+//! Every bisection probe and the final rate solve build the filtered
+//! System-(2) program (only the admissible `α` variables exist) and solve
+//! it cold, through the one [`LpWorkspace`] the policy owns. A re-plan is
+//! thus `bisection_iters + 1` LP solves. Only buffer capacity outlives
+//! an event, so reset, restore and platform changes have no solver state
+//! to drop.
 
 use crate::engine::{ActiveSet, Allocation, JobView, OnlineScheduler, ResolveStats};
 use dlflow_core::instance::{Cost, Instance, Job};
-use dlflow_core::lp_build::{
-    build_deadline_lp_into, build_deadline_probe_lp, build_deadline_probe_lp_into, probe_var_remap,
-    DeadlineLp,
-};
-use dlflow_lp::{
-    certifies, solve, solve_in, solve_warm_in, LpProblem, LpSolution, LpStatus, LpWorkspace,
-    ProbeCache, Sense, WarmBasis,
-};
+use dlflow_core::lp_build::{build_deadline_lp_into, build_deadline_probe_lp, DeadlineLp};
+use dlflow_lp::{solve, solve_in, LpSolution, LpWorkspace};
 use std::mem;
 
 /// Weight floor used when a zero-weight job reaches the deadline maths
 /// (the streaming path does not forbid zero weights; treat them as
 /// "almost irrelevant" rather than dividing by zero).
 pub(crate) const MIN_WEIGHT: f64 = 1e-12;
-
-/// Relative bracket width below which bisection probes switch from
-/// warm shape-stable solves to the exact legacy cold computation.
-///
-/// Near the feasibility boundary the probe LP's infeasibility margin is
-/// smaller than the `f64` simplex tolerances, so the verdict depends on
-/// the pivot path taken — a warm start would answer differently than
-/// the cold solve the committed goldens pin. How wide that ambiguous
-/// band is depends on the LP's geometry (on unit workloads flips appear
-/// below ~5·10⁻⁹ relative width; on chaos workloads, where a binding
-/// constraint can respond weakly to the deadlines being bisected, up to
-/// ~1·10⁻⁶), so the cutoff carries a 100× margin over the widest flip
-/// observed — and the campaign goldens plus the differential tests in
-/// `ola_differential.rs` enforce the equivalence empirically across
-/// seeds, fault intensities and interruption points.
-const WARM_SAFE_REL_WIDTH: f64 = 1e-4;
-
-/// Minimum ratio between the smallest and largest finite LP cost entry
-/// of a sub-problem for warm probes to engage (see the conditioning
-/// guard in `plan_impl`). Six orders of magnitude of column spread is
-/// where the f64 simplex's verdicts were observed to stop being
-/// pivot-path independent.
-const COST_SPREAD_GUARD: f64 = 1e-6;
-
-/// Minimum decisive infeasibility margin, relative to the bracket's
-/// upper bound, for a persistent-path infeasible verdict to be served
-/// warm (see the module docs). The margin is the most negative basic
-/// value of the dual-terminal tableau — how far, in work units, the
-/// probe overshoots some capacity row. The RHS-patch path accumulates
-/// only one rounding error per patched row per probe, so a margin
-/// orders of magnitude above f64 noise at the problem's scale cannot be
-/// a pivot-path artefact; anything smaller is recomputed cold. Shared
-/// with [`crate::schedulers::ola_lite::OlaLite`]'s walk probes.
-pub(crate) const INFEASIBLE_MARGIN_GUARD: f64 = 1e-6;
-
-/// How [`OfflineAdapt`] runs its per-event LP re-solves.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ResolveMode {
-    /// Warm-started shape-stable probes outside the solver's tolerance
-    /// band, the exact legacy computation inside it (the default).
-    /// Bit-identical to [`ResolveMode::ColdOracle`] by construction.
-    #[default]
-    WarmIncremental,
-    /// Every probe and the final solve run from scratch exactly as the
-    /// pre-warm implementation did. This is the differential-test
-    /// oracle and the bench baseline; it exists to *prove* the warm
-    /// path is a pure perf change.
-    ColdOracle,
-}
 
 /// Rates cached by the re-solve throttle (see
 /// [`OfflineAdapt::min_resolve_interval`]).
@@ -219,126 +113,52 @@ impl JobCols {
         self.weight.truncate(w);
         self.costs.truncate(w * m);
     }
-
-    /// Column of the job with engine id `id`, if present.
-    pub(crate) fn position_of(&self, id: usize) -> Option<usize> {
-        self.ids.iter().position(|&x| x == id)
-    }
 }
 
 /// Retired sub-instance buffers (jobs, cost matrix) handed back for
 /// recycling into the next event's sub-instance build.
 pub(crate) type SubBuffers = (Vec<Job<f64>>, Vec<Vec<Cost<f64>>>);
 
-/// Cross-event warm-basis carry: remembers the sub-instance shape and
-/// probe basis an event ended with, and remaps that basis onto the next
-/// event's (job-churned) LP shape. Shared by [`OfflineAdapt`] and
+/// One policy's LP machinery: the simplex workspace every solve draws
+/// its buffers from, the System-(2) program the builder refills, and the
+/// count of solves since the last reset. Shared by [`OfflineAdapt`] and
 /// [`crate::schedulers::ola_lite::OlaLite`].
-#[derive(Debug, Default)]
-pub(crate) struct WarmChain {
-    /// Last optimal probe basis, if any.
-    basis: Option<WarmBasis>,
-    /// Sub-instance the carried basis was captured on.
-    prev_sub: Option<Instance<f64>>,
-    /// Engine job ids of `prev_sub`'s columns, in column order.
-    prev_ids: Vec<usize>,
-    /// Recycled old-job → new-column map.
-    map_buf: Vec<Option<usize>>,
-}
-
-impl WarmChain {
-    /// Produces the `(basis, var_map)` pair to [`WarmBasis::remap`] onto
-    /// the event's first probe LP, consuming the carried basis. Returns
-    /// `None` (fresh start) when nothing was carried or the platform
-    /// shape changed.
-    pub(crate) fn carry_in(
-        &mut self,
-        sub: &Instance<f64>,
-        cols: &JobCols,
-        n_machines: usize,
-    ) -> Option<(WarmBasis, Vec<Option<usize>>)> {
-        let stale = self.basis.take();
-        let mut job_map = mem::take(&mut self.map_buf);
-        let mut pending = None;
-        if let (Some(prev), Some(basis)) = (self.prev_sub.as_ref(), stale) {
-            if prev.n_machines() == n_machines && self.prev_ids.len() == prev.n_jobs() {
-                job_map.clear();
-                for &pid in &self.prev_ids {
-                    job_map.push(cols.position_of(pid));
-                }
-                let var_map = probe_var_remap(prev, sub, &job_map);
-                pending = Some((basis, var_map));
-            }
-        }
-        job_map.clear();
-        self.map_buf = job_map;
-        pending
-    }
-
-    /// Retires an event: stores its last probe basis and sub-instance
-    /// shape for the next event, and hands back the previous shape's
-    /// buffers for recycling.
-    pub(crate) fn carry_out(
-        &mut self,
-        basis: Option<WarmBasis>,
-        sub: Instance<f64>,
-        cols: &JobCols,
-    ) -> Option<SubBuffers> {
-        self.basis = basis;
-        self.prev_ids.clear();
-        self.prev_ids.extend_from_slice(&cols.ids);
-        self.prev_sub.replace(sub).map(Instance::into_parts)
-    }
-
-    /// Drops all carried state (reset, restore, platform change).
-    pub(crate) fn clear(&mut self) {
-        self.basis = None;
-        self.prev_sub = None;
-        self.prev_ids.clear();
-    }
-}
-
-/// One policy's LP machinery: the persistent probe factorization, the
-/// simplex workspace that every solve of the policy draws its buffers
-/// from, and the two System-(2) programs the builders refill. Shared by
-/// [`OfflineAdapt`] and [`crate::schedulers::ola_lite::OlaLite`].
-///
-/// One workspace rather than one per solve kind: the probe cache's
-/// re-realizations, the seeding solves, the cold probes and the final
-/// rate solve never overlap, so a second pool would only hold a second
-/// tableau's worth of idle capacity.
+#[derive(Default)]
 pub(crate) struct PolicyLp {
-    /// Persistent probe factorization (retained tableau + RHS-patch
-    /// re-solves) for the shape-stable probes. It holds state, so reset,
-    /// restore and platform changes clear it.
-    pub(crate) cache: ProbeCache<f64>,
     /// Buffers of every simplex solve. Capacity only — each solve starts
     /// from the same logical state as with a fresh workspace — so it is
     /// never cleared.
-    pub(crate) ws: LpWorkspace<f64>,
-    /// Probe-form program of the current warm probe.
-    pub(crate) probe_lp: LpProblem<f64>,
-    /// Filtered program of the current cold probe or final solve.
+    ws: LpWorkspace<f64>,
+    /// Filtered program of the current probe or final solve.
     pub(crate) built: DeadlineLp<f64>,
-}
-
-impl Default for PolicyLp {
-    fn default() -> Self {
-        PolicyLp {
-            cache: ProbeCache::new(),
-            ws: LpWorkspace::new(),
-            probe_lp: LpProblem::new(Sense::Minimize),
-            built: DeadlineLp::default(),
-        }
-    }
+    /// LP solves since the last reset.
+    pub(crate) solves: usize,
 }
 
 impl PolicyLp {
     /// Builds the filtered program for deadlines `d` into `built` and
-    /// solves it cold: the legacy computation the goldens pin.
+    /// solves it cold: the computation the campaign goldens pin.
     pub(crate) fn solve_filtered(&mut self, sub: &Instance<f64>, d: &[f64]) -> LpSolution<f64> {
+        self.solves += 1;
         build_deadline_lp_into(&mut self.built, sub, d, false);
         solve_in(&self.built.lp, &mut self.ws)
+    }
+
+    /// Whether deadlines `d` admit a schedule of `sub`. A deadline at or
+    /// before `now` is an empty window and needs no LP to refute.
+    pub(crate) fn probe(&mut self, sub: &Instance<f64>, d: &[f64], now: f64) -> bool {
+        !d.iter().any(|&dj| dj <= now) && self.solve_filtered(sub, d).is_optimal()
+    }
+
+    /// Telemetry after `n_resolves` re-plans. Every solve is cold, so the
+    /// warm counters read 0 and every re-plan counts as cold.
+    pub(crate) fn resolve_stats(&self, n_resolves: usize) -> ResolveStats {
+        ResolveStats {
+            n_resolves,
+            cold_lp_solves: self.solves,
+            cold_resolves: n_resolves,
+            ..ResolveStats::default()
+        }
     }
 }
 
@@ -348,39 +168,27 @@ pub struct OfflineAdapt {
     pub bisection_iters: usize,
     /// Re-solve throttle: minimum simulated time between two full
     /// bisection+LP re-solves. `0.0` (the default) re-solves at every
-    /// event, as §5 describes — warm-started probes keep the eager mode
-    /// affordable. With a positive interval, events inside the window
+    /// event, as §5 describes. With a positive interval, events inside the window
     /// reuse the last solve's rates (masked to still-active jobs) —
     /// unless a *new* job has arrived since, or the cached rates would
     /// leave every active job idle, both of which force a re-solve.
     /// This trades optimality for plan cost: the knob the campaign's
     /// `ola throttle=τ` scheduler spec sweeps.
     pub min_resolve_interval: f64,
-    /// Probe execution strategy (warm hybrid vs the cold oracle).
-    pub resolve_mode: ResolveMode,
     /// Number of full re-solves performed since the last `reset`
     /// (readable after a run to observe the throttle's effect).
     pub n_resolves: usize,
-    /// LP solves served by warm-basis reuse since the last `reset`.
-    warm_lp_solves: usize,
-    /// LP solves performed from scratch since the last `reset`.
-    cold_lp_solves: usize,
-    /// Re-plans in which ≥1 probe was served warm / none was.
-    warm_resolves: usize,
-    cold_resolves: usize,
     cache: Option<PlanCache>,
     /// Platform availability mask (empty = all machines in service).
     up: Vec<bool>,
     /// Scratch copy of the active set, refreshed per event.
     scratch: JobCols,
     /// Recycled job/cost-matrix buffers for the LP sub-instance (the
-    /// previous-but-one sub-instance's allocations, rotated back in).
+    /// previous sub-instance's allocations, rotated back in).
     sub_recycle: SubBuffers,
     /// Recycled deadline vector (one slot per selected job).
     d_buf: Vec<f64>,
-    /// Cross-event warm-basis carry.
-    chain: WarmChain,
-    /// Probe cache, simplex workspace and reused programs.
+    /// Simplex workspace, reused program and LP-solve counter.
     lp: PolicyLp,
 }
 
@@ -389,18 +197,12 @@ impl Default for OfflineAdapt {
         OfflineAdapt {
             bisection_iters: 40,
             min_resolve_interval: 0.0,
-            resolve_mode: ResolveMode::default(),
             n_resolves: 0,
-            warm_lp_solves: 0,
-            cold_lp_solves: 0,
-            warm_resolves: 0,
-            cold_resolves: 0,
             cache: None,
             up: Vec::new(),
             scratch: JobCols::default(),
             sub_recycle: (Vec::new(), Vec::new()),
             d_buf: Vec::new(),
-            chain: WarmChain::default(),
             lp: PolicyLp::default(),
         }
     }
@@ -418,16 +220,6 @@ impl OfflineAdapt {
         assert!(interval >= 0.0, "throttle interval must be non-negative");
         OfflineAdapt {
             min_resolve_interval: interval,
-            ..Self::default()
-        }
-    }
-
-    /// Fresh policy in [`ResolveMode::ColdOracle`]: every LP from
-    /// scratch, exactly the pre-warm implementation. Used as the
-    /// differential-test oracle and the bench baseline.
-    pub fn cold_oracle() -> Self {
-        OfflineAdapt {
-            resolve_mode: ResolveMode::ColdOracle,
             ..Self::default()
         }
     }
@@ -504,34 +296,6 @@ impl OfflineAdapt {
     fn placeable(&self, cols: &JobCols, k: usize, n_machines: usize) -> bool {
         (0..n_machines).any(|i| self.live(i) && cols.cost(i, k).is_some())
     }
-}
-
-/// Coincidence guard for warm probes: `true` when some deadline lands
-/// within `TOL_GUARD` of `now` (every sub-job's release) or of another
-/// deadline.
-///
-/// The LP builders decide interval admissibility with tolerance
-/// comparisons (±1e-9). When two time points nearly coincide, a probe
-/// sits exactly on that decision boundary, the shape-stable and the
-/// filtered formulation can disagree *macroscopically* (a whole
-/// interval's worth of work admitted by one and not the other), and the
-/// verdict becomes unreproducible pivot-path noise — and because a huge
-/// weight makes `d = r + F/w` nearly constant in `F`, the coincidence
-/// can persist across the entire bisection bracket, so no bracket-width
-/// cutoff catches it. Such probes must take the legacy path. The guard
-/// is 1000× the comparison tolerance: spurious hits only cost a warm
-/// opportunity, misses would cost golden identity.
-pub(crate) fn tol_fragile(d: &[f64], now: f64) -> bool {
-    const TOL_GUARD: f64 = 1e-6;
-    for (j, &dj) in d.iter().enumerate() {
-        if (dj - now).abs() <= TOL_GUARD {
-            return true;
-        }
-        if d[..j].iter().any(|&dk| (dj - dk).abs() <= TOL_GUARD) {
-            return true;
-        }
-    }
-    false
 }
 
 /// Builds the *remaining-work* sub-instance at `now` into recycled
@@ -665,9 +429,6 @@ impl OnlineScheduler for OfflineAdapt {
         if self.bisection_iters != OfflineAdapt::default().bisection_iters {
             knobs.push(format!("b={}", self.bisection_iters));
         }
-        if self.resolve_mode == ResolveMode::ColdOracle {
-            knobs.push("cold".to_string());
-        }
         if knobs.is_empty() {
             "OLA".into()
         } else {
@@ -678,13 +439,8 @@ impl OnlineScheduler for OfflineAdapt {
     fn reset(&mut self) {
         self.cache = None;
         self.n_resolves = 0;
-        self.warm_lp_solves = 0;
-        self.cold_lp_solves = 0;
-        self.warm_resolves = 0;
-        self.cold_resolves = 0;
+        self.lp.solves = 0;
         self.up.clear();
-        self.chain.clear();
-        self.lp.cache.clear();
     }
 
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
@@ -710,22 +466,9 @@ impl OnlineScheduler for OfflineAdapt {
         // ignore one that just recovered): always rebuild the LP over the
         // current live set.
         self.cache = None;
-        // The carried basis was captured on the old platform's cost
-        // pattern; `probe_var_remap` drops pairs that flipped between
-        // finite and infinite, so carrying it across is still sound —
-        // but the cheap, obviously-correct move is to rebuild. Platform
-        // events are rare next to arrivals/completions.
-        self.chain.clear();
-        self.lp.cache.clear();
     }
 
     fn snapshot_state(&self) -> String {
-        // The warm basis and the probe cache's retained tableau are
-        // deliberately *not* serialized: both are pure pivot-order
-        // hints, and the hybrid bisection returns the same verdicts
-        // with or without them, so dropping them on restore cannot
-        // change allocations — only the warm/cold split of the first
-        // post-restore events (telemetry, which restarts at zero).
         let mut s = format!("n_resolves {}\n", self.n_resolves);
         if let Some(cache) = &self.cache {
             s.push_str(&format!("solved_at {:016x}\n", cache.solved_at.to_bits()));
@@ -754,9 +497,6 @@ impl OnlineScheduler for OfflineAdapt {
             .and_then(|v| v.parse().ok())
             .ok_or("OLA state: bad n_resolves line")?;
         self.cache = None;
-        // Safe-to-drop warm state (see `snapshot_state`).
-        self.chain.clear();
-        self.lp.cache.clear();
         let Some(line) = lines.next() else {
             return Ok(());
         };
@@ -770,18 +510,31 @@ impl OnlineScheduler for OfflineAdapt {
         if toks.next() != Some("known") {
             return Err("OLA state: bad known line".into());
         }
-        let mut known = Vec::new();
+        // `cached_plan` binary-searches this list.
+        let mut known: Vec<usize> = Vec::new();
         for tok in toks {
-            known.push(tok.parse().map_err(|_| "OLA state: bad known id")?);
+            let id = tok.parse().map_err(|_| "OLA state: bad known id")?;
+            if known.last().is_some_and(|&prev| prev >= id) {
+                return Err("OLA state: known ids must be strictly increasing".into());
+            }
+            known.push(id);
         }
         let line = lines.next().ok_or("OLA state: missing alloc line")?;
         let n: usize = line
             .strip_prefix("alloc ")
             .and_then(|v| v.parse().ok())
             .ok_or("OLA state: bad alloc line")?;
+        // The row count comes from outside the program: check it against
+        // the rows actually present before sizing anything by it.
+        let rows: Vec<&str> = lines.collect();
+        if rows.len() != n {
+            return Err(format!(
+                "OLA state: alloc {n} needs {n} rows, found {}",
+                rows.len()
+            ));
+        }
         let mut alloc = Allocation::idle(n);
-        for i in 0..n {
-            let line = lines.next().ok_or("OLA state: missing alloc row")?;
+        for (i, line) in rows.into_iter().enumerate() {
             let mut toks = line.split_whitespace();
             if toks.next() != Some("row") {
                 return Err("OLA state: bad alloc row".into());
@@ -791,7 +544,11 @@ impl OnlineScheduler for OfflineAdapt {
                 let job = job.parse().map_err(|_| "OLA state: bad alloc job")?;
                 let bits =
                     u64::from_str_radix(bits, 16).map_err(|_| "OLA state: bad alloc share")?;
-                alloc.set(i, job, f64::from_bits(bits));
+                let share = f64::from_bits(bits);
+                if !(0.0..=1.0).contains(&share) {
+                    return Err("OLA state: alloc share outside [0, 1]".into());
+                }
+                alloc.set(i, job, share);
             }
         }
         self.cache = Some(PlanCache {
@@ -821,13 +578,7 @@ impl OnlineScheduler for OfflineAdapt {
     }
 
     fn resolve_stats(&self) -> Option<ResolveStats> {
-        Some(ResolveStats {
-            n_resolves: self.n_resolves,
-            warm_lp_solves: self.warm_lp_solves,
-            cold_lp_solves: self.cold_lp_solves,
-            warm_resolves: self.warm_resolves,
-            cold_resolves: self.cold_resolves,
-        })
+        Some(self.lp.resolve_stats(self.n_resolves))
     }
 }
 
@@ -869,42 +620,11 @@ impl OfflineAdapt {
             return Allocation::idle(n_machines);
         };
 
-        // Carry the previous event's probe basis onto this event's LP
-        // shape: map surviving job columns by engine id, drop departed
-        // ones (their basis columns fall out in `remap`), let arrivals
-        // start non-basic.
-        let mut pending: Option<(WarmBasis, Vec<Option<usize>>)> = None;
-        if self.resolve_mode == ResolveMode::WarmIncremental {
-            pending = self.chain.carry_in(&sub, cols, n_machines);
-        }
-
-        // Conditioning guard: a sub-problem whose finite LP entries span
-        // many orders of magnitude (typically a nearly-finished job —
-        // `remaining · c` of ~1e-7 next to entries of ~1e2) puts the f64
-        // simplex outside the regime where its verdict is a function of
-        // the problem rather than of the pivot path: the cold solver has
-        // been observed to (reproducibly) declare such LPs infeasible
-        // even when a certified feasible point exists. The goldens pin
-        // the cold behaviour, so the warm path must sit those events
-        // out entirely.
-        let mut cmin = f64::INFINITY;
-        let mut cmax = 0.0f64;
-        for i in 0..n_machines {
-            for k in 0..cols.n() {
-                if let Some(&c) = sub.cost(i, k).finite() {
-                    cmin = cmin.min(c);
-                    cmax = cmax.max(c);
-                }
-            }
-        }
-        let well_conditioned = cmin > COST_SPREAD_GUARD * cmax;
-
         let (mut lo, mut hi) = bracket(now, cols, &sub);
 
         let mut d = mem::take(&mut self.d_buf);
-        // Side-effect-free check (a stateless cold solve): the warm-basis
-        // chain must look identical in debug and release builds, so the
-        // assertion must not seed or consume the chained basis.
+        // A stateless solve, so the policy's LP-solve count is the same
+        // in debug and release builds.
         debug_assert!(
             {
                 fill_deadlines(&mut d, now, hi, cols);
@@ -913,125 +633,26 @@ impl OfflineAdapt {
             "upper bound must be feasible"
         );
 
-        // Hybrid bisection: warm shape-stable probes while the bracket
-        // is wide, the exact legacy computation once it shrinks into the
-        // solver's tolerance band (see WARM_SAFE_REL_WIDTH). The warm
-        // probes run through the persistent [`ProbeCache`]: within a
-        // bracket segment every probe after the first is a pure RHS
-        // patch on the retained tableau.
-        let warm_before = self.warm_lp_solves;
-        let mut hint: Option<WarmBasis> = None;
-        // Whether the cache ran on *this* event's LP shape: only then is
-        // its retained basis safe to pair with this event's sub-instance
-        // in the cross-event carry (an older event's basis has a
-        // different variable count and would poison the next remap).
-        let mut cache_on_event_shape = false;
         for _ in 0..self.bisection_iters {
             let mid = 0.5 * (lo + hi);
             fill_deadlines(&mut d, now, mid, cols);
-            let feasible = if d.iter().any(|&dj| dj <= now) {
-                false // an empty window needs no LP to refute
-            } else if self.resolve_mode == ResolveMode::ColdOracle
-                || !well_conditioned
-                || (hi - lo) <= WARM_SAFE_REL_WIDTH * hi
-                || tol_fragile(&d, now)
-            {
-                self.cold_lp_solves += 1;
-                self.lp.solve_filtered(&sub, &d).is_optimal()
-            } else {
-                let lp = &mut self.lp;
-                build_deadline_probe_lp_into(&mut lp.probe_lp, &sub, &d, false);
-                if let Some((basis, var_map)) = pending.take() {
-                    hint = Some(basis.remap(&lp.probe_lp, &var_map));
-                }
-                // A warm verdict is trusted on exactly two routes (see
-                // the module docs): a primal-certified feasible point,
-                // or a persistent-path infeasibility with a decisive
-                // margin. Everything else — including any infeasibility
-                // claimed by a freshly re-realized basis — is recomputed
-                // by the exact legacy path.
-                let served = lp.cache.solve_in(&lp.probe_lp, hint.as_ref(), &mut lp.ws);
-                cache_on_event_shape |= served.is_some();
-                let verdict = served.and_then(|out| {
-                    if out.solution.is_optimal() {
-                        if certifies(&lp.probe_lp, &out.solution) {
-                            Some(true)
-                        } else {
-                            // An uncertifiable "optimum" means the
-                            // tableau cannot be trusted for anything.
-                            lp.cache.clear();
-                            None
-                        }
-                    } else if out.persistent
-                        && out.solution.status == LpStatus::Infeasible
-                        && out
-                            .infeasible_margin
-                            .is_some_and(|m| m > INFEASIBLE_MARGIN_GUARD * (1.0 + hi))
-                    {
-                        Some(false)
-                    } else {
-                        None
-                    }
-                });
-                match verdict {
-                    Some(v) => {
-                        self.warm_lp_solves += 1;
-                        v
-                    }
-                    None => {
-                        // No trusted warm verdict. With no basis to work
-                        // from at all (a fresh run), seed the cache's
-                        // next attempt from a cold probe-shape solve —
-                        // exactly how the pre-cache implementation
-                        // seeded its basis chain.
-                        if hint.is_none() {
-                            hint = solve_warm_in(&lp.probe_lp, None, &mut lp.ws).basis;
-                        }
-                        self.cold_lp_solves += 1;
-                        lp.solve_filtered(&sub, &d).is_optimal()
-                    }
-                }
-            };
-            if feasible {
+            if self.lp.probe(&sub, &d, now) {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
 
-        // Final solve at the feasible end of the bracket — always the
-        // legacy cold path, whose basic solution the goldens pin.
+        // Final solve at the feasible end of the bracket; its basic
+        // solution gives the first-interval rates.
         fill_deadlines(&mut d, now, hi, cols);
         let sol = self.lp.solve_filtered(&sub, &d);
         debug_assert!(sol.is_optimal());
-        self.cold_lp_solves += 1;
         self.n_resolves += 1;
-        if self.warm_lp_solves > warm_before {
-            self.warm_resolves += 1;
-        } else {
-            self.cold_resolves += 1;
-        }
         self.d_buf = d;
 
         let (alloc, produced) = first_interval_rates(&self.lp.built, &sol, &sub, cols, n_machines);
-
-        // Retire this event's sub-instance into the carry slot and rotate
-        // the previous one's buffers back into the recycle pool. The
-        // carried basis is the probe cache's last retained one — the
-        // next event remaps it onto the churned job set to seed the
-        // cache's first re-realization there.
-        if self.resolve_mode == ResolveMode::WarmIncremental {
-            let carried = if cache_on_event_shape {
-                self.lp.cache.basis()
-            } else {
-                None
-            };
-            if let Some(bufs) = self.chain.carry_out(carried, sub, cols) {
-                self.sub_recycle = bufs;
-            }
-        } else {
-            self.sub_recycle = sub.into_parts();
-        }
+        self.sub_recycle = sub.into_parts();
 
         if !produced {
             return alloc;
@@ -1063,6 +684,7 @@ mod tests {
     use super::*;
     use crate::engine::{simulate, Engine, JobSpec, RunMetrics};
     use crate::schedulers::mct::Mct;
+    use crate::snapshot::SnapshotError;
     use dlflow_core::instance::InstanceBuilder;
 
     #[test]
@@ -1201,27 +823,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_mode_is_bit_identical_to_cold_oracle() {
-        // The tentpole invariant in miniature (the full property test
-        // lives in tests/ola_differential.rs): eager warm-hybrid OLA and
-        // the all-cold oracle produce the same completions to the bit.
-        use crate::workload::{generate, WorkloadSpec};
-        for seed in [3, 11, 29] {
-            let inst = generate(&WorkloadSpec {
-                n_jobs: 10,
-                n_machines: 3,
-                mean_interarrival: 0.8,
-                seed,
-                ..Default::default()
-            });
-            let warm = simulate(&inst, &mut OfflineAdapt::new()).unwrap();
-            let cold = simulate(&inst, &mut OfflineAdapt::cold_oracle()).unwrap();
-            assert_eq!(warm.completions, cold.completions, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn resolve_stats_report_warm_and_cold_solves() {
+        // Every re-plan is 40 bisection probes plus the final rate solve,
+        // all of them cold.
         use crate::workload::{generate, WorkloadSpec};
         let inst = generate(&WorkloadSpec {
             n_jobs: 10,
@@ -1230,23 +834,89 @@ mod tests {
             seed: 7,
             ..Default::default()
         });
-        let mut warm = OfflineAdapt::new();
-        simulate(&inst, &mut warm).unwrap();
-        let stats = warm.resolve_stats().unwrap();
-        assert_eq!(stats.n_resolves, warm.n_resolves);
-        assert!(stats.warm_lp_solves > 0, "warm probes must fire: {stats:?}");
-        assert!(
-            stats.cold_lp_solves > 0,
-            "tolerance-band probes and final solves stay cold: {stats:?}"
-        );
+        let mut ola = OfflineAdapt::new();
+        simulate(&inst, &mut ola).unwrap();
+        let stats = ola.resolve_stats().unwrap();
+        assert!(stats.n_resolves > 0);
+        assert_eq!(stats.n_resolves, ola.n_resolves);
+        assert_eq!(stats.lp_solves(), 41 * stats.n_resolves, "{stats:?}");
+        assert_eq!(stats.cold_lp_solves, stats.lp_solves());
+        assert_eq!((stats.warm_lp_solves, stats.warm_resolves), (0, 0));
+        assert_eq!(stats.cold_resolves, stats.n_resolves);
+    }
 
-        let mut cold = OfflineAdapt::cold_oracle();
-        simulate(&inst, &mut cold).unwrap();
-        let cstats = cold.resolve_stats().unwrap();
-        assert_eq!(cstats.warm_lp_solves, 0, "the oracle never warm-starts");
-        assert_eq!(cstats.lp_solves(), cstats.cold_lp_solves);
-        // Verdict-identical runs do identical LP work in total.
-        assert_eq!(stats.n_resolves, cstats.n_resolves);
-        assert_eq!(stats.lp_solves(), cstats.lp_solves());
+    /// A throttled policy's state with a cached plan: jobs 0 and 1 at
+    /// shares 0.5 and 0.25 on two machines.
+    const CACHED_STATE: &str = "n_resolves 3\nsolved_at 0000000000000000\nknown 0 1\n\
+                                alloc 2\nrow 0:3fe0000000000000\nrow 1:3fd0000000000000\n";
+
+    #[test]
+    fn restore_round_trips_the_cached_plan() {
+        let mut fresh = OfflineAdapt::with_throttle(10.0);
+        fresh.restore_state(CACHED_STATE).unwrap();
+        assert_eq!(fresh.snapshot_state(), CACHED_STATE);
+    }
+
+    #[test]
+    fn restore_rejects_a_row_count_it_was_not_given() {
+        // An allocation sized from this line alone would exhaust memory.
+        let state = CACHED_STATE.replace("alloc 2", "alloc 100000000000000000");
+        let err = OfflineAdapt::with_throttle(10.0)
+            .restore_state(&state)
+            .unwrap_err();
+        assert!(err.contains("rows"), "{err}");
+        let extra = format!("{CACHED_STATE}row\n");
+        assert!(OfflineAdapt::with_throttle(10.0)
+            .restore_state(&extra)
+            .is_err());
+    }
+
+    #[test]
+    fn restore_rejects_unsorted_or_duplicated_known_ids() {
+        for known in ["known 1 0", "known 0 0 1", "known 5 3 3"] {
+            let state = CACHED_STATE.replace("known 0 1", known);
+            let err = OfflineAdapt::with_throttle(10.0)
+                .restore_state(&state)
+                .unwrap_err();
+            assert!(err.contains("strictly increasing"), "{known}: {err}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_shares_outside_the_unit_interval() {
+        for bad in [f64::NAN, f64::INFINITY, -0.5, 1.5] {
+            let tampered =
+                CACHED_STATE.replace("3fd0000000000000", &format!("{:016x}", bad.to_bits()));
+            let err = OfflineAdapt::with_throttle(10.0)
+                .restore_state(&tampered)
+                .unwrap_err();
+            assert!(err.contains("[0, 1]"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn engine_restore_reports_bad_ola_state_as_scheduler_state() {
+        let mut eng = Engine::new(2);
+        let mut ola = OfflineAdapt::with_throttle(10.0);
+        for costs in [vec![4.0, 3.0], vec![2.0, 5.0]] {
+            eng.push_arrival(JobSpec {
+                release: 0.0,
+                weight: 1.0,
+                costs,
+            })
+            .unwrap();
+        }
+        while eng.n_plans() == 0 {
+            eng.step(&mut ola).unwrap();
+        }
+        let snap = eng.snapshot(&ola);
+        assert!(snap.contains("\nalloc 2\n"), "{snap}");
+        let tampered = snap.replace("\nalloc 2\n", "\nalloc 100000000000000000\n");
+        match Engine::restore(&tampered, &mut OfflineAdapt::with_throttle(10.0)) {
+            Err(SnapshotError::SchedulerState { reason }) => {
+                assert!(reason.contains("rows"), "{reason}");
+            }
+            other => panic!("want SchedulerState, got {other:?}"),
+        }
     }
 }

@@ -24,30 +24,17 @@
 //! factor `α`, so first-interval rates are derived from a slightly
 //! laxer deadline profile than OLA's.
 //!
-//! Probes run the warm path end to end: shape-stable probe LPs
-//! ([`dlflow_core::lp_build::build_deadline_probe_lp`]) served by a
-//! persistent [`dlflow_lp::ProbeCache`] (within an event every probe
-//! after the first is a pure RHS patch on the retained tableau), chained
-//! across events through the shared `WarmChain` carry. Warm feasible
-//! verdicts are accepted only with a primal certificate ([`certifies`])
-//! in hand, warm infeasible ones only from the persistent path with a
-//! decisive margin — everything else is recomputed from scratch. Unlike `OfflineAdapt`, no golden
-//! pins this policy's output, so it needs none of the
-//! bit-compatibility guard stack — the certificate and the margin gate
-//! alone keep the walk sound. The final rate-extracting solve is a
-//! cold filtered solve, falling back to the guaranteed-feasible `hi`
-//! (and then to an idle plan) if the committed `F` turns out to sit on
-//! a solver tolerance boundary.
+//! Every walk probe is the same filtered System-(2) solve as a probe of
+//! OLA's bisection, on the policy's one reused workspace. The committed
+//! `F` is thus either a value the walk already proved feasible with that
+//! very solve, or the serial bound `hi`; the final rate-extracting solve
+//! repeats it, and an idle plan covers a solver that refutes even `hi`.
 
 use crate::engine::{ActiveSet, Allocation, JobView, OnlineScheduler, ResolveStats};
-use dlflow_core::instance::Instance;
-use dlflow_core::lp_build::build_deadline_probe_lp_into;
-use dlflow_lp::{certifies, solve_in, solve_warm_in, LpStatus, WarmBasis};
 use std::mem;
 
 use super::offline_adapt::{
     bracket, build_sub, fill_deadlines, first_interval_rates, JobCols, PolicyLp, SubBuffers,
-    WarmChain, INFEASIBLE_MARGIN_GUARD,
 };
 
 /// Safety cap on geometric walk steps per direction. With the default
@@ -65,13 +52,6 @@ pub struct OlaLite {
     pub alpha: f64,
     /// Number of full re-solves performed since the last `reset`.
     pub n_resolves: usize,
-    /// LP solves served by warm-basis reuse since the last `reset`.
-    warm_lp_solves: usize,
-    /// LP solves performed from scratch since the last `reset`.
-    cold_lp_solves: usize,
-    /// Re-plans in which ≥1 probe was served warm / none was.
-    warm_resolves: usize,
-    cold_resolves: usize,
     /// Objective the previous event committed (the walk's anchor).
     last_f: Option<f64>,
     /// Platform availability mask (empty = all machines in service).
@@ -82,9 +62,7 @@ pub struct OlaLite {
     sub_recycle: SubBuffers,
     /// Recycled deadline vector (one slot per selected job).
     d_buf: Vec<f64>,
-    /// Cross-event warm-basis carry (shared with `OfflineAdapt`).
-    chain: WarmChain,
-    /// Probe cache, simplex workspace and reused programs.
+    /// Simplex workspace, reused program and LP-solve counter.
     lp: PolicyLp,
 }
 
@@ -93,16 +71,11 @@ impl Default for OlaLite {
         OlaLite {
             alpha: 2.0,
             n_resolves: 0,
-            warm_lp_solves: 0,
-            cold_lp_solves: 0,
-            warm_resolves: 0,
-            cold_resolves: 0,
             last_f: None,
             up: Vec::new(),
             scratch: JobCols::default(),
             sub_recycle: (Vec::new(), Vec::new()),
             d_buf: Vec::new(),
-            chain: WarmChain::default(),
             lp: PolicyLp::default(),
         }
     }
@@ -137,74 +110,6 @@ impl OlaLite {
     }
 }
 
-/// One feasibility probe of the walk, served by the persistent
-/// [`dlflow_lp::ProbeCache`]: a warm feasible verdict needs a primal
-/// certificate, a warm infeasible one the persistent path plus a
-/// decisive margin (`margin_gate`), and everything else is recomputed
-/// from scratch.
-/// `pending` (the cross-event basis carry) is consumed by the first
-/// probe of the event; `hint` keeps the remapped basis alive as the
-/// cache's re-seed for the rest of it.
-#[allow(clippy::too_many_arguments)] // a probe really does touch all of the walk's moving parts
-fn walk_probe(
-    sub: &Instance<f64>,
-    d: &[f64],
-    now: f64,
-    margin_gate: f64,
-    pending: &mut Option<(WarmBasis, Vec<Option<usize>>)>,
-    hint: &mut Option<WarmBasis>,
-    lp: &mut PolicyLp,
-    cache_on_event_shape: &mut bool,
-    warm_lp_solves: &mut usize,
-    cold_lp_solves: &mut usize,
-) -> bool {
-    if d.iter().any(|&dj| dj <= now) {
-        return false; // an empty window needs no LP to refute
-    }
-    build_deadline_probe_lp_into(&mut lp.probe_lp, sub, d, false);
-    if let Some((basis, var_map)) = pending.take() {
-        *hint = Some(basis.remap(&lp.probe_lp, &var_map));
-    }
-    let served = lp.cache.solve_in(&lp.probe_lp, hint.as_ref(), &mut lp.ws);
-    *cache_on_event_shape |= served.is_some();
-    let verdict = served.and_then(|out| {
-        if out.solution.is_optimal() {
-            if certifies(&lp.probe_lp, &out.solution) {
-                Some(true)
-            } else {
-                lp.cache.clear();
-                None
-            }
-        } else if out.persistent
-            && out.solution.status == LpStatus::Infeasible
-            && out.infeasible_margin.is_some_and(|m| m > margin_gate)
-        {
-            Some(false)
-        } else {
-            None
-        }
-    });
-    match verdict {
-        Some(v) => {
-            *warm_lp_solves += 1;
-            v
-        }
-        None => {
-            // No trusted warm verdict. Unlike OfflineAdapt there is no
-            // golden to match, so the recomputation can stay in the
-            // cheaper shape-stable form — and its basis doubles as the
-            // cache's seed on a fresh run.
-            *cold_lp_solves += 1;
-            if hint.is_some() {
-                return solve_in(&lp.probe_lp, &mut lp.ws).is_optimal();
-            }
-            let out = solve_warm_in(&lp.probe_lp, None, &mut lp.ws);
-            *hint = out.basis;
-            out.solution.is_optimal()
-        }
-    }
-}
-
 impl OnlineScheduler for OlaLite {
     fn name(&self) -> String {
         if self.alpha.total_cmp(&2.0).is_eq() {
@@ -216,14 +121,9 @@ impl OnlineScheduler for OlaLite {
 
     fn reset(&mut self) {
         self.n_resolves = 0;
-        self.warm_lp_solves = 0;
-        self.cold_lp_solves = 0;
-        self.warm_resolves = 0;
-        self.cold_resolves = 0;
+        self.lp.solves = 0;
         self.last_f = None;
         self.up.clear();
-        self.chain.clear();
-        self.lp.cache.clear();
     }
 
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
@@ -239,17 +139,11 @@ impl OnlineScheduler for OlaLite {
     fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
         self.up.clear();
         self.up.extend_from_slice(up);
-        // The carried basis was captured on the old platform's cost
-        // pattern; rebuild rather than remap (platform events are rare).
         // `last_f` survives: it is only a search anchor, and the grow
         // loop caps at the new platform's `hi` anyway.
-        self.chain.clear();
-        self.lp.cache.clear();
     }
 
     fn snapshot_state(&self) -> String {
-        // The warm chain is a pure pivot-order hint and is deliberately
-        // dropped across snapshot/restore (same policy as OfflineAdapt).
         // `last_f` is a search anchor, not telemetry: restoring it keeps
         // the first post-restore walk as short as it would have been.
         let mut s = format!("n_resolves {}\n", self.n_resolves);
@@ -277,8 +171,6 @@ impl OnlineScheduler for OlaLite {
                     .ok_or("OLA-lite state: bad last_f line")?,
             ),
         };
-        self.chain.clear();
-        self.lp.cache.clear();
         Ok(())
     }
 
@@ -299,13 +191,7 @@ impl OnlineScheduler for OlaLite {
     }
 
     fn resolve_stats(&self) -> Option<ResolveStats> {
-        Some(ResolveStats {
-            n_resolves: self.n_resolves,
-            warm_lp_solves: self.warm_lp_solves,
-            cold_lp_solves: self.cold_lp_solves,
-            warm_resolves: self.warm_resolves,
-            cold_resolves: self.cold_resolves,
-        })
+        Some(self.lp.resolve_stats(self.n_resolves))
     }
 }
 
@@ -333,16 +219,7 @@ impl OlaLite {
             // Unreachable after the placeability filter; idle beats panicking.
             return Allocation::idle(n_machines);
         };
-
-        let mut pending = self.chain.carry_in(&sub, cols, n_machines);
-        let mut hint: Option<WarmBasis> = None;
-        // Gate for the cross-event basis carry: only a basis the cache
-        // retained on *this* event's LP shape may be paired with this
-        // event's sub-instance (see the same gate in `OfflineAdapt`).
-        let mut cache_on_event_shape = false;
         let (_lo, hi) = bracket(now, cols, &sub);
-        let margin_gate = INFEASIBLE_MARGIN_GUARD * (1.0 + hi);
-        let warm_before = self.warm_lp_solves;
 
         // Anchor the walk on the previous event's objective; a fresh
         // start (or a nonsensical carry) anchors on the serial bound.
@@ -353,46 +230,21 @@ impl OlaLite {
 
         let mut d = mem::take(&mut self.d_buf);
         fill_deadlines(&mut d, now, f, cols);
-        let anchored = walk_probe(
-            &sub,
-            &d,
-            now,
-            margin_gate,
-            &mut pending,
-            &mut hint,
-            &mut self.lp,
-            &mut cache_on_event_shape,
-            &mut self.warm_lp_solves,
-            &mut self.cold_lp_solves,
-        );
-        if anchored {
+        if self.lp.probe(&sub, &d, now) {
             // Shrink while feasibility holds; `f` tracks the last
             // feasible value. Terminates: a small enough `F` empties
             // some deadline window (or starves the remaining work).
             for _ in 0..MAX_WALK_STEPS {
                 let g = f / self.alpha;
                 fill_deadlines(&mut d, now, g, cols);
-                if walk_probe(
-                    &sub,
-                    &d,
-                    now,
-                    margin_gate,
-                    &mut pending,
-                    &mut hint,
-                    &mut self.lp,
-                    &mut cache_on_event_shape,
-                    &mut self.warm_lp_solves,
-                    &mut self.cold_lp_solves,
-                ) {
-                    f = g;
-                } else {
+                if !self.lp.probe(&sub, &d, now) {
                     break;
                 }
+                f = g;
             }
         } else {
             // Grow until feasible, capped by the serial upper bound
-            // (feasible by construction — and re-checked by the final
-            // solve's fallback below in case float noise disagrees).
+            // (feasible by construction).
             let mut found = false;
             for _ in 0..MAX_WALK_STEPS {
                 if f >= hi {
@@ -400,18 +252,7 @@ impl OlaLite {
                 }
                 f = (f * self.alpha).min(hi);
                 fill_deadlines(&mut d, now, f, cols);
-                if walk_probe(
-                    &sub,
-                    &d,
-                    now,
-                    margin_gate,
-                    &mut pending,
-                    &mut hint,
-                    &mut self.lp,
-                    &mut cache_on_event_shape,
-                    &mut self.warm_lp_solves,
-                    &mut self.cold_lp_solves,
-                ) {
+                if self.lp.probe(&sub, &d, now) {
                     found = true;
                     break;
                 }
@@ -421,24 +262,10 @@ impl OlaLite {
             }
         }
 
-        // Commit: cold filtered solve at the walked objective, falling
-        // back to the guaranteed-feasible serial bound if the committed
-        // `F` sits on a solver tolerance boundary.
+        // Commit: the filtered solve at the walked objective.
         fill_deadlines(&mut d, now, f, cols);
-        let mut sol = self.lp.solve_filtered(&sub, &d);
-        self.cold_lp_solves += 1;
-        if !sol.is_optimal() && f < hi {
-            f = hi;
-            fill_deadlines(&mut d, now, f, cols);
-            sol = self.lp.solve_filtered(&sub, &d);
-            self.cold_lp_solves += 1;
-        }
+        let sol = self.lp.solve_filtered(&sub, &d);
         self.n_resolves += 1;
-        if self.warm_lp_solves > warm_before {
-            self.warm_resolves += 1;
-        } else {
-            self.cold_resolves += 1;
-        }
         self.d_buf = d;
 
         let committed = sol.is_optimal();
@@ -447,15 +274,7 @@ impl OlaLite {
         } else {
             Allocation::idle(n_machines)
         };
-
-        let carried = if cache_on_event_shape {
-            self.lp.cache.basis()
-        } else {
-            None
-        };
-        if let Some(bufs) = self.chain.carry_out(carried, sub, cols) {
-            self.sub_recycle = bufs;
-        }
+        self.sub_recycle = sub.into_parts();
         self.last_f = committed.then_some(f);
         alloc
     }
@@ -466,7 +285,7 @@ mod tests {
     use super::*;
     use crate::engine::{simulate, RunMetrics};
     use crate::schedulers::offline_adapt::OfflineAdapt;
-    use dlflow_core::instance::InstanceBuilder;
+    use dlflow_core::instance::{Instance, InstanceBuilder};
 
     fn two_machine_instance() -> Instance<f64> {
         let mut b = InstanceBuilder::new();

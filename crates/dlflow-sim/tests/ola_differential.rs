@@ -1,27 +1,19 @@
-//! PR 10 differential harness: warm-basis OLA against the cold-resolve
-//! oracle.
+//! Replay identity for the OLA policies: a run interrupted by
+//! snapshot/restore, or replayed after a `reset()`, must reproduce the
+//! same policy's uninterrupted run bit for bit — across seeded traces
+//! and every fault intensity.
 //!
-//! The warm machinery (persistent `ProbeCache` re-solves, chained basis
-//! carry, margin-gated infeasibility verdicts) is a *pure perf change*:
-//! every feasibility verdict it serves must agree with a from-scratch
-//! solve, so allocations and completions are required to be
-//! **bit-identical** to [`OfflineAdapt::cold_oracle`] — across seeded
-//! traces, every fault intensity, and snapshot/restore interruption at
-//! every k-th event.
-//!
-//! Snapshot semantics under test: the warm basis and probe cache are
-//! deliberately **not** serialized by `dlflow-snapshot v1` — they are
-//! pure pivot-order hints, safe to drop and rebuild after a restore.
-//! The interrupted runs here restore into *fresh* policy instances
-//! (empty caches) and must still reproduce the uninterrupted cold
-//! oracle bit for bit; any verdict leaking out of a stale basis would
-//! surface as a diverging completion float.
+//! Snapshot semantics under test: `dlflow-snapshot v1` carries each
+//! policy's planning state (OLA's throttle cache, OLA-lite's walk
+//! anchor) and nothing of its LP buffers. The interrupted runs restore
+//! into *fresh* policy instances, so any behaviour that leaked out of
+//! state the snapshot does not carry would surface as a diverging
+//! completion float.
 //!
 //! Reuse across runs: each policy keeps its LP buffers (one simplex
-//! workspace, the refilled programs, the probe cache's storage) through
-//! `reset()`. They hold capacity only, so a policy that replayed another
-//! trace and was then reset must replay the next one exactly like a
-//! fresh instance.
+//! workspace and the refilled program) through `reset()`. They hold
+//! capacity only, so a policy that replayed another trace and was then
+//! reset must replay the next one exactly like a fresh instance.
 
 use dlflow_sim::engine::{Engine, OnlineScheduler, ResolveStats, StepOutcome};
 use dlflow_sim::schedulers::{OfflineAdapt, OlaLite};
@@ -88,12 +80,14 @@ fn run_straight(
     (completions_of(&mut eng), stats)
 }
 
-/// Warm-mode run interrupted by snapshot/restore every `every` events;
-/// each restore targets a brand-new eager-warm policy whose probe cache
-/// and carried basis start empty (the safe-to-drop contract).
-fn run_interrupted_warm(trace: &Trace, every: usize) -> Vec<(usize, u64)> {
-    let mut policy = OfflineAdapt::new();
-    policy.reset();
+/// Run interrupted by snapshot/restore every `every` events; each
+/// restore targets a brand-new policy from `fresh`.
+fn run_interrupted<P: OnlineScheduler>(
+    trace: &Trace,
+    every: usize,
+    fresh: impl Fn() -> P,
+) -> Vec<(usize, u64)> {
+    let mut policy = fresh();
     let mut eng = load(trace);
     let mut guard = 0usize;
     loop {
@@ -104,7 +98,7 @@ fn run_interrupted_warm(trace: &Trace, every: usize) -> Vec<(usize, u64)> {
         }
         if eng.n_events().is_multiple_of(every) {
             let snap = eng.snapshot(&policy);
-            let mut revived = OfflineAdapt::new();
+            let mut revived = fresh();
             eng = Engine::restore(&snap, &mut revived).unwrap();
             policy = revived;
         }
@@ -115,52 +109,41 @@ fn run_interrupted_warm(trace: &Trace, every: usize) -> Vec<(usize, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Warm-path OLA is bit-identical to the cold-resolve oracle across
-    /// seeds and fault intensities — and pays for exactly as many LP
-    /// solves in total (the warm path changes *who* answers a probe,
-    /// never *how many* probes the bisection asks).
+    /// A policy that replayed another trace, then reset, replays this
+    /// one like a fresh instance: its LP buffers hold capacity only.
     #[test]
-    fn warm_ola_is_bit_identical_to_cold_oracle(
+    fn reset_then_replay_matches_a_fresh_instance(
         seed in 0u64..20_000,
         n in 4usize..12,
         intensity in 0u8..3,
     ) {
         let trace = traced(seed, n, intensity);
-        let (cold_done, cold_stats) =
-            run_straight(&trace, &mut OfflineAdapt::cold_oracle());
-        let (warm_done, warm_stats) =
-            run_straight(&trace, &mut OfflineAdapt::new());
-        prop_assert_eq!(cold_done.len(), n);
-        prop_assert_eq!(&warm_done, &cold_done);
-        prop_assert_eq!(warm_stats.lp_solves(), cold_stats.lp_solves());
-        prop_assert_eq!(warm_stats.n_resolves, cold_stats.n_resolves);
-        // The oracle never serves a probe warm, by construction.
-        prop_assert_eq!(cold_stats.warm_lp_solves, 0);
-        prop_assert_eq!(cold_stats.warm_resolves, 0);
-        // A policy that replayed another trace, then reset, replays this
-        // one like a fresh instance: its LP buffers hold capacity only.
+        let (fresh_done, fresh_stats) = run_straight(&trace, &mut OfflineAdapt::new());
+        prop_assert_eq!(fresh_done.len(), n);
         let mut reused = OfflineAdapt::new();
         run_straight(&traced(seed ^ 0x5EED, n + 3, (intensity + 1) % 3), &mut reused);
         let (reused_done, reused_stats) = run_straight(&trace, &mut reused);
-        prop_assert_eq!(&reused_done, &warm_done);
-        prop_assert_eq!(reused_stats, warm_stats);
+        prop_assert_eq!(&reused_done, &fresh_done);
+        prop_assert_eq!(reused_stats, fresh_stats);
     }
 
-    /// Dropping the warm basis mid-run is safe: interrupting the warm
-    /// policy at every k-th event (snapshot → fresh instance → restore)
-    /// still reproduces the uninterrupted **cold oracle** bit for bit.
+    /// Interrupting either OLA policy at every k-th event (snapshot →
+    /// fresh instance → restore) reproduces its uninterrupted run bit
+    /// for bit.
     #[test]
-    fn interrupted_warm_run_matches_uninterrupted_cold_oracle(
+    fn interrupted_run_matches_uninterrupted_run(
         seed in 0u64..20_000,
         n in 4usize..10,
         every in 1usize..5,
         intensity in 0u8..3,
     ) {
         let trace = traced(seed, n, intensity);
-        let (reference, _) =
-            run_straight(&trace, &mut OfflineAdapt::cold_oracle());
-        let interrupted = run_interrupted_warm(&trace, every);
-        prop_assert_eq!(&interrupted, &reference);
+        let (reference, _) = run_straight(&trace, &mut OfflineAdapt::new());
+        prop_assert_eq!(reference.len(), n);
+        prop_assert_eq!(&run_interrupted(&trace, every, OfflineAdapt::new), &reference);
+        let (reference, _) = run_straight(&trace, &mut OlaLite::new());
+        prop_assert_eq!(reference.len(), n);
+        prop_assert_eq!(&run_interrupted(&trace, every, OlaLite::new), &reference);
     }
 
     /// OLA-lite is deterministic (same trace → bit-identical replay)
@@ -196,25 +179,4 @@ proptest! {
         prop_assert_eq!(&reused_done, &fresh_done);
         prop_assert_eq!(reused_stats, fresh_stats);
     }
-}
-
-/// The differential above must not pass vacuously: on a dense trace the
-/// eager-warm policy actually engages its warm machinery, and the mean
-/// resolve cost it reports is a real bisection (≫ 1 LP per re-plan).
-#[test]
-fn warm_engagement_is_not_vacuous() {
-    let trace = traced(7, 60, 0);
-    let (_, warm) = run_straight(&trace, &mut OfflineAdapt::new());
-    assert!(
-        warm.warm_lp_solves > 0,
-        "eager-warm OLA never served a probe warm: {warm:?}"
-    );
-    assert!(
-        warm.warm_resolves > warm.cold_resolves,
-        "warm engagement should dominate events on a fault-free trace: {warm:?}"
-    );
-    assert!(
-        warm.mean_lp_solves_per_resolve() > 1.0,
-        "resolve cost collapsed: {warm:?}"
-    );
 }
