@@ -36,8 +36,6 @@ scheduler wage
 scheduler edf
 scheduler ola
 scheduler ola throttle=30
-scheduler olalite
-scheduler olalite alpha=1.2
 ";
 
 fn main() {

@@ -66,7 +66,7 @@ trace format (.dlt):
   recover <time> <machine>             machine comes back up
 
 scheduler specs: mct fifo srpt swrpt rr wage edf[:target=k]
-  ola[:throttle=s,bisect=n] olalite[:alpha=a]   (default: swrpt)
+  ola[:throttle=s]   (default: swrpt)
 
 all formats are documented in docs/FORMATS.md";
 

@@ -128,33 +128,38 @@ impl<S: Scalar> SymbolicIntervals<S> {
     /// same epochal time throughout the range (for genuinely identical
     /// functions) or the reference was (erroneously) a milestone — the
     /// latter is a caller bug surfaced by `debug_assert`.
-    pub fn from_points(mut points: Vec<AffineF<S>>, reference: S) -> Self {
-        points.sort_by(|p, q| p.eval(&reference).cmp_total(&q.eval(&reference)));
-        let mut merged: Vec<AffineF<S>> = Vec::with_capacity(points.len());
-        for p in points {
-            match merged.last() {
-                Some(last)
-                    if last
-                        .eval(&reference)
-                        .sub(&p.eval(&reference))
-                        .is_negligible() =>
-                {
-                    // Same epochal time at the reference point. Keep the
-                    // first; distinct functions meeting here would mean the
-                    // reference sits on a milestone.
-                    debug_assert!(
-                        last.same_function(&p) || last.b.sub(&p.b).is_negligible(),
-                        "distinct breakpoint functions coincide at the reference point; \
-                         reference must be interior to a milestone range"
-                    );
-                }
-                _ => merged.push(p),
-            }
-        }
-        SymbolicIntervals {
-            points: merged,
-            reference,
-        }
+    pub fn from_points(points: Vec<AffineF<S>>, reference: S) -> Self {
+        let mut out = SymbolicIntervals { points, reference };
+        out.normalize();
+        out
+    }
+
+    /// Rebuilds in place from new breakpoint functions and reference,
+    /// reusing the point buffer.
+    pub(crate) fn refill(&mut self, points: impl IntoIterator<Item = AffineF<S>>, reference: S) {
+        self.points.clear();
+        self.points.extend(points);
+        self.reference = reference;
+        self.normalize();
+    }
+
+    /// Sorts the breakpoints by value at the reference and merges those
+    /// equal there, keeping the first.
+    fn normalize(&mut self) {
+        let reference = &self.reference;
+        self.points
+            .sort_by(|p, q| p.eval(reference).cmp_total(&q.eval(reference)));
+        self.points.dedup_by(|p, last| {
+            let same = last.eval(reference).sub(&p.eval(reference)).is_negligible();
+            // Distinct functions meeting here would mean the reference
+            // sits on a milestone.
+            debug_assert!(
+                !same || last.same_function(p) || last.b.sub(&p.b).is_negligible(),
+                "distinct breakpoint functions coincide at the reference point; \
+                 reference must be interior to a milestone range"
+            );
+            same
+        });
     }
 
     /// Number of finite intervals.

@@ -338,6 +338,20 @@ pub struct RangeLp<S> {
     pub intervals: SymbolicIntervals<S>,
 }
 
+impl<S: Scalar> Default for RangeLp<S> {
+    /// An empty program, to be filled by [`build_range_lp_into`].
+    fn default() -> Self {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let f_var = lp.add_var("");
+        RangeLp {
+            lp,
+            alpha: Vec::new(),
+            f_var,
+            intervals: SymbolicIntervals::from_points(Vec::new(), S::zero()),
+        }
+    }
+}
+
 /// Builds System (3) (divisible) or System (5) (`preemptive = true`) on
 /// the objective range `[f_lo, f_hi]` (`f_hi = None` → unbounded above).
 ///
@@ -351,118 +365,131 @@ pub fn build_range_lp<S: Scalar>(
     reference: &S,
     preemptive: bool,
 ) -> RangeLp<S> {
-    // Breakpoints: releases (constants) and deadlines r_j + F/w_j.
-    let mut points: Vec<AffineF<S>> = Vec::with_capacity(2 * inst.n_jobs());
-    for job in inst.jobs() {
-        points.push(AffineF::constant(job.release.clone()));
-        points.push(AffineF {
-            a: job.release.clone(),
-            b: job.weight.recip(),
-        });
-    }
-    let intervals = SymbolicIntervals::from_points(points, reference.clone());
-    let n_int = intervals.n_intervals();
+    let origins: Vec<S> = inst.jobs().iter().map(|j| j.release.clone()).collect();
+    let mut out = RangeLp::default();
+    build_range_lp_into(&mut out, inst, &origins, f_lo, f_hi, reference, preemptive);
+    out
+}
 
-    let mut lp: LpProblem<S> = LpProblem::new(Sense::Minimize);
-    let f_var = lp.add_var("F");
-    lp.objective_term(f_var, S::one());
+/// [`build_range_lp`] into `out`, reusing its buffers, with job `j` due
+/// at `origins[j] + F/w_j` instead of `r_j + F/w_j` (see
+/// [`crate::milestones::milestones_into`]).
+///
+/// Like [`build_deadline_lp_into`], variables and rows are anonymous and
+/// each row's terms are read off the `α` list, which the variable pass
+/// emits in `(t, i, j)` order. With the releases as origins the program
+/// has the same variables, rows and terms in the same order as a named
+/// build would, so every pivot of the Theorem-2 solve is unchanged.
+pub fn build_range_lp_into<S: Scalar>(
+    out: &mut RangeLp<S>,
+    inst: &Instance<S>,
+    origins: &[S],
+    f_lo: &S,
+    f_hi: Option<&S>,
+    reference: &S,
+    preemptive: bool,
+) {
+    assert_eq!(origins.len(), inst.n_jobs());
+    let RangeLp {
+        lp,
+        alpha,
+        f_var,
+        intervals,
+    } = out;
+    // Breakpoints: releases (constants) and deadlines o_j + F/w_j.
+    intervals.refill(
+        inst.jobs().iter().zip(origins).flat_map(|(job, o)| {
+            [
+                AffineF::constant(job.release.clone()),
+                AffineF {
+                    a: o.clone(),
+                    b: job.weight.recip(),
+                },
+            ]
+        }),
+        reference.clone(),
+    );
+    let n_int = intervals.n_intervals();
+    let (m, n) = (inst.n_machines(), inst.n_jobs());
+
+    lp.clear(Sense::Minimize);
+    alpha.clear();
+    *f_var = lp.add_var("");
+    lp.objective_term(*f_var, S::one());
 
     // (3a): F within the milestone range.
     if f_lo.is_positive_tol() {
-        lp.bound_ge(f_var, f_lo.clone());
+        lp.push_row(Rel::Ge, f_lo.clone())
+            .expr
+            .push(*f_var, S::one());
     }
     if let Some(hi) = f_hi {
-        lp.bound_le(f_var, hi.clone());
+        lp.push_row(Rel::Le, hi.clone()).expr.push(*f_var, S::one());
     }
 
     // Variable creation: (3b) release / (3c) deadline / availability.
     // Order is constant on the range, so comparisons at the reference
     // point decide them for the whole range.
-    let mut alpha: Vec<AlphaVar> = Vec::new();
     for t in 0..n_int {
         let inf_ref = intervals.inf(t).eval(reference);
         let sup_ref = intervals.sup(t).eval(reference);
-        for i in 0..inst.n_machines() {
-            for j in 0..inst.n_jobs() {
+        for i in 0..m {
+            for j in 0..n {
                 if !inst.cost(i, j).is_finite() {
                     continue;
                 }
                 if !inst.job(j).release.le_tol(&inf_ref) {
                     continue; // (3b)
                 }
-                let dl_ref = inst.deadline(j, reference);
+                let dl_ref = origins[j].add(&reference.div(&inst.job(j).weight));
                 if !dl_ref.ge_tol(&sup_ref) {
                     continue; // (3c)
                 }
-                let v = lp.add_var(format!("a[{t}][{i}][{j}]"));
+                let v = lp.add_var("");
                 alpha.push((t, i, j, v));
             }
         }
     }
 
-    // (3d): machine capacity — Σ α·c − len_b·F ≤ len_a.
-    for t in 0..n_int {
+    // (3d): machine capacity — Σ α·c − len_b·F ≤ len_a, one row per
+    // (t, i) hosting some α: a contiguous run of the α list.
+    for run in alpha.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (t, i) = (run[0].0, run[0].1);
         let len = intervals.len(t);
-        for i in 0..inst.n_machines() {
-            let mut expr = LinExpr::new();
-            for (tt, ii, j, v) in &alpha {
-                if *tt == t && *ii == i {
-                    expr.push(*v, inst.cost(i, *j).finite().unwrap().clone()); // dlflint:allow(hot-path-panic, "alpha variables exist only for finite (i, j) cost pairs")
-                }
-            }
-            if !expr.is_empty() {
-                expr.push(f_var, len.b.neg());
-                lp.add_constraint_labelled(
-                    format!("cap[t{t}][m{i}]"),
-                    expr,
-                    Rel::Le,
-                    len.a.clone(),
-                );
-            }
+        let row = lp.push_row(Rel::Le, len.a);
+        for &(_, _, j, v) in run {
+            let c = inst.cost(i, j).finite().unwrap(); // dlflint:allow(hot-path-panic, "alpha variables exist only for finite (i, j) cost pairs")
+            row.expr.push(v, c.clone());
         }
+        row.expr.push(*f_var, len.b.neg());
     }
 
     // (5b): per-job wall-clock bound per interval.
     if preemptive {
-        for t in 0..n_int {
-            let len = intervals.len(t);
-            for j in 0..inst.n_jobs() {
-                let mut expr = LinExpr::new();
-                for (tt, i, jj, v) in &alpha {
-                    if *tt == t && *jj == j {
-                        // dlflint:allow(hot-path-panic, "alpha variables exist only for finite (i, j) cost pairs")
-                        expr.push(*v, inst.cost(*i, j).finite().unwrap().clone());
-                    }
+        for run in alpha.chunk_by(|a, b| a.0 == b.0) {
+            let len = intervals.len(run[0].0);
+            for j in 0..n {
+                if !run.iter().any(|a| a.2 == j) {
+                    continue;
                 }
-                if !expr.is_empty() {
-                    expr.push(f_var, len.b.neg());
-                    lp.add_constraint_labelled(
-                        format!("jobcap[t{t}][j{j}]"),
-                        expr,
-                        Rel::Le,
-                        len.a.clone(),
-                    );
+                let row = lp.push_row(Rel::Le, len.a.clone());
+                for &(_, i, _, v) in run.iter().filter(|a| a.2 == j) {
+                    let c = inst.cost(i, j).finite().unwrap(); // dlflint:allow(hot-path-panic, "alpha variables exist only for finite (i, j) cost pairs")
+                    row.expr.push(v, c.clone());
                 }
+                row.expr.push(*f_var, len.b.neg());
             }
         }
     }
 
-    // (3e): completion.
-    for j in 0..inst.n_jobs() {
-        let mut expr = LinExpr::new();
-        for (_, _, jj, v) in &alpha {
-            if *jj == j {
-                expr.push(*v, S::one());
-            }
-        }
-        lp.add_constraint_labelled(format!("done[j{j}]"), expr, Rel::Eq, S::one());
+    // (3e): completion. An empty expression yields `0 = 1`: infeasible.
+    let done = lp.n_constraints();
+    for _ in 0..n {
+        lp.push_row(Rel::Eq, S::one());
     }
-
-    RangeLp {
-        lp,
-        alpha,
-        f_var,
-        intervals,
+    let rows = lp.constraints_mut();
+    for &(_, _, j, v) in alpha.iter() {
+        rows[done + j].expr.push(v, S::one());
     }
 }
 

@@ -110,31 +110,65 @@ pub fn feasible_at<S: Scalar>(inst: &Instance<S>, f: &S, preemptive: bool) -> bo
     solve(&build_deadline_lp(inst, &deadlines, preemptive).lp).is_optimal()
 }
 
-/// Locates the milestone range `[f_lo, f_hi]` containing the optimum,
-/// probing feasibility with `probe` (monotone in `F`), and returns
-/// `(f_lo, f_hi, reference, probes)`; `f_hi = None` means the unbounded
-/// final range.
-fn locate_range<S: Scalar>(
+/// The milestone range `(lo, hi]` that holds the optimum, as found by
+/// [`locate_range`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct MilestoneRange<S> {
+    /// Lower end: the floor or the largest milestone found infeasible.
+    pub lo: S,
+    /// Upper end: the smallest milestone found feasible; `None` when every
+    /// milestone is infeasible and the range is unbounded above.
+    pub hi: Option<S>,
+    /// A point interior to the range, where the order of the epochal
+    /// times is the one valid across the whole range.
+    pub reference: S,
+    /// Feasibility probes run.
+    pub probes: usize,
+}
+
+/// Locates the milestone range containing the optimum (§4.3.2) by binary
+/// search over `ms` — the milestones above `floor`, sorted ascending — with
+/// the feasibility probe `probe`, monotone in `F`. `floor` must be a lower
+/// bound on the optimum (zero for Theorem 2). With no milestones the range
+/// is `(floor, ∞)`.
+pub fn locate_range<S: Scalar>(
     ms: &[S],
+    floor: &S,
     mut probe: impl FnMut(&S) -> bool,
-) -> (S, Option<S>, S, usize) {
+) -> MilestoneRange<S> {
     let mut probes = 0usize;
-    if ms.is_empty() {
-        // No milestones: the epochal order is constant on all of (0, ∞).
-        return (S::zero(), None, S::one(), probes);
-    }
+    let (Some(first), Some(last)) = (ms.first(), ms.last()) else {
+        // No milestones: the epochal order is constant on all of (floor, ∞).
+        return MilestoneRange {
+            lo: floor.clone(),
+            hi: None,
+            reference: floor.add(&S::one()),
+            probes,
+        };
+    };
     probes += 1;
-    if probe(&ms[0]) {
-        // Optimum in (0, ms[0]].
-        let reference = ms[0].div(&S::from_i64(2));
-        return (S::zero(), Some(ms[0].clone()), reference, probes);
+    if probe(first) {
+        // Optimum in (floor, ms[0]].
+        return MilestoneRange {
+            lo: floor.clone(),
+            hi: Some(first.clone()),
+            reference: floor.midpoint_like(first),
+            probes,
+        };
     }
-    probes += 1;
-    if !probe(ms.last().unwrap()) {
+    // A lone milestone just failed as `first`: no need to probe it again.
+    let last_feasible = ms.len() > 1 && {
+        probes += 1;
+        probe(last)
+    };
+    if !last_feasible {
         // Optimum beyond every milestone.
-        let lo = ms.last().unwrap().clone();
-        let reference = lo.add(&S::one());
-        return (lo, None, reference, probes);
+        return MilestoneRange {
+            lo: last.clone(),
+            hi: None,
+            reference: last.add(&S::one()),
+            probes,
+        };
     }
     // Invariant: infeasible at ms[lo], feasible at ms[hi].
     let mut lo = 0usize;
@@ -148,8 +182,12 @@ fn locate_range<S: Scalar>(
             lo = mid;
         }
     }
-    let reference = ms[lo].midpoint_like(&ms[hi]);
-    (ms[lo].clone(), Some(ms[hi].clone()), reference, probes)
+    MilestoneRange {
+        lo: ms[lo].clone(),
+        hi: Some(ms[hi].clone()),
+        reference: ms[lo].midpoint_like(&ms[hi]),
+        probes,
+    }
 }
 
 /// Small helper: `(a + b) / 2` through the `Scalar` trait.
@@ -194,21 +232,29 @@ fn solve_min_flow_with<S: Scalar>(
         ProbeMethod::MaxFlowUniform if !preemptive => crate::uniform::uniform_factors(inst),
         _ => None,
     };
-    let (f_lo, f_hi, reference, probes, warm_probes, cold_probes) = match &factors {
+    let zero = S::zero();
+    let (range, warm_probes, cold_probes) = match &factors {
         Some(fac) => {
             // Closed-form max-flow probes: no simplex runs, so neither LP
             // counter moves.
-            let (lo, hi, rf, p) =
-                locate_range(&ms, |f| crate::uniform::feasible_at_uniform(inst, f, fac));
-            (lo, hi, rf, p, 0, 0)
+            let range = locate_range(&ms, &zero, |f| {
+                crate::uniform::feasible_at_uniform(inst, f, fac)
+            });
+            (range, 0, 0)
         }
         None => {
             let mut prober = LpProber::new(inst, preemptive);
-            let (lo, hi, rf, p) = locate_range(&ms, |f| prober.probe(f));
-            debug_assert_eq!(prober.n_warm + prober.n_cold, p);
-            (lo, hi, rf, p, prober.n_warm, prober.n_cold)
+            let range = locate_range(&ms, &zero, |f| prober.probe(f));
+            debug_assert_eq!(prober.n_warm + prober.n_cold, range.probes);
+            (range, prober.n_warm, prober.n_cold)
         }
     };
+    let MilestoneRange {
+        lo: f_lo,
+        hi: f_hi,
+        reference,
+        probes,
+    } = range;
     let built = build_range_lp(inst, &f_lo, f_hi.as_ref(), &reference, preemptive);
     // Float-first, certified exactly: only the f64 solve's basis crosses
     // into the exact solve, so the optimum is the exact one.

@@ -11,24 +11,47 @@
 //! * `d̄_j(F) = d̄_k(F)` ⇒ `F = (r_k − r_j) / (1/w_j − 1/w_k)` (same bound),
 //!
 //! for a total of at most `n² − n` milestones.
+//!
+//! A deadline may also be anchored at an *origin* other than the release:
+//! `d̄_j(F) = o_j + F/w_j`. The online adaptation of §5 needs this — its
+//! sub-problem has every job available now, yet due `F/w_j` after its
+//! original release. The crossings are then `F = w_j (r_k − o_j)` and
+//! `F = (o_k − o_j) / (1/w_j − 1/w_k)`; [`milestones_into`] enumerates
+//! them above a floor that the optimum is known to exceed.
 
 use crate::instance::Instance;
 use dlflow_num::Scalar;
 
 /// All strictly positive milestones, sorted ascending and deduplicated.
 pub fn milestones<S: Scalar>(inst: &Instance<S>) -> Vec<S> {
+    let origins: Vec<S> = inst.jobs().iter().map(|j| j.release.clone()).collect();
+    let mut out = Vec::new();
+    milestones_into(&mut out, inst, &origins, &S::zero());
+    out
+}
+
+/// The milestones above `floor` (sorted ascending, deduplicated) when job
+/// `j`'s deadline is `origins[j] + F/w_j`, written into `out` (its buffer
+/// is reused). With the releases as origins and a zero floor this is
+/// [`milestones`].
+pub fn milestones_into<S: Scalar>(out: &mut Vec<S>, inst: &Instance<S>, origins: &[S], floor: &S) {
+    assert_eq!(origins.len(), inst.n_jobs());
     let n = inst.n_jobs();
-    let mut out: Vec<S> = Vec::new();
+    let above = |f: &S| f.cmp_total(floor).is_gt();
+    out.clear();
 
     // Deadline j meets release k.
     for j in 0..n {
-        let rj = &inst.job(j).release;
+        let oj = &origins[j];
         let wj = &inst.job(j).weight;
         for k in 0..n {
             let rk = &inst.job(k).release;
-            let diff = rk.sub(rj);
+            let diff = rk.sub(oj);
             if diff.is_positive_tol() {
-                out.push(wj.mul(&diff));
+                let f = wj.mul(&diff);
+                if above(&f) {
+                    out.push(f);
+                }
             }
         }
     }
@@ -36,16 +59,16 @@ pub fn milestones<S: Scalar>(inst: &Instance<S>) -> Vec<S> {
     // Deadline j meets deadline k (two affine functions intersect at most once).
     for j in 0..n {
         for k in (j + 1)..n {
-            let rj = &inst.job(j).release;
-            let rk = &inst.job(k).release;
+            let oj = &origins[j];
+            let ok = &origins[k];
             let sj = inst.job(j).weight.recip(); // slope of d̄_j
             let sk = inst.job(k).weight.recip();
             let denom = sj.sub(&sk);
             if denom.is_negligible() {
                 continue; // parallel deadlines never cross (or are identical)
             }
-            let f = rk.sub(rj).div(&denom);
-            if f.is_positive_tol() {
+            let f = ok.sub(oj).div(&denom);
+            if f.is_positive_tol() && above(&f) {
                 out.push(f);
             }
         }
@@ -60,7 +83,6 @@ pub fn milestones<S: Scalar>(inst: &Instance<S>) -> Vec<S> {
     // extra (monotone) probe and never affects correctness.
     out.sort_unstable_by(|a, b| a.cmp_total(b));
     out.dedup();
-    out
 }
 
 /// The theoretical upper bound `n² − n` on the number of milestones.

@@ -92,7 +92,15 @@ pub fn uniform_factors<S: Scalar>(inst: &Instance<S>) -> Option<UniformFactors<S
             }
         }
         if !changed {
-            break;
+            // Stuck: any machine still without a speed is linked only to
+            // jobs of negligible work (which fix no speed) or to none with
+            // a known work. Seed it, so every component gets a seed.
+            match (0..m)
+                .find(|&i| speed[i].is_none() && (0..n).any(|j| inst.cost(i, j).is_finite()))
+            {
+                Some(i) => speed[i] = Some(S::one()),
+                None => break,
+            }
         }
     }
     // Machines with no finite entries get speed 1 (they are never used);
@@ -280,6 +288,24 @@ mod tests {
         // Consistency: c = W·s on all finite entries.
         assert_eq!(f.work[0].mul_ref(&f.speed[0]), ri(3));
         assert_eq!(f.work[1].mul_ref(&f.speed[1]), ri(7));
+    }
+
+    #[test]
+    fn zero_work_job_does_not_leave_a_component_unseeded() {
+        // Machine 0 seeds, J0 gets zero work, and machine 1 can take no
+        // speed from J0: J1 is only reached by seeding machine 1 too.
+        let mut b = InstanceBuilder::<Rat>::new();
+        b.job(Rat::zero(), Rat::one());
+        b.job(Rat::zero(), Rat::one());
+        b.machine(vec![Some(Rat::zero()), None]);
+        b.machine(vec![Some(Rat::zero()), Some(ri(5))]);
+        let inst = b.build().unwrap();
+        let f = uniform_factors(&inst).expect("factorizes");
+        assert_eq!(f.work[1].mul_ref(&f.speed[1]), ri(5));
+        use crate::maxflow::{min_max_weighted_flow_divisible_with, ProbeMethod};
+        let mf = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::MaxFlowUniform);
+        let lp = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::Lp);
+        assert_eq!((mf.optimum, lp.optimum), (ri(5), ri(5)));
     }
 
     #[test]

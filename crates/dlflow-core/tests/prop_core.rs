@@ -5,7 +5,8 @@ use dlflow_core::decompose::{decompose_interval, verify_phases};
 use dlflow_core::instance::{Cost, Instance, Job};
 use dlflow_core::matching::hopcroft_karp;
 use dlflow_core::maxflow::{
-    feasible_at, min_max_weighted_flow_divisible, min_max_weighted_flow_preemptive,
+    feasible_at, min_max_weighted_flow_divisible, min_max_weighted_flow_divisible_with,
+    min_max_weighted_flow_preemptive, ProbeMethod,
 };
 use dlflow_core::uniform::{deadline_feasible_with_factors, uniform_factors};
 use dlflow_core::validate::validate;
@@ -121,6 +122,58 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Zero (`Rat`) and sub-tolerance (`f64`, ≤ 1e-9) costs: jobs of
+    /// negligible work fix no machine speed, yet the max-flow probe path
+    /// must still factorize the instance and return the LP probe's
+    /// optimum.
+    #[test]
+    fn uniform_probe_handles_negligible_work(
+        kinds in proptest::collection::vec(0u8..3, 2..5),
+        speeds in proptest::collection::vec(1i64..4, 1..4),
+        rels in proptest::collection::vec(0i64..4, 4),
+        holes in proptest::collection::vec(any::<bool>(), 16),
+    ) {
+        let n = kinds.len();
+        let m = speeds.len();
+        // kind 0: negligible work; otherwise work = kind.
+        let build = |zero: f64| -> (Instance<Rat>, Instance<f64>) {
+            let avail = |i: usize, j: usize| !holes[(i * 4 + j) % 16] || i == j % m;
+            let jobs = |sc: &dyn Fn(i64) -> f64| -> Vec<Job<f64>> {
+                (0..n)
+                    .map(|j| Job { release: sc(rels[j % 4]), weight: 1.0, name: String::new() })
+                    .collect()
+            };
+            let cost: Vec<Vec<Cost<f64>>> = (0..m)
+                .map(|i| {
+                    (0..n)
+                        .map(|j| {
+                            let w = if kinds[j] == 0 { zero } else { f64::from(kinds[j]) };
+                            if avail(i, j) {
+                                Cost::Finite(w * speeds[i] as f64)
+                            } else {
+                                Cost::Infinite
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let float = Instance::new(jobs(&|v| v as f64), cost).unwrap();
+            (float.map_scalar(|v| Rat::from_f64(*v)), float)
+        };
+        let (exact, _) = build(0.0);
+        let mf = min_max_weighted_flow_divisible_with(&exact, ProbeMethod::MaxFlowUniform);
+        let lp = min_max_weighted_flow_divisible_with(&exact, ProbeMethod::Lp);
+        prop_assert_eq!(&mf.optimum, &lp.optimum);
+
+        let (_, float) = build(1e-10);
+        let mf = min_max_weighted_flow_divisible_with(&float, ProbeMethod::MaxFlowUniform);
+        let lp = min_max_weighted_flow_divisible_with(&float, ProbeMethod::Lp);
+        prop_assert!(
+            (mf.optimum - lp.optimum).abs() <= 1e-6 * lp.optimum.abs().max(1.0),
+            "max-flow {} vs LP {}", mf.optimum, lp.optimum
+        );
     }
 
     /// The preemptive and divisible optima are infeasible slightly below

@@ -53,7 +53,8 @@ pub mod solution;
 
 pub use problem::{Constraint, LinExpr, LpProblem, Rel, Sense, VarId};
 pub use revised::{
-    solve, solve_float_guided, solve_in, solve_warm, LpWorkspace, WarmBasis, WarmSolve,
+    solve, solve_float_guided, solve_in, solve_warm, solve_warm_in, LpWorkspace, WarmBasis,
+    WarmSolve,
 };
 pub use simplex::solve as solve_dense;
 pub use solution::{LpSolution, LpStatus};

@@ -225,6 +225,13 @@ impl<S: Scalar> LpProblem<S> {
         self.objective = expr;
     }
 
+    /// Empties the objective and sets its direction, keeping the buffer
+    /// for [`LpProblem::objective_term`] to refill.
+    pub fn reset_objective(&mut self, sense: Sense) {
+        self.objective.terms.clear();
+        self.sense = sense;
+    }
+
     /// Adds `coeff · var` to the objective.
     pub fn objective_term(&mut self, var: VarId, coeff: S) {
         self.objective.push(var, coeff);
@@ -279,11 +286,6 @@ impl<S: Scalar> LpProblem<S> {
     /// Upper bound `var ≤ ub` as a constraint row.
     pub fn bound_le(&mut self, var: VarId, ub: S) {
         self.add_constraint(LinExpr::term(var, S::one()), Rel::Le, ub);
-    }
-
-    /// Lower bound `var ≥ lb` as a constraint row.
-    pub fn bound_ge(&mut self, var: VarId, lb: S) {
-        self.add_constraint(LinExpr::term(var, S::one()), Rel::Ge, lb);
     }
 
     /// The same program over another scalar: same variables, rows,

@@ -106,6 +106,9 @@ pub struct LpWorkspace<S> {
     /// Per-row flags: sign flips of a cold build, realized rows of a
     /// warm one.
     flags: Vec<bool>,
+    /// Bases handed back by [`LpWorkspace::recycle_basis`], refilled by
+    /// the next basis snapshots.
+    bases: Vec<WarmBasis>,
 }
 
 impl<S> LpWorkspace<S> {
@@ -117,7 +120,14 @@ impl<S> LpWorkspace<S> {
             r: Vec::new(),
             cb: Vec::new(),
             flags: Vec::new(),
+            bases: Vec::new(),
         }
+    }
+
+    /// Hands a basis snapshot back, so that a later solve through this
+    /// workspace refills its buffers instead of allocating new ones.
+    pub fn recycle_basis(&mut self, basis: WarmBasis) {
+        self.bases.push(basis);
     }
 }
 
@@ -150,14 +160,23 @@ pub fn solve_in<S: Scalar>(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> LpSolut
 
 /// Solves the problem, optionally warm-starting from a previous basis.
 pub fn solve_warm<S: Scalar>(p: &LpProblem<S>, hint: Option<&WarmBasis>) -> WarmSolve<S> {
-    let mut ws = LpWorkspace::new();
+    solve_warm_in(p, hint, &mut LpWorkspace::new())
+}
+
+/// [`solve_warm`] with the buffers of `ws`.
+pub fn solve_warm_in<S: Scalar>(
+    p: &LpProblem<S>,
+    hint: Option<&WarmBasis>,
+    ws: &mut LpWorkspace<S>,
+) -> WarmSolve<S> {
     if let Some(h) = hint.filter(|h| h.compatible_with(p)) {
-        if let Some(out) = try_warm(p, h, &mut ws) {
+        if let Some(out) = try_warm(p, h, ws) {
             return out;
         }
     }
-    let mut tab = Tab::build_cold(p, &mut ws);
-    let (solution, basis) = tab.solve_cold(p, &mut ws, true);
+    let mut tab = Tab::build_cold(p, ws);
+    let (solution, basis) = tab.solve_cold(p, ws, true);
+    tab.recycle(ws);
     WarmSolve {
         solution,
         basis,
@@ -704,12 +723,17 @@ impl<S: Scalar> Tab<S> {
         LpSolution::optimal(objective, values)
     }
 
-    fn snapshot_basis(&self, p: &LpProblem<S>) -> WarmBasis {
-        WarmBasis {
-            n_vars: p.n_vars(),
-            rels: p.constraints().iter().map(|c| c.rel).collect(),
-            basis: self.basis.clone(),
-        }
+    fn snapshot_basis(&self, p: &LpProblem<S>, spare: Option<WarmBasis>) -> WarmBasis {
+        let mut out = spare.unwrap_or(WarmBasis {
+            n_vars: 0,
+            rels: Vec::new(),
+            basis: Vec::new(),
+        });
+        out.n_vars = p.n_vars();
+        out.rels.clear();
+        out.rels.extend(p.constraints().iter().map(|c| c.rel));
+        out.basis.clone_from(&self.basis);
+        out
     }
 
     /// Two-phase cold solve over the vectors of `ws`; the optimal basis
@@ -728,10 +752,10 @@ impl<S: Scalar> Tab<S> {
                 *c = S::one();
             }
             let mut z = self.reduced_costs(cost, cb, r);
-            if !self.run_primal(r, &mut z) {
-                unreachable!("phase-1 simplex reported unbounded");
-            }
-            if z.neg().is_positive_tol() {
+            // Phase 1 is bounded below by 0, so "unbounded" can only be
+            // float breakdown on a badly scaled program: no feasible
+            // point was found, and the caller gets to fall back.
+            if !self.run_primal(r, &mut z) || z.neg().is_positive_tol() {
                 return (LpSolution::infeasible(p.n_vars()), None);
             }
             self.purge_artificials();
@@ -741,7 +765,7 @@ impl<S: Scalar> Tab<S> {
         if !self.run_primal(r, &mut z) {
             return (LpSolution::unbounded(p.n_vars()), None);
         }
-        let basis = want_basis.then(|| self.snapshot_basis(p));
+        let basis = want_basis.then(|| self.snapshot_basis(p, ws.bases.pop()));
         (self.extract(p, z, negate), basis)
     }
 
@@ -814,7 +838,8 @@ impl<S: Scalar> Tab<S> {
         if !self.run_primal(r, &mut z) {
             return Some((LpSolution::unbounded(p.n_vars()), None));
         }
-        Some((self.extract(p, z, negate), Some(self.snapshot_basis(p))))
+        let basis = self.snapshot_basis(p, ws.bases.pop());
+        Some((self.extract(p, z, negate), Some(basis)))
     }
 }
 

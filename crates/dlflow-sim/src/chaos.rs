@@ -512,49 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn ola_lite_degrades_like_the_rest_of_the_table() {
-        // PR 10: the production-cheap OLA variant rides the same chaos
-        // sweep as the PR 8 schedulers — one row per intensity level,
-        // scored against the fault-free exact optimum, never beating
-        // it, and with the baseline level injecting nothing.
-        let base = parse_campaign(
-            "name olalite-chaos\nseeds 2\nsigbits 10\n\
-             platform p servers=3 banks=3 heterogeneity=2\n\
-             workload w jobs=4 load=1.2\n\
-             scheduler olalite\nscheduler olalite alpha=1.5\nscheduler swrpt\n",
-        )
-        .unwrap();
-        let report = run_fault_campaign(&FaultCampaignConfig {
-            base,
-            levels: default_levels(),
-            fault_seed: 9,
-        })
-        .unwrap();
-        assert_eq!(report.runs.len(), 2 * 4 * 3); // scenarios × levels × schedulers
-        for level in ["none", "light", "moderate", "heavy"] {
-            for sched in ["OLA-lite", "OLA-lite(a=1.5)"] {
-                let agg = report
-                    .aggregates
-                    .iter()
-                    .find(|a| a.level == level && a.scheduler == sched)
-                    .unwrap_or_else(|| panic!("missing table cell {level}/{sched}"));
-                assert!(
-                    agg.mean_ratio.is_finite() && agg.mean_ratio > 0.99,
-                    "{sched} at {level}: mean ratio {}",
-                    agg.mean_ratio
-                );
-                assert!(agg.worst_ratio >= agg.mean_ratio - 1e-12);
-            }
-        }
-        for r in &report.runs {
-            if r.level == "none" {
-                assert_eq!(r.n_fault_events, 0);
-            }
-            assert!(r.run.makespan.is_finite(), "{}", r.run.scheduler);
-        }
-    }
-
-    #[test]
     fn none_level_matches_the_fault_free_tournament_engine() {
         // The chaos sweep's baseline level reproduces plain `simulate`
         // bit for bit — the platform-aware engine is a strict superset.

@@ -410,24 +410,26 @@ impl Allocation {
     }
 }
 
-/// Re-solve cost telemetry reported by LP-backed policies (OLA and its
-/// variants) through [`OnlineScheduler::resolve_stats`]. Counters are
-/// *deterministic* proxies — LP solves, not wall time — so reports that
-/// include them stay byte-stable across runs and machines.
+/// Re-solve cost telemetry reported by LP-backed policies (OLA) through
+/// [`OnlineScheduler::resolve_stats`]. Counters are *deterministic*
+/// proxies — LP solves, not wall time — so reports that include them
+/// stay byte-stable across runs and machines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResolveStats {
-    /// Full re-plans performed (feasibility probes + final rate solve).
+    /// Full re-plans performed, including those of a single active job,
+    /// which solve no LP.
     pub n_resolves: usize,
-    /// LP solves served by warm-basis reuse. Always 0: the OLA policies
-    /// solve every LP cold.
+    /// LP solves started from a previous solve's optimal basis: OLA's
+    /// second stage, warm from the first stage's basis.
     pub warm_lp_solves: usize,
-    /// LP solves performed from scratch: every probe and every final
-    /// rate solve.
+    /// LP solves performed from scratch: the milestone-search probes, the
+    /// first stage, any serial-bound fallback, and a second stage whose
+    /// warm start did not fit.
     pub cold_lp_solves: usize,
     /// Re-plans during which at least one LP solve was served warm.
-    /// Always 0, like `warm_lp_solves`.
     pub warm_resolves: usize,
-    /// Re-plans served entirely by cold solves: every re-plan.
+    /// Re-plans served entirely by cold solves, or by none at all (a
+    /// single active job).
     pub cold_resolves: usize,
 }
 

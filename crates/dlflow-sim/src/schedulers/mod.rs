@@ -1,6 +1,6 @@
 //! Online scheduling policies.
 //!
-//! All nine speak the event-notification
+//! All eight speak the event-notification
 //! [`OnlineScheduler`](crate::engine::OnlineScheduler) API: the engine
 //! tells them about arrivals and completions (`on_arrival` /
 //! `on_completion`), they keep incremental per-job state, and `plan`
@@ -17,24 +17,19 @@
 //!   (`d̂_j = r_j + k·p̄_j/w_j`), the deadline-driven member of the
 //!   comparison set (guesses cached at arrival).
 //! * [`offline_adapt::OfflineAdapt`] — the paper's proposal: re-solve the
-//!   offline divisible max-weighted-flow problem at every event and follow
-//!   its first-interval rates (divisibility gives preemption for free).
-//!   Its [`min_resolve_interval`](offline_adapt::OfflineAdapt::min_resolve_interval)
-//!   throttles the re-solve cadence for cheap approximate variants.
-//! * [`ola_lite::OlaLite`] — the production-cheap member of the OLA
-//!   family: instead of a full per-event bisection it geometrically
-//!   walks the previous event's objective into place (factor `α`),
-//!   spending O(1) LP probes per event in steady state at the cost of
-//!   an α-factor objective overshoot.
+//!   offline divisible max-weighted-flow problem at every event with the
+//!   paper's milestone search (§4.3) and follow its first-interval rates
+//!   (divisibility gives preemption for free). A single active job needs
+//!   no LP, and a re-plan with several costs about two. Its
+//!   [`min_resolve_interval`](offline_adapt::OfflineAdapt::min_resolve_interval)
+//!   throttles the re-plan cadence for cheap approximate variants.
 
 pub mod edf;
 pub mod greedy;
 pub mod mct;
 pub mod offline_adapt;
-pub mod ola_lite;
 
 pub use edf::Edf;
 pub use greedy::{FifoFastest, RoundRobin, Srpt, Swrpt, WeightedAge};
 pub use mct::Mct;
 pub use offline_adapt::OfflineAdapt;
-pub use ola_lite::OlaLite;

@@ -656,8 +656,9 @@ mod tests {
 
     #[test]
     fn eager_ola_reports_resolve_costs() {
-        // Eager OLA re-plans with 40 bisection probes plus the final
-        // rate solve on a 1k-arrival replay.
+        // Eager OLA's milestone search: a re-plan with one active job
+        // solves no LP, one with several about two, on a 1k-arrival
+        // replay.
         let trace = generate_trace(&TraceSpec {
             n_requests: 1000,
             seed: 7,
@@ -666,20 +667,24 @@ mod tests {
         let spec = SchedulerSpec::parse_compact("ola").unwrap();
         let report = run_simulation(&SimInput::Open(trace), &spec).unwrap();
         let rs = report.resolve_stats.expect("OLA reports resolve telemetry");
-        assert!(rs.n_resolves > 0);
-        assert_eq!(rs.lp_solves(), 41 * rs.n_resolves, "{rs:?}");
+        assert!(rs.n_resolves > 0 && rs.lp_solves() > 0);
+        let mean = rs.mean_lp_solves_per_resolve();
+        assert!(mean <= 2.0, "{rs:?}");
 
         // Telemetry renders in both formats…
         let json = report.to_json();
         assert!(json.contains(&format!("\"n_resolves\": {},", rs.n_resolves)));
         assert!(json.contains(&format!("\"lp_solves\": {},", rs.lp_solves())));
-        assert!(json.contains("\"mean_lp_solves_per_resolve\": 41.000000,"));
+        assert!(json.contains(&format!("\"mean_lp_solves_per_resolve\": {mean:.6},")));
         let text = report.to_text();
         assert!(
             text.contains(&format!("re-solves: {}", rs.n_resolves)),
             "{text}"
         );
-        assert!(text.contains("mean LP/resolve: 41.00"), "{text}");
+        assert!(
+            text.contains(&format!("mean LP/resolve: {mean:.2}")),
+            "{text}"
+        );
 
         // …and stays absent for policies that do no LP re-solving.
         let inert = SchedulerSpec::parse_compact("swrpt").unwrap();

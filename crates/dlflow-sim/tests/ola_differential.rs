@@ -1,22 +1,20 @@
-//! Replay identity for the OLA policies: a run interrupted by
-//! snapshot/restore, or replayed after a `reset()`, must reproduce the
-//! same policy's uninterrupted run bit for bit — across seeded traces
-//! and every fault intensity.
+//! Replay identity for OLA: a run interrupted by snapshot/restore, or
+//! replayed after a `reset()`, must reproduce the policy's uninterrupted
+//! run bit for bit — across seeded traces and every fault intensity.
 //!
-//! Snapshot semantics under test: `dlflow-snapshot v1` carries each
-//! policy's planning state (OLA's throttle cache, OLA-lite's walk
-//! anchor) and nothing of its LP buffers. The interrupted runs restore
-//! into *fresh* policy instances, so any behaviour that leaked out of
-//! state the snapshot does not carry would surface as a diverging
-//! completion float.
+//! Snapshot semantics under test: `dlflow-snapshot v1` carries the
+//! policy's planning state (OLA's throttle cache) and nothing of its LP
+//! buffers. The interrupted runs restore into *fresh* policy instances,
+//! so any behaviour that leaked out of state the snapshot does not carry
+//! would surface as a diverging completion float.
 //!
-//! Reuse across runs: each policy keeps its LP buffers (one simplex
-//! workspace and the refilled program) through `reset()`. They hold
-//! capacity only, so a policy that replayed another trace and was then
-//! reset must replay the next one exactly like a fresh instance.
+//! Reuse across runs: the policy keeps its LP buffers (one simplex
+//! workspace, the refilled programs and vectors) through `reset()`. They
+//! hold capacity only, so a policy that replayed another trace and was
+//! then reset must replay the next one exactly like a fresh instance.
 
 use dlflow_sim::engine::{Engine, OnlineScheduler, ResolveStats, StepOutcome};
-use dlflow_sim::schedulers::{OfflineAdapt, OlaLite};
+use dlflow_sim::schedulers::OfflineAdapt;
 use dlflow_sim::workload::{generate_trace, FaultProcess, Trace, TraceSpec};
 use proptest::prelude::*;
 
@@ -127,9 +125,8 @@ proptest! {
         prop_assert_eq!(reused_stats, fresh_stats);
     }
 
-    /// Interrupting either OLA policy at every k-th event (snapshot →
-    /// fresh instance → restore) reproduces its uninterrupted run bit
-    /// for bit.
+    /// Interrupting OLA at every k-th event (snapshot → fresh instance
+    /// → restore) reproduces its uninterrupted run bit for bit.
     #[test]
     fn interrupted_run_matches_uninterrupted_run(
         seed in 0u64..20_000,
@@ -141,42 +138,5 @@ proptest! {
         let (reference, _) = run_straight(&trace, &mut OfflineAdapt::new());
         prop_assert_eq!(reference.len(), n);
         prop_assert_eq!(&run_interrupted(&trace, every, OfflineAdapt::new), &reference);
-        let (reference, _) = run_straight(&trace, &mut OlaLite::new());
-        prop_assert_eq!(reference.len(), n);
-        prop_assert_eq!(&run_interrupted(&trace, every, OlaLite::new), &reference);
-    }
-
-    /// OLA-lite is deterministic (same trace → bit-identical replay)
-    /// and survives every fault intensity, for walk factors besides the
-    /// default.
-    #[test]
-    fn ola_lite_is_deterministic_across_intensities(
-        seed in 0u64..20_000,
-        n in 4usize..12,
-        intensity in 0u8..3,
-        tight in 0u8..2,
-    ) {
-        let alpha = if tight == 1 { 1.5 } else { 3.0 };
-        let trace = traced(seed, n, intensity);
-        let mut a = OlaLite::with_alpha(alpha);
-        let mut b = OlaLite::with_alpha(alpha);
-        let sa = trace.replay(&mut a).unwrap();
-        let sb = trace.replay(&mut b).unwrap();
-        prop_assert_eq!(sa.n_jobs, n);
-        prop_assert_eq!(sa.n_events, sb.n_events);
-        prop_assert_eq!(
-            sa.metrics.max_stretch.to_bits(),
-            sb.metrics.max_stretch.to_bits()
-        );
-        prop_assert!(sa.metrics.makespan.is_finite());
-        // Reuse across runs, as for OLA above: replay another trace,
-        // reset, and match a fresh instance's completions bit for bit.
-        let (fresh_done, fresh_stats) = run_straight(&trace, &mut OlaLite::with_alpha(alpha));
-        let mut reused = OlaLite::with_alpha(alpha);
-        run_straight(&traced(seed ^ 0x5EED, n + 3, (intensity + 1) % 3), &mut reused);
-        let (reused_done, reused_stats) = run_straight(&trace, &mut reused);
-        prop_assert_eq!(fresh_done.len(), n);
-        prop_assert_eq!(&reused_done, &fresh_done);
-        prop_assert_eq!(reused_stats, fresh_stats);
     }
 }
