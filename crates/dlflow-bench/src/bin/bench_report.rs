@@ -33,11 +33,11 @@
 //!
 //! * **Per-probe solve cost.** A representative deadline-probe LP,
 //!   solved cold.
-//! * **End-to-end replay.** Eager OLA (`throttle = 0`) on a 1k-arrival
-//!   trace, with the resolve telemetry ([`ResolveStats`]) recorded. The
-//!   asserted ceiling is 2 LP solves per re-plan on average: OLA's
-//!   milestone search solves no LP for a lone job and about two for
-//!   several.
+//! * **End-to-end replay.** OLA, re-planning at every event, on a
+//!   1k-arrival trace, with the resolve telemetry ([`ResolveStats`])
+//!   recorded. The asserted ceiling is 2 LP solves per re-plan on
+//!   average: OLA's milestone search solves no LP for a lone job and
+//!   about two for several.
 //! * **LP-path allocation ceiling.** The eager replay's allocations are
 //!   counted and divided by its LP solves. Each OLA policy solves through
 //!   one reused `LpWorkspace`, so a solve allocates little beyond its

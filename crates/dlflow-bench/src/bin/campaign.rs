@@ -35,7 +35,6 @@ scheduler rr
 scheduler wage
 scheduler edf
 scheduler ola
-scheduler ola throttle=30
 ";
 
 fn main() {

@@ -13,7 +13,7 @@
 //!     --serial         single-threaded (determinism oracle)
 //! dlflow simulate  <instance.dlf|trace.dlt> [options]
 //!                                            replay one scheduler (incremental engine)
-//!     --scheduler <spec>  kind[:key=val,…], e.g. swrpt or ola:throttle=30
+//!     --scheduler <spec>  kind[:key=val,…], e.g. ola or edf:target=3
 //!     --json              machine-readable, byte-stable report
 //!     --faults <spec>     inject seeded failures: mtbf=<s>,mttr=<s>[,seed=<n>][,until=<t>]
 //!     --snapshot-at <n>   snapshot the run at event n (requires --snapshot-out)
@@ -65,8 +65,8 @@ trace format (.dlt):
   fail <time> <machine>                machine goes down (in-flight work is lost)
   recover <time> <machine>             machine comes back up
 
-scheduler specs: mct fifo srpt swrpt rr wage edf[:target=k]
-  ola[:throttle=s]   (default: swrpt)
+scheduler specs: mct fifo srpt swrpt rr wage edf[:target=k] ola
+  (default: swrpt)
 
 all formats are documented in docs/FORMATS.md";
 
@@ -118,7 +118,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--scheduler" => {
                 let Some(spec) = args.get(i + 1) else {
-                    return Err("--scheduler expects a spec like swrpt or ola:throttle=30".into());
+                    return Err("--scheduler expects a spec like ola or edf:target=3".into());
                 };
                 o.scheduler = Some(spec.clone());
                 i += 1;

@@ -241,3 +241,51 @@ fn simulate_errors_have_context() {
     assert!(!ok);
     assert!(stderr.contains("zorp"), "{stderr}");
 }
+
+#[test]
+fn simulate_refusals_exit_1_with_a_typed_message() {
+    let code_of = |args: &[&str]| {
+        let out = Command::new(BIN).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stderr)
+    };
+    let t = tempfile_path::TempPath::with_ext(TRACE, "dlt");
+
+    // OLA re-plans at every event; its re-solve throttle is gone.
+    let (code, stderr) = code_of(&["simulate", t.as_str(), "--scheduler", "ola:throttle=30"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("unknown option \"throttle\""), "{stderr}");
+
+    // A snapshot header claiming more machines than its rows hold is
+    // malformed at the `busy` row, not an allocation that aborts.
+    let snap = tempfile_path::TempPath::with_ext("", "snap");
+    let (ok, _, stderr) = run(&[
+        "simulate",
+        t.as_str(),
+        "--scheduler",
+        "ola",
+        "--snapshot-at",
+        "2",
+        "--snapshot-out",
+        snap.as_str(),
+    ]);
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&snap.0).unwrap();
+    let bad = text.replace("n_machines 2\n", "n_machines 100000000000000000\n");
+    assert_ne!(bad, text);
+    let bad = tempfile_path::TempPath::with_ext(&bad, "snap");
+    let resume = [
+        "simulate",
+        t.as_str(),
+        "--scheduler",
+        "ola",
+        "--resume",
+        bad.as_str(),
+    ];
+    let (code, stderr) = code_of(&resume);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("malformed snapshot at line 11: busy: too few values"),
+        "{stderr}"
+    );
+}

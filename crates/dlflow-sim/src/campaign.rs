@@ -33,7 +33,8 @@
 //! platform small servers=3 banks=4 heterogeneity=3
 //! workload steady jobs=8 load=1.2
 //! scheduler mct
-//! scheduler ola throttle=30
+//! scheduler edf target=3
+//! scheduler ola
 //! ```
 //!
 //! ## Example
@@ -86,10 +87,7 @@ pub enum SchedulerSpec {
         target: f64,
     },
     /// The paper's online adaptation of the offline algorithm.
-    Ola {
-        /// Minimum simulated time between LP re-solves (0 = every event).
-        throttle: f64,
-    },
+    Ola,
 }
 
 impl SchedulerSpec {
@@ -112,13 +110,13 @@ impl SchedulerSpec {
             SchedulerSpec::RoundRobin => Box::new(RoundRobin::new()),
             SchedulerSpec::WeightedAge => Box::new(WeightedAge::new()),
             SchedulerSpec::Edf { target } => Box::new(Edf::with_target(*target)),
-            SchedulerSpec::Ola { throttle } => Box::new(OfflineAdapt::with_throttle(*throttle)),
+            SchedulerSpec::Ola => Box::new(OfflineAdapt::new()),
         }
     }
 
     /// Parses the compact one-token form used by `dlflow simulate
     /// --scheduler`: `kind[:key=val[,key=val…]]`, e.g. `swrpt` or
-    /// `ola:throttle=30` — the same kinds and options as the
+    /// `edf:target=3` — the same kinds and options as the
     /// campaign config's `scheduler` lines.
     pub fn parse_compact(spec: &str) -> Result<SchedulerSpec, String> {
         let (kind, opts) = match spec.split_once(':') {
@@ -173,16 +171,7 @@ impl SchedulerSpec {
                 }
                 Ok(SchedulerSpec::Edf { target })
             }
-            "ola" => {
-                only(&["throttle"])?;
-                let throttle = get("throttle", 0.0);
-                if throttle < 0.0 {
-                    return Err(format!(
-                        "scheduler ola: throttle must be non-negative, got {throttle}"
-                    ));
-                }
-                Ok(SchedulerSpec::Ola { throttle })
-            }
+            "ola" => only(&[]).map(|_| SchedulerSpec::Ola),
             other => Err(format!(
                 "unknown scheduler {other:?} (expected mct|fifo|srpt|swrpt|rr|wage|edf|ola)"
             )),
@@ -906,8 +895,7 @@ mod tests {
             ("workload w jobs=2.9", "whole number"),
             ("workload w load=0", "load must be positive"),
             ("scheduler edf target=0", "target must be positive"),
-            ("scheduler ola throttle=-1", "non-negative"),
-            ("scheduler ola throttle=inf", "finite"),
+            ("scheduler edf target=inf", "finite"),
             // Names reach JSON strings and markdown cells unescaped, so
             // the charset is restricted at parse time.
             ("name he\"llo", "may only contain"),
@@ -929,28 +917,40 @@ mod tests {
             SchedulerSpec::Swrpt
         );
         assert_eq!(
-            SchedulerSpec::parse_compact("ola:throttle=30").unwrap(),
-            SchedulerSpec::Ola { throttle: 30.0 }
+            SchedulerSpec::parse_compact("ola").unwrap(),
+            SchedulerSpec::Ola
         );
         assert_eq!(
             SchedulerSpec::parse_compact("edf:target=3").unwrap(),
             SchedulerSpec::Edf { target: 3.0 }
         );
         assert!(SchedulerSpec::parse_compact("zorp").is_err());
-        assert!(SchedulerSpec::parse_compact("ola:throttle").is_err());
-        assert!(SchedulerSpec::parse_compact("ola:throttle=x").is_err());
-        assert!(SchedulerSpec::parse_compact("ola:throttle=inf").is_err());
+        assert!(SchedulerSpec::parse_compact("edf:target").is_err());
+        assert!(SchedulerSpec::parse_compact("edf:target=x").is_err());
+        assert!(SchedulerSpec::parse_compact("edf:target=inf").is_err());
         assert!(SchedulerSpec::parse_compact("mct:target=2").is_err());
     }
 
     #[test]
     fn removed_bisect_option_is_rejected() {
         // OLA's milestone search left no bisection to size.
-        let err = SchedulerSpec::parse_compact("ola:throttle=30,bisect=20").unwrap_err();
+        let err = SchedulerSpec::parse_compact("ola:bisect=20").unwrap_err();
         assert!(err.contains("unknown option \"bisect\""), "{err}");
         let err = parse_campaign("scheduler ola bisect=20").unwrap_err();
         assert!(
             err.contains("line 1") && err.contains("unknown option"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn removed_throttle_option_is_rejected() {
+        // OLA re-plans at every event; its re-solve throttle is gone.
+        let err = SchedulerSpec::parse_compact("ola:throttle=30").unwrap_err();
+        assert!(err.contains("unknown option \"throttle\""), "{err}");
+        let err = parse_campaign("name t\nscheduler ola throttle=30").unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("unknown option \"throttle\""),
             "{err}"
         );
     }
@@ -979,17 +979,17 @@ mod tests {
             SchedulerSpec::Mct,
             SchedulerSpec::RoundRobin,
             SchedulerSpec::Edf { target: 3.0 },
-            SchedulerSpec::Ola { throttle: 30.0 },
+            SchedulerSpec::Ola,
         ] {
             assert_eq!(spec.label(), spec.build().name());
         }
-        assert_eq!(SchedulerSpec::Ola { throttle: 30.0 }.label(), "OLA(t=30)");
+        assert_eq!(SchedulerSpec::Ola.label(), "OLA");
         // Every knob is label-visible, so a single-knob sweep is two
         // distinct entrants rather than a duplicate error.
-        let sweep = "platform p\nworkload w\nscheduler ola throttle=10\nscheduler ola\n";
+        let sweep = "platform p\nworkload w\nscheduler edf target=3\nscheduler edf\n";
         let cfg = parse_campaign(sweep).unwrap();
-        assert_eq!(cfg.schedulers[0].label(), "OLA(t=10)");
-        assert_eq!(cfg.schedulers[1].label(), "OLA");
+        assert_eq!(cfg.schedulers[0].label(), "EDF(k=3)");
+        assert_eq!(cfg.schedulers[1].label(), "EDF");
     }
 
     #[test]
@@ -1042,31 +1042,6 @@ mod tests {
         let md = report.to_markdown();
         assert!(md.contains("| scheduler |"));
         assert!(md.contains("Head-to-head"));
-    }
-
-    #[test]
-    fn throttled_ola_never_outlives_its_window() {
-        // Regression: a cached plan that trickles the last job along at a
-        // sliver rate used to stay in force until that job's arbitrarily
-        // distant completion (observed stretch ratios in the 10^5 range),
-        // because engine events are the only re-solve opportunities. The
-        // cache-reuse guard now bounds the projected next completion by
-        // the throttle window.
-        let cfg = parse_campaign(
-            "name reg\nseeds 3\nsigbits 11\n\
-             platform small servers=3 banks=4 heterogeneity=2.5\n\
-             workload mix jobs=6 load=1.5\n\
-             scheduler ola throttle=20\n",
-        )
-        .unwrap();
-        let report = run_campaign(&cfg).unwrap();
-        for r in &report.runs {
-            assert!(
-                r.stretch_ratio < 50.0,
-                "throttled OLA ratio exploded: {}",
-                r.stretch_ratio
-            );
-        }
     }
 
     #[test]

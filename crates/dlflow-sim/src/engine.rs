@@ -344,17 +344,6 @@ impl Allocation {
         }
     }
 
-    /// Overwrites `self` with a copy of `other`, reusing the machine
-    /// vector and each row's capacity. Callers that keep one
-    /// `Allocation` alive across re-solves (the OLA throttle cache)
-    /// copy through here so the steady state stays allocation-free.
-    pub(crate) fn copy_from(&mut self, other: &Allocation) {
-        self.reset(other.rows.len());
-        for (dst, src) in self.rows.iter_mut().zip(&other.rows) {
-            dst.extend_from_slice(src);
-        }
-    }
-
     /// Number of machines the allocation addresses.
     pub fn n_machines(&self) -> usize {
         self.rows.len()

@@ -12,9 +12,8 @@
 //!   SWRPT / weighted-age / round-robin greedy variants, **EDF** on
 //!   guessed deadlines, and **OLA**, the paper's proposal: re-solve the
 //!   offline divisible max-weighted-flow problem at every event and
-//!   follow its rates (optionally throttled). All speak the
-//!   event-notification [`engine::OnlineScheduler`] API and keep
-//!   incremental state;
+//!   follow its rates. All speak the event-notification
+//!   [`engine::OnlineScheduler`] API and keep incremental state;
 //! * an open-arrival [`workload`] layer: Poisson / bursty / diurnal
 //!   arrival processes, the `.dlt` trace file format, and streaming
 //!   replay ([`workload::Trace::replay`]);

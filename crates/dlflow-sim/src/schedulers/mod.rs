@@ -20,9 +20,7 @@
 //!   offline divisible max-weighted-flow problem at every event with the
 //!   paper's milestone search (§4.3) and follow its first-interval rates
 //!   (divisibility gives preemption for free). A single active job needs
-//!   no LP, and a re-plan with several costs about two. Its
-//!   [`min_resolve_interval`](offline_adapt::OfflineAdapt::min_resolve_interval)
-//!   throttles the re-plan cadence for cheap approximate variants.
+//!   no LP, and a re-plan with several costs about two.
 
 pub mod edf;
 pub mod greedy;

@@ -67,16 +67,9 @@ const REL_WEIGHT: f64 = 1e-4;
 /// looser pin lets float ties hand other schedulers wins over OLA.
 const F_PIN: f64 = 1e-12;
 
-/// Rates cached by the re-solve throttle (see
-/// [`OfflineAdapt::min_resolve_interval`]).
-struct PlanCache {
-    /// Time of the last full re-solve.
-    solved_at: f64,
-    /// Job ids that were active at the last re-solve (sorted).
-    known: Vec<usize>,
-    /// The sparse rate allocation the re-solve produced.
-    alloc: Allocation,
-}
+/// Keys of the snapshot state: one line per counter the policy owns,
+/// in the order `snapshot_state` writes them.
+const STATE_KEYS: [&str; 4] = ["n_resolves", "lp_solves", "warm_lp_solves", "warm_resolves"];
 
 /// Column-major scratch copy of the active set, in job-id order: `plan`
 /// refreshes these flat buffers from the borrowed [`ActiveSet`] instead
@@ -371,22 +364,12 @@ fn add_first_interval(
 }
 
 /// Online adaptation of the offline divisible optimum.
+#[derive(Default)]
 pub struct OfflineAdapt {
-    /// Re-solve throttle: minimum simulated time between two full
-    /// re-plans. `0.0` (the default) re-plans at every event, as §5
-    /// describes. With a positive interval, events inside the window
-    /// reuse the last re-plan's rates (masked to still-active jobs) —
-    /// unless a *new* job has arrived since, or the cached rates would
-    /// leave every active job idle, both of which force a re-plan.
-    /// This trades optimality for plan cost: the knob the campaign's
-    /// `ola throttle=τ` scheduler spec sweeps.
-    pub min_resolve_interval: f64,
-    /// Number of full re-plans performed since the last `reset`
-    /// (readable after a run to observe the throttle's effect).
-    pub n_resolves: usize,
+    /// Re-plans since the last `reset`.
+    n_resolves: usize,
     /// Re-plans with at least one warm-started LP solve.
     warm_resolves: usize,
-    cache: Option<PlanCache>,
     /// Platform availability mask (empty = all machines in service).
     up: Vec<bool>,
     /// Scratch copy of the active set, refreshed per event.
@@ -398,101 +381,10 @@ pub struct OfflineAdapt {
     lp: PolicyLp,
 }
 
-impl Default for OfflineAdapt {
-    fn default() -> Self {
-        OfflineAdapt {
-            min_resolve_interval: 0.0,
-            n_resolves: 0,
-            warm_resolves: 0,
-            cache: None,
-            up: Vec::new(),
-            scratch: JobCols::default(),
-            sub_recycle: (Vec::new(), Vec::new()),
-            lp: PolicyLp::default(),
-        }
-    }
-}
-
 impl OfflineAdapt {
-    /// Fresh eager policy: re-plans at every event.
+    /// Fresh policy: re-plans at every event, as §5 describes.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fresh policy that re-solves at most once per `interval` of
-    /// simulated time (see [`Self::min_resolve_interval`]).
-    pub fn with_throttle(interval: f64) -> Self {
-        assert!(interval >= 0.0, "throttle interval must be non-negative");
-        OfflineAdapt {
-            min_resolve_interval: interval,
-            ..Self::default()
-        }
-    }
-
-    /// Attempts to serve `plan` from the cache, writing the reused rates
-    /// into `alloc`: permitted only when the throttle window is open, no
-    /// unknown job is active, and the reused plan's next projected
-    /// completion still lands inside the window. On refusal `alloc` is
-    /// left empty. The last condition is load-bearing: the engine only
-    /// calls `plan` at events, so a cached plan that trickles a job along
-    /// at a tiny first-interval rate would otherwise stay in force until
-    /// that job's (arbitrarily distant) completion — the re-solve budget
-    /// must bound *simulated time between solves*, not just be checked
-    /// when an event happens to occur.
-    fn cached_plan(&self, now: f64, cols: &JobCols, alloc: &mut Allocation) -> bool {
-        if self.min_resolve_interval <= 0.0 {
-            return false;
-        }
-        let Some(cache) = self.cache.as_ref() else {
-            return false;
-        };
-        if now - cache.solved_at >= self.min_resolve_interval {
-            return false;
-        }
-        if cols
-            .ids
-            .iter()
-            .any(|id| cache.known.binary_search(id).is_err())
-        {
-            return false; // a new arrival always warrants a fresh solve
-        }
-        let n_machines = alloc.n_machines();
-        // Project the next completion under the reused rates; reuse only
-        // if it arrives before the throttle window closes.
-        let mut next_completion = f64::INFINITY;
-        for k in 0..cols.n() {
-            let mut rate = 0.0;
-            for i in 0..n_machines {
-                let share = cache.alloc.share(i, cols.ids[k]);
-                if share > 0.0 {
-                    // A cached rate on an illegal pair means the cache is
-                    // corrupt; discard it and force a fresh solve.
-                    let Some(c) = cols.cost(i, k) else {
-                        alloc.reset(n_machines);
-                        return false;
-                    };
-                    alloc.set(i, cols.ids[k], share);
-                    if c <= 1e-12 {
-                        rate = f64::INFINITY;
-                    } else {
-                        rate += share / c;
-                    }
-                }
-            }
-            if rate > 0.0 {
-                let t = if rate.is_infinite() {
-                    now
-                } else {
-                    now + cols.remaining[k] / rate
-                };
-                next_completion = next_completion.min(t);
-            }
-        }
-        if next_completion > cache.solved_at + self.min_resolve_interval {
-            alloc.reset(n_machines);
-            return false;
-        }
-        true
     }
 
     /// Whether machine `i` is in service under the current mask.
@@ -554,17 +446,10 @@ fn build_sub(
 
 impl OnlineScheduler for OfflineAdapt {
     fn name(&self) -> String {
-        // Every non-default knob appears in the name: campaign reports
-        // derive their column labels (and duplicate detection) from it.
-        if self.min_resolve_interval > 0.0 {
-            format!("OLA(t={})", self.min_resolve_interval)
-        } else {
-            "OLA".into()
-        }
+        "OLA".into()
     }
 
     fn reset(&mut self) {
-        self.cache = None;
         self.n_resolves = 0;
         self.warm_resolves = 0;
         self.lp.solves = 0;
@@ -573,118 +458,58 @@ impl OnlineScheduler for OfflineAdapt {
     }
 
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
-        // Arrivals invalidate the cache implicitly: `plan` compares the
-        // active-job id set against `cache.known` before reuse.
+        // No per-job state: every re-plan reads the active set afresh.
     }
 
-    fn on_completion(&mut self, _now: f64, job_id: usize) {
-        // Cached rates for a finished job must not leak into reuse
-        // projections (they are masked anyway, but dropping the id keeps
-        // the cache honest about what it knows).
-        if let Some(cache) = &mut self.cache {
-            if let Ok(k) = cache.known.binary_search(&job_id) {
-                cache.known.remove(k);
-            }
-        }
+    fn on_completion(&mut self, _now: f64, _job_id: usize) {
+        // No per-job state: every re-plan reads the active set afresh.
     }
 
     fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
         self.up.clear();
         self.up.extend_from_slice(up);
-        // A cached plan may grant shares on a machine that just died (or
-        // ignore one that just recovered): always rebuild the LP over the
-        // current live set.
-        self.cache = None;
     }
 
     fn snapshot_state(&self) -> String {
-        let mut s = format!("n_resolves {}\n", self.n_resolves);
-        if let Some(cache) = &self.cache {
-            s.push_str(&format!("solved_at {:016x}\n", cache.solved_at.to_bits()));
-            s.push_str("known");
-            for id in &cache.known {
-                s.push_str(&format!(" {id}"));
-            }
-            s.push('\n');
-            s.push_str(&format!("alloc {}\n", cache.alloc.n_machines()));
-            for i in 0..cache.alloc.n_machines() {
-                s.push_str("row");
-                for (job, share) in cache.alloc.entries(i) {
-                    s.push_str(&format!(" {job}:{:016x}", share.to_bits()));
-                }
-                s.push('\n');
-            }
-        }
-        s
+        STATE_KEYS
+            .iter()
+            .zip([
+                self.n_resolves,
+                self.lp.solves,
+                self.lp.warm,
+                self.warm_resolves,
+            ])
+            .map(|(key, n)| format!("{key} {n}\n"))
+            .collect()
     }
 
     fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        let mut lines = state.lines();
-        let head = lines.next().ok_or("OLA state: missing n_resolves line")?;
-        self.n_resolves = head
-            .strip_prefix("n_resolves ")
-            .and_then(|v| v.parse().ok())
-            .ok_or("OLA state: bad n_resolves line")?;
-        self.cache = None;
-        let Some(line) = lines.next() else {
-            return Ok(());
-        };
-        let solved_at = line
-            .strip_prefix("solved_at ")
-            .and_then(|v| u64::from_str_radix(v, 16).ok())
-            .map(f64::from_bits)
-            .ok_or("OLA state: bad solved_at line")?;
-        let line = lines.next().ok_or("OLA state: missing known line")?;
-        let mut toks = line.split_whitespace();
-        if toks.next() != Some("known") {
-            return Err("OLA state: bad known line".into());
-        }
-        // `cached_plan` binary-searches this list.
-        let mut known: Vec<usize> = Vec::new();
-        for tok in toks {
-            let id = tok.parse().map_err(|_| "OLA state: bad known id")?;
-            if known.last().is_some_and(|&prev| prev >= id) {
-                return Err("OLA state: known ids must be strictly increasing".into());
-            }
-            known.push(id);
-        }
-        let line = lines.next().ok_or("OLA state: missing alloc line")?;
-        let n: usize = line
-            .strip_prefix("alloc ")
-            .and_then(|v| v.parse().ok())
-            .ok_or("OLA state: bad alloc line")?;
-        // The row count comes from outside the program: check it against
-        // the rows actually present before sizing anything by it.
-        let rows: Vec<&str> = lines.collect();
-        if rows.len() != n {
+        // Documents written before the LP counters rode along hold the
+        // `n_resolves` line alone; their LP counters restart at zero.
+        let n_lines = state.lines().count();
+        if n_lines != 1 && n_lines != STATE_KEYS.len() {
             return Err(format!(
-                "OLA state: alloc {n} needs {n} rows, found {}",
-                rows.len()
+                "OLA state: want 1 or {} counter lines, found {n_lines}",
+                STATE_KEYS.len()
             ));
         }
-        let mut alloc = Allocation::idle(n);
-        for (i, line) in rows.into_iter().enumerate() {
-            let mut toks = line.split_whitespace();
-            if toks.next() != Some("row") {
-                return Err("OLA state: bad alloc row".into());
-            }
-            for tok in toks {
-                let (job, bits) = tok.split_once(':').ok_or("OLA state: bad alloc pair")?;
-                let job = job.parse().map_err(|_| "OLA state: bad alloc job")?;
-                let bits =
-                    u64::from_str_radix(bits, 16).map_err(|_| "OLA state: bad alloc share")?;
-                let share = f64::from_bits(bits);
-                if !(0.0..=1.0).contains(&share) {
-                    return Err("OLA state: alloc share outside [0, 1]".into());
-                }
-                alloc.set(i, job, share);
-            }
+        let mut counts = [0; STATE_KEYS.len()];
+        for ((line, key), n) in state.lines().zip(STATE_KEYS).zip(&mut counts) {
+            *n = line
+                .strip_prefix(key)
+                .and_then(|v| v.strip_prefix(' '))
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| format!("OLA state: bad `{key}` line {line:?}"))?;
         }
-        self.cache = Some(PlanCache {
-            solved_at,
-            known,
-            alloc,
-        });
+        let [n_resolves, solves, warm, warm_resolves] = counts;
+        // `resolve_stats` subtracts each warm count from its total.
+        if warm > solves || warm_resolves > n_resolves {
+            return Err("OLA state: a warm count exceeds its total".into());
+        }
+        self.n_resolves = n_resolves;
+        self.lp.solves = solves;
+        self.lp.warm = warm;
+        self.warm_resolves = warm_resolves;
         Ok(())
     }
 
@@ -717,9 +542,6 @@ impl OfflineAdapt {
     /// path), writing into the engine's empty `alloc`.
     fn plan_into(&mut self, now: f64, cols: &mut JobCols, alloc: &mut Allocation) {
         let n_machines = alloc.n_machines();
-        if self.cached_plan(now, cols, alloc) {
-            return;
-        }
         if (0..cols.n())
             .any(|k| (0..n_machines).all(|i| !self.live(i) || cols.cost(i, k).is_none()))
         {
@@ -730,10 +552,7 @@ impl OfflineAdapt {
                 (0..n_machines).any(|i| (up.is_empty() || up[i]) && c.cost(i, k).is_some())
             });
             self.up = up;
-            // Mirror of the pre-filter check: the cache may cover the
-            // placeable subset even when an unplaceable newcomer made
-            // the full set a miss.
-            if cols.n() == 0 || self.cached_plan(now, cols, alloc) {
+            if cols.n() == 0 {
                 return;
             }
         }
@@ -755,23 +574,6 @@ impl OfflineAdapt {
             if !planned {
                 self.whole_machines(cols, alloc);
             }
-        }
-        if self.min_resolve_interval > 0.0 {
-            // Recycle the previous cache generation's buffers: the
-            // throttle cache is rebuilt once per re-solve, so in steady
-            // state neither the id list nor the allocation rows allocate.
-            let (mut known, mut kept) = match self.cache.take() {
-                Some(prev) => (prev.known, prev.alloc),
-                None => (Vec::default(), Allocation::idle(0)),
-            };
-            known.clear();
-            known.extend_from_slice(&cols.ids);
-            kept.copy_from(alloc);
-            self.cache = Some(PlanCache {
-                solved_at: now,
-                known,
-                alloc: kept,
-            });
         }
     }
 }
@@ -830,57 +632,6 @@ mod tests {
             m_ola.max_weighted_flow,
             m_mct.max_weighted_flow
         );
-    }
-
-    #[test]
-    fn throttled_ola_resolves_less_and_still_completes() {
-        use crate::workload::{generate, WorkloadSpec};
-        let inst = generate(&WorkloadSpec {
-            n_jobs: 8,
-            n_machines: 3,
-            mean_interarrival: 1.0,
-            seed: 11,
-            ..Default::default()
-        });
-
-        let mut eager = OfflineAdapt::new();
-        let res_eager = simulate(&inst, &mut eager).unwrap();
-        assert!(res_eager.completions.iter().all(|c| c.is_finite()));
-
-        let mut lazy = OfflineAdapt::with_throttle(1.0e6); // effectively "never re-solve on completions"
-        let res_lazy = simulate(&inst, &mut lazy).unwrap();
-        assert!(res_lazy.completions.iter().all(|c| c.is_finite()));
-
-        assert!(
-            lazy.n_resolves < eager.n_resolves,
-            "throttle must cut re-solves: {} vs {}",
-            lazy.n_resolves,
-            eager.n_resolves
-        );
-        // Every arrival still forces a solve, so the floor is one per
-        // distinct arrival burst.
-        assert!(lazy.n_resolves >= 1);
-
-        // The throttled policy pays an optimality price but remains a
-        // valid, completing policy.
-        let m_eager = RunMetrics::from_completions(&inst, &res_eager.completions);
-        let m_lazy = RunMetrics::from_completions(&inst, &res_lazy.completions);
-        assert!(m_lazy.max_weighted_flow >= m_eager.max_weighted_flow * 0.999);
-    }
-
-    #[test]
-    fn zero_throttle_is_the_default_eager_policy() {
-        let mut b = InstanceBuilder::new();
-        b.job(0.0, 1.0);
-        b.job(1.0, 1.0);
-        b.machine(vec![Some(4.0), Some(4.0)]);
-        let inst = b.build().unwrap();
-        let mut a = OfflineAdapt::new();
-        let mut b2 = OfflineAdapt::with_throttle(0.0);
-        let ra = simulate(&inst, &mut a).unwrap();
-        let rb = simulate(&inst, &mut b2).unwrap();
-        assert_eq!(ra.completions, rb.completions);
-        assert_eq!(a.n_resolves, b2.n_resolves);
     }
 
     #[test]
@@ -944,7 +695,6 @@ mod tests {
         simulate(&inst, &mut ola).unwrap();
         let stats = ola.resolve_stats().unwrap();
         assert!(stats.n_resolves > 0 && stats.lp_solves() > 0, "{stats:?}");
-        assert_eq!(stats.n_resolves, ola.n_resolves);
         assert!(stats.mean_lp_solves_per_resolve() <= 2.0, "{stats:?}");
         // Only second stages run warm, at most one per re-plan.
         assert!(stats.warm_lp_solves > 0 && stats.warm_lp_solves < stats.lp_solves());
@@ -1197,78 +947,133 @@ mod tests {
         }
     }
 
-    /// A throttled policy's state with a cached plan: jobs 0 and 1 at
-    /// shares 0.5 and 0.25 on two machines.
-    const CACHED_STATE: &str = "n_resolves 3\nsolved_at 0000000000000000\nknown 0 1\n\
-                                alloc 2\nrow 0:3fe0000000000000\nrow 1:3fd0000000000000\n";
-
-    #[test]
-    fn restore_round_trips_the_cached_plan() {
-        let mut fresh = OfflineAdapt::with_throttle(10.0);
-        fresh.restore_state(CACHED_STATE).unwrap();
-        assert_eq!(fresh.snapshot_state(), CACHED_STATE);
-    }
-
-    #[test]
-    fn restore_rejects_a_row_count_it_was_not_given() {
-        // An allocation sized from this line alone would exhaust memory.
-        let state = CACHED_STATE.replace("alloc 2", "alloc 100000000000000000");
-        let err = OfflineAdapt::with_throttle(10.0)
-            .restore_state(&state)
-            .unwrap_err();
-        assert!(err.contains("rows"), "{err}");
-        let extra = format!("{CACHED_STATE}row\n");
-        assert!(OfflineAdapt::with_throttle(10.0)
-            .restore_state(&extra)
-            .is_err());
-    }
-
-    #[test]
-    fn restore_rejects_unsorted_or_duplicated_known_ids() {
-        for known in ["known 1 0", "known 0 0 1", "known 5 3 3"] {
-            let state = CACHED_STATE.replace("known 0 1", known);
-            let err = OfflineAdapt::with_throttle(10.0)
-                .restore_state(&state)
-                .unwrap_err();
-            assert!(err.contains("strictly increasing"), "{known}: {err}");
+    /// An engine with a small seeded trace pushed.
+    fn loaded_engine() -> Engine {
+        use crate::workload::{generate_trace, TraceSpec};
+        let trace = generate_trace(&TraceSpec {
+            n_requests: 12,
+            n_machines: 3,
+            seed: 11,
+            ..Default::default()
+        });
+        let mut eng = Engine::new(3);
+        for k in 0..trace.len() {
+            eng.push_arrival(trace.job_spec(k)).unwrap();
         }
+        eng
+    }
+
+    /// Drains `eng` under `ola`: the completions as `(id, bits)`, by id.
+    fn finish(eng: &mut Engine, ola: &mut OfflineAdapt) -> Vec<(usize, u64)> {
+        eng.drain(ola).unwrap();
+        let mut done: Vec<_> = eng
+            .take_completed()
+            .into_iter()
+            .map(|c| (c.id, c.completion.to_bits()))
+            .collect();
+        done.sort_unstable();
+        done
+    }
+
+    /// A snapshot of `loaded_engine` under OLA after its first `events`
+    /// events, with the policy that wrote it.
+    fn snapshot_after(events: usize) -> (String, OfflineAdapt) {
+        let mut eng = loaded_engine();
+        let mut ola = OfflineAdapt::new();
+        while eng.n_events() < events {
+            eng.step(&mut ola).unwrap();
+        }
+        (eng.snapshot(&ola), ola)
+    }
+
+    /// `snap` in the earlier state layout, which carried the re-plan count
+    /// alone: all an eager OLA wrote before the LP counters rode along.
+    fn counts_only_layout(snap: &str) -> String {
+        let (engine, state) = snap.split_once("\nstate 4\n").unwrap();
+        let n_resolves = state.lines().next().unwrap();
+        format!("{engine}\nstate 1\n{n_resolves}\n")
+    }
+
+    /// The throttle cache an `OLA(t=…)` policy wrote after its counter:
+    /// jobs 0 and 1 at shares 0.5 and 0.25 on two machines.
+    const THROTTLE_CACHE: &str = "solved_at 0000000000000000\nknown 0 1\nalloc 2\n\
+                                  row 0:3fe0000000000000\nrow 1:3fd0000000000000\n";
+
+    #[test]
+    fn restore_round_trips_the_resolve_counters() {
+        let (snap, ola) = snapshot_after(20);
+        let state = ola.snapshot_state();
+        assert_eq!(state.lines().count(), STATE_KEYS.len(), "{state}");
+        let stats = ola.resolve_stats().unwrap();
+        assert!(
+            stats.warm_lp_solves > 0 && stats.cold_resolves > 0,
+            "{stats:?}"
+        );
+        let mut fresh = OfflineAdapt::new();
+        fresh.restore_state(&state).unwrap();
+        assert_eq!(fresh.snapshot_state(), state);
+        assert_eq!(fresh.resolve_stats(), Some(stats));
+        let mut revived = OfflineAdapt::new();
+        assert_eq!(
+            Engine::restore(&snap, &mut revived)
+                .unwrap()
+                .snapshot(&revived),
+            snap
+        );
     }
 
     #[test]
-    fn restore_rejects_shares_outside_the_unit_interval() {
-        for bad in [f64::NAN, f64::INFINITY, -0.5, 1.5] {
-            let tampered =
-                CACHED_STATE.replace("3fd0000000000000", &format!("{:016x}", bad.to_bits()));
-            let err = OfflineAdapt::with_throttle(10.0)
-                .restore_state(&tampered)
-                .unwrap_err();
-            assert!(err.contains("[0, 1]"), "{bad}: {err}");
+    fn earlier_snapshots_restore_bit_identical_or_fail_typed() {
+        let mut straight = OfflineAdapt::new();
+        let want = finish(&mut loaded_engine(), &mut straight);
+        let (snap, before) = snapshot_after(20);
+        let old = counts_only_layout(&snap);
+        let tail = format!("scheduler OLA\nstate 1\nn_resolves {}\n", before.n_resolves);
+        assert!(old.ends_with(&tail), "{old}");
+        let mut ola = OfflineAdapt::new();
+        let mut eng = Engine::restore(&old, &mut ola).unwrap();
+        assert_eq!(finish(&mut eng, &mut ola), want);
+        // The re-plan count carries over; LP counters restart at zero.
+        let (got, all) = (
+            ola.resolve_stats().unwrap(),
+            straight.resolve_stats().unwrap(),
+        );
+        assert_eq!(got.n_resolves, all.n_resolves);
+        assert!(got.lp_solves() < all.lp_solves(), "{got:?} vs {all:?}");
+
+        // A throttled policy's snapshot names a policy that is gone.
+        let throttled = old.replace("scheduler OLA\nstate 1\n", "scheduler OLA(t=10)\nstate 6\n")
+            + THROTTLE_CACHE;
+        match Engine::restore(&throttled, &mut OfflineAdapt::new()) {
+            Err(SnapshotError::SchedulerMismatch { expected, found }) => {
+                assert_eq!((expected.as_str(), found.as_str()), ("OLA(t=10)", "OLA"));
+            }
+            other => panic!("want SchedulerMismatch, got {other:?}"),
         }
     }
 
     #[test]
     fn engine_restore_reports_bad_ola_state_as_scheduler_state() {
-        let mut eng = Engine::new(2);
-        let mut ola = OfflineAdapt::with_throttle(10.0);
-        for costs in [vec![4.0, 3.0], vec![2.0, 5.0]] {
-            eng.push_arrival(JobSpec {
-                release: 0.0,
-                weight: 1.0,
-                costs,
-            })
-            .unwrap();
-        }
-        while eng.n_plans() == 0 {
-            eng.step(&mut ola).unwrap();
-        }
-        let snap = eng.snapshot(&ola);
-        assert!(snap.contains("\nalloc 2\n"), "{snap}");
-        let tampered = snap.replace("\nalloc 2\n", "\nalloc 100000000000000000\n");
-        match Engine::restore(&tampered, &mut OfflineAdapt::with_throttle(10.0)) {
-            Err(SnapshotError::SchedulerState { reason }) => {
-                assert!(reason.contains("rows"), "{reason}");
+        let (snap, ola) = snapshot_after(20);
+        let old = counts_only_layout(&snap);
+        let state = ola.snapshot_state();
+        let warm_line = state.lines().nth(2).unwrap();
+        for (bad, needle) in [
+            // A throttle cache under the eager name.
+            (
+                old.replace("state 1\n", "state 6\n") + THROTTLE_CACHE,
+                "found 6",
+            ),
+            (snap.replace(warm_line, "warm_lp_solves 1000000"), "exceeds"),
+            (snap.replace("\nlp_solves ", "\nlp_solvez "), "`lp_solves`"),
+            (old.replace("n_resolves ", "n_resolves -"), "`n_resolves`"),
+        ] {
+            match Engine::restore(&bad, &mut OfflineAdapt::new()) {
+                Err(SnapshotError::SchedulerState { reason }) => {
+                    assert!(reason.contains(needle), "{needle}: {reason}");
+                }
+                other => panic!("{needle}: want SchedulerState, got {other:?}"),
             }
-            other => panic!("want SchedulerState, got {other:?}"),
         }
     }
 }

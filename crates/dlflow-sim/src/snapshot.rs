@@ -176,7 +176,8 @@ fn parse_hex_row(
     n: usize,
     what: &str,
 ) -> Result<Vec<f64>, SnapshotError> {
-    let mut out = Vec::with_capacity(n);
+    // `n` comes from the document: grow with the values it supplies.
+    let mut out = Vec::new();
     for _ in 0..n {
         let tok = toks
             .next()
@@ -335,7 +336,7 @@ impl Engine {
         let busy = parse_hex_row(&r, &mut row.split_whitespace(), n_machines, "busy")?;
 
         let row = r.field("up")?;
-        let mut up = Vec::with_capacity(n_machines);
+        let mut up = Vec::new();
         let mut toks = row.split_whitespace();
         for _ in 0..n_machines {
             match toks.next() {
@@ -570,6 +571,24 @@ mod tests {
         match err {
             SnapshotError::Malformed { line, .. } => assert_eq!(line, 2),
             other => panic!("want Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn machine_counts_the_rows_do_not_hold_are_malformed() {
+        // A row sized from the header alone aborts the process on 10¹⁷
+        // machines (an 8·10¹⁷-byte allocation) and panics on
+        // `usize::MAX`; the `busy` row (line 11) holds three values.
+        let snap = Engine::new(3).snapshot(&Mct::new());
+        for n in [100_000_000_000_000_000, usize::MAX] {
+            let bad = snap.replace("n_machines 3\n", &format!("n_machines {n}\n"));
+            match Engine::restore(&bad, &mut Mct::new()) {
+                Err(SnapshotError::Malformed { line, reason }) => {
+                    assert_eq!(line, 11, "{n}: {reason}");
+                    assert!(reason.contains("busy"), "{n}: {reason}");
+                }
+                other => panic!("{n}: want Malformed, got {other:?}"),
+            }
         }
     }
 

@@ -2,11 +2,11 @@
 //! replayed after a `reset()`, must reproduce the policy's uninterrupted
 //! run bit for bit — across seeded traces and every fault intensity.
 //!
-//! Snapshot semantics under test: `dlflow-snapshot v1` carries the
-//! policy's planning state (OLA's throttle cache) and nothing of its LP
-//! buffers. The interrupted runs restore into *fresh* policy instances,
-//! so any behaviour that leaked out of state the snapshot does not carry
-//! would surface as a diverging completion float.
+//! Snapshot semantics under test: `dlflow-snapshot v1` carries OLA's
+//! resolve counters and nothing of its LP buffers. The interrupted runs
+//! restore into *fresh* policy instances, so any behaviour that leaked
+//! out of state the snapshot does not carry would surface as a diverging
+//! completion float, and any counter it dropped as diverging telemetry.
 //!
 //! Reuse across runs: the policy keeps its LP buffers (one simplex
 //! workspace, the refilled programs and vectors) through `reset()`. They
@@ -79,12 +79,13 @@ fn run_straight(
 }
 
 /// Run interrupted by snapshot/restore every `every` events; each
-/// restore targets a brand-new policy from `fresh`.
+/// restore targets a brand-new policy from `fresh`. Returns completions
+/// and resolve telemetry, as [`run_straight`] does.
 fn run_interrupted<P: OnlineScheduler>(
     trace: &Trace,
     every: usize,
     fresh: impl Fn() -> P,
-) -> Vec<(usize, u64)> {
+) -> (Vec<(usize, u64)>, ResolveStats) {
     let mut policy = fresh();
     let mut eng = load(trace);
     let mut guard = 0usize;
@@ -101,7 +102,7 @@ fn run_interrupted<P: OnlineScheduler>(
             policy = revived;
         }
     }
-    completions_of(&mut eng)
+    (completions_of(&mut eng), policy.resolve_stats().unwrap())
 }
 
 proptest! {
@@ -126,7 +127,8 @@ proptest! {
     }
 
     /// Interrupting OLA at every k-th event (snapshot → fresh instance
-    /// → restore) reproduces its uninterrupted run bit for bit.
+    /// → restore) reproduces its uninterrupted run bit for bit, resolve
+    /// telemetry included.
     #[test]
     fn interrupted_run_matches_uninterrupted_run(
         seed in 0u64..20_000,
@@ -135,8 +137,8 @@ proptest! {
         intensity in 0u8..3,
     ) {
         let trace = traced(seed, n, intensity);
-        let (reference, _) = run_straight(&trace, &mut OfflineAdapt::new());
-        prop_assert_eq!(reference.len(), n);
+        let reference = run_straight(&trace, &mut OfflineAdapt::new());
+        prop_assert_eq!(reference.0.len(), n);
         prop_assert_eq!(&run_interrupted(&trace, every, OfflineAdapt::new), &reference);
     }
 }
