@@ -9,7 +9,7 @@
 //!
 //! through the incremental event engine (each run is a
 //! [`simulate`] drain of an [`Engine`](crate::engine::Engine)), in
-//! parallel over scenarios (vendored-rayon chunks), and aggregates
+//! parallel over scenarios (vendored-rayon workers), and aggregates
 //! per-run metrics into the statistics a
 //! methodology comparison needs: mean/median/p95/worst of the
 //! degradation ratio against the **exact** offline bound, head-to-head
@@ -671,9 +671,9 @@ fn run_impl(cfg: &CampaignConfig, parallel: bool) -> Result<CampaignReport, Stri
     Ok(aggregate(cfg, &runs, scenarios.len()))
 }
 
-/// Runs the campaign, scenarios in parallel (vendored-rayon chunks).
-/// The report is bit-identical to [`run_campaign_serial`]'s — worker
-/// chunking never leaks into results (see `tests/prop_campaign.rs`).
+/// Runs the campaign, scenarios in parallel (vendored-rayon workers).
+/// The report is bit-identical to [`run_campaign_serial`]'s — the
+/// worker split never leaks into results (see `tests/prop_campaign.rs`).
 pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
     run_impl(cfg, true)
 }

@@ -24,7 +24,8 @@
 
 use crate::campaign::SchedulerSpec;
 use crate::engine::{
-    simulate, Engine, OnlineScheduler, ResolveStats, RunMetrics, SimResult, StepOutcome,
+    simulate, CompletedJob, Engine, OnlineScheduler, PlatformEvent, ResolveStats, RunMetrics,
+    SimResult, StepOutcome,
 };
 use crate::shard::ShardedEngine;
 use crate::workload::{FaultProcess, Trace};
@@ -133,8 +134,10 @@ fn default_horizon(input: &SimInput) -> f64 {
             let serial: f64 = (0..inst.n_jobs()).map(|j| inst.fastest_cost(j)).sum();
             max_release + serial
         }
-        SimInput::Open(trace) => (0..trace.len())
-            .map(|k| trace.job_spec(k).release)
+        SimInput::Open(trace) => trace
+            .arrivals
+            .iter()
+            .map(|a| a.release)
             .fold(0.0f64, f64::max),
     }
 }
@@ -144,6 +147,36 @@ fn input_machines(input: &SimInput) -> usize {
         SimInput::Closed(inst) => inst.n_machines(),
         SimInput::Open(trace) => trace.n_machines(),
     }
+}
+
+/// The platform events a fresh run pushes, in push order: the trace's
+/// own, then the `--faults` schedule (same-time events apply in push
+/// order).
+fn platform_events(input: &SimInput, opts: &SimOptions) -> Result<Vec<PlatformEvent>, String> {
+    let mut events = match input {
+        SimInput::Closed(_) => Vec::new(),
+        SimInput::Open(trace) => trace.platform_events.clone(),
+    };
+    if let Some(f) = &opts.faults {
+        let horizon = f.until.unwrap_or_else(|| default_horizon(input));
+        if !(horizon.is_finite() && horizon > 0.0) {
+            return Err("--faults: the failure window is empty (set until=<t>)".into());
+        }
+        let process = FaultProcess {
+            mtbf: f.mtbf,
+            mttr: f.mttr,
+            horizon,
+            seed: f.seed,
+        };
+        events.extend(process.sample(input_machines(input)));
+    }
+    Ok(events)
+}
+
+/// Completion times in job-id order.
+fn completion_times(mut done: Vec<CompletedJob>) -> Vec<f64> {
+    done.sort_unstable_by_key(|c| c.id);
+    done.into_iter().map(|c| c.completion).collect()
 }
 
 /// Runs `spec`'s scheduler over the input with fault-injection and
@@ -193,26 +226,8 @@ pub fn run_simulation_with(
     } else {
         policy.reset();
         let mut eng = Engine::new(m);
-        if let SimInput::Open(trace) = input {
-            for e in &trace.platform_events {
-                eng.push_platform_event(*e).map_err(|e| e.to_string())?;
-            }
-        }
-        if let Some(f) = &opts.faults {
-            let horizon = f.until.unwrap_or_else(|| default_horizon(input));
-            let window_ok = horizon.is_finite() && horizon > 0.0;
-            if !window_ok {
-                return Err("--faults: the failure window is empty (set until=<t>)".into());
-            }
-            let process = FaultProcess {
-                mtbf: f.mtbf,
-                mttr: f.mttr,
-                horizon,
-                seed: f.seed,
-            };
-            for e in process.sample(m) {
-                eng.push_platform_event(e).map_err(|e| e.to_string())?;
-            }
+        for e in platform_events(input, opts)? {
+            eng.push_platform_event(e).map_err(|e| e.to_string())?;
         }
         match input {
             SimInput::Closed(inst) => {
@@ -256,13 +271,7 @@ pub fn run_simulation_with(
     }
 
     let completions = if matches!(input, SimInput::Closed(_)) && opts.resume.is_none() {
-        let mut done: Vec<(usize, f64)> = eng
-            .take_completed()
-            .into_iter()
-            .map(|c| (c.id, c.completion))
-            .collect();
-        done.sort_unstable_by_key(|&(id, _)| id);
-        done.into_iter().map(|(_, c)| c).collect()
+        completion_times(eng.take_completed())
     } else {
         Vec::new()
     };
@@ -285,9 +294,10 @@ pub fn run_simulation_with(
 
 /// The multi-cluster path behind `--shards N`: one [`ShardedEngine`]
 /// over the input's machines, one scheduler instance per shard, faults
-/// routed by global machine index. Closed instances report per-job
-/// completions from the deterministic merged stream; open traces stream
-/// them exactly like the flat path.
+/// routed by global machine index after the trace's own events. Closed
+/// instances push every job up front and report per-job completions from
+/// the deterministic merged stream; open traces stream their arrivals
+/// through [`ShardedEngine::replay_trace`]'s feed.
 fn run_sharded(
     input: &SimInput,
     spec: &SchedulerSpec,
@@ -297,55 +307,28 @@ fn run_sharded(
     let mut se = ShardedEngine::new(m, opts.shards);
     let mut policies: Vec<Box<dyn OnlineScheduler + Send>> =
         (0..se.n_shards()).map(|_| spec.build()).collect();
-    if let SimInput::Open(trace) = input {
-        for e in &trace.platform_events {
-            se.push_platform_event(*e).map_err(|e| e.to_string())?;
-        }
+    for e in platform_events(input, opts)? {
+        se.push_platform_event(e).map_err(|e| e.to_string())?;
     }
-    if let Some(f) = &opts.faults {
-        let horizon = f.until.unwrap_or_else(|| default_horizon(input));
-        if !(horizon.is_finite() && horizon > 0.0) {
-            return Err("--faults: the failure window is empty (set until=<t>)".into());
-        }
-        let process = FaultProcess {
-            mtbf: f.mtbf,
-            mttr: f.mttr,
-            horizon,
-            seed: f.seed,
-        };
-        for e in process.sample(m) {
-            se.push_platform_event(e).map_err(|e| e.to_string())?;
-        }
-    }
-    let (kind, n_jobs) = match input {
+    let (kind, n_jobs, completions) = match input {
         SimInput::Closed(inst) => {
             se.set_record_completions(true);
             for j in 0..inst.n_jobs() {
                 se.push_arrival(crate::engine::job_spec_of(inst, j))
                     .map_err(|e| e.to_string())?;
             }
-            ("instance", inst.n_jobs())
+            se.drain(&mut policies).map_err(|e| e.to_string())?;
+            (
+                "instance",
+                inst.n_jobs(),
+                completion_times(se.take_completed()),
+            )
         }
         SimInput::Open(trace) => {
-            se.set_record_completions(false);
-            for k in 0..trace.len() {
-                se.push_arrival(trace.job_spec(k))
-                    .map_err(|e| e.to_string())?;
-            }
-            ("trace", trace.len())
+            se.stream_trace(trace, &mut policies)
+                .map_err(|e| e.to_string())?;
+            ("trace", trace.len(), Vec::new())
         }
-    };
-    se.drain(&mut policies).map_err(|e| e.to_string())?;
-    let completions = if matches!(input, SimInput::Closed(_)) {
-        let mut done: Vec<(usize, f64)> = se
-            .take_completed()
-            .into_iter()
-            .map(|c| (c.id, c.completion))
-            .collect();
-        done.sort_unstable_by_key(|&(id, _)| id);
-        done.into_iter().map(|(_, c)| c).collect()
-    } else {
-        Vec::new()
     };
     let report = ServiceReport {
         scheduler: spec.label(),

@@ -13,9 +13,10 @@
 //!   per-shard workloads;
 //! * **independence**: once pinned, a job interacts only with its
 //!   shard's machines, scheduler instance, and clock. Shards therefore
-//!   drain with *no* synchronization — in parallel under the rayon
-//!   `par_iter_mut` shim, or serially in shard order, with bit-identical
-//!   results either way;
+//!   drain with *no* synchronization: the rayon `par_iter_mut` shim
+//!   runs them on up to one thread per core, heaviest shard first (inline
+//!   on a single-core host), and the results are bit-identical however
+//!   the threads interleave;
 //! * **deterministic merge**: completion streams are merged by a stable
 //!   k-way walk ordered on completion time, cross-shard ties broken by
 //!   the lower shard index; metrics fold through
@@ -34,11 +35,12 @@
 
 use crate::engine::{
     utilization_of, CompletedJob, Engine, JobSpec, MetricsAccumulator, OnlineScheduler,
-    PlatformEvent, RunMetrics, SimError, StepOutcome, EPS,
+    PlatformEvent, RunMetrics, SimError,
 };
 use crate::snapshot::SnapshotError;
-use crate::workload::{ReplayStats, Trace};
+use crate::workload::{stream_arrivals, ReplayStats, Trace};
 use rayon::prelude::*;
+use std::cmp::Reverse;
 
 /// A multi-cluster simulation front-end: contiguous machine shards, each
 /// an independent [`Engine`], behind a deterministic job-assignment
@@ -294,10 +296,10 @@ impl ShardedEngine {
 
     /// Runs every shard to quiescence — the sharded counterpart of
     /// [`Engine::drain`]. Shards are independent, so they drain in
-    /// parallel under the rayon shim (or inline on small counts /
-    /// single-core hosts); either way each shard's event sequence, and
-    /// therefore every merged number, is identical. The first error in
-    /// shard-index order is returned.
+    /// parallel under the rayon shim, most pending arrivals first (inline
+    /// on a single-core host); either way each shard's event sequence,
+    /// and therefore every merged number, is identical. The first error
+    /// in shard-index order is returned.
     ///
     /// # Panics
     ///
@@ -316,17 +318,12 @@ impl ShardedEngine {
             self.shards.len(),
             "sharded drain needs exactly one policy per shard"
         );
-        let mut pairs: Vec<(&mut Engine, &mut (dyn OnlineScheduler + Send))> = self
-            .shards
-            .iter_mut()
-            .zip(policies.iter_mut())
-            .map(|(e, p)| (e, p.as_mut()))
-            .collect(); // dlflint:allow(alloc-in-hot-loop, "one pair list per drain call, not per event; the per-event paths live in Engine::step")
-        let results: Vec<Result<(), SimError>> = pairs
-            .par_iter_mut()
-            .map(|(eng, pol)| eng.drain(&mut **pol))
-            .collect(); // dlflint:allow(alloc-in-hot-loop, "one result slot per shard per drain call, not per event")
-        results.into_iter().collect()
+        run_heaviest_first(
+            &mut self.shards,
+            policies,
+            |_, eng| eng.pending_len(),
+            |_, eng, pol| eng.drain(pol),
+        )
     }
 
     /// Takes the buffered completion streams of every shard, remaps
@@ -368,27 +365,41 @@ impl ShardedEngine {
         out
     }
 
-    /// Replays an open-arrival [`Trace`] through the shards. Platform
-    /// events are routed up front; arrivals are assigned to shards in a
-    /// validation pre-pass and then *streamed* into each shard one
-    /// release batch ahead of its clock — exactly [`Trace::replay`]'s
-    /// feeding discipline, applied per shard. Streaming keeps every
-    /// shard's pending heap and job slab sized to its in-flight window
-    /// rather than the whole trace, which is what makes the sharded
-    /// replay faster than the flat one even on a single core; the event
-    /// sequences are identical either way because a batch is always
-    /// pushed before the step that could overrun its release. Shards
-    /// replay independently (in parallel under the rayon shim); the
-    /// merged counters come back as [`ReplayStats`]. Completions are
-    /// *not* buffered; `max_active` is the cross-shard peak bound of
+    /// Replays an open-arrival [`Trace`] through a front-end with no
+    /// arrivals pushed yet. Platform events are routed up front; arrivals
+    /// are assigned to shards in a validation pre-pass and then
+    /// *streamed* into each shard through [`Trace::replay`]'s feed,
+    /// applied per shard. Streaming keeps every shard's pending heap and
+    /// job slab sized to its in-flight window rather than the whole
+    /// trace, which is what makes the sharded replay faster than the
+    /// flat one even on a single core. Each shard takes exactly the
+    /// events of pushing every arrival up front and calling
+    /// [`ShardedEngine::drain`]. Shards replay independently, in parallel
+    /// under the rayon shim, most routed arrivals first; the merged
+    /// counters come back as [`ReplayStats`]. Completions are *not*
+    /// buffered; `max_active` is the cross-shard peak bound of
     /// [`ShardedEngine::peak_active`].
     ///
     /// # Errors
     ///
     /// Any [`SimError`] from validation or replay. Invalid arrivals are
     /// rejected in the pre-pass (same messages as
-    /// [`ShardedEngine::push_arrival`]) before any shard state changes.
+    /// [`ShardedEngine::push_arrival`]) before any arrival is pushed.
     pub fn replay_trace(
+        &mut self,
+        trace: &Trace,
+        policies: &mut [Box<dyn OnlineScheduler + Send>],
+    ) -> Result<ReplayStats, SimError> {
+        for e in &trace.platform_events {
+            self.push_platform_event(*e)?;
+        }
+        self.stream_trace(trace, policies)
+    }
+
+    /// [`ShardedEngine::replay_trace`] after its platform events: routes
+    /// and streams the arrivals. The service pushes its injected faults
+    /// between the two, after the trace's own events.
+    pub(crate) fn stream_trace(
         &mut self,
         trace: &Trace,
         policies: &mut [Box<dyn OnlineScheduler + Send>],
@@ -402,9 +413,6 @@ impl ShardedEngine {
             p.reset();
         }
         self.set_record_completions(false);
-        for e in &trace.platform_events {
-            self.push_platform_event(*e)?;
-        }
         // Pre-pass: validate every arrival against the FULL cost row
         // (the flat engine's exact messages) and pin it to the shard of
         // its globally fastest machine — ties to the lowest machine
@@ -496,59 +504,15 @@ impl ShardedEngine {
             self.global_of[s].push(self.next_id);
             self.next_id += 1;
         }
-        // Streamed per-shard replay, one release batch ahead — the
-        // moving parts of `Trace::replay_impl` with the arrival list
-        // filtered to the shard's pinned jobs and cost rows sliced to
-        // its machine range.
+        // Each shard streams its pinned arrivals through the one feed,
+        // cost rows sliced to its machine range.
         let starts = &self.starts;
-        let mut work: Vec<(
-            &mut Engine,
-            &mut (dyn OnlineScheduler + Send),
-            &[u32],
-            usize,
-        )> = self
-            .shards
-            .iter_mut()
-            .zip(policies.iter_mut())
-            .enumerate()
-            .map(|(s, (e, p))| (e, p.as_mut(), routed[s].as_slice(), starts[s]))
-            .collect(); // dlflint:allow(alloc-in-hot-loop, "one work item per shard per replay, not per event")
-        let results: Vec<Result<(), SimError>> = work
-            .par_iter_mut()
-            .map(|(eng, pol, mine, start)| {
-                let m = eng.n_machines();
-                let n = mine.len();
-                let mut next = 0usize;
-                let mut costs = vec![0.0f64; m]; // dlflint:allow(alloc-in-hot-loop, "one buffer per shard per replay, recycled across every arrival")
-                let max_iters = 100_000 + 200 * n * (m + 2) + 2 * trace.platform_events.len();
-                for _ in 0..max_iters {
-                    if eng.pending_len() == 0 && next < n {
-                        let t0 = trace.arrivals[mine[next] as usize].release;
-                        while next < n {
-                            let a = &trace.arrivals[mine[next] as usize];
-                            if a.release > t0 + EPS {
-                                break;
-                            }
-                            let (lo, hi) = (*start, *start + m);
-                            for (c, (ct, &ok)) in costs
-                                .iter_mut()
-                                .zip(trace.cycle_times[lo..hi].iter().zip(&a.avail[lo..hi]))
-                            {
-                                *c = if ok { a.size * ct } else { f64::INFINITY };
-                            }
-                            eng.push_arrival_ref(a.release, a.weight, &costs)?;
-                            next += 1;
-                        }
-                    }
-                    let outcome = eng.step(&mut **pol)?;
-                    if outcome == StepOutcome::Idle && next >= n {
-                        return Ok(());
-                    }
-                }
-                Err(SimError::Stalled { at: eng.now() })
-            })
-            .collect(); // dlflint:allow(alloc-in-hot-loop, "one result slot per shard per replay, not per event")
-        results.into_iter().collect::<Result<(), SimError>>()?;
+        run_heaviest_first(
+            &mut self.shards,
+            policies,
+            |s, _| routed[s].len(),
+            |s, eng, pol| stream_arrivals(trace, Some(&routed[s]), starts[s], eng, pol, None),
+        )?;
         Ok(ReplayStats {
             n_jobs: trace.len(),
             n_events: self.n_events(),
@@ -598,6 +562,31 @@ impl ShardedEngine {
             next_id,
         })
     }
+}
+
+/// Runs `run` on every shard with its policy under the rayon shim,
+/// handing the shim the heaviest shards (by `load`) first so the longest
+/// runs start earliest. Results map back to shard order: the first error
+/// in shard-index order is returned, whichever shard finished first.
+fn run_heaviest_first(
+    shards: &mut [Engine],
+    policies: &mut [Box<dyn OnlineScheduler + Send>],
+    load: impl Fn(usize, &Engine) -> usize,
+    run: impl Fn(usize, &mut Engine, &mut dyn OnlineScheduler) -> Result<(), SimError> + Sync,
+) -> Result<(), SimError> {
+    let mut work: Vec<(usize, &mut Engine, &mut (dyn OnlineScheduler + Send))> = shards
+        .iter_mut()
+        .zip(policies.iter_mut())
+        .enumerate()
+        .map(|(s, (e, p))| (s, e, p.as_mut()))
+        .collect(); // dlflint:allow(alloc-in-hot-loop, "one work item per shard per run, not per event")
+    work.sort_unstable_by_key(|(s, e, _)| (Reverse(load(*s, e)), *s));
+    let mut results: Vec<(usize, Result<(), SimError>)> = work
+        .par_iter_mut()
+        .map(|(s, eng, pol)| (*s, run(*s, eng, &mut **pol)))
+        .collect(); // dlflint:allow(alloc-in-hot-loop, "one result slot per shard per run, not per event")
+    results.sort_unstable_by_key(|(s, _)| *s);
+    results.into_iter().try_for_each(|(_, r)| r)
 }
 
 #[cfg(test)]

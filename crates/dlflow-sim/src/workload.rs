@@ -13,11 +13,12 @@
 
 use crate::engine::{
     CompletedJob, Engine, JobSpec, OnlineScheduler, PlatformChange, PlatformEvent, RunMetrics,
-    SimError, EPS,
+    SimError, StepOutcome, EPS,
 };
 use dlflow_core::instance::{Cost, Instance, Job};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write;
 
 /// Knobs for random instance generation.
 #[derive(Clone, Debug)]
@@ -494,18 +495,20 @@ impl Trace {
     /// Replays the trace through a fresh [`Engine`] under `policy`,
     /// streaming arrivals in so engine memory stays proportional to the
     /// number of in-flight requests: at any moment the engine knows only
-    /// the active set plus the next release-batch of future arrivals.
+    /// the active set plus the arrivals released within the admission
+    /// tolerance (1e-9) of the earliest pending one. The events are
+    /// exactly those of pushing every arrival up front and draining.
     pub fn replay(&self, policy: &mut dyn OnlineScheduler) -> Result<ReplayStats, SimError> {
         self.replay_impl(policy, None)
     }
 
-    /// The shared streaming driver behind [`Trace::replay`] and
-    /// [`replay_with_sink`]. With a sink, completions are buffered per
-    /// step and handed over; without one, buffering is off entirely.
+    /// The driver behind [`Trace::replay`] and [`replay_with_sink`]. With
+    /// a sink, completions are buffered per step and handed over; without
+    /// one, buffering is off entirely.
     fn replay_impl(
         &self,
         policy: &mut dyn OnlineScheduler,
-        mut sink: Option<&mut dyn FnMut(&CompletedJob)>,
+        sink: Option<&mut dyn FnMut(&CompletedJob)>,
     ) -> Result<ReplayStats, SimError> {
         policy.reset();
         let mut eng = Engine::new(self.n_machines());
@@ -513,82 +516,43 @@ impl Trace {
         for e in &self.platform_events {
             eng.push_platform_event(*e)?;
         }
-        let n = self.arrivals.len();
-        let mut next = 0usize;
-        let mut max_active = 0usize;
-        // Reused cost row: arrivals enter the engine through
-        // `push_arrival_ref`, which copies the row straight into the
-        // slab, so the steady-state replay loop performs no allocation.
-        let mut costs = vec![0.0f64; self.n_machines()]; // dlflint:allow(alloc-in-hot-loop, "one buffer per replay, recycled across every arrival")
-                                                         // Stall guard equivalent to `Engine::drain`'s, over the whole trace.
-        let max_iters =
-            100_000 + 200 * n * (self.n_machines() + 2) + 2 * self.platform_events.len();
-        for _ in 0..max_iters {
-            // Keep at least one *release batch* pushed ahead: the engine
-            // can only bound its horizon by arrivals it knows about, and
-            // simultaneous releases must be admitted within one event.
-            if eng.pending_len() == 0 && next < n {
-                let t0 = self.arrivals[next].release;
-                while next < n && self.arrivals[next].release <= t0 + EPS {
-                    let a = &self.arrivals[next];
-                    for (c, (ct, &ok)) in
-                        costs.iter_mut().zip(self.cycle_times.iter().zip(&a.avail))
-                    {
-                        *c = if ok { a.size * ct } else { f64::INFINITY };
-                    }
-                    eng.push_arrival_ref(a.release, a.weight, &costs)?;
-                    next += 1;
-                }
-            }
-            max_active = max_active.max(eng.active().len());
-            let outcome = eng.step(policy)?;
-            if let Some(sink) = sink.as_mut() {
-                for c in eng.take_completed() {
-                    sink(&c);
-                }
-            }
-            // Idle with trace remaining loops back to push the next batch.
-            if outcome == crate::engine::StepOutcome::Idle && next >= n {
-                return Ok(ReplayStats {
-                    n_jobs: n,
-                    n_events: eng.n_events(),
-                    n_plans: eng.n_plans(),
-                    busy: eng.busy().to_vec(), // dlflint:allow(alloc-in-hot-loop, "runs once on the terminal return path, not per iteration")
-                    metrics: eng.metrics(),
-                    utilization: eng.utilization(),
-                    max_active,
-                });
-            }
-        }
-        Err(SimError::Stalled { at: eng.now() })
+        stream_arrivals(self, None, 0, &mut eng, policy, sink)?;
+        Ok(ReplayStats {
+            n_jobs: self.len(),
+            n_events: eng.n_events(),
+            n_plans: eng.n_plans(),
+            busy: eng.busy().to_vec(),
+            metrics: eng.metrics(),
+            utilization: eng.utilization(),
+            max_active: eng.peak_active(),
+        })
     }
 
     /// Renders the trace in the `.dlt` text format (see
     /// `docs/FORMATS.md`). Round-trips through [`Trace::parse_dlt`].
     pub fn to_dlt(&self) -> String {
         let mut s = String::from("# dlflow open-arrival trace (.dlt) — see docs/FORMATS.md\n");
+        // `fmt::Write` for `String` never fails.
         s.push_str("machines");
         for ct in &self.cycle_times {
-            s.push_str(&format!(" {ct}"));
+            let _ = write!(s, " {ct}");
         }
         s.push('\n');
         for a in &self.arrivals {
-            let mask: String = if a.avail.iter().all(|&x| x) {
-                "*".into()
+            let _ = write!(s, "arrival {} {} {} ", a.release, a.size, a.weight);
+            if a.avail.iter().all(|&x| x) {
+                s.push('*');
             } else {
-                a.avail.iter().map(|&x| if x { '1' } else { '0' }).collect()
-            };
-            s.push_str(&format!(
-                "arrival {} {} {} {mask}\n",
-                a.release, a.size, a.weight
-            ));
+                s.extend(a.avail.iter().map(|&x| if x { '1' } else { '0' }));
+            }
+            s.push('\n');
         }
         for e in &self.platform_events {
             let directive = match e.change {
                 PlatformChange::Down => "fail",
                 PlatformChange::Up => "recover",
             };
-            s.push_str(&format!("{directive} {} {}\n", e.time, e.machine));
+            let _ = writeln!(s, "{directive} {} {}", e.time, e.machine);
         }
         s
     }
@@ -751,6 +715,70 @@ impl Trace {
     }
 }
 
+/// The one arrival feed behind [`Trace::replay`] and
+/// [`ShardedEngine::replay_trace`](crate::shard::ShardedEngine::replay_trace):
+/// streams the arrivals `picks` names (indices into `trace.arrivals`, in
+/// trace order; `None` = all of them) into `eng`, whose machines are the
+/// trace's `lo..lo + eng.n_machines()`, and steps it to quiescence.
+///
+/// Before each step it pushes every arrival released by the earliest
+/// pushed-but-unadmitted release (else the next release) plus `EPS`.
+/// The engine's clock never passes that release, so these are all the
+/// arrivals the step can see as its horizon or admit: the engine takes
+/// exactly the events of a run that pushed the whole trace up front,
+/// while holding only its in-flight window. `eng` must start with no
+/// pending arrivals.
+pub(crate) fn stream_arrivals(
+    trace: &Trace,
+    picks: Option<&[u32]>,
+    lo: usize,
+    eng: &mut Engine,
+    policy: &mut dyn OnlineScheduler,
+    mut sink: Option<&mut dyn FnMut(&CompletedJob)>,
+) -> Result<(), SimError> {
+    let n = picks.map_or(trace.arrivals.len(), <[u32]>::len);
+    let arrival = |k: usize| &trace.arrivals[picks.map_or(k, |p| p[k] as usize)];
+    let m = eng.n_machines();
+    // Reused cost row: `push_arrival_ref` copies it straight into the
+    // slab, so the steady-state loop performs no allocation.
+    let mut costs = vec![0.0f64; m]; // dlflint:allow(alloc-in-hot-loop, "one buffer per replay, recycled across every arrival")
+    let mut next = 0usize;
+    // Stall guard equivalent to `Engine::drain`'s.
+    let max_iters = 100_000 + 200 * n * (m + 2) + 2 * eng.platform_pending_len();
+    for _ in 0..max_iters {
+        if next < n {
+            // Arrivals are sorted and admitted in release order, so the
+            // pending ones are the last `pending_len` pushed.
+            let t0 = arrival(next.saturating_sub(eng.pending_len())).release;
+            while next < n && arrival(next).release <= t0 + EPS {
+                let a = arrival(next);
+                let (Some(cts), Some(avail)) =
+                    (trace.cycle_times.get(lo..lo + m), a.avail.get(lo..lo + m))
+                else {
+                    return Err(SimError::InvalidJob {
+                        reason: "costs length does not match the machine count",
+                    });
+                };
+                for (c, (ct, &ok)) in costs.iter_mut().zip(cts.iter().zip(avail)) {
+                    *c = if ok { a.size * ct } else { f64::INFINITY };
+                }
+                eng.push_arrival_ref(a.release, a.weight, &costs)?;
+                next += 1;
+            }
+        }
+        let outcome = eng.step(policy)?;
+        if let Some(sink) = sink.as_mut() {
+            for c in eng.take_completed() {
+                sink(&c);
+            }
+        }
+        if outcome == StepOutcome::Idle && next >= n {
+            return Ok(());
+        }
+    }
+    Err(SimError::Stalled { at: eng.now() })
+}
+
 /// Replays a trace, folding each completion through a caller-provided
 /// sink as it streams out of the engine — per-request results without
 /// ever buffering the whole run. A thin wrapper over the same driver as
@@ -909,6 +937,55 @@ mod tests {
     }
 
     #[test]
+    fn dlt_rendering_is_pinned_byte_for_byte() {
+        let trace = Trace {
+            cycle_times: vec![1.0, 0.1, 2.5],
+            arrivals: vec![
+                TraceArrival {
+                    release: 0.0,
+                    size: 1e-7,
+                    weight: 1.0,
+                    avail: vec![true; 3],
+                },
+                TraceArrival {
+                    release: 0.1,
+                    size: 3.0,
+                    weight: 0.5,
+                    avail: vec![true, false, true],
+                },
+                TraceArrival {
+                    release: 12.25,
+                    size: 0.30000000000000004,
+                    weight: 2.0,
+                    avail: vec![false, false, true],
+                },
+            ],
+            platform_events: vec![
+                PlatformEvent {
+                    time: 0.5,
+                    machine: 2,
+                    change: PlatformChange::Down,
+                },
+                PlatformEvent {
+                    time: 7.0,
+                    machine: 2,
+                    change: PlatformChange::Up,
+                },
+            ],
+        };
+        assert_eq!(
+            trace.to_dlt(),
+            "# dlflow open-arrival trace (.dlt) — see docs/FORMATS.md\n\
+             machines 1 0.1 2.5\n\
+             arrival 0 0.0000001 1 *\n\
+             arrival 0.1 3 0.5 101\n\
+             arrival 12.25 0.30000000000000004 2 001\n\
+             fail 0.5 2\n\
+             recover 7 2\n"
+        );
+    }
+
+    #[test]
     fn dlt_parse_errors_carry_line_numbers() {
         for (bad, needle) in [
             ("arrival 0 1 1 *", "before the machines"),
@@ -1058,6 +1135,31 @@ mod tests {
         // clean run's identical arrival stream.
         assert!(s_faulty.metrics.max_stretch.is_finite());
         assert!(s_faulty.metrics.makespan >= s_clean.metrics.makespan - 1e-9);
+    }
+
+    #[test]
+    fn replay_rejects_an_availability_row_of_the_wrong_length() {
+        // Built by hand (the parser checks mask lengths): the short row
+        // must not leave a stale zero cost on machine 1.
+        let trace = Trace {
+            cycle_times: vec![1.0, 1.0],
+            arrivals: vec![TraceArrival {
+                release: 0.0,
+                size: 2.0,
+                weight: 1.0,
+                avail: vec![true],
+            }],
+            platform_events: Vec::new(),
+        };
+        let err = trace
+            .replay(&mut crate::schedulers::Swrpt::new())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::InvalidJob {
+                reason: "costs length does not match the machine count"
+            }
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property: campaign runs are deterministic — the same config and seed
 //! base produce **byte-identical** aggregate JSON whether scenarios run
-//! in parallel (vendored-rayon chunks, one chunk per core) or strictly
-//! serially, and across repeated runs. Worker chunking must never leak
-//! into results.
+//! in parallel (vendored-rayon workers, one per core) or strictly
+//! serially, and across repeated runs. Which worker ran a scenario must
+//! never leak into results.
 
 use dlflow_sim::campaign::{parse_campaign, run_campaign, run_campaign_serial};
 use proptest::prelude::*;
@@ -45,7 +45,7 @@ proptest! {
     }
 }
 
-/// The shipped quick-mode tournament itself is chunking-invariant (the
+/// The shipped quick-mode tournament itself is worker-invariant (the
 /// config the `campaign` bin and CI artifacts are built from) — checked
 /// on a scaled-down seed count to stay fast in debug builds.
 #[test]

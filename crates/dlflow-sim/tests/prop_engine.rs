@@ -4,7 +4,7 @@
 //! **identical** completions, event counts, plan counts, and busy
 //! vectors — bit for bit, for every scheduler. Trace replays must agree
 //! with the closed simulation of the materialized instance, and campaign
-//! reports must not depend on worker chunking.
+//! reports must not depend on which worker ran a scenario.
 
 use dlflow_sim::engine::{simulate, simulate_dense, OnlineScheduler, RunMetrics};
 use dlflow_sim::schedulers::{

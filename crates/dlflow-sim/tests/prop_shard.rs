@@ -16,14 +16,23 @@
 //! single reordered float comparison anywhere in the rework shows up
 //! here as a diverging bit pattern.
 
-use dlflow_sim::engine::{simulate_dense, CompletedJob, Engine, OnlineScheduler, StepOutcome};
+use dlflow_sim::campaign::SchedulerSpec;
+use dlflow_sim::engine::{
+    simulate_dense, CompletedJob, Engine, OnlineScheduler, PlatformChange, PlatformEvent,
+    ResolveStats, RunMetrics, StepOutcome,
+};
 use dlflow_sim::reference::ReferenceEngine;
 use dlflow_sim::schedulers::{
     Edf, FifoFastest, Mct, OfflineAdapt, RoundRobin, Srpt, Swrpt, WeightedAge,
 };
+use dlflow_sim::service::{
+    run_simulation_with, FaultInjection, ServiceReport, SimInput, SimOptions,
+};
 use dlflow_sim::shard::ShardedEngine;
 use dlflow_sim::workload::{generate_trace, FaultProcess, Trace, TraceSpec};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 type Factory = fn() -> Box<dyn OnlineScheduler + Send>;
 
@@ -63,6 +72,180 @@ fn trace_of(seed: u64, n: usize, m: usize, faulty: bool) -> Trace {
         ..Default::default()
     })
 }
+
+/// [`trace_of`] with releases that nearly tie. About half the arrivals
+/// land within 2.5·EPS (EPS = 1e-9, the engine's admission tolerance)
+/// after the one before. On faulty traces about a third of the arrivals
+/// also get a failure just under EPS before their release (recovered
+/// within 3 s). That event sets an engine's clock just below a release
+/// while the next release sits just past EPS.
+fn near_tie_trace(seed: u64, n: usize, m: usize, faulty: bool) -> Trace {
+    let mut trace = trace_of(seed, n, m, faulty);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x71E5);
+    for k in 1..trace.arrivals.len() {
+        if rng.gen_bool(0.5) {
+            trace.arrivals[k].release = trace.arrivals[k - 1].release + rng.gen_range(0.0..2.5e-9);
+        }
+    }
+    trace
+        .arrivals
+        .sort_by(|a, b| a.release.total_cmp(&b.release));
+    if faulty {
+        for k in 0..trace.arrivals.len() {
+            if rng.gen_bool(0.3) {
+                let time = (trace.arrivals[k].release - rng.gen_range(0.0..1e-9)).max(0.0);
+                let machine = rng.gen_range(0..m);
+                let back = time + rng.gen_range(0.5..3.0);
+                for (time, change) in [(time, PlatformChange::Down), (back, PlatformChange::Up)] {
+                    trace.platform_events.push(PlatformEvent {
+                        time,
+                        machine,
+                        change,
+                    });
+                }
+            }
+        }
+        trace
+            .platform_events
+            .sort_by(|a, b| a.time.total_cmp(&b.time));
+    }
+    trace
+}
+
+/// Every metric, as bits.
+fn metric_bits(m: &RunMetrics) -> [u64; 7] {
+    [
+        m.max_weighted_flow,
+        m.max_flow,
+        m.max_stretch,
+        m.sum_stretch,
+        m.mean_flow,
+        m.sum_flow,
+        m.makespan,
+    ]
+    .map(f64::to_bits)
+}
+
+/// The streamed replays — flat [`Trace::replay`] and sharded
+/// [`ShardedEngine::replay_trace`] — against pushing every arrival up
+/// front and draining: same events, plans, busy time, peak and metric
+/// bits. `None` when they agree, else what differed.
+fn streamed_vs_push_all(trace: &Trace, fresh: Factory, shards: usize) -> Option<String> {
+    let mut policy = fresh();
+    let flat = trace.replay(policy.as_mut()).unwrap();
+    policy.reset();
+    let mut eng = Engine::new(trace.n_machines());
+    for e in &trace.platform_events {
+        eng.push_platform_event(*e).unwrap();
+    }
+    for k in 0..trace.len() {
+        eng.push_arrival(trace.job_spec(k)).unwrap();
+    }
+    eng.drain(policy.as_mut()).unwrap();
+    let want = (
+        eng.n_events(),
+        eng.n_plans(),
+        eng.busy().to_vec(),
+        eng.peak_active(),
+        metric_bits(&eng.metrics()),
+    );
+    let got = (
+        flat.n_events,
+        flat.n_plans,
+        flat.busy.clone(),
+        flat.max_active,
+        metric_bits(&flat.metrics),
+    );
+    if got != want {
+        return Some(format!(
+            "flat: streamed {got:?}, push-all {want:?} ({})",
+            policy.name()
+        ));
+    }
+    let (manual, _) = sharded_stream(trace, fresh, shards);
+    let mut se = ShardedEngine::new(trace.n_machines(), shards);
+    let mut policies: Vec<Box<dyn OnlineScheduler + Send>> =
+        (0..se.n_shards()).map(|_| fresh()).collect();
+    let stats = se.replay_trace(trace, &mut policies).unwrap();
+    let want = (
+        manual.n_events(),
+        manual.n_plans(),
+        manual.busy(),
+        manual.peak_active(),
+        metric_bits(&manual.metrics()),
+    );
+    let got = (
+        stats.n_events,
+        stats.n_plans,
+        stats.busy,
+        stats.max_active,
+        metric_bits(&stats.metrics),
+    );
+    (got != want).then(|| {
+        format!(
+            "{shards} shards: streamed {got:?}, push-all {want:?} ({})",
+            policy.name()
+        )
+    })
+}
+
+/// The service's sharded report rebuilt from public parts: every arrival
+/// pushed up front into a [`ShardedEngine`] (trace events first, then the
+/// injected faults), one drain, the report fields read off the engine.
+fn push_all_report(
+    trace: &Trace,
+    spec: &SchedulerSpec,
+    shards: usize,
+    faults: Option<&FaultInjection>,
+) -> String {
+    let mut se = ShardedEngine::new(trace.n_machines(), shards);
+    let mut policies: Vec<Box<dyn OnlineScheduler + Send>> =
+        (0..se.n_shards()).map(|_| spec.build()).collect();
+    for e in &trace.platform_events {
+        se.push_platform_event(*e).unwrap();
+    }
+    if let Some(f) = faults {
+        let last = trace.arrivals.iter().map(|a| a.release).fold(0.0, f64::max);
+        let process = FaultProcess {
+            mtbf: f.mtbf,
+            mttr: f.mttr,
+            horizon: f.until.unwrap_or(last),
+            seed: f.seed,
+        };
+        for e in process.sample(trace.n_machines()) {
+            se.push_platform_event(e).unwrap();
+        }
+    }
+    se.set_record_completions(false);
+    for k in 0..trace.len() {
+        se.push_arrival(trace.job_spec(k)).unwrap();
+    }
+    se.drain(&mut policies).unwrap();
+    ServiceReport {
+        scheduler: spec.label(),
+        input_kind: "trace",
+        n_jobs: trace.len(),
+        n_machines: trace.n_machines(),
+        n_events: se.n_events(),
+        n_plans: se.n_plans(),
+        metrics: se.metrics(),
+        utilization: se.utilization(),
+        max_active: se.peak_active(),
+        completions: Vec::new(),
+        resolve_stats: policies
+            .iter()
+            .try_fold(ResolveStats::default(), |mut acc, p| {
+                p.resolve_stats().map(|s| {
+                    acc.merge(&s);
+                    acc
+                })
+            }),
+    }
+    .to_json()
+}
+
+/// The compact specs of all 8 policies.
+const SPECS: [&str; 8] = ["mct", "fifo", "srpt", "swrpt", "rr", "wage", "edf", "ola"];
 
 /// A completion stream reduced to comparable bits, order preserved.
 fn bits(stream: &[CompletedJob]) -> Vec<(usize, u64, u64)> {
@@ -323,18 +506,90 @@ fn cross_shard_simultaneous_completion_tie_is_pinned() {
 #[test]
 fn replay_trace_matches_the_manual_sharded_run() {
     let trace = trace_of(77, 50, 4, true);
-    let fresh: Factory = || Box::new(Swrpt::new());
-    let (manual, _) = sharded_stream(&trace, fresh, 2);
-
-    let mut se = ShardedEngine::new(trace.n_machines(), 2);
-    let mut policies: Vec<Box<dyn OnlineScheduler + Send>> = vec![fresh(), fresh()];
-    let stats = se.replay_trace(&trace, &mut policies).unwrap();
-    assert_eq!(stats.n_jobs, 50);
-    assert_eq!(stats.n_events, manual.n_events());
-    assert_eq!(stats.busy, manual.busy());
     assert_eq!(
-        stats.metrics.max_stretch.to_bits(),
-        manual.metrics().max_stretch.to_bits()
+        streamed_vs_push_all(&trace, || Box::new(Swrpt::new()), 2),
+        None
     );
-    assert_eq!(stats.max_active, manual.peak_active());
+}
+
+/// Pinned regression: a streamed replay pushed an arrival released
+/// within (EPS, 2·EPS] of a still-pending one a step late. Job 0 ends
+/// at 0.9999999995, within EPS of job 1's release, so job 1 is admitted
+/// early while job 2 (1.0000000008) stays pending. Job 3
+/// (1.0000000015) is within EPS of job 2, so the push-all engine admits
+/// it with job 2.
+#[test]
+fn near_tie_releases_stream_like_push_all() {
+    let trace = Trace::parse_dlt(
+        "machines 1\n\
+         arrival 0 0.9999999995 1 *\n\
+         arrival 1.0 1 1 *\n\
+         arrival 1.0000000008 1 1 *\n\
+         arrival 1.0000000015 1 1 *\n",
+    )
+    .unwrap();
+    let stats = trace.replay(&mut Swrpt::new()).unwrap();
+    assert_eq!((stats.n_events, stats.n_plans), (9, 5));
+    for fresh in factories() {
+        if let Some(diff) = streamed_vs_push_all(&trace, fresh, 1) {
+            panic!("{diff}");
+        }
+    }
+}
+
+/// Near-tie sweep: 300 seeds × 8 policies on 4 machines, every other
+/// seed faulty; each run streamed flat and at 2 shards must take exactly
+/// the push-all run's events.
+#[test]
+fn near_tie_sweep_streams_like_push_all() {
+    let mut diverged = Vec::new();
+    for seed in 0..300u64 {
+        let trace = near_tie_trace(seed, 6 + (seed % 7) as usize, 4, seed % 2 == 1);
+        for fresh in factories() {
+            if let Some(diff) = streamed_vs_push_all(&trace, fresh, 2) {
+                diverged.push(format!("seed {seed}: {diff}"));
+            }
+        }
+    }
+    assert!(diverged.is_empty(), "{}", diverged.join("\n"));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The service's sharded path (`--shards k`) renders exactly the
+    /// report of a manual push-all sharded run, for every policy, with
+    /// and without the trace's own faults and injected `--faults`.
+    #[test]
+    fn sharded_service_report_matches_the_push_all_run(
+        seed in 0u64..5_000,
+        n in 8usize..24,
+        k in 0usize..4,
+        faulty in 0u8..2,
+        inject in 0u8..2,
+    ) {
+        let shards = [2, 3, 5, 16][k];
+        let trace = near_tie_trace(seed, n, 16, faulty == 1);
+        let faults = (inject == 1).then_some(FaultInjection {
+            mtbf: 6.0,
+            mttr: 1.5,
+            seed: seed ^ 0xF00D,
+            until: None,
+        });
+        let opts = SimOptions {
+            faults: faults.clone(),
+            shards,
+            ..Default::default()
+        };
+        let input = SimInput::Open(trace);
+        let SimInput::Open(trace) = &input else { unreachable!() };
+        for name in SPECS {
+            let spec = SchedulerSpec::parse_compact(name).unwrap();
+            let (report, _) = run_simulation_with(&input, &spec, &opts).unwrap();
+            prop_assert_eq!(
+                report.to_json(),
+                push_all_report(trace, &spec, shards, faults.as_ref())
+            );
+        }
+    }
 }
