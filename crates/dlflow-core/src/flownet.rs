@@ -4,7 +4,9 @@
 //! machines with restricted availabilities* — the structure the paper
 //! shows the GriPPS platform has (§3) — deadline feasibility (System (2))
 //! reduces to a transportation problem, so the milestone binary search
-//! can probe with a max-flow computation instead of a full LP solve.
+//! can probe with a max-flow computation instead of a full LP solve, and
+//! the minimum cut read off the final residual graph drives the
+//! parametric search that replaces the range LP.
 //!
 //! Dinic's phase count is bounded by the number of nodes regardless of
 //! capacities, so the algorithm terminates for exact rational capacities
@@ -71,28 +73,45 @@ impl<S: Scalar> FlowNetwork<S> {
         self.edges[id].cap.sub(&self.edges[id].flow)
     }
 
+    /// BFS levels of the residual graph from `source` (`u32::MAX` =
+    /// unreachable).
+    fn levels(&self, source: usize) -> Vec<u32> {
+        let mut level = vec![u32::MAX; self.n_nodes()];
+        level[source] = 0;
+        let mut queue = vec![source];
+        let mut head = 0;
+        while head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            for &eid in &self.adj[u] {
+                let v = self.edges[eid].to;
+                if level[v] == u32::MAX && self.residual(eid).is_positive_tol() {
+                    level[v] = level[u] + 1;
+                    queue.push(v);
+                }
+            }
+        }
+        level
+    }
+
+    /// The source side of a minimum cut, read off the residual graph after
+    /// [`FlowNetwork::max_flow`]: `true` for every node still reachable
+    /// from `source`. The edges leaving that side are saturated and their
+    /// capacities sum to the maximum flow.
+    pub(crate) fn source_side(&self, source: usize) -> Vec<bool> {
+        self.levels(source)
+            .into_iter()
+            .map(|l| l != u32::MAX)
+            .collect()
+    }
+
     /// Computes the maximum `source → sink` flow (Dinic).
     pub fn max_flow(&mut self, source: usize, sink: usize) -> S {
         assert_ne!(source, sink);
         let n = self.n_nodes();
         let mut total = S::zero();
         loop {
-            // BFS: level graph.
-            let mut level = vec![u32::MAX; n];
-            level[source] = 0;
-            let mut queue = vec![source];
-            let mut head = 0;
-            while head < queue.len() {
-                let u = queue[head];
-                head += 1;
-                for &eid in &self.adj[u] {
-                    let v = self.edges[eid].to;
-                    if level[v] == u32::MAX && self.residual(eid).is_positive_tol() {
-                        level[v] = level[u] + 1;
-                        queue.push(v);
-                    }
-                }
-            }
+            let level = self.levels(source);
             if level[sink] == u32::MAX {
                 return total;
             }
@@ -222,6 +241,19 @@ mod tests {
         let inn = net.flow_on(e13).add_ref(net.flow_on(e23));
         assert_eq!(out, f);
         assert_eq!(inn, f);
+    }
+
+    #[test]
+    fn source_side_is_a_minimum_cut() {
+        // 0 → 1 → 3 bottlenecks at 1 → 3; 0 → 2 → 3 at 0 → 2.
+        let mut net = FlowNetwork::<Rat>::new(4);
+        net.add_edge(0, 1, Rat::from_i64(5));
+        net.add_edge(1, 3, Rat::from_i64(2));
+        net.add_edge(0, 2, Rat::from_i64(1));
+        net.add_edge(2, 3, Rat::from_i64(4));
+        assert_eq!(net.max_flow(0, 3), Rat::from_i64(3));
+        // Cut edges 1 → 3 (2) and 0 → 2 (1): capacity 3 = the flow.
+        assert_eq!(net.source_side(0), [true, true, false, false]);
     }
 
     #[test]

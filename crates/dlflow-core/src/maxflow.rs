@@ -7,14 +7,25 @@
 //! 2. binary-search the sorted milestone list with a System-(2)-style
 //!    feasibility probe ("∃ schedule with max weighted flow ≤ F?" —
 //!    monotone in `F`), isolating the milestone range containing the
-//!    optimum;
-//! 3. solve one parametric LP (System (3), or (5) with the per-job bound)
-//!    on that range, minimizing `F` as an ordinary LP variable — legal
-//!    because within the range interval lengths are affine in `F`. Over
-//!    exact scalars an `f64` copy is solved first and only its optimal
-//!    basis seeds the exact solve, which certifies or repairs it (or
-//!    falls back to a cold exact solve);
-//! 4. rebuild an explicit schedule: interval packing for divisible,
+//!    optimum. The probe is an LP ([`ProbeMethod::Lp`], and always in
+//!    the preemptive model), or one max-flow on a divisible instance that
+//!    factorizes as uniform machines ([`ProbeMethod::MaxFlowUniform`]).
+//!    Over exact scalars those max-flow probes run on an `f64` copy and
+//!    only guide the search, which still returns exact milestones;
+//! 3. find the smallest feasible `F` on that range:
+//!    - with LP probes, or over `f64`: one parametric LP (System (3), or
+//!      (5) with the per-job bound), minimizing `F` as an ordinary LP
+//!      variable — legal because within the range interval lengths are
+//!      affine in `F`. Over exact scalars an `f64` copy is solved first
+//!      and only its optimal basis seeds the exact solve, which certifies
+//!      or repairs it (or falls back to a cold exact solve);
+//!    - with max-flow probes over exact scalars, no LP at all: exact
+//!      max-flows certify the guided range and Newton's method on minimum
+//!      cuts lands on the optimum (the parametric max-flow of
+//!      [`crate::uniform`]). A range they reject is searched again with
+//!      exact probes;
+//! 4. rebuild an explicit schedule: interval packing for divisible (of
+//!    the LP's fractions, or of the last, saturating flow),
 //!    Lawler–Labetoulle phase decomposition for preemptive.
 
 use crate::decompose::decompose_interval;
@@ -22,6 +33,7 @@ use crate::instance::Instance;
 use crate::lp_build::{build_deadline_lp, build_range_lp};
 use crate::milestones::milestones;
 use crate::schedule::{Schedule, ScheduleKind, Slice};
+use crate::uniform::{feasible_at_uniform, min_flow_on_range, uniform_factors, UniformFactors};
 use dlflow_lp::{solve, solve_float_guided, solve_warm, WarmBasis};
 use dlflow_num::Scalar;
 
@@ -30,7 +42,10 @@ use dlflow_num::Scalar;
 pub struct FlowStats {
     /// Number of distinct milestones (≤ n²−n).
     pub n_milestones: usize,
-    /// Feasibility probes run during the binary search.
+    /// Feasibility probes run by the search that placed the milestone
+    /// range. With [`ProbeMethod::MaxFlowUniform`] over exact scalars
+    /// these are the `f64` guide's max-flow probes, plus the exact ones
+    /// of the repeated search when the guided range fails certification.
     pub n_probes: usize,
     /// LP probes warm-started from the previous probe's optimal basis
     /// (successive probes differ only in the flow-bound RHS, so the basis
@@ -44,7 +59,9 @@ pub struct FlowStats {
     /// The final range LP was served by its float guide: an `f64` solve
     /// picked the basis and the exact solve only re-realized and repaired
     /// it (see `dlflow_lp::solve_float_guided`). `false` when the exact
-    /// solve fell back to a cold start, or the scalar is inexact.
+    /// solve fell back to a cold start, when the scalar is inexact, and
+    /// on the LP-free route ([`ProbeMethod::MaxFlowUniform`] over exact
+    /// scalars), which runs no range LP.
     pub range_lp_guided: bool,
 }
 
@@ -222,24 +239,20 @@ pub enum ProbeMethod {
     MaxFlowUniform,
 }
 
+/// The LP routes: milestone search with max-flow probes when `factors`
+/// is given, LP probes otherwise, then the range LP.
 fn solve_min_flow_with<S: Scalar>(
     inst: &Instance<S>,
     preemptive: bool,
-    probe_method: ProbeMethod,
+    factors: Option<&UniformFactors<S>>,
 ) -> RangeSolution<S> {
     let ms = milestones(inst);
-    let factors = match probe_method {
-        ProbeMethod::MaxFlowUniform if !preemptive => crate::uniform::uniform_factors(inst),
-        _ => None,
-    };
     let zero = S::zero();
-    let (range, warm_probes, cold_probes) = match &factors {
+    let (range, warm_probes, cold_probes) = match factors {
         Some(fac) => {
             // Closed-form max-flow probes: no simplex runs, so neither LP
             // counter moves.
-            let range = locate_range(&ms, &zero, |f| {
-                crate::uniform::feasible_at_uniform(inst, f, fac)
-            });
+            let range = locate_range(&ms, &zero, |f| feasible_at_uniform(inst, f, fac));
             (range, 0, 0)
         }
         None => {
@@ -309,7 +322,7 @@ pub fn min_max_weighted_flow_divisible<S: Scalar>(inst: &Instance<S>) -> FlowOut
 /// divisibility**, with an explicit schedule rebuilt by the
 /// Lawler–Labetoulle decomposition.
 pub fn min_max_weighted_flow_preemptive<S: Scalar>(inst: &Instance<S>) -> FlowOutcome<S> {
-    let rs = solve_min_flow_with(inst, true, ProbeMethod::Lp);
+    let rs = solve_min_flow_with(inst, true, None);
     let mut sched = Schedule::empty(inst.n_machines(), ScheduleKind::Preemptive);
     for (t, (inf, sup)) in rs.bounds.iter().enumerate() {
         let len = sup.sub(inf);
@@ -355,16 +368,28 @@ pub fn min_max_stretch_divisible<S: Scalar>(inst: &Instance<S>) -> FlowOutcome<S
     min_max_weighted_flow_divisible(&inst.clone().with_stretch_weights())
 }
 
-/// Theorem 2 with a selectable feasibility probe: on uniform-with-
+/// Theorem 2 with a selectable feasibility probe. On uniform-with-
 /// restricted-availabilities instances, [`ProbeMethod::MaxFlowUniform`]
 /// replaces every LP probe of the binary search with one max-flow
-/// computation (see [`crate::uniform`]); the final range LP is unchanged,
-/// so the result is still the exact optimum.
+/// computation (see [`crate::uniform`]). Over exact scalars it replaces
+/// the range LP too: `f64` max-flow probes place the milestone range, and
+/// exact max-flows certify it and find the optimum on it, so no LP runs.
+/// Either way the result is the exact optimum; over `f64` the range LP
+/// stays.
 pub fn min_max_weighted_flow_divisible_with<S: Scalar>(
     inst: &Instance<S>,
     probe_method: ProbeMethod,
 ) -> FlowOutcome<S> {
-    let rs = solve_min_flow_with(inst, false, probe_method);
+    let factors = match probe_method {
+        ProbeMethod::MaxFlowUniform => uniform_factors(inst),
+        ProbeMethod::Lp => None,
+    };
+    if let Some(fac) = &factors {
+        if S::tolerance() == S::zero() {
+            return min_flow_uniform_exact(inst, fac);
+        }
+    }
+    let rs = solve_min_flow_with(inst, false, factors.as_ref());
     let mut sched = Schedule::empty(inst.n_machines(), ScheduleKind::Divisible);
     let mut cursor: Vec<Vec<S>> = rs
         .bounds
@@ -395,6 +420,78 @@ pub fn min_max_weighted_flow_divisible_with<S: Scalar>(
         schedule: sched,
         stats: rs.stats,
     }
+}
+
+/// Theorem 2 on an exact uniform instance with no LP at all.
+///
+/// The milestone search runs on an `f64` copy of the instance and of its
+/// factors, probing at `ms[k].to_f64()` but indexing the exact list, so the
+/// range it returns is one of exact milestones. Its guess is then checked
+/// by exact max-flows only: [`min_flow_on_range`]'s parametric search
+/// must find `lo` infeasible (unless it is the floor) and the optimum no
+/// later than `hi`. If it does not, the search runs again with exact
+/// probes. The schedule comes from the last, saturating exact flow.
+fn min_flow_uniform_exact<S: Scalar>(
+    inst: &Instance<S>,
+    factors: &UniformFactors<S>,
+) -> FlowOutcome<S> {
+    let ms = milestones(inst);
+    let guide = float_copy(inst, factors, &ms).map(|(fi, ff)| {
+        locate_range(&ms, &S::zero(), |f| {
+            feasible_at_uniform(&fi, &f.to_f64(), &ff)
+        })
+    });
+    min_flow_from_guide(inst, factors, &ms, guide)
+}
+
+/// [`min_flow_uniform_exact`] once the guide has run: certifies `guide`
+/// (a range of `ms` placed by inexact probes, if any) by the parametric
+/// search, or searches `ms` again with exact probes. `n_probes` counts
+/// the guide's probes plus the exact ones.
+fn min_flow_from_guide<S: Scalar>(
+    inst: &Instance<S>,
+    factors: &UniformFactors<S>,
+    ms: &[S],
+    guide: Option<MilestoneRange<S>>,
+) -> FlowOutcome<S> {
+    let zero = S::zero();
+    let mut probes = guide.as_ref().map_or(0, |g| g.probes);
+    let certified = guide.and_then(|range| min_flow_on_range(inst, factors, &range, &zero));
+    let (optimum, schedule) = certified.unwrap_or_else(|| {
+        let range = locate_range(ms, &zero, |f| feasible_at_uniform(inst, f, factors));
+        probes += range.probes;
+        min_flow_on_range(inst, factors, &range, &zero)
+            .expect("exact probes place the optimum in their milestone range")
+    });
+    FlowOutcome {
+        optimum,
+        schedule,
+        stats: FlowStats {
+            n_milestones: ms.len(),
+            n_probes: probes,
+            ..FlowStats::default()
+        },
+    }
+}
+
+/// The `f64` copy of a uniform instance and its factors that guides the
+/// exact milestone search, or `None` when a factor, or a deadline at the
+/// largest milestone, does not stay finite in `f64` (the probe would
+/// compare NaNs).
+fn float_copy<S: Scalar>(
+    inst: &Instance<S>,
+    factors: &UniformFactors<S>,
+    ms: &[S],
+) -> Option<(Instance<f64>, UniformFactors<f64>)> {
+    let fi = inst.map_scalar(S::to_f64);
+    let ff = UniformFactors {
+        speed: factors.speed.iter().map(S::to_f64).collect(),
+        work: factors.work.iter().map(S::to_f64).collect(),
+    };
+    let f_max = ms.last().map_or(0.0, S::to_f64);
+    let finite = (0..fi.n_jobs()).all(|j| fi.deadline(j, &f_max).is_finite())
+        && ff.speed.iter().chain(&ff.work).all(|v| v.is_finite());
+    finite.then_some((fi, ff))
 }
 
 /// Outcome of the ε-bisection strawman ([`min_max_weighted_flow_bisection`]).
@@ -686,16 +783,84 @@ mod tests {
     fn range_lp_float_guide_engages_on_campaign_shapes() {
         // The guide is invisible in every result (the exact solve decides
         // the optimum either way); only its engagement shows that the
-        // exact yardstick still skips the cold rational range-LP solve.
+        // exact LP route still skips the cold rational range-LP solve.
         for seed in 0..12 {
             let inst = campaign_shaped(seed);
-            let out = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::MaxFlowUniform);
+            let out = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::Lp);
             assert!(
                 out.stats.range_lp_guided,
                 "seed {seed}: the range LP fell back to a cold exact solve"
             );
             validate(&inst, &out.schedule).unwrap();
             assert_eq!(out.schedule.max_weighted_flow(&inst), out.optimum);
+        }
+    }
+
+    #[test]
+    fn float_guide_places_the_range_on_campaign_shapes() {
+        // The exact yardstick runs no LP: the f64 guide's range passes the
+        // exact certification (no fallback search), and the parametric
+        // max-flow lands on the LP route's optimum.
+        for seed in 0..12 {
+            let inst = campaign_shaped(seed);
+            let factors = uniform_factors(&inst).expect("campaign shapes are uniform");
+            let ms = milestones(&inst);
+            let (fi, ff) = float_copy(&inst, &factors, &ms).expect("finite in f64");
+            let range = locate_range(&ms, &Rat::zero(), |f| {
+                feasible_at_uniform(&fi, &f.to_f64(), &ff)
+            });
+            let (optimum, sched) = min_flow_on_range(&inst, &factors, &range, &Rat::zero())
+                .unwrap_or_else(|| panic!("seed {seed}: the guided range failed certification"));
+            let lp = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::Lp);
+            assert_eq!(optimum, lp.optimum, "seed {seed}");
+            validate(&inst, &sched).unwrap();
+            assert_eq!(sched.max_weighted_flow(&inst), optimum);
+
+            let out = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::MaxFlowUniform);
+            assert_eq!(out.optimum, lp.optimum);
+            let st = &out.stats;
+            assert_eq!(st.n_probes, range.probes, "seed {seed}: {st:?}");
+            assert!(!st.range_lp_guided && st.n_warm_probes + st.n_cold_probes == 0);
+        }
+    }
+
+    #[test]
+    fn wrong_guided_ranges_fall_back_to_the_exact_search() {
+        // Wrong guesses, each a genuine range of consecutive milestones:
+        // one wholly below the optimum, one above it, and the unbounded
+        // one past the last milestone. The exact flows must reject each,
+        // and the exact search must still reach the optimum.
+        let inst = campaign_shaped(3);
+        let factors = uniform_factors(&inst).unwrap();
+        let ms = milestones(&inst);
+        let opt = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::Lp).optimum;
+        let k = ms
+            .iter()
+            .position(|f| *f >= opt)
+            .expect("optimum below the last milestone");
+        assert!(
+            k >= 2 && k + 2 < ms.len(),
+            "fixture needs milestones on both sides"
+        );
+        let range = |lo: usize, hi: Option<usize>| MilestoneRange {
+            lo: ms[lo].clone(),
+            hi: hi.map(|h| ms[h].clone()),
+            reference: hi.map_or(ms[lo].add_ref(&Rat::one()), |h| {
+                ms[lo].midpoint_like(&ms[h])
+            }),
+            probes: 0,
+        };
+        for wrong in [
+            range(k - 2, Some(k - 1)),
+            range(k + 1, Some(k + 2)),
+            range(ms.len() - 1, None),
+        ] {
+            assert!(min_flow_on_range(&inst, &factors, &wrong, &Rat::zero()).is_none());
+            let out = min_flow_from_guide(&inst, &factors, &ms, Some(wrong.clone()));
+            assert_eq!(out.optimum, opt, "from {wrong:?}");
+            assert!(out.stats.n_probes > 0, "the exact search must have run");
+            validate(&inst, &out.schedule).unwrap();
+            assert_eq!(out.schedule.max_weighted_flow(&inst), opt);
         }
     }
 

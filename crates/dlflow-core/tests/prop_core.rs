@@ -4,17 +4,63 @@ use dlflow_core::deadline::deadline_feasible_divisible;
 use dlflow_core::decompose::{decompose_interval, verify_phases};
 use dlflow_core::instance::{Cost, Instance, Job};
 use dlflow_core::matching::hopcroft_karp;
+use dlflow_core::maxflow::FlowOutcome;
 use dlflow_core::maxflow::{
     feasible_at, min_max_weighted_flow_divisible, min_max_weighted_flow_divisible_with,
     min_max_weighted_flow_preemptive, ProbeMethod,
 };
 use dlflow_core::uniform::{deadline_feasible_with_factors, uniform_factors};
-use dlflow_core::validate::validate;
+use dlflow_core::validate::{validate, ValidationError};
 use dlflow_num::Rat;
 use proptest::prelude::*;
 
 fn ri(v: i64) -> Rat {
     Rat::from_i64(v)
+}
+
+/// A uniform-restricted instance with dyadic sizes `sizes[j]/4` and
+/// cycle times `cycles[i]/4`. Machine `j % m` always holds job `j`;
+/// `mask[i·n + j]` adds the rest.
+fn uniform_instance(
+    sizes: &[i64],
+    cycles: &[i64],
+    releases: &[Rat],
+    mask: &[bool],
+) -> Instance<Rat> {
+    let (n, m) = (sizes.len(), cycles.len());
+    let quarter = |v: &i64| Rat::from_ratio(*v, 4);
+    let avail: Vec<Vec<bool>> = (0..m)
+        .map(|i| (0..n).map(|j| mask[i * n + j] || i == j % m).collect())
+        .collect();
+    Instance::uniform_restricted(
+        &sizes.iter().map(quarter).collect::<Vec<_>>(),
+        releases,
+        &vec![Rat::one(); n],
+        &cycles.iter().map(quarter).collect::<Vec<_>>(),
+        &avail,
+    )
+    .unwrap()
+}
+
+/// The schedule is legal, finishes every job of positive work (a
+/// zero-work job gets no slice, which `validate` reports as incomplete),
+/// and its max weighted flow is the claimed optimum.
+fn attains_its_optimum(inst: &Instance<Rat>, out: &FlowOutcome<Rat>) -> Result<(), TestCaseError> {
+    match validate(inst, &out.schedule) {
+        Ok(()) => {}
+        // Completion is checked last, so every per-machine check passed.
+        Err(ValidationError::IncompleteJob { .. }) => {
+            let done = out.schedule.processed_fractions(inst);
+            for (j, frac) in done.iter().enumerate() {
+                if inst.fastest_cost(j).is_positive() {
+                    prop_assert_eq!(frac, &Rat::one(), "job {} incomplete", j);
+                }
+            }
+        }
+        Err(e) => prop_assert!(false, "invalid schedule: {}", e),
+    }
+    prop_assert_eq!(out.schedule.max_weighted_flow(inst), out.optimum.clone());
+    Ok(())
 }
 
 proptest! {
@@ -205,5 +251,70 @@ proptest! {
                 prop_assert!(!feasible_at(&inst, &below, preemptive));
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any uniform-restricted cost matrix factorizes, whatever order
+    /// propagation reaches the machines in, and the factors reproduce
+    /// every finite cost.
+    #[test]
+    fn uniform_restricted_instances_always_factorize(
+        sizes in proptest::collection::vec(0i64..9, 1..10),
+        cycles in proptest::collection::vec(1i64..17, 1..9),
+        mask in proptest::collection::vec(any::<bool>(), 72),
+    ) {
+        let releases = vec![Rat::zero(); sizes.len()];
+        let inst = uniform_instance(&sizes, &cycles, &releases, &mask);
+        let f = uniform_factors(&inst);
+        prop_assert!(f.is_some(), "sizes {:?}, cycles {:?}", sizes, cycles);
+        let f = f.unwrap();
+        for i in 0..inst.n_machines() {
+            for j in 0..inst.n_jobs() {
+                if let Some(c) = inst.cost(i, j).finite() {
+                    prop_assert_eq!(&f.work[j].mul_ref(&f.speed[i]), c);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The LP-free exact route (max-flow guide, exact parametric max-flow)
+    /// and the all-LP route agree on the optimum exactly, and the LP-free
+    /// schedule attains it. Sizes below 3 become zero-work jobs.
+    #[test]
+    fn lp_free_route_matches_the_lp_route(
+        sizes in proptest::collection::vec(0i64..16, 2..15),
+        cycles in proptest::collection::vec(1i64..9, 1..9),
+        gaps in proptest::collection::vec(0i64..6, 14),
+        mask in proptest::collection::vec(any::<bool>(), 112),
+        stretch in any::<bool>(),
+        staggered in any::<bool>(),
+    ) {
+        let sizes: Vec<i64> = sizes.iter().map(|&s| if s < 3 { 0 } else { s }).collect();
+        let mut at = Rat::zero();
+        let releases: Vec<Rat> = gaps[..sizes.len()]
+            .iter()
+            .map(|&g| {
+                if staggered {
+                    at = at.add_ref(&Rat::from_ratio(g, 4));
+                }
+                at.clone()
+            })
+            .collect();
+        let mut inst = uniform_instance(&sizes, &cycles, &releases, &mask);
+        if stretch {
+            inst = inst.with_stretch_weights();
+        }
+        let mf = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::MaxFlowUniform);
+        let lp = min_max_weighted_flow_divisible_with(&inst, ProbeMethod::Lp);
+        prop_assert_eq!(&mf.optimum, &lp.optimum);
+        prop_assert!(!mf.stats.range_lp_guided);
+        attains_its_optimum(&inst, &mf)?;
     }
 }

@@ -527,6 +527,24 @@ pub(crate) fn scenario_seed(base: u64, pi: usize, wi: usize, k: u64) -> u64 {
     )
 }
 
+/// The instance of one scenario: dyadic and factorization-preserving, so
+/// lossless in f64 *and* as exact rationals, and still uniform-with-
+/// restricted-availabilities so the yardstick runs on max-flows alone.
+fn scenario_instance(
+    cfg: &CampaignConfig,
+    pi: usize,
+    wi: usize,
+    k: u64,
+) -> Result<Instance<f64>, String> {
+    let seed = scenario_seed(cfg.seed_base, pi, wi, k);
+    let model = CostModel::paper_scale();
+    let platform = cfg.platforms[pi].realize(splitmix64(seed ^ 0xA5A5_A5A5));
+    let requests = cfg.workloads[wi].realize(&platform, &model, splitmix64(seed ^ 0x5A5A_5A5A));
+    platform
+        .instance_dyadic(&requests, &model, cfg.sig_bits)
+        .map_err(|e| format!("scenario ({pi},{wi},{k}): {e}"))
+}
+
 /// Runs every scheduler of the config on one scenario.
 fn run_scenario(
     cfg: &CampaignConfig,
@@ -534,16 +552,7 @@ fn run_scenario(
     wi: usize,
     k: u64,
 ) -> Result<Vec<RunRecord>, String> {
-    let seed = scenario_seed(cfg.seed_base, pi, wi, k);
-    let model = CostModel::paper_scale();
-    let platform = cfg.platforms[pi].realize(splitmix64(seed ^ 0xA5A5_A5A5));
-    let requests = cfg.workloads[wi].realize(&platform, &model, splitmix64(seed ^ 0x5A5A_5A5A));
-    // Dyadic, factorization-preserving instance: lossless in f64 *and*
-    // as exact rationals, and still uniform-with-restricted-
-    // availabilities so the yardstick's probes run as max-flows.
-    let base = platform
-        .instance_dyadic(&requests, &model, cfg.sig_bits)
-        .map_err(|e| format!("scenario ({pi},{wi},{k}): {e}"))?;
+    let base = scenario_instance(cfg, pi, wi, k)?;
 
     // Exact yardstick: Theorem 2 on the very same (dyadic) instance.
     let exact = base.to_exact_dyadic().with_stretch_weights();
@@ -1016,6 +1025,31 @@ mod tests {
             .map(|a| a.scheduler.as_str())
             .collect();
         assert_eq!(names, ["MCT", "SRPT", "EDF(k=3)"]);
+    }
+
+    #[test]
+    fn every_quick_scenario_factorizes_as_uniform_machines() {
+        // The yardstick's LP-free route needs the W·s factorization; a
+        // seeding bug once called 4 of these 20 scenarios unrelated.
+        let cfg = CampaignConfig::quick();
+        let mut unrelated = Vec::new();
+        for pi in 0..cfg.platforms.len() {
+            for wi in 0..cfg.workloads.len() {
+                for k in 0..cfg.n_seeds {
+                    let exact = scenario_instance(&cfg, pi, wi, k)
+                        .unwrap()
+                        .to_exact_dyadic()
+                        .with_stretch_weights();
+                    if dlflow_core::uniform::uniform_factors(&exact).is_none() {
+                        unrelated.push((pi, wi, k));
+                    }
+                }
+            }
+        }
+        assert!(
+            unrelated.is_empty(),
+            "scenarios called unrelated: {unrelated:?}"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::engine::{
     SimResult, StepOutcome,
 };
 use crate::shard::ShardedEngine;
-use crate::workload::{FaultProcess, Trace};
+use crate::workload::{stream_arrivals, FaultProcess, Trace};
 use dlflow_core::instance::Instance;
 
 /// What to simulate: a closed instance (all jobs known up front) or an
@@ -182,7 +182,8 @@ fn completion_times(mut done: Vec<CompletedJob>) -> Vec<f64> {
 /// Runs `spec`'s scheduler over the input with fault-injection and
 /// snapshot/resume options. Returns the report plus the snapshot text,
 /// if one was requested and taken. The plain-options path is exactly
-/// [`run_simulation`].
+/// [`run_simulation`]. An open trace streams its arrivals unless a
+/// snapshot is taken or resumed, which needs them all pushed.
 pub fn run_simulation_with(
     input: &SimInput,
     spec: &SchedulerSpec,
@@ -206,6 +207,11 @@ pub fn run_simulation_with(
             );
         }
         return run_sharded(input, spec, opts);
+    }
+    if let SimInput::Open(trace) = input {
+        if opts.resume.is_none() && opts.snapshot_at.is_none() {
+            return run_streamed(input, trace, spec, opts);
+        }
     }
     let mut policy = spec.build();
     let m = input_machines(input);
@@ -237,6 +243,7 @@ pub fn run_simulation_with(
                 }
             }
             SimInput::Open(trace) => {
+                // The snapshot covers every arrival, so all are pushed.
                 eng.record_completions = false;
                 for k in 0..trace.len() {
                     eng.push_arrival(trace.job_spec(k))
@@ -290,6 +297,40 @@ pub fn run_simulation_with(
         resolve_stats: policy.resolve_stats(),
     };
     Ok((report, snapshot))
+}
+
+/// The flat path for an open trace without a snapshot: the platform
+/// events pushed (the trace's first, then `--faults`) and the arrivals
+/// streamed through [`stream_arrivals`], so only the in-flight window is
+/// resident. The report is the push-all run's, byte for byte.
+fn run_streamed(
+    input: &SimInput,
+    trace: &Trace,
+    spec: &SchedulerSpec,
+    opts: &SimOptions,
+) -> Result<(ServiceReport, Option<String>), String> {
+    let mut policy = spec.build();
+    policy.reset();
+    let mut eng = Engine::new(trace.n_machines());
+    eng.record_completions = false;
+    for e in platform_events(input, opts)? {
+        eng.push_platform_event(e).map_err(|e| e.to_string())?;
+    }
+    stream_arrivals(trace, None, 0, &mut eng, policy.as_mut(), None).map_err(|e| e.to_string())?;
+    let report = ServiceReport {
+        scheduler: spec.label(),
+        input_kind: "trace",
+        n_jobs: eng.n_completed(),
+        n_machines: trace.n_machines(),
+        n_events: eng.n_events(),
+        n_plans: eng.n_plans(),
+        utilization: eng.utilization(),
+        metrics: eng.metrics(),
+        max_active: eng.peak_active(),
+        completions: Vec::new(),
+        resolve_stats: policy.resolve_stats(),
+    };
+    Ok((report, None))
 }
 
 /// The multi-cluster path behind `--shards N`: one [`ShardedEngine`]

@@ -189,6 +189,53 @@ fn streamed_vs_push_all(trace: &Trace, fresh: Factory, shards: usize) -> Option<
     })
 }
 
+/// The platform events a service run pushes: the trace's own, then the
+/// injected faults over the trace's release span.
+fn platform_events(trace: &Trace, faults: Option<&FaultInjection>) -> Vec<PlatformEvent> {
+    let mut events = trace.platform_events.clone();
+    if let Some(f) = faults {
+        let last = trace.arrivals.iter().map(|a| a.release).fold(0.0, f64::max);
+        let process = FaultProcess {
+            mtbf: f.mtbf,
+            mttr: f.mttr,
+            horizon: f.until.unwrap_or(last),
+            seed: f.seed,
+        };
+        events.extend(process.sample(trace.n_machines()));
+    }
+    events
+}
+
+/// The service's flat `--faults` report rebuilt from public parts: every
+/// arrival pushed up front into one [`Engine`] after the platform events,
+/// stepped to quiescence, the report fields read off the engine.
+fn flat_push_all_report(trace: &Trace, spec: &SchedulerSpec, faults: &FaultInjection) -> String {
+    let mut policy = spec.build();
+    let mut eng = Engine::new(trace.n_machines());
+    for e in platform_events(trace, Some(faults)) {
+        eng.push_platform_event(e).unwrap();
+    }
+    eng.record_completions = false;
+    for k in 0..trace.len() {
+        eng.push_arrival(trace.job_spec(k)).unwrap();
+    }
+    while eng.step(policy.as_mut()).unwrap() != StepOutcome::Idle {}
+    ServiceReport {
+        scheduler: spec.label(),
+        input_kind: "trace",
+        n_jobs: eng.n_completed(),
+        n_machines: trace.n_machines(),
+        n_events: eng.n_events(),
+        n_plans: eng.n_plans(),
+        metrics: eng.metrics(),
+        utilization: eng.utilization(),
+        max_active: eng.peak_active(),
+        completions: Vec::new(),
+        resolve_stats: policy.resolve_stats(),
+    }
+    .to_json()
+}
+
 /// The service's sharded report rebuilt from public parts: every arrival
 /// pushed up front into a [`ShardedEngine`] (trace events first, then the
 /// injected faults), one drain, the report fields read off the engine.
@@ -201,20 +248,8 @@ fn push_all_report(
     let mut se = ShardedEngine::new(trace.n_machines(), shards);
     let mut policies: Vec<Box<dyn OnlineScheduler + Send>> =
         (0..se.n_shards()).map(|_| spec.build()).collect();
-    for e in &trace.platform_events {
-        se.push_platform_event(*e).unwrap();
-    }
-    if let Some(f) = faults {
-        let last = trace.arrivals.iter().map(|a| a.release).fold(0.0, f64::max);
-        let process = FaultProcess {
-            mtbf: f.mtbf,
-            mttr: f.mttr,
-            horizon: f.until.unwrap_or(last),
-            seed: f.seed,
-        };
-        for e in process.sample(trace.n_machines()) {
-            se.push_platform_event(e).unwrap();
-        }
+    for e in platform_events(trace, faults) {
+        se.push_platform_event(e).unwrap();
     }
     se.set_record_completions(false);
     for k in 0..trace.len() {
@@ -590,6 +625,43 @@ proptest! {
                 report.to_json(),
                 push_all_report(trace, &spec, shards, faults.as_ref())
             );
+        }
+    }
+
+    /// The service's flat `--faults` path streams its arrivals, yet
+    /// renders exactly the report of a push-all run, for every policy,
+    /// with and without the trace's own faults: both the manual engine's
+    /// and the service's own push-all path's (a snapshot run).
+    #[test]
+    fn flat_faults_service_report_matches_the_push_all_run(
+        seed in 0u64..5_000,
+        n in 8usize..24,
+        faulty in 0u8..2,
+    ) {
+        let trace = near_tie_trace(seed, n, 6, faulty == 1);
+        let faults = FaultInjection {
+            mtbf: 6.0,
+            mttr: 1.5,
+            seed: seed ^ 0xF00D,
+            until: None,
+        };
+        let opts = SimOptions {
+            faults: Some(faults.clone()),
+            ..Default::default()
+        };
+        let push_all = SimOptions {
+            snapshot_at: Some(usize::MAX),
+            ..opts.clone()
+        };
+        let input = SimInput::Open(trace);
+        let SimInput::Open(trace) = &input else { unreachable!() };
+        for name in SPECS {
+            let spec = SchedulerSpec::parse_compact(name).unwrap();
+            let (streamed, snapshot) = run_simulation_with(&input, &spec, &opts).unwrap();
+            prop_assert!(snapshot.is_none());
+            let json = streamed.to_json();
+            prop_assert_eq!(&json, &run_simulation_with(&input, &spec, &push_all).unwrap().0.to_json());
+            prop_assert_eq!(json, flat_push_all_report(trace, &spec, &faults));
         }
     }
 }
