@@ -15,6 +15,12 @@
 //! Reported per instance size: probe counts, wall-clock, and the accuracy
 //! gap of the bisection.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an experiment bin: the wall-clock time it reports is what it measures"
+)]
+
 use dlflow_bench::{f3, render_table};
 use dlflow_core::instance::{round_sig_bits, Instance};
 use dlflow_core::maxflow::{

@@ -47,6 +47,12 @@
 //!
 //! Usage: `cargo run --release -p dlflow-bench --bin bench-report`
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an experiment bin: the wall-clock time it reports is what it measures"
+)]
+
 use allocmeter::Meter;
 use dlflow_core::instance::{Cost, Instance, Job};
 use dlflow_core::lp_build::{build_deadline_lp, build_deadline_probe_lp, build_makespan_lp};

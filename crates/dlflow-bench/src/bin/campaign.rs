@@ -14,6 +14,12 @@
 //! `--out <prefix>` overrides the `CAMPAIGN_PR4` output prefix. Custom
 //! configs use the format documented in `docs/FORMATS.md`.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an experiment bin: the wall-clock time it reports is what it measures"
+)]
+
 use dlflow_sim::campaign::{parse_campaign, run_campaign, CampaignConfig};
 
 /// The `--full` sweep: two platform families × two workload families.

@@ -17,6 +17,12 @@
 //!
 //! Usage: `cargo run --release -p dlflow-bench --bin chaos-smoke`
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an experiment bin: the wall-clock time it reports is what it measures"
+)]
+
 use dlflow_sim::engine::{Engine, StepOutcome};
 use dlflow_sim::schedulers::Swrpt;
 use dlflow_sim::workload::{generate_trace, ArrivalProcess, FaultProcess, Trace, TraceSpec};

@@ -12,6 +12,12 @@
 //! cargo run --release -p dlflow-bench --bin fault-campaign -- --out MYPREFIX
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an experiment bin: the wall-clock time it reports is what it measures"
+)]
+
 use dlflow_sim::chaos::{default_levels, run_fault_campaign, FaultCampaignConfig};
 
 fn main() {

@@ -12,6 +12,12 @@
 //! (2) *model* series — the calibrated cost model at the paper's full
 //! scale, reproducing the 1.1 s intercept and ~100 s full-scan time.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an experiment bin: the wall-clock time it reports is what it measures"
+)]
+
 use dlflow_bench::{f3, render_csv, render_table};
 use dlflow_gripps::cost_model::{linear_regression, CostModel};
 use dlflow_gripps::databank::{Databank, DatabankSpec};

@@ -12,6 +12,12 @@
 //! re-parses the full databank from FASTA before scanning (measured
 //! series), and the calibrated model reproduces the paper-scale numbers.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an experiment bin: the wall-clock time it reports is what it measures"
+)]
+
 use dlflow_bench::{f3, render_csv, render_table};
 use dlflow_gripps::cost_model::{linear_regression, CostModel};
 use dlflow_gripps::databank::{Databank, DatabankSpec};

@@ -6,6 +6,12 @@
 //! phase count of the Gonzalez–Sahni decomposition vs its (m+n)² bound,
 //! and full validation (a job never on two machines at once).
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an experiment bin: the wall-clock time it reports is what it measures"
+)]
+
 use dlflow_bench::{f3, render_table};
 use dlflow_core::decompose::{decompose_interval, verify_phases};
 use dlflow_core::maxflow::{min_max_weighted_flow_divisible, min_max_weighted_flow_preemptive};

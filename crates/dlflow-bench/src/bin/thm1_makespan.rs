@@ -8,6 +8,12 @@
 //! (c) Scaling table: wall-clock vs n and m for the f64 pipeline —
 //!     polynomial growth, empirically.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an experiment bin: the wall-clock time it reports is what it measures"
+)]
+
 use dlflow_bench::{f3, render_table};
 use dlflow_core::instance::InstanceBuilder;
 use dlflow_core::makespan::{makespan_lower_bound, min_makespan};

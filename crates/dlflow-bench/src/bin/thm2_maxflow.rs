@@ -8,6 +8,12 @@
 //!     divisible ≤ preemptive ≤ FIFO baseline.
 //! (c) Scaling of the full exact pipeline and the f64 pipeline.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an experiment bin: the wall-clock time it reports is what it measures"
+)]
+
 use dlflow_bench::{f3, render_table};
 use dlflow_core::baselines::{baseline_max_weighted_flow, ListOrder};
 use dlflow_core::maxflow::{

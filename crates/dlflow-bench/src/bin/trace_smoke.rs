@@ -15,6 +15,12 @@
 //!
 //! Usage: `cargo run --release -p dlflow-bench --bin trace-smoke`
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an experiment bin: the wall-clock time it reports is what it measures"
+)]
+
 use dlflow_sim::campaign::SchedulerSpec;
 use dlflow_sim::engine::OnlineScheduler;
 use dlflow_sim::schedulers::Swrpt;

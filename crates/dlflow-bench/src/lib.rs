@@ -83,11 +83,6 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Formats a float with 1 decimal.
-pub fn f1(v: f64) -> String {
-    format!("{v:.1}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,6 +100,12 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains('a') && lines[0].contains("bb"));
         assert!(lines[1].starts_with('-'));
+    }
+
+    #[test]
+    fn fixed_width_float_rendering() {
+        assert_eq!(f3(0.12349), "0.123");
+        assert_eq!(f3(7.0), "7.000");
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub fn parse_rat(tok: &str, line: usize) -> Result<Rat, ParseError> {
 }
 
 /// Parses a cost token (`parse_rat` or `inf`/`-`/`x` for unavailable).
-pub fn parse_cost(tok: &str, line: usize) -> Result<Cost<Rat>, ParseError> {
+pub(crate) fn parse_cost(tok: &str, line: usize) -> Result<Cost<Rat>, ParseError> {
     match tok {
         "inf" | "INF" | "-" | "x" | "X" => Ok(Cost::Infinite),
         _ => Ok(Cost::Finite(parse_rat(tok, line)?)),
@@ -166,6 +166,17 @@ machine 8 inf   # second databank absent here
         assert_eq!(parse_rat("-1.5", 1).unwrap(), Rat::from_ratio(-3, 2));
         assert!(parse_rat("abc", 1).is_err());
         assert!(parse_rat("1.x", 1).is_err());
+    }
+
+    #[test]
+    fn parse_cost_accepts_all_unavailable_spellings() {
+        for tok in ["inf", "INF", "-", "x", "X"] {
+            assert_eq!(parse_cost(tok, 1).unwrap(), Cost::Infinite);
+        }
+        assert_eq!(
+            parse_cost("2.5", 1).unwrap(),
+            Cost::Finite(Rat::from_ratio(5, 2))
+        );
     }
 
     #[test]

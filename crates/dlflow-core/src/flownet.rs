@@ -46,7 +46,7 @@ impl<S: Scalar> FlowNetwork<S> {
     /// Adds a directed edge `u → v` with the given capacity; returns its
     /// id (use with [`FlowNetwork::flow_on`]). A residual reverse edge of
     /// capacity 0 is added automatically.
-    pub fn add_edge(&mut self, u: usize, v: usize, cap: S) -> usize {
+    pub(crate) fn add_edge(&mut self, u: usize, v: usize, cap: S) -> usize {
         assert!(!cap.is_negative_tol(), "negative capacity");
         let id = self.edges.len();
         self.edges.push(Edge {

@@ -7,9 +7,15 @@ use dlflow_num::Scalar;
 /// Glyph for job `j`: `1`–`9`, then `a`–`z`, then `#`.
 fn glyph(job: usize) -> char {
     match job {
-        // dlflint:allow(lossy-cast, "match arm bounds job to 0..=8")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "match arm bounds job to 0..=8"
+        )]
         0..=8 => (b'1' + job as u8) as char,
-        // dlflint:allow(lossy-cast, "match arm bounds job - 9 to 0..=25")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "match arm bounds job - 9 to 0..=25"
+        )]
         9..=34 => (b'a' + (job - 9) as u8) as char,
         _ => '#',
     }
@@ -25,9 +31,17 @@ pub fn render_gantt<S: Scalar>(sched: &Schedule<S>, width: usize) -> String {
     for (i, tl) in sched.machines.iter().enumerate() {
         let mut row = vec!['.'; width];
         for s in tl {
-            // dlflint:allow(lossy-cast, "start/horizon is in [0, 1]; product is in [0, width]")
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "start/horizon is in [0, 1]; product is in [0, width]"
+            )]
             let a = (s.start.to_f64() / horizon * width as f64).round() as usize;
-            // dlflint:allow(lossy-cast, "end/horizon is in [0, 1]; product is in [0, width]")
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "end/horizon is in [0, 1]; product is in [0, width]"
+            )]
             let b = (s.end.to_f64() / horizon * width as f64).round() as usize;
             let b = b.max(a + 1).min(width);
             for cell in row.iter_mut().take(b).skip(a.min(width - 1)) {

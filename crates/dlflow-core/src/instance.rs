@@ -271,7 +271,7 @@ impl<S: Scalar> Instance<S> {
     /// process jobs one at a time, in release order, each wholly on its
     /// fastest machine, starting when both the job and the machine are free
     /// (single shared timeline — a gross but safe overestimate).
-    pub fn naive_flow_upper_bound(&self) -> S {
+    pub(crate) fn naive_flow_upper_bound(&self) -> S {
         let mut order: Vec<usize> = (0..self.n_jobs()).collect();
         order.sort_by(|&a, &b| self.jobs[a].release.cmp_total(&self.jobs[b].release));
         let mut time = S::zero();
@@ -325,7 +325,11 @@ pub fn round_sig_bits(v: f64, bits: u32) -> f64 {
     if v <= 0.0 {
         return 0.0;
     }
-    // dlflint:allow(lossy-cast, "log2 of a finite positive f64 is in [-1074, 1024]; bits <= 52")
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "log2 of a finite positive f64 is in [-1074, 1024]; bits <= 52"
+    )]
     let e = (v.log2().floor() as i32) - (bits as i32 - 1);
     let scale = (e as f64).exp2();
     (v / scale).round() * scale
@@ -365,7 +369,10 @@ impl Instance<f64> {
                 (v * g - k).abs() < 1e-9,
                 "value {v} is not on the 1/{denom} grid; quantize first"
             );
-            // dlflint:allow(lossy-cast, "k is a rounded on-grid numerator, checked by the debug_assert above")
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "k is a rounded on-grid numerator, checked by the debug_assert above"
+            )]
             Rat::from_ratio(k as i64, denom)
         })
     }
@@ -446,6 +453,12 @@ impl<S: Scalar> Default for InstanceBuilder<S> {
 }
 
 #[cfg(test)]
+// Test fixtures cast small, known values; the cast lints guard library code.
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 mod tests {
     use super::*;
     use dlflow_num::Rat;

@@ -68,11 +68,6 @@ impl<S: Scalar> ConcreteIntervals<S> {
     pub fn points(&self) -> &[S] {
         &self.points
     }
-
-    /// Last breakpoint (start of the implicit unbounded tail interval).
-    pub fn last_point(&self) -> &S {
-        self.points.last().expect("at least one point")
-    }
 }
 
 /// An affine function of the objective value: `value(F) = a + b·F`.
@@ -104,7 +99,7 @@ impl<S: Scalar> AffineF<S> {
     }
 
     /// `true` when both functions are identical (equal everywhere).
-    pub fn same_function(&self, other: &AffineF<S>) -> bool {
+    pub(crate) fn same_function(&self, other: &AffineF<S>) -> bool {
         self.a.sub(&other.a).is_negligible() && self.b.sub(&other.b).is_negligible()
     }
 }
@@ -208,14 +203,13 @@ mod tests {
         assert_eq!(iv.len(1), 2.0);
         assert_eq!(*iv.inf(1), 1.0);
         assert_eq!(*iv.sup(1), 3.0);
-        assert_eq!(*iv.last_point(), 3.0);
     }
 
     #[test]
     fn concrete_single_point() {
         let iv = ConcreteIntervals::from_points(vec![5.0]);
         assert!(iv.is_empty());
-        assert_eq!(*iv.last_point(), 5.0);
+        assert_eq!(iv.points(), &[5.0]);
     }
 
     #[test]

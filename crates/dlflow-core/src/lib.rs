@@ -49,6 +49,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // matrix/interval code indexes parallel structures in lockstep
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 pub mod baselines;
 pub mod deadline;

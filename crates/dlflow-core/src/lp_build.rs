@@ -501,7 +501,7 @@ pub fn build_range_lp_into<S: Scalar>(
 /// `bounds[t] = (inf, sup)` are the concrete interval bounds. Only valid
 /// for the **divisible** model — preemptive schedules need the
 /// Lawler–Labetoulle decomposition instead (see [`crate::decompose`]).
-pub fn pack_alpha_schedule<S: Scalar>(
+pub(crate) fn pack_alpha_schedule<S: Scalar>(
     inst: &Instance<S>,
     bounds: &[(S, S)],
     alpha: &[AlphaVar],
@@ -714,5 +714,11 @@ mod tests {
         let sol = solve(&r.lp);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.objective.unwrap(), Rat::from_i64(4));
+    }
+
+    #[test]
+    fn pack_alpha_schedule_of_an_empty_assignment_is_empty() {
+        let sched = pack_alpha_schedule(&simple(), &[], &[], &[]);
+        assert_eq!(sched.n_slices(), 0);
     }
 }

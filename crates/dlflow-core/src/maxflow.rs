@@ -556,6 +556,12 @@ pub fn min_max_weighted_flow_bisection<S: Scalar>(
 }
 
 #[cfg(test)]
+// Test fixtures cast small, known values; the cast lints guard library code.
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;

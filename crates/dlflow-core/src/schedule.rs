@@ -184,18 +184,6 @@ impl<S: Scalar> Schedule<S> {
         worst
     }
 
-    /// Sum of flows `Σ_j (C_j − r_j)`.
-    pub fn total_flow(&self, inst: &Instance<S>) -> S {
-        let c = self.completion_times(inst.n_jobs());
-        let mut acc = S::zero();
-        for (j, cj) in c.into_iter().enumerate() {
-            if let Some(cj) = cj {
-                acc = acc.add(&cj.sub(&inst.job(j).release));
-            }
-        }
-        acc
-    }
-
     /// Number of preemptions: slice count minus job count (a job with k
     /// slices was interrupted k−1 times), counting only scheduled jobs.
     pub fn n_preemptions(&self, n_jobs: usize) -> usize {
@@ -266,7 +254,6 @@ mod tests {
         // flows: J0 = 2−0 = 2 (w=1 → 2); J1 = 3−1 = 2 (w=2 → 4).
         assert_eq!(s.max_weighted_flow(&i), 4.0);
         assert_eq!(s.max_flow(&i), 2.0);
-        assert_eq!(s.total_flow(&i), 4.0);
         assert_eq!(s.n_preemptions(2), 0);
         assert_eq!(s.n_slices(), 2);
     }

@@ -163,7 +163,7 @@ pub fn deadline_feasible_with_factors<S: Scalar>(
 
 /// Max-flow feasibility probe for "max weighted flow ≤ f": the uniform
 /// counterpart of [`crate::maxflow::feasible_at`] (divisible model only).
-pub fn feasible_at_uniform<S: Scalar>(
+pub(crate) fn feasible_at_uniform<S: Scalar>(
     inst: &Instance<S>,
     f: &S,
     factors: &UniformFactors<S>,

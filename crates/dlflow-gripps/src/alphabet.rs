@@ -15,19 +15,19 @@ pub const BACKGROUND_FREQ: [f64; 20] = [
 ];
 
 /// Index of a one-letter code in [`AMINO_ACIDS`], or `None` for non-residues.
-pub fn index_of(code: u8) -> Option<usize> {
+pub(crate) fn index_of(code: u8) -> Option<usize> {
     AMINO_ACIDS
         .iter()
         .position(|&c| c == code.to_ascii_uppercase())
 }
 
 /// `true` iff `code` is a standard amino-acid one-letter code.
-pub fn is_residue(code: u8) -> bool {
+pub(crate) fn is_residue(code: u8) -> bool {
     index_of(code).is_some()
 }
 
 /// Cumulative distribution over [`BACKGROUND_FREQ`] for inverse-CDF sampling.
-pub fn background_cdf() -> [f64; 20] {
+pub(crate) fn background_cdf() -> [f64; 20] {
     let mut cdf = [0.0f64; 20];
     let mut acc = 0.0;
     for (i, f) in BACKGROUND_FREQ.iter().enumerate() {
@@ -41,7 +41,7 @@ pub fn background_cdf() -> [f64; 20] {
 
 /// Samples a residue index from the background distribution given a
 /// uniform `u ∈ [0, 1)`.
-pub fn sample_residue(cdf: &[f64; 20], u: f64) -> u8 {
+pub(crate) fn sample_residue(cdf: &[f64; 20], u: f64) -> u8 {
     let idx = cdf.partition_point(|&c| c < u).min(19);
     AMINO_ACIDS[idx]
 }

@@ -94,15 +94,6 @@ impl CostModel {
     pub fn motif_partition_time(&self, motif_subset: f64, bank_residues: f64) -> f64 {
         self.invocation_time(bank_residues * motif_subset, bank_residues)
     }
-
-    /// Fits a model to measured `(work_units, bank_residues, seconds)`
-    /// triples in which `bank_residues` is constant: returns
-    /// `(slope_per_unit, fixed_overhead, r²)`.
-    pub fn fit_fixed_bank(samples: &[(f64, f64)]) -> (f64, f64, f64) {
-        let xs: Vec<f64> = samples.iter().map(|s| s.0).collect();
-        let ys: Vec<f64> = samples.iter().map(|s| s.1).collect();
-        linear_regression(&xs, &ys)
-    }
 }
 
 #[cfg(test)]
@@ -198,13 +189,12 @@ mod tests {
     fn fit_recovers_model() {
         let m = CostModel::paper_scale();
         let bank = 1e6;
-        let samples: Vec<(f64, f64)> = (1..=10)
-            .map(|k| {
-                let motifs = 30.0 * k as f64;
-                (motifs, m.motif_partition_time(motifs, bank))
-            })
+        let motifs: Vec<f64> = (1..=10).map(|k| 30.0 * k as f64).collect();
+        let times: Vec<f64> = motifs
+            .iter()
+            .map(|&x| m.motif_partition_time(x, bank))
             .collect();
-        let (slope, overhead, r2) = CostModel::fit_fixed_bank(&samples);
+        let (slope, overhead, r2) = linear_regression(&motifs, &times);
         assert!((slope - m.seconds_per_unit * bank).abs() / slope < 1e-9);
         assert!(
             (overhead - (m.invocation_overhead + m.bank_parse_per_residue * bank)).abs() < 1e-9

@@ -5,7 +5,7 @@
 //! engine needs: identifiers, integer vs float literals, lifetimes, and
 //! punctuation (with the handful of two-character operators the rules
 //! inspect: `==`, `!=`, `::`). Everything inside comments and literals is
-//! removed before any rule runs, so a `HashMap` mentioned in a doc
+//! removed before any rule runs, so an `x == 0.0` mentioned in a doc
 //! comment or an error message can never produce a finding.
 
 /// What a [`Token`] is.
@@ -524,7 +524,7 @@ mod tests {
     fn pragmas_are_lifted_from_line_comments() {
         let src = "\
 let x = 1; // dlflint:allow(float-eq, \"exact by construction\")
-// dlflint:allow(lossy-cast, \"bounded above\")
+// dlflint:allow(hot-path-panic, \"checked above\")
 let y = 2;
 ";
         let lexed = lex(src);
@@ -535,7 +535,7 @@ let y = 2;
         assert_eq!(p0.applies_to_line(), 1);
         assert_eq!(p0.reason.as_deref(), Some("exact by construction"));
         let p1 = &lexed.pragmas[1];
-        assert_eq!(p1.rule, "lossy-cast");
+        assert_eq!(p1.rule, "hot-path-panic");
         assert!(!p1.trailing);
         assert_eq!(p1.applies_to_line(), 3);
     }

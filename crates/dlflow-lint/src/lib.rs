@@ -8,19 +8,19 @@
 //! (no external dependencies) run over the whole workspace by the
 //! `dlflow-lint` bin.
 //!
-//! Since PR 7 the analyzer is semantic, not just lexical: the [`lexer`]
-//! feeds an item parser ([`items`]), a workspace symbol table and
-//! conservative call graph ([`graph`]), and a reachability pass
-//! ([`reach`]) whose witness chains appear in diagnostics. Ten rules
+//! It holds only what clippy cannot check. Clippy's configuration covers
+//! the rest: `HashMap`/`HashSet` and wall-clock or entropy reads are
+//! `disallowed-types`/`disallowed-methods` in the root `clippy.toml`, and
+//! lossy `as` casts in dlflow-num and dlflow-core are clippy's cast lints.
+//! The [`lexer`] feeds an item parser ([`items`]), a workspace symbol
+//! table and conservative call graph ([`graph`]), and a reachability pass
+//! ([`reach`]) whose witness chains appear in diagnostics. Seven rules
 //! (catalog with rationale in `docs/LINTS.md`, or `--explain <rule>`):
 //!
 //! | rule | guards |
 //! |---|---|
-//! | `hash-iter-determinism` | byte-stable reports (no `HashMap`/`HashSet` in deterministic paths) |
-//! | `no-wallclock-entropy`  | replayability (no `Instant::now`/`SystemTime`/ambient RNG outside dlflow-bench) |
 //! | `hot-path-panic`        | panic-free event paths, **transitive** over the call graph |
-//! | `float-eq`              | exactness (no float `==`/`!=` outside the dyadic modules) |
-//! | `lossy-cast`            | exact arithmetic (no truncating `as` casts in num/core) |
+//! | `float-eq`              | exactness (no float `==`/`!=` against a literal outside the dyadic modules) |
 //! | `alloc-in-hot-loop`     | allocation-lean hot path, **transitive** with loop-context propagation |
 //! | `float-into-exact`      | no f64 rounding on paths reachable from exact entry points |
 //! | `scheduler-contract`    | every `OnlineScheduler` impl writes all hooks; `name()` is a literal |
@@ -29,25 +29,22 @@
 //!
 //! Findings can be suppressed inline with a justified pragma — e.g. a
 //! trailing `` `dlflint:allow(float-eq, "fract()==0 is exact")` `` line
-//! comment. Residual accepted findings live in a committed ratchet
-//! [`baseline`] (`lint-baseline.json`, keyed by rule + symbol since v2)
-//! whose counts may only go down — and which is empty on this tree.
+//! comment. `dlflow-lint --check` fails on any finding that remains.
 //!
 //! ```
 //! use dlflow_lint::lint_source;
 //!
 //! let findings = lint_source(
-//!     "crates/dlflow-sim/src/schedulers/mct.rs",
-//!     "use std::collections::HashMap;",
+//!     "crates/dlflow-core/src/maxflow.rs",
+//!     "fn done(x: f64) -> bool { x == 0.0 }",
 //! );
 //! assert_eq!(findings.len(), 1);
-//! assert_eq!(findings[0].rule, "hash-iter-determinism");
+//! assert_eq!(findings[0].rule, "float-eq");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod graph;
 pub mod items;
 pub mod lexer;
@@ -55,13 +52,12 @@ pub mod reach;
 pub mod rules;
 pub mod walk;
 
-use baseline::Counts;
 use graph::{crate_of, file_module, is_lib_source, FnInfo, Graph, GraphFile};
 use items::FileItems;
 use reach::Reach;
 use rules::Diagnostic;
+use std::collections::BTreeMap;
 use std::path::Path;
-use std::time::Instant;
 
 /// One file handed to [`analyze`]: a workspace-relative path (forward
 /// slashes — it drives rule scoping) and the file's contents.
@@ -96,31 +92,6 @@ fn escape(s: &str) -> String {
 }
 
 impl LintResult {
-    /// Per-`(rule, symbol)` finding counts — the baseline-v2 shape.
-    pub fn counts(&self) -> Counts {
-        let mut out = Counts::new();
-        for d in &self.findings {
-            *out.entry(d.rule.to_string())
-                .or_default()
-                .entry(d.symbol.clone())
-                .or_insert(0) += 1;
-        }
-        out
-    }
-
-    /// Per-`(rule, file)` finding counts — what legacy v1 baselines are
-    /// diffed against.
-    pub fn counts_by_file(&self) -> Counts {
-        let mut out = Counts::new();
-        for d in &self.findings {
-            *out.entry(d.rule.to_string())
-                .or_default()
-                .entry(d.file.clone())
-                .or_insert(0) += 1;
-        }
-        out
-    }
-
     /// Machine-readable report: findings (with symbol and witness
     /// chain), scan counters, and per-rule totals, rendered as
     /// deterministic JSON (hand-rolled — no serde in the offline
@@ -156,25 +127,15 @@ impl LintResult {
         s.push_str(&format!("  \"n_items\": {},\n", self.n_items));
         s.push_str(&format!("  \"n_unresolved\": {},\n", self.n_unresolved));
         s.push_str(&format!("  \"n_findings\": {},\n", self.findings.len()));
-        let mut totals: Counts = Counts::new();
+        let mut totals: BTreeMap<&str, usize> = BTreeMap::new();
         for d in &self.findings {
-            *totals
-                .entry(d.rule.to_string())
-                .or_default()
-                .entry(String::new())
-                .or_insert(0) += 1;
+            *totals.entry(d.rule).or_insert(0) += 1;
         }
-        s.push_str("  \"counts\": {");
-        let mut first = true;
-        for (rule, inner) in &totals {
-            let n: usize = inner.values().sum();
-            if !first {
-                s.push_str(", ");
-            }
-            first = false;
-            s.push_str(&format!("\"{rule}\": {n}"));
-        }
-        s.push('}');
+        let counts: Vec<String> = totals
+            .iter()
+            .map(|(rule, n)| format!("\"{rule}\": {n}"))
+            .collect();
+        s.push_str(&format!("  \"counts\": {{{}}}", counts.join(", ")));
         if timing {
             s.push_str(",\n  \"timings_us\": {");
             for (i, (rule, us)) in self.timings_us.iter().enumerate() {
@@ -198,12 +159,19 @@ struct Prep {
     items: FileItems,
 }
 
+/// Runs `f`, recording its wall time under `name`. Timings reach output
+/// only under `--timing`, so findings stay deterministic.
 fn timed<T>(
     timings: &mut Vec<(&'static str, u128)>,
     name: &'static str,
     f: impl FnOnce() -> T,
 ) -> T {
-    let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "--timing and the --max-wall-ms budget report the analyzer's own wall time"
+    )]
+    let t0 = std::time::Instant::now();
     let out = f();
     timings.push((name, t0.elapsed().as_micros()));
     out
@@ -214,8 +182,40 @@ fn file_symbol(path: &str) -> String {
     format!("{}::{}", crate_of(path), file_module(path))
 }
 
+/// Drops the findings in `path` that a well-formed pragma covers, and
+/// reports each pragma that is malformed or names an unknown rule as a
+/// `bad-pragma` finding.
+fn apply_pragmas(path: &str, pragmas: &[lexer::Pragma], findings: &mut Vec<Diagnostic>) {
+    let mut bad = Vec::new();
+    for pragma in pragmas {
+        if let Some(err) = &pragma.error {
+            bad.push((pragma.line, err.clone()));
+            continue;
+        }
+        if !rules::RULE_NAMES.contains(&pragma.rule.as_str()) || pragma.rule == "bad-pragma" {
+            bad.push((
+                pragma.line,
+                format!("pragma names unknown rule `{}`", pragma.rule),
+            ));
+            continue;
+        }
+        let target = pragma.applies_to_line();
+        findings.retain(|d| !(d.file == path && d.rule == pragma.rule && d.line == target));
+    }
+    for (line, message) in bad {
+        findings.push(Diagnostic {
+            file: path.to_string(),
+            line,
+            rule: "bad-pragma",
+            message,
+            symbol: file_symbol(path),
+            chain: Vec::new(),
+        });
+    }
+}
+
 /// Analyzes a set of source files as one workspace: lexes and parses
-/// items per file, runs the lexical rules, builds the call graph over
+/// items per file, runs the lexical rule, builds the call graph over
 /// lib sources, runs the reachability rules, then applies pragmas.
 /// Output is a pure function of the file *set* — the list is sorted by
 /// path first, so discovery order cannot leak into results.
@@ -246,40 +246,11 @@ pub fn analyze(mut files: Vec<SourceFile>) -> LintResult {
         .sum();
 
     let mut findings: Vec<Diagnostic> = Vec::new();
-    let lexical = |timings: &mut Vec<(&'static str, u128)>,
-                   name: &'static str,
-                   rule: fn(&str, &[lexer::Token], &[bool]) -> Vec<Diagnostic>,
-                   findings: &mut Vec<Diagnostic>| {
-        timed(timings, name, || {
-            for p in &preps {
-                findings.extend(rule(&p.path, &p.lexed.tokens, &p.mask));
-            }
-        });
-    };
-    lexical(
-        &mut timings,
-        "hash-iter-determinism",
-        rules::check_hash_iter,
-        &mut findings,
-    );
-    lexical(
-        &mut timings,
-        "no-wallclock-entropy",
-        rules::check_wallclock,
-        &mut findings,
-    );
-    lexical(
-        &mut timings,
-        "float-eq",
-        rules::check_float_eq,
-        &mut findings,
-    );
-    lexical(
-        &mut timings,
-        "lossy-cast",
-        rules::check_lossy_cast,
-        &mut findings,
-    );
+    timed(&mut timings, "float-eq", || {
+        for p in &preps {
+            findings.extend(rules::check_float_eq(&p.path, &p.lexed.tokens, &p.mask));
+        }
+    });
 
     // The call graph covers lib sources only (tests/examples/benches
     // never sit under the hot path); dead-pub reads references from
@@ -313,8 +284,7 @@ pub fn analyze(mut files: Vec<SourceFile>) -> LintResult {
         findings.extend(rules::check_float_into_exact(&graph, &lib, &exact));
     });
     timed(&mut timings, "scheduler-contract", || {
-        let hooks = Reach::compute(&graph, &rules::scheduler_hook_roots(&graph));
-        findings.extend(rules::check_scheduler_contract(&graph, &lib, &hooks));
+        findings.extend(rules::check_scheduler_contract(&graph, &lib));
     });
     timed(&mut timings, "dead-pub", || {
         let refs: Vec<rules::RefSource<'_>> = preps
@@ -353,37 +323,8 @@ pub fn analyze(mut files: Vec<SourceFile>) -> LintResult {
     // Pragma pass: drop findings a well-formed pragma covers; report the
     // pragmas that are malformed or name an unknown rule.
     timed(&mut timings, "pragmas", || {
-        let mut bad = Vec::new();
         for p in &preps {
-            for pragma in &p.lexed.pragmas {
-                if let Some(err) = &pragma.error {
-                    bad.push((p.path.clone(), pragma.line, err.clone()));
-                    continue;
-                }
-                if !rules::RULE_NAMES.contains(&pragma.rule.as_str()) || pragma.rule == "bad-pragma"
-                {
-                    bad.push((
-                        p.path.clone(),
-                        pragma.line,
-                        format!("pragma names unknown rule `{}`", pragma.rule),
-                    ));
-                    continue;
-                }
-                let target = pragma.applies_to_line();
-                findings
-                    .retain(|d| !(d.file == p.path && d.rule == pragma.rule && d.line == target));
-            }
-        }
-        for (file, line, message) in bad {
-            let symbol = file_symbol(&file);
-            findings.push(Diagnostic {
-                file,
-                line,
-                rule: "bad-pragma",
-                message,
-                symbol,
-                chain: Vec::new(),
-            });
+            apply_pragmas(&p.path, &p.lexed.pragmas, &mut findings);
         }
     });
 
@@ -398,37 +339,14 @@ pub fn analyze(mut files: Vec<SourceFile>) -> LintResult {
     }
 }
 
-/// Lints one source file in isolation: the *lexical* rules plus the
+/// Lints one source file in isolation: the *lexical* rule plus the
 /// pragma pass. The reachability rules need the whole workspace — use
 /// [`analyze`] for those. `path` is the workspace-relative path used
 /// for rule scoping and in diagnostics.
 pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
     let lexed = lexer::lex(source);
     let mut findings = rules::check_file(path, &lexed);
-
-    let mut bad = Vec::new();
-    for p in &lexed.pragmas {
-        if let Some(err) = &p.error {
-            bad.push((p.line, err.clone()));
-            continue;
-        }
-        if !rules::RULE_NAMES.contains(&p.rule.as_str()) || p.rule == "bad-pragma" {
-            bad.push((p.line, format!("pragma names unknown rule `{}`", p.rule)));
-            continue;
-        }
-        let target = p.applies_to_line();
-        findings.retain(|d| !(d.rule == p.rule && d.line == target));
-    }
-    for (line, message) in bad {
-        findings.push(Diagnostic {
-            file: path.to_string(),
-            line,
-            rule: "bad-pragma",
-            message,
-            symbol: file_symbol(path),
-            chain: Vec::new(),
-        });
-    }
+    apply_pragmas(path, &lexed.pragmas, &mut findings);
     findings.sort();
     findings
 }
@@ -456,32 +374,32 @@ mod tests {
 
     #[test]
     fn trailing_pragma_suppresses_same_line() {
-        let src = "let x = y as u32; // dlflint:allow(lossy-cast, \"y < 2^32 by construction\")";
+        let src = "let x = y == 0.5; // dlflint:allow(float-eq, \"0.5 is exact by construction\")";
         assert!(lint_source("crates/dlflow-core/src/gantt.rs", src).is_empty());
     }
 
     #[test]
     fn own_line_pragma_suppresses_next_line() {
         let src = "\
-// dlflint:allow(lossy-cast, \"bounded\")
-let x = y as u32;
+// dlflint:allow(float-eq, \"exact sentinel\")
+let x = y == 0.5;
 ";
         assert!(lint_source("crates/dlflow-core/src/gantt.rs", src).is_empty());
     }
 
     #[test]
     fn pragma_for_wrong_rule_does_not_suppress() {
-        let src = "let x = y as u32; // dlflint:allow(float-eq, \"wrong rule\")";
+        let src = "let x = y == 0.5; // dlflint:allow(hot-path-panic, \"wrong rule\")";
         let d = lint_source("crates/dlflow-core/src/gantt.rs", src);
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "lossy-cast");
+        assert_eq!(d[0].rule, "float-eq");
     }
 
     #[test]
     fn pragma_does_not_leak_to_other_lines() {
         let src = "\
-let a = y as u32; // dlflint:allow(lossy-cast, \"bounded\")
-let b = z as u32;
+let a = y == 0.5; // dlflint:allow(float-eq, \"exact sentinel\")
+let b = z == 0.5;
 ";
         let d = lint_source("crates/dlflow-core/src/gantt.rs", src);
         assert_eq!(d.len(), 1);
@@ -496,23 +414,32 @@ let b = z as u32;
         let unknown = lint_source("src/lib.rs", "// dlflint:allow(no-such-rule, \"why\")");
         assert_eq!(unknown.len(), 1);
         assert!(unknown[0].message.contains("unknown rule"));
+        // A rule that moved to clippy is unknown here: its pragma cannot
+        // silently survive the move.
+        let moved = lint_source(
+            "crates/dlflow-core/src/gantt.rs",
+            "let x = y as u8; // dlflint:allow(lossy-cast, \"bounded\")",
+        );
+        assert_eq!(moved.len(), 1);
+        assert_eq!(moved[0].rule, "bad-pragma");
+        assert!(moved[0].message.contains("unknown rule `lossy-cast`"));
     }
 
     #[test]
     fn analyze_fills_symbols_for_lexical_findings() {
         let res = analyze(vec![SourceFile {
             path: "crates/dlflow-core/src/gantt.rs".into(),
-            source: "impl Gantt { pub fn pack(&self) { let x = y as u32; } }\nlet z = w as u8;\n"
+            source: "impl Gantt { pub fn pack(&self) { let x = y == 0.5; } }\nlet z = w != 1.5;\n"
                 .into(),
         }]);
-        let casts: Vec<_> = res
+        let cmps: Vec<_> = res
             .findings
             .iter()
-            .filter(|d| d.rule == "lossy-cast")
+            .filter(|d| d.rule == "float-eq")
             .collect();
-        assert_eq!(casts.len(), 2);
-        assert_eq!(casts[0].symbol, "dlflow-core::gantt::Gantt::pack");
-        assert_eq!(casts[1].symbol, "dlflow-core::gantt");
+        assert_eq!(cmps.len(), 2);
+        assert_eq!(cmps[0].symbol, "dlflow-core::gantt::Gantt::pack");
+        assert_eq!(cmps[1].symbol, "dlflow-core::gantt");
         assert_eq!(res.n_files, 1);
         assert!(res.n_items >= 1);
     }
@@ -544,19 +471,6 @@ let b = z as u32;
         assert_eq!(hits.len(), 1);
         assert!(!hits[0].chain.is_empty());
         assert!(run(ok).findings.iter().all(|d| d.rule != "hot-path-panic"));
-    }
-
-    #[test]
-    fn counts_group_by_symbol_and_by_file() {
-        let res = analyze(vec![SourceFile {
-            path: "crates/dlflow-core/src/gantt.rs".into(),
-            source: "pub fn pack() { let a = x as u32; let b = y as u8; }".into(),
-        }]);
-        assert_eq!(res.counts()["lossy-cast"]["dlflow-core::gantt::pack"], 2);
-        assert_eq!(
-            res.counts_by_file()["lossy-cast"]["crates/dlflow-core/src/gantt.rs"],
-            2
-        );
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! dlflow-lint                   # list findings (informational, exit 0)
-//! dlflow-lint --check           # ratchet against lint-baseline.json (CI gate)
-//! dlflow-lint --write-baseline  # (re)write lint-baseline.json (v2, by symbol)
+//! dlflow-lint --check           # list findings, exit 1 if there is any (CI gate)
 //! dlflow-lint --json            # machine-readable findings report
 //! dlflow-lint --explain <rule>  # print a rule's rationale and exit
 //! dlflow-lint --timing          # include per-rule wall time in the output
@@ -11,20 +10,16 @@
 //! dlflow-lint --root <dir>      # workspace root (default: cwd)
 //! ```
 //!
-//! `--check` exits nonzero when the tree has findings the baseline does
-//! not allow (new findings) *or* fewer findings than the baseline
-//! records (stale — ratchet it down so the improvement is locked in).
-//! Timing output is opt-in so that default human and `--json` output is
-//! byte-identical across runs.
+//! `--check` combines with `--json`: the report is printed either way,
+//! and the exit code says whether the tree is clean. Timing output is
+//! opt-in so that default human and `--json` output is byte-identical
+//! across runs.
 
 #![forbid(unsafe_code)]
 
-use dlflow_lint::{baseline, rules};
+use dlflow_lint::rules;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
-
-const BASELINE_FILE: &str = "lint-baseline.json";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,21 +33,15 @@ fn main() -> ExitCode {
     for (i, a) in args.iter().enumerate() {
         let known = matches!(
             a.as_str(),
-            "--check"
-                | "--write-baseline"
-                | "--json"
-                | "--explain"
-                | "--timing"
-                | "--max-wall-ms"
-                | "--root"
+            "--check" | "--json" | "--explain" | "--timing" | "--max-wall-ms" | "--root"
         ) || i
             .checked_sub(1)
             .and_then(|k| args.get(k))
             .is_some_and(|prev| matches!(prev.as_str(), "--root" | "--explain" | "--max-wall-ms"));
         if !known {
             eprintln!(
-                "unknown argument `{a}` (expected --check, --write-baseline, --json, \
-                 --explain <rule>, --timing, --max-wall-ms <n>, --root <dir>)"
+                "unknown argument `{a}` (expected --check, --json, --explain <rule>, \
+                 --timing, --max-wall-ms <n>, --root <dir>)"
             );
             return ExitCode::FAILURE;
         }
@@ -98,7 +87,12 @@ fn main() -> ExitCode {
         }
     };
 
-    let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "--timing and the --max-wall-ms budget report the analyzer's own wall time"
+    )]
+    let t0 = std::time::Instant::now();
     let result = match dlflow_lint::run_lint(&root) {
         Ok(r) => r,
         Err(e) => {
@@ -108,127 +102,44 @@ fn main() -> ExitCode {
     };
     let wall_ms = t0.elapsed().as_millis();
 
-    let print_timing = || {
-        eprintln!(
-            "dlflow-lint: {} files, {} items, {} unresolved calls, {wall_ms} ms total",
-            result.n_files, result.n_items, result.n_unresolved
-        );
-        for (rule, us) in &result.timings_us {
-            eprintln!("  {rule:<22} {:>8.1} ms", *us as f64 / 1000.0);
+    if has("--json") {
+        print!("{}", result.to_json(has("--timing")));
+    } else {
+        for d in &result.findings {
+            println!("{}", d.render());
         }
-    };
-
-    let over_budget = || -> bool {
-        if let Some(budget) = max_wall_ms {
-            if wall_ms > budget {
-                eprintln!("dlflow-lint: analysis took {wall_ms} ms, over the {budget} ms budget");
-                return true;
-            }
-        }
-        false
-    };
-
-    if has("--write-baseline") {
-        let counts = result.counts();
-        let path = root.join(BASELINE_FILE);
-        if let Err(e) = std::fs::write(&path, baseline::to_json(&baseline::Baseline::v2(counts))) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "wrote {} ({} findings across {} files)",
-            path.display(),
+        println!(
+            "dlflow-lint: {} finding(s) across {} file(s)",
             result.findings.len(),
             result.n_files
         );
-        return ExitCode::SUCCESS;
-    }
-
-    if has("--json") {
-        print!("{}", result.to_json(has("--timing")));
-        if over_budget() {
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if has("--check") {
-        let path = root.join(BASELINE_FILE);
-        let base = match std::fs::read_to_string(&path) {
-            Ok(text) => match baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("{}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(_) => {
-                eprintln!(
-                    "{} not found — run `dlflow-lint --write-baseline` first",
-                    path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = baseline::diff(&result.counts(), &result.counts_by_file(), &base);
         if has("--timing") {
-            print_timing();
-        }
-        if violations.is_empty() {
             eprintln!(
-                "dlflow-lint --check: clean ({} files, {} baselined findings)",
-                result.n_files,
-                result.findings.len()
+                "dlflow-lint: {} files, {} items, {} unresolved calls, {wall_ms} ms total",
+                result.n_files, result.n_items, result.n_unresolved
             );
-            if base.version == 1 {
-                eprintln!(
-                    "note: {BASELINE_FILE} is legacy v1 (keyed by file) — \
-                     `--write-baseline` upgrades it to v2 (keyed by symbol)"
-                );
-            }
-            if over_budget() {
-                return ExitCode::FAILURE;
-            }
-            return ExitCode::SUCCESS;
-        }
-        // Show the concrete findings behind every increased cell so the
-        // failure is actionable without a second run.
-        for v in &violations {
-            eprintln!("{}", v.render());
-            if let baseline::RatchetViolation::Increase { rule, key, .. } = v {
-                for d in &result.findings {
-                    let matched = if base.version == 1 {
-                        &d.file == key
-                    } else {
-                        &d.symbol == key
-                    };
-                    if d.rule == *rule && matched {
-                        eprintln!("  {}", d.render());
-                    }
-                }
+            for (rule, us) in &result.timings_us {
+                eprintln!("  {rule:<22} {:>8.1} ms", *us as f64 / 1000.0);
             }
         }
-        eprintln!(
-            "dlflow-lint --check: {} ratchet violation(s)",
-            violations.len()
-        );
-        return ExitCode::FAILURE;
     }
 
-    // Default: informational listing.
-    for d in &result.findings {
-        println!("{}", d.render());
+    let mut failed = false;
+    if let Some(budget) = max_wall_ms.filter(|&b| wall_ms > b) {
+        eprintln!("dlflow-lint: analysis took {wall_ms} ms, over the {budget} ms budget");
+        failed = true;
     }
-    println!(
-        "dlflow-lint: {} finding(s) across {} file(s)",
-        result.findings.len(),
-        result.n_files
-    );
-    if has("--timing") {
-        print_timing();
+    if has("--check") && !result.findings.is_empty() {
+        eprintln!(
+            "dlflow-lint --check: {} finding(s); fix each or justify it with a \
+             `dlflint:allow(rule, \"reason\")` pragma",
+            result.findings.len()
+        );
+        failed = true;
     }
-    if over_budget() {
-        return ExitCode::FAILURE;
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
-    ExitCode::SUCCESS
 }

@@ -1,11 +1,11 @@
 //! Integration tests: every rule against its bad/clean fixture pair,
-//! ratchet behavior over real `LintResult` counts, and the self-check
-//! that the committed tree is exactly as clean as `lint-baseline.json`.
+//! the self-check that the committed tree has no findings, and the
+//! built binary's `--check` exit codes.
 
-use dlflow_lint::baseline::{self, Baseline, RatchetViolation};
 use dlflow_lint::rules::Diagnostic;
 use dlflow_lint::{analyze, lint_source, run_lint, SourceFile};
 use std::path::Path;
+use std::process::Command;
 
 /// Reads a fixture from `testdata/` (excluded from the workspace walk —
 /// fixtures are intentionally bad).
@@ -58,36 +58,6 @@ fn assert_pair(
 }
 
 #[test]
-fn hash_iter_determinism_fixtures() {
-    assert_pair(
-        lint_fixture,
-        "hash-iter-determinism",
-        "hash_iter_bad.rs",
-        "hash_iter_clean.rs",
-        "crates/dlflow-sim/src/campaign.rs",
-        2, // HashMap and HashSet both appear
-    );
-}
-
-#[test]
-fn no_wallclock_entropy_fixtures() {
-    assert_pair(
-        lint_fixture,
-        "no-wallclock-entropy",
-        "wallclock_bad.rs",
-        "wallclock_clean.rs",
-        "crates/dlflow-sim/src/workload.rs",
-        2, // Instant and SystemTime both appear
-    );
-    // The same source is fine where timing is the point.
-    let bench = lint_fixture(
-        "wallclock_bad.rs",
-        "crates/dlflow-bench/src/bin/campaign.rs",
-    );
-    assert!(bench.is_empty(), "bench paths are out of scope: {bench:?}");
-}
-
-#[test]
 fn hot_path_panic_fixtures() {
     // Reachability rule: runs under the full pipeline. The bad fixture
     // panics both inside `Engine::step` and in a helper it calls; the
@@ -126,21 +96,6 @@ fn float_eq_fixtures() {
 }
 
 #[test]
-fn lossy_cast_fixtures() {
-    assert_pair(
-        lint_fixture,
-        "lossy-cast",
-        "lossy_cast_bad.rs",
-        "lossy_cast_clean.rs",
-        "crates/dlflow-num/src/simplex_support.rs",
-        3, // as u32, as i64, as usize
-    );
-    // The limb kernels are excluded: casts are the algorithm there.
-    let limb = lint_fixture("lossy_cast_bad.rs", "crates/dlflow-num/src/ubig.rs");
-    assert!(limb.is_empty(), "ubig.rs is excluded: {limb:?}");
-}
-
-#[test]
 fn alloc_in_hot_loop_fixtures() {
     assert_pair(
         analyze_fixture,
@@ -156,11 +111,11 @@ fn alloc_in_hot_loop_fixtures() {
 fn lexer_hardening_fixtures() {
     // Raw strings (with and without extra hashes), nested block
     // comments, char/byte literals holding delimiters, and lifetime
-    // ticks: the bad file's one real cast survives them; the clean
+    // ticks: the bad file's one real comparison survives them; the clean
     // file's decoy findings all sit inside literals or comments.
     assert_pair(
         lint_fixture,
-        "lossy-cast",
+        "float-eq",
         "lexer_hardening_bad.rs",
         "lexer_hardening_clean.rs",
         "crates/dlflow-num/src/simplex_support.rs",
@@ -170,7 +125,7 @@ fn lexer_hardening_fixtures() {
         "lexer_hardening_bad.rs",
         "crates/dlflow-num/src/simplex_support.rs",
     );
-    assert_eq!(findings.len(), 1, "only the real cast: {findings:?}");
+    assert_eq!(findings.len(), 1, "only the real comparison: {findings:?}");
     assert_eq!(findings[0].line, 12);
 }
 
@@ -189,49 +144,9 @@ fn diverged(y: f64) -> bool { y == 0.0 }
 }
 
 #[test]
-fn ratchet_over_real_counts() {
-    // Build counts from a real lint run over a fixture, then perturb
-    // them both ways and check the ratchet reacts.
-    let result = analyze(vec![SourceFile {
-        path: "crates/dlflow-num/src/x.rs".to_string(),
-        source: fixture_text("lossy_cast_bad.rs"),
-    }]);
-    let counts = result.counts();
-    let by_file = result.counts_by_file();
-    let base = Baseline::v2(counts.clone());
-    assert!(baseline::diff(&counts, &by_file, &base).is_empty());
-
-    let mut loosened = counts.clone();
-    let cell = loosened
-        .get_mut("lossy-cast")
-        .unwrap()
-        .values_mut()
-        .next()
-        .unwrap();
-    *cell += 1;
-    let v = baseline::diff(&counts, &by_file, &Baseline::v2(loosened.clone()));
-    assert!(matches!(v.as_slice(), [RatchetViolation::Stale { .. }]));
-    let v = baseline::diff(&loosened, &by_file, &base);
-    assert!(matches!(v.as_slice(), [RatchetViolation::Increase { .. }]));
-
-    // A legacy v1 baseline is diffed against per-file counts instead.
-    let v1 = Baseline {
-        version: 1,
-        counts: by_file.clone(),
-    };
-    assert!(baseline::diff(&counts, &by_file, &v1).is_empty());
-
-    // Baseline JSON roundtrips the real counts losslessly (as v2).
-    assert_eq!(baseline::parse(&baseline::to_json(&base)).unwrap(), base);
-
-    // The empty baseline renders as the two-byte sentinel `{}`.
-    assert_eq!(baseline::to_json(&Baseline::empty()), "{}\n");
-}
-
-#[test]
-fn committed_tree_matches_committed_baseline() {
-    // The self-check CI runs: linting the workspace must agree *exactly*
-    // with lint-baseline.json — no new findings, no stale cells.
+fn committed_tree_has_no_findings() {
+    // The self-check CI runs as `dlflow-lint --check`: linting the
+    // workspace finds nothing.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
     let result = run_lint(&root).expect("workspace lint must run");
     assert!(
@@ -239,17 +154,57 @@ fn committed_tree_matches_committed_baseline() {
         "walk looks truncated: {}",
         result.n_files
     );
-    let baseline_text = std::fs::read_to_string(root.join("lint-baseline.json"))
-        .expect("lint-baseline.json must be committed at the workspace root");
-    let base = baseline::parse(&baseline_text).expect("baseline must parse");
-    let violations = baseline::diff(&result.counts(), &result.counts_by_file(), &base);
+    let rendered: Vec<String> = result.findings.iter().map(|d| d.render()).collect();
     assert!(
-        violations.is_empty(),
-        "tree disagrees with lint-baseline.json:\n{}",
-        violations
-            .iter()
-            .map(|v| v.render())
-            .collect::<Vec<_>>()
-            .join("\n")
+        rendered.is_empty(),
+        "the tree has findings:\n{}",
+        rendered.join("\n")
+    );
+}
+
+/// Runs the built `dlflow-lint --check` over a one-file tree whose
+/// `src/lib.rs` holds `source`; returns the exit code and stdout.
+fn check_one_file_tree(name: &str, source: &str) -> (Option<i32>, String) {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("lint-check-{name}"));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("src")).expect("create temp tree");
+    std::fs::write(root.join("src").join("lib.rs"), source).expect("write temp file");
+    let out = Command::new(env!("CARGO_BIN_EXE_dlflow-lint"))
+        .arg("--check")
+        .arg("--root")
+        .arg(&root)
+        .output()
+        .expect("run dlflow-lint");
+    std::fs::remove_dir_all(&root).expect("remove temp tree");
+    (
+        out.status.code(),
+        String::from_utf8(out.stdout).expect("utf-8 output"),
+    )
+}
+
+#[test]
+fn check_fails_on_any_finding_end_to_end() {
+    let (code, out) =
+        check_one_file_tree("violation", "fn done(x: f64) -> bool {\n    x == 0.0\n}\n");
+    assert_eq!(code, Some(1), "{out}");
+    assert!(out.contains("src/lib.rs:2: [float-eq]"), "{out}");
+
+    let (code, out) = check_one_file_tree(
+        "justified",
+        "fn done(x: f64) -> bool {\n    \
+         x == 0.0 // dlflint:allow(float-eq, \"0.0 is an exact sentinel\")\n}\n",
+    );
+    assert_eq!(code, Some(0), "{out}");
+    assert!(out.contains("0 finding(s)"), "{out}");
+
+    // A pragma for a rule that moved to clippy names an unknown rule.
+    let (code, out) = check_one_file_tree(
+        "moved-rule",
+        "fn narrow(x: u64) -> u8 {\n    x as u8 // dlflint:allow(lossy-cast, \"bounded\")\n}\n",
+    );
+    assert_eq!(code, Some(1), "{out}");
+    assert!(
+        out.contains("src/lib.rs:2: [bad-pragma] pragma names unknown rule `lossy-cast`"),
+        "{out}"
     );
 }

@@ -33,7 +33,7 @@ fn item_parser_locates_enclosing_functions() {
 #[test]
 fn pragma_placement_rules() {
     let src = "let a = x.unwrap(); // dlflint:allow(hot-path-panic, \"why\")\n\
-               // dlflint:allow(lossy-cast, \"why\")\nlet b = y as u8;\n";
+               // dlflint:allow(float-eq, \"why\")\nlet b = y == 0.5;\n";
     let lexed = lex(src);
     assert_eq!(lexed.pragmas.len(), 2);
     // Trailing form suppresses its own line; own-line form the next.
@@ -52,10 +52,10 @@ fn loop_spans_cover_nested_bodies() {
 
 #[test]
 fn lexical_rules_run_standalone_per_file() {
-    let lexed = lex("pub fn pack() { let a = x as u32; }");
+    let lexed = lex("pub fn pack() { let a = x == 0.5; }");
     let out = check_file("crates/dlflow-core/src/gantt.rs", &lexed);
     assert_eq!(out.len(), 1);
-    assert_eq!(out[0].rule, "lossy-cast");
+    assert_eq!(out[0].rule, "float-eq");
 }
 
 #[test]

@@ -83,7 +83,7 @@ impl<S: Scalar> LinExpr<S> {
     /// Collapses duplicate variables by summing their coefficients and
     /// drops exact zeros. Returns a dense coefficient vector of length
     /// `n_vars`.
-    pub fn to_dense(&self, n_vars: usize) -> Vec<S> {
+    pub(crate) fn to_dense(&self, n_vars: usize) -> Vec<S> {
         let mut dense = vec![S::zero(); n_vars];
         for (v, c) in &self.terms {
             dense[v.0] = dense[v.0].add(c);
@@ -215,11 +215,6 @@ impl<S: Scalar> LpProblem<S> {
         self.constraints.len()
     }
 
-    /// Name of a variable.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.var_names[v.0]
-    }
-
     /// Sets the objective expression.
     pub fn set_objective(&mut self, expr: LinExpr<S>) {
         self.objective = expr;
@@ -283,11 +278,6 @@ impl<S: Scalar> LpProblem<S> {
         });
     }
 
-    /// Upper bound `var ≤ ub` as a constraint row.
-    pub fn bound_le(&mut self, var: VarId, ub: S) {
-        self.add_constraint(LinExpr::term(var, S::one()), Rel::Le, ub);
-    }
-
     /// The same program over another scalar: same variables, rows,
     /// relations and sense, every objective coefficient, row coefficient
     /// and right-hand side converted by `f`.
@@ -314,7 +304,7 @@ impl<S: Scalar> LpProblem<S> {
     }
 
     /// Evaluates an expression at a point (dense value vector).
-    pub fn eval_expr(expr: &LinExpr<S>, values: &[S]) -> S {
+    pub(crate) fn eval_expr(expr: &LinExpr<S>, values: &[S]) -> S {
         let mut acc = S::zero();
         for (v, c) in &expr.terms {
             acc = acc.add(&c.mul(&values[v.0]));
@@ -372,7 +362,6 @@ mod tests {
         lp.add_constraint(LinExpr::from_iter([(x, 1.0), (y, 1.0)]), Rel::Le, 4.0);
         assert_eq!(lp.n_vars(), 2);
         assert_eq!(lp.n_constraints(), 1);
-        assert_eq!(lp.var_name(x), "x");
         let vals = vec![1.0, 2.0];
         assert_eq!(LpProblem::eval_expr(lp.objective(), &vals), 7.0);
         assert!(lp.check_feasible(&vals).is_ok());

@@ -1,5 +1,13 @@
 //! Signed arbitrary-precision integers (sign–magnitude over [`UBig`]).
 
+// u128↔u64 limb splitting and carry casts are the algorithm here, not
+// lossy conversions.
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+
 use crate::ubig::{ParseUBigError, UBig};
 use std::cmp::Ordering;
 use std::fmt;
@@ -65,15 +73,6 @@ impl IBig {
         }
     }
 
-    /// The value −1.
-    #[inline]
-    pub fn neg_one() -> Self {
-        IBig {
-            sign: Sign::Minus,
-            mag: UBig::one(),
-        }
-    }
-
     /// Builds from sign and magnitude, normalizing the sign of zero.
     pub fn from_sign_mag(sign: Sign, mag: UBig) -> Self {
         if mag.is_zero() {
@@ -127,7 +126,7 @@ impl IBig {
 
     /// Consumes self, returning the magnitude.
     #[inline]
-    pub fn into_magnitude(self) -> UBig {
+    pub(crate) fn into_magnitude(self) -> UBig {
         self.mag
     }
 
@@ -135,12 +134,6 @@ impl IBig {
     #[inline]
     pub fn is_zero(&self) -> bool {
         self.mag.is_zero()
-    }
-
-    /// `true` iff the value is 1.
-    #[inline]
-    pub fn is_one(&self) -> bool {
-        self.sign == Sign::Plus && self.mag.is_one()
     }
 
     /// `true` iff the value is strictly negative.
@@ -201,13 +194,6 @@ impl IBig {
         )
     }
 
-    /// Exact division; panics when `other` does not divide `self`.
-    pub fn div_exact(&self, other: &IBig) -> IBig {
-        let (q, r) = self.div_rem(other);
-        assert!(r.is_zero(), "IBig::div_exact: inexact division");
-        q
-    }
-
     /// GCD of magnitudes (always non-negative).
     pub fn gcd(&self, other: &IBig) -> UBig {
         self.mag.gcd(&other.mag)
@@ -224,7 +210,7 @@ impl IBig {
     }
 
     /// Converts to `i64` if it fits.
-    pub fn to_i64(&self) -> Option<i64> {
+    pub(crate) fn to_i64(&self) -> Option<i64> {
         let m = self.mag.to_u64()?;
         match self.sign {
             Sign::Plus => i64::try_from(m).ok(),
@@ -430,13 +416,6 @@ mod tests {
             assert_eq!(q, ib(a / b), "q for {a}/{b}");
             assert_eq!(r, ib(a % b), "r for {a}%{b}");
         }
-    }
-
-    #[test]
-    fn div_exact_works_and_panics() {
-        assert_eq!(ib(12).div_exact(&ib(-4)), ib(-3));
-        let caught = std::panic::catch_unwind(|| ib(13).div_exact(&ib(4)));
-        assert!(caught.is_err());
     }
 
     #[test]

@@ -29,6 +29,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // indexed loops over parallel limb arrays are clearer here
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 pub mod ibig;
 pub mod rational;

@@ -70,9 +70,18 @@ fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
 #[inline]
 fn narrow_i64(negative: bool, mag: u128) -> Option<i64> {
     if !negative {
-        (mag <= i64::MAX as u128).then_some(mag as i64) // dlflint:allow(lossy-cast, "guarded: mag <= i64::MAX on this line")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "guarded: mag <= i64::MAX on this line"
+        )]
+        (mag <= i64::MAX as u128).then_some(mag as i64)
     } else if mag <= i64::MAX as u128 + 1 {
-        Some((mag as u64).wrapping_neg() as i64) // dlflint:allow(lossy-cast, "mag <= 2^63: wrapping-neg encodes i64::MIN exactly")
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_possible_wrap,
+            reason = "mag <= 2^63: wrapping-neg encodes i64::MIN exactly"
+        )]
+        Some((mag as u64).wrapping_neg() as i64)
     } else {
         None
     }
@@ -114,7 +123,11 @@ impl Rat {
         }
         if den <= u64::MAX as u128 {
             if let Some(n) = narrow_i64(negative, mag) {
-                return Rat::small(n, den as u64); // dlflint:allow(lossy-cast, "guarded: den <= u64::MAX two lines up")
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "guarded: den <= u64::MAX two lines up"
+                )]
+                return Rat::small(n, den as u64);
             }
         }
         let sign = if negative { Sign::Minus } else { Sign::Plus };
@@ -257,15 +270,6 @@ impl Rat {
         match &self.repr {
             Repr::Small { num, .. } => *num > 0,
             Repr::Big(b) => b.num.is_positive(),
-        }
-    }
-
-    /// `true` iff the value is an integer.
-    #[inline]
-    pub fn is_integer(&self) -> bool {
-        match &self.repr {
-            Repr::Small { den, .. } => *den == 1,
-            Repr::Big(b) => b.den.is_one(),
         }
     }
 
@@ -416,35 +420,16 @@ impl Rat {
     pub fn powi(&self, exp: i32) -> Rat {
         if exp >= 0 {
             let (n, d) = self.big_parts();
-            Rat::from_parts(n.pow(exp as u32), d.pow(exp as u32)) // dlflint:allow(lossy-cast, "guarded: exp >= 0 on the branch, so it fits u32")
+            #[expect(
+                clippy::cast_sign_loss,
+                reason = "guarded: exp >= 0 on the branch, so it fits u32"
+            )]
+            Rat::from_parts(n.pow(exp as u32), d.pow(exp as u32))
         } else {
             // `unsigned_abs` rather than `-exp`: negating i32::MIN overflows.
             let e = exp.unsigned_abs();
             let (n, d) = self.recip().big_parts();
             Rat::from_parts(n.pow(e), d.pow(e))
-        }
-    }
-
-    /// Midpoint `(self + other) / 2` — used by the milestone binary search.
-    pub fn midpoint(&self, other: &Rat) -> Rat {
-        self.add_ref(other).div_ref(&Rat::from_i64(2))
-    }
-
-    /// Minimum of two values by reference.
-    pub fn min_ref<'a>(&'a self, other: &'a Rat) -> &'a Rat {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Maximum of two values by reference.
-    pub fn max_ref<'a>(&'a self, other: &'a Rat) -> &'a Rat {
-        if self >= other {
-            self
-        } else {
-            other
         }
     }
 
@@ -463,14 +448,27 @@ impl Rat {
             return 0.0;
         }
         let (num, den) = self.big_parts();
-        let nbits = num.magnitude().bit_len() as i64; // dlflint:allow(lossy-cast, "bit lengths are bounded far below i64::MAX")
-        let dbits = den.bit_len() as i64; // dlflint:allow(lossy-cast, "bit lengths are bounded far below i64::MAX")
-                                          // Scale the numerator so the integer quotient has ~64 significant bits.
+        #[expect(
+            clippy::cast_possible_wrap,
+            reason = "bit lengths are bounded far below i64::MAX"
+        )]
+        let nbits = num.magnitude().bit_len() as i64;
+        #[expect(
+            clippy::cast_possible_wrap,
+            reason = "bit lengths are bounded far below i64::MAX"
+        )]
+        let dbits = den.bit_len() as i64;
+        // Scale the numerator so the integer quotient has ~64 significant bits.
         let shift = dbits + 64 - nbits;
         let scaled = if shift >= 0 {
-            num.magnitude().shl(shift as u64) // dlflint:allow(lossy-cast, "guarded: shift >= 0 on the branch")
+            #[expect(clippy::cast_sign_loss, reason = "guarded: shift >= 0 on the branch")]
+            num.magnitude().shl(shift as u64)
         } else {
-            num.magnitude().shr((-shift) as u64) // dlflint:allow(lossy-cast, "guarded: shift < 0, so -shift is positive")
+            #[expect(
+                clippy::cast_sign_loss,
+                reason = "guarded: shift < 0, so -shift is positive"
+            )]
+            num.magnitude().shr((-shift) as u64)
         };
         let q = scaled.div_rem(&den).0;
         let mag = mul_pow2(q.to_f64(), -shift);
@@ -495,7 +493,11 @@ impl Rat {
         } else {
             Sign::Plus
         };
-        let exp_bits = ((bits >> 52) & 0x7FF) as i64; // dlflint:allow(lossy-cast, "masked to the 11-bit exponent field")
+        #[expect(
+            clippy::cast_possible_wrap,
+            reason = "masked to the 11-bit exponent field"
+        )]
+        let exp_bits = ((bits >> 52) & 0x7FF) as i64;
         let frac = bits & ((1u64 << 52) - 1);
         let (mantissa, exp) = if exp_bits == 0 {
             (frac, -1074i64) // subnormal
@@ -504,12 +506,17 @@ impl Rat {
         };
         let m = IBig::from_sign_mag(sign, UBig::from_u64(mantissa));
         if exp >= 0 {
+            #[expect(clippy::cast_sign_loss, reason = "guarded: exp >= 0 on the branch")]
             Rat::from_parts(
-                IBig::from_sign_mag(m.sign(), m.magnitude().shl(exp as u64)), // dlflint:allow(lossy-cast, "guarded: exp >= 0 on the branch")
+                IBig::from_sign_mag(m.sign(), m.magnitude().shl(exp as u64)),
                 UBig::one(),
             )
         } else {
-            Rat::from_parts(m, UBig::one().shl((-exp) as u64)) // dlflint:allow(lossy-cast, "guarded: exp < 0, so -exp is positive")
+            #[expect(
+                clippy::cast_sign_loss,
+                reason = "guarded: exp < 0, so -exp is positive"
+            )]
+            Rat::from_parts(m, UBig::one().shl((-exp) as u64))
         }
     }
 
@@ -547,17 +554,23 @@ impl Rat {
 
 /// Multiplies by 2^e in steps that keep every intermediate factor a
 /// *normal* f64, so precision is not lost to subnormal intermediates.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "loop exit bounds |e| <= STEP = 900"
+)]
 fn mul_pow2(mut x: f64, mut e: i64) -> f64 {
     const STEP: i64 = 900; // comfortably below the f64 exponent range
+    #[expect(clippy::cast_possible_truncation, reason = "STEP is the constant 900")]
     while e > STEP {
-        x *= 2f64.powi(STEP as i32); // dlflint:allow(lossy-cast, "STEP is the constant 900")
+        x *= 2f64.powi(STEP as i32);
         e -= STEP;
     }
+    #[expect(clippy::cast_possible_truncation, reason = "STEP is the constant 900")]
     while e < -STEP {
-        x *= 2f64.powi(-STEP as i32); // dlflint:allow(lossy-cast, "STEP is the constant 900")
+        x *= 2f64.powi(-STEP as i32);
         e += STEP;
     }
-    x * 2f64.powi(e as i32) // dlflint:allow(lossy-cast, "loop exit bounds |e| <= STEP = 900")
+    x * 2f64.powi(e as i32)
 }
 
 impl Ord for Rat {
@@ -754,7 +767,6 @@ mod tests {
         assert_eq!(r(2, 3).powi(2), r(4, 9));
         assert_eq!(r(2, 3).powi(-1), r(3, 2));
         assert_eq!(r(2, 3).powi(0), Rat::one());
-        assert_eq!(r(1, 2).midpoint(&r(1, 4)), r(3, 8));
     }
 
     #[test]
@@ -823,14 +835,6 @@ mod tests {
         assert_eq!(r(1, 2).to_string(), "1/2");
         assert_eq!(Rat::from_i64(-7).to_string(), "-7");
         assert_eq!(Rat::zero().to_string(), "0");
-    }
-
-    #[test]
-    fn min_max_ref() {
-        let a = r(1, 3);
-        let b = r(1, 2);
-        assert_eq!(a.min_ref(&b), &a);
-        assert_eq!(a.max_ref(&b), &b);
     }
 
     // ---- inline fast-path specifics ----

@@ -6,6 +6,14 @@
 //! Karatsuba above [`KARATSUBA_THRESHOLD`] limbs; division is Knuth's
 //! Algorithm D (TAOCP vol. 2, 4.3.1).
 
+// u128↔u64 limb splitting and carry casts are the algorithm here, not
+// lossy conversions.
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -80,18 +88,12 @@ impl UBig {
 
     /// `true` iff the value is 1.
     #[inline]
-    pub fn is_one(&self) -> bool {
+    pub(crate) fn is_one(&self) -> bool {
         self.limbs.len() == 1 && self.limbs[0] == 1
     }
 
-    /// `true` iff the value is even (0 is even).
-    #[inline]
-    pub fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|l| l & 1 == 0)
-    }
-
     /// Number of significant bits (0 for the value 0).
-    pub fn bit_len(&self) -> u64 {
+    pub(crate) fn bit_len(&self) -> u64 {
         match self.limbs.last() {
             None => 0,
             Some(&top) => {
@@ -101,7 +103,7 @@ impl UBig {
     }
 
     /// Number of trailing zero bits; `None` for the value 0.
-    pub fn trailing_zeros(&self) -> Option<u64> {
+    pub(crate) fn trailing_zeros(&self) -> Option<u64> {
         for (i, &l) in self.limbs.iter().enumerate() {
             if l != 0 {
                 return Some(i as u64 * BITS as u64 + l.trailing_zeros() as u64);
@@ -111,7 +113,7 @@ impl UBig {
     }
 
     /// Converts to `u64` if it fits.
-    pub fn to_u64(&self) -> Option<u64> {
+    pub(crate) fn to_u64(&self) -> Option<u64> {
         match self.limbs.len() {
             0 => Some(0),
             1 => Some(self.limbs[0]),
@@ -120,7 +122,7 @@ impl UBig {
     }
 
     /// Converts to `u128` if it fits.
-    pub fn to_u128(&self) -> Option<u128> {
+    pub(crate) fn to_u128(&self) -> Option<u128> {
         match self.limbs.len() {
             0 => Some(0),
             1 => Some(self.limbs[0] as u128),
@@ -205,7 +207,7 @@ impl UBig {
     }
 
     /// Product with a single `u64`.
-    pub fn mul_u64(&self, m: u64) -> UBig {
+    pub(crate) fn mul_u64(&self, m: u64) -> UBig {
         if m == 0 || self.is_zero() {
             return UBig::zero();
         }
@@ -246,7 +248,7 @@ impl UBig {
     }
 
     /// Right shift by `bits` (towards zero).
-    pub fn shr(&self, bits: u64) -> UBig {
+    pub(crate) fn shr(&self, bits: u64) -> UBig {
         let limb_shift = (bits / BITS as u64) as usize;
         if limb_shift >= self.limbs.len() {
             return UBig::zero();
@@ -281,7 +283,7 @@ impl UBig {
     }
 
     /// Quotient and remainder by a single `u64`; panics when `d == 0`.
-    pub fn div_rem_u64(&self, d: u64) -> (UBig, u64) {
+    pub(crate) fn div_rem_u64(&self, d: u64) -> (UBig, u64) {
         assert!(d != 0, "UBig::div_rem_u64 division by zero");
         let mut out = vec![0u64; self.limbs.len()];
         let mut rem = 0u128;
@@ -789,5 +791,29 @@ mod tests {
         let big = UBig::from_decimal_str("100000000000000000000").unwrap();
         let rel = (big.to_f64() - 1e20).abs() / 1e20;
         assert!(rel < 1e-12);
+    }
+
+    #[test]
+    fn ubig_predicates_and_bit_ops() {
+        let one = UBig::from_u64(1);
+        assert!(one.is_one());
+        let x = UBig::from_u64(40); // 0b101000
+        assert!(!x.is_one());
+        assert_eq!(x.bit_len(), 6);
+        assert_eq!(x.trailing_zeros(), Some(3));
+        assert_eq!(x.shr(3).to_u64(), Some(5));
+    }
+
+    #[test]
+    fn ubig_wide_round_trips_and_single_limb_arith() {
+        let wide = u128::from(u64::MAX) + 7;
+        let big = UBig::from_u128(wide);
+        assert_eq!(big.to_u128(), Some(wide));
+        assert_eq!(big.to_u64(), None);
+
+        let prod = UBig::from_u64(123).mul_u64(1_000_000_007);
+        let (q, r) = prod.div_rem_u64(1_000_000_007);
+        assert_eq!(q.to_u64(), Some(123));
+        assert_eq!(r, 0);
     }
 }

@@ -308,12 +308,10 @@ pub fn parse_campaign(text: &str) -> Result<CampaignConfig, String> {
         match directive {
             "name" => cfg.name = check_name(one("word")?, lineno)?,
             "seeds" => {
-                cfg.n_seeds = one("count")?
+                let v: f64 = one("count")?
                     .parse()
                     .map_err(|_| format!("line {lineno}: bad seed count"))?;
-                if cfg.n_seeds == 0 {
-                    return Err(format!("line {lineno}: seeds must be >= 1"));
-                }
+                cfg.n_seeds = as_count(v, "seeds", lineno)? as u64;
             }
             "seed-base" => {
                 cfg.seed_base = one("seed")?
@@ -879,7 +877,9 @@ mod tests {
         assert!(parse_campaign("platform p servers=x")
             .unwrap_err()
             .contains("bad number"));
-        assert!(parse_campaign("seeds 0").unwrap_err().contains(">= 1"));
+        assert!(parse_campaign("seeds 0")
+            .unwrap_err()
+            .contains("seeds must be a whole number"));
         let noplat = "workload w jobs=2\nscheduler mct";
         assert!(parse_campaign(noplat).unwrap_err().contains("platform"));
         let dup = "platform p\nworkload w\nscheduler mct\nscheduler mct";
@@ -902,6 +902,12 @@ mod tests {
             ("platform p heterogeneity=nan", "finite"),
             ("workload w jobs=0", "whole number"),
             ("workload w jobs=2.9", "whole number"),
+            // One scenario tuple per seed is built before any runs.
+            (
+                "seeds 100000000000",
+                "seeds must be a whole number in 1..=10000",
+            ),
+            ("seeds 2.5", "seeds must be a whole number"),
             ("workload w load=0", "load must be positive"),
             ("scheduler edf target=0", "target must be positive"),
             ("scheduler edf target=inf", "finite"),

@@ -126,11 +126,6 @@ impl ActiveJob {
         c.is_finite().then_some(c)
     }
 
-    /// Raw per-machine cost (`f64::INFINITY` = unavailable).
-    pub fn raw_cost(&self, machine: usize) -> f64 {
-        self.costs[machine]
-    }
-
     /// Smallest finite cost across machines (the job's fastest possible
     /// total processing time).
     pub fn fastest_cost(&self) -> f64 {
@@ -168,11 +163,6 @@ impl<'a> JobView<'a> {
     pub fn cost(&self, machine: usize) -> Option<f64> {
         let c = self.costs[machine];
         c.is_finite().then_some(c)
-    }
-
-    /// Raw per-machine cost (`f64::INFINITY` = unavailable).
-    pub fn raw_cost(&self, machine: usize) -> f64 {
-        self.costs[machine]
     }
 
     /// Smallest finite cost across machines (the job's fastest possible
@@ -386,13 +376,13 @@ impl Allocation {
     }
 
     /// Total share machine `machine` hands out.
-    pub fn machine_total(&self, machine: usize) -> f64 {
+    pub(crate) fn machine_total(&self, machine: usize) -> f64 {
         self.rows[machine].iter().map(|e| e.1).sum()
     }
 
     /// Scales every share of `machine` by `factor` (used to normalize a
     /// marginally oversubscribed machine).
-    pub fn scale_machine(&mut self, machine: usize, factor: f64) {
+    pub(crate) fn scale_machine(&mut self, machine: usize, factor: f64) {
         for e in &mut self.rows[machine] {
             e.1 *= factor;
         }
@@ -2611,5 +2601,21 @@ mod tests {
         assert_eq!(eng.peak_active(), 0);
         eng.drain(&mut p).unwrap();
         assert_eq!(eng.peak_active(), 3);
+    }
+
+    #[test]
+    fn active_job_cost_hides_unavailable_machines() {
+        let mut eng = Engine::new(2);
+        eng.push_arrival(JobSpec {
+            release: 0.0,
+            weight: 1.0,
+            costs: vec![2.0, f64::INFINITY],
+        })
+        .unwrap();
+        // One step admits the release-0 arrival.
+        eng.step(&mut GreedyFirst).unwrap();
+        let job = eng.active().get(0);
+        assert_eq!(job.cost(0), Some(2.0));
+        assert_eq!(job.cost(1), None);
     }
 }

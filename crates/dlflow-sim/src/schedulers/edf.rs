@@ -62,7 +62,7 @@ impl Edf {
     }
 
     /// Fresh policy with an explicit target factor.
-    pub fn with_target(target: f64) -> Self {
+    pub(crate) fn with_target(target: f64) -> Self {
         assert!(target > 0.0, "EDF target factor must be positive");
         Edf {
             target,

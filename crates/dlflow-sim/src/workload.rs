@@ -1211,4 +1211,22 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 40, "each request completes exactly once");
     }
+
+    #[test]
+    fn trace_dlt_round_trip_preserves_job_specs() {
+        let text = "machines 1 2\narrival 0 3 1 *\narrival 1.5 2 2 10\n";
+        let trace = Trace::parse_dlt(text).unwrap();
+        let again = Trace::parse_dlt(&trace.to_dlt()).unwrap();
+        assert_eq!(again.len(), trace.len());
+        for k in 0..trace.len() {
+            let (a, b) = (trace.job_spec(k), again.job_spec(k));
+            assert_eq!(a.release, b.release);
+            assert_eq!(a.weight, b.weight);
+            assert_eq!(a.costs, b.costs);
+        }
+        // Size × cycle-time, with the mask knocking out machine 2.
+        let spec = trace.job_spec(1);
+        assert_eq!(spec.costs[0], 2.0);
+        assert!(spec.costs[1].is_infinite());
+    }
 }
