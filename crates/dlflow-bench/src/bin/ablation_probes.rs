@@ -133,7 +133,8 @@ fn main() {
     println!("    and still returns an APPROXIMATION (the paper's §4.3.1 argument, quantified);");
     println!("  - on uniform platforms each probe can be a max-flow instead of an LP, with");
     println!("    identical results; over f64 the final range LP stays;");
-    println!("  - over exact rationals the range LP goes too: exact max-flows certify the");
-    println!("    float-placed range and find the optimum on it (parametric max-flow), and");
-    println!("    the optimum equals the all-LP route's as a rational (asserted above).");
+    println!("  - over exact rationals the range LP goes too: on the float-placed range,");
+    println!("    f64 max-flows propose the cuts of the parametric max-flow, exact arithmetic");
+    println!("    prices them, one exact max-flow certifies the optimum, and the optimum");
+    println!("    equals the all-LP route's as a rational (asserted above).");
 }

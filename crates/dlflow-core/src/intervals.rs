@@ -109,7 +109,9 @@ impl<S: Scalar> AffineF<S> {
 /// range (where the order is provably constant).
 #[derive(Clone, Debug)]
 pub struct SymbolicIntervals<S> {
-    points: Vec<AffineF<S>>,
+    /// Each breakpoint function with its value at the reference, evaluated
+    /// once, in ascending order of that value.
+    points: Vec<(S, AffineF<S>)>,
     /// The reference `F` used for ordering (kept for debug/validation).
     reference: S,
 }
@@ -123,9 +125,12 @@ impl<S: Scalar> SymbolicIntervals<S> {
     /// same epochal time throughout the range (for genuinely identical
     /// functions) or the reference was (erroneously) a milestone — the
     /// latter is a caller bug surfaced by `debug_assert`.
-    pub fn from_points(points: Vec<AffineF<S>>, reference: S) -> Self {
-        let mut out = SymbolicIntervals { points, reference };
-        out.normalize();
+    pub fn from_points(points: impl IntoIterator<Item = AffineF<S>>, reference: S) -> Self {
+        let mut out = SymbolicIntervals {
+            points: Vec::new(),
+            reference: S::zero(),
+        };
+        out.refill(points, reference);
         out
     }
 
@@ -133,7 +138,8 @@ impl<S: Scalar> SymbolicIntervals<S> {
     /// reusing the point buffer.
     pub(crate) fn refill(&mut self, points: impl IntoIterator<Item = AffineF<S>>, reference: S) {
         self.points.clear();
-        self.points.extend(points);
+        self.points
+            .extend(points.into_iter().map(|p| (p.eval(&reference), p)));
         self.reference = reference;
         self.normalize();
     }
@@ -141,15 +147,13 @@ impl<S: Scalar> SymbolicIntervals<S> {
     /// Sorts the breakpoints by value at the reference and merges those
     /// equal there, keeping the first.
     fn normalize(&mut self) {
-        let reference = &self.reference;
-        self.points
-            .sort_by(|p, q| p.eval(reference).cmp_total(&q.eval(reference)));
+        self.points.sort_by(|p, q| p.0.cmp_total(&q.0));
         self.points.dedup_by(|p, last| {
-            let same = last.eval(reference).sub(&p.eval(reference)).is_negligible();
+            let same = last.0.sub(&p.0).is_negligible();
             // Distinct functions meeting here would mean the reference
             // sits on a milestone.
             debug_assert!(
-                !same || last.same_function(p) || last.b.sub(&p.b).is_negligible(),
+                !same || last.1.same_function(&p.1) || last.1.b.sub(&p.1.b).is_negligible(),
                 "distinct breakpoint functions coincide at the reference point; \
                  reference must be interior to a milestone range"
             );
@@ -164,12 +168,22 @@ impl<S: Scalar> SymbolicIntervals<S> {
 
     /// Lower bound function of interval `t`.
     pub fn inf(&self, t: usize) -> &AffineF<S> {
-        &self.points[t]
+        &self.points[t].1
     }
 
     /// Upper bound function of interval `t`.
     pub fn sup(&self, t: usize) -> &AffineF<S> {
-        &self.points[t + 1]
+        &self.points[t + 1].1
+    }
+
+    /// Lower bound of interval `t` at the reference.
+    pub(crate) fn inf_at_reference(&self, t: usize) -> &S {
+        &self.points[t].0
+    }
+
+    /// Upper bound of interval `t` at the reference.
+    pub(crate) fn sup_at_reference(&self, t: usize) -> &S {
+        &self.points[t + 1].0
     }
 
     /// Length function of interval `t` — affine in `F`, non-negative
@@ -184,8 +198,8 @@ impl<S: Scalar> SymbolicIntervals<S> {
     }
 
     /// The ordered breakpoint functions.
-    pub fn points(&self) -> &[AffineF<S>] {
-        &self.points
+    pub fn points(&self) -> impl ExactSizeIterator<Item = &AffineF<S>> {
+        self.points.iter().map(|(_, p)| p)
     }
 }
 
@@ -261,6 +275,8 @@ mod tests {
         ];
         let iv = SymbolicIntervals::from_points(pts, Rat::from_i64(5));
         assert_eq!(iv.points().len(), 2);
+        assert_eq!(*iv.inf_at_reference(0), Rat::one());
+        assert_eq!(*iv.sup_at_reference(0), Rat::from_i64(5));
         assert_eq!(iv.n_intervals(), 1);
     }
 }

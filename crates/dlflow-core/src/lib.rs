@@ -58,7 +58,7 @@
 pub mod baselines;
 pub mod deadline;
 pub mod decompose;
-pub mod flownet;
+mod flownet;
 pub mod gantt;
 pub mod instance;
 pub mod intervals;

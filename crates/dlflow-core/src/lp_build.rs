@@ -431,18 +431,17 @@ pub fn build_range_lp_into<S: Scalar>(
     // Order is constant on the range, so comparisons at the reference
     // point decide them for the whole range.
     for t in 0..n_int {
-        let inf_ref = intervals.inf(t).eval(reference);
-        let sup_ref = intervals.sup(t).eval(reference);
+        let (inf_ref, sup_ref) = (intervals.inf_at_reference(t), intervals.sup_at_reference(t));
         for i in 0..m {
             for j in 0..n {
                 if !inst.cost(i, j).is_finite() {
                     continue;
                 }
-                if !inst.job(j).release.le_tol(&inf_ref) {
+                if !inst.job(j).release.le_tol(inf_ref) {
                     continue; // (3b)
                 }
                 let dl_ref = origins[j].add(&reference.div(&inst.job(j).weight));
-                if !dl_ref.ge_tol(&sup_ref) {
+                if !dl_ref.ge_tol(sup_ref) {
                     continue; // (3c)
                 }
                 let v = lp.add_var("");

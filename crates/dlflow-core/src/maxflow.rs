@@ -19,13 +19,17 @@
 //!      affine in `F`. Over exact scalars an `f64` copy is solved first
 //!      and only its optimal basis seeds the exact solve, which certifies
 //!      or repairs it (or falls back to a cold exact solve);
-//!    - with max-flow probes over exact scalars, no LP at all: exact
-//!      max-flows certify the guided range and Newton's method on minimum
-//!      cuts lands on the optimum (the parametric max-flow of
-//!      [`crate::uniform`]). A range they reject is searched again with
-//!      exact probes;
+//!    - with max-flow probes over exact scalars, no LP at all: Newton's
+//!      method on minimum cuts (the parametric max-flow of
+//!      [`crate::uniform`]) walks the guided range on `f64` max-flows,
+//!      pricing each proposed cut exactly, so every step is a proven
+//!      lower bound. One exact max-flow at the last step, over `i128`
+//!      integers scaled by the capacities' common denominator when they
+//!      fit and over the exact scalar otherwise, certifies the optimum;
+//!      if it does not saturate, exact steps continue from there. A range
+//!      the exact flows reject is searched again with exact probes;
 //! 4. rebuild an explicit schedule: interval packing for divisible (of
-//!    the LP's fractions, or of the last, saturating flow),
+//!    the LP's fractions, or of the certifying, saturating flow),
 //!    Lawler–Labetoulle phase decomposition for preemptive.
 
 use crate::decompose::decompose_interval;
@@ -46,6 +50,8 @@ pub struct FlowStats {
     /// range. With [`ProbeMethod::MaxFlowUniform`] over exact scalars
     /// these are the `f64` guide's max-flow probes, plus the exact ones
     /// of the repeated search when the guided range fails certification.
+    /// The max-flows that find the optimum on the range (the `f64` walk's
+    /// and the exact certification's) are not probes and are not counted.
     pub n_probes: usize,
     /// LP probes warm-started from the previous probe's optimal basis
     /// (successive probes differ only in the flow-bound RHS, so the basis
@@ -372,8 +378,9 @@ pub fn min_max_stretch_divisible<S: Scalar>(inst: &Instance<S>) -> FlowOutcome<S
 /// restricted-availabilities instances, [`ProbeMethod::MaxFlowUniform`]
 /// replaces every LP probe of the binary search with one max-flow
 /// computation (see [`crate::uniform`]). Over exact scalars it replaces
-/// the range LP too: `f64` max-flow probes place the milestone range, and
-/// exact max-flows certify it and find the optimum on it, so no LP runs.
+/// the range LP too: `f64` max-flow probes place the milestone range,
+/// `f64` max-flows with exactly priced cuts find the optimum on it, and
+/// one exact max-flow certifies it, so no LP runs.
 /// Either way the result is the exact optimum; over `f64` the range LP
 /// stays.
 pub fn min_max_weighted_flow_divisible_with<S: Scalar>(
@@ -427,10 +434,11 @@ pub fn min_max_weighted_flow_divisible_with<S: Scalar>(
 /// The milestone search runs on an `f64` copy of the instance and of its
 /// factors, probing at `ms[k].to_f64()` but indexing the exact list, so the
 /// range it returns is one of exact milestones. Its guess is then checked
-/// by exact max-flows only: [`min_flow_on_range`]'s parametric search
-/// must find `lo` infeasible (unless it is the floor) and the optimum no
-/// later than `hi`. If it does not, the search runs again with exact
-/// probes. The schedule comes from the last, saturating exact flow.
+/// exactly: [`min_flow_on_range`]'s parametric search must find `lo`
+/// infeasible (unless it is the floor) and the optimum no later than
+/// `hi`, with exactly priced cuts and an exact certifying max-flow. If it
+/// does not, the search runs again with exact probes. The schedule comes
+/// from the certifying, saturating exact flow.
 fn min_flow_uniform_exact<S: Scalar>(
     inst: &Instance<S>,
     factors: &UniformFactors<S>,
@@ -484,10 +492,7 @@ fn float_copy<S: Scalar>(
     ms: &[S],
 ) -> Option<(Instance<f64>, UniformFactors<f64>)> {
     let fi = inst.map_scalar(S::to_f64);
-    let ff = UniformFactors {
-        speed: factors.speed.iter().map(S::to_f64).collect(),
-        work: factors.work.iter().map(S::to_f64).collect(),
-    };
+    let ff = factors.to_f64();
     let f_max = ms.last().map_or(0.0, S::to_f64);
     let finite = (0..fi.n_jobs()).all(|j| fi.deadline(j, &f_max).is_finite())
         && ff.speed.iter().chain(&ff.work).all(|v| v.is_finite());
@@ -562,7 +567,7 @@ pub fn min_max_weighted_flow_bisection<S: Scalar>(
     clippy::cast_sign_loss,
     clippy::cast_possible_wrap
 )]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
     use crate::validate::validate;
@@ -751,7 +756,7 @@ mod tests {
     /// with restricted availability (each job needs one of 5 databanks),
     /// sizes and release gaps with 12 significant bits, dyadic cycle
     /// times, stretch weights.
-    fn campaign_shaped(seed: u64) -> Instance<Rat> {
+    pub(crate) fn campaign_shaped(seed: u64) -> Instance<Rat> {
         let mut state = seed;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

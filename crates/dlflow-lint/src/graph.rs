@@ -262,7 +262,16 @@ impl Graph {
             let owner = info.item.owner.clone();
             let mut edges = Vec::new();
             let mut unresolved = Vec::new();
+            let mut attr_end = lo;
             for i in lo..hi.min(toks.len()) {
+                // `#[expect(…)]` in a body is no call: skip attributes.
+                if i < attr_end {
+                    continue;
+                }
+                if let Some(end) = attribute_end(toks, i, hi) {
+                    attr_end = end;
+                    continue;
+                }
                 let t = &toks[i];
                 if t.kind != TokKind::Ident
                     || toks.get(i + 1).is_none_or(|n| n.text != "(")
@@ -393,6 +402,37 @@ pub fn loop_spans(toks: &[Token], lo: usize, hi: usize) -> Vec<(usize, usize)> {
     spans
 }
 
+/// The token index just past the attribute `#[…]` or `#![…]` that opens
+/// at `i` (or `hi` when it does not close before it); `None` when no
+/// attribute opens at `i`.
+fn attribute_end(toks: &[Token], i: usize, hi: usize) -> Option<usize> {
+    if toks[i].kind != TokKind::Punct || toks[i].text != "#" {
+        return None;
+    }
+    let open = if toks.get(i + 1)?.text == "!" {
+        i + 2
+    } else {
+        i + 1
+    };
+    if toks.get(open)?.text != "[" {
+        return None;
+    }
+    let mut depth = 0usize;
+    for (k, tok) in toks.iter().enumerate().take(hi).skip(open) {
+        match tok.text.as_str() {
+            "[" => depth += 1,
+            "]" => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(k + 1);
+                }
+            }
+            _ => {}
+        }
+    }
+    Some(hi)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,6 +544,22 @@ fn drive(p: &dyn P) { p.plan(); }
         let names: Vec<&str> = g.unresolved[f].iter().map(|u| u.name.as_str()).collect();
         assert_eq!(names, ["with_capacity", "std_only"]);
         assert_eq!(g.n_unresolved(), 2);
+    }
+
+    #[test]
+    fn in_body_attributes_are_not_calls() {
+        let owned = prep(&[(
+            "crates/dlflow-sim/src/x.rs",
+            "fn f() { #[expect(clippy::x, reason = \"r\")] let a = 1; #![allow(y(z))] g(); } fn g() {}",
+        )]);
+        let g = build(&owned);
+        let f = id_of(&g, "f");
+        assert_eq!(g.n_unresolved(), 0);
+        assert_eq!(
+            g.edges[f].len(),
+            1,
+            "the call after the attributes resolves"
+        );
     }
 
     #[test]

@@ -92,13 +92,16 @@ const EXPLAIN: &[(&str, &str)] = &[
     ),
     (
         "alloc-in-hot-loop",
-        "ROADMAP item 2 (10^8 events/s) needs the per-event path allocation-lean. \
-         Since PR 7 the rule is call-graph transitive over dlflow-sim: an \
-         allocation-shaped token (`Vec::new`, `vec!`, `.clone()`, `.collect()`, …) is \
-         flagged when it sits inside a loop of a hot-reachable function, or anywhere \
-         in a function that is itself reached through a call site inside a loop \
-         (loop context propagates along edges). Hoist buffers out of the loop or \
-         reuse a scratch field; justify cold setup allocations with a pragma.",
+        "The per-event path must stay allocation-lean: `bench-report` asserts its \
+         allocation ceilings (a flat replay allocates fewer than events/100 times, a \
+         sharded one fewer than once per event, a warm engine's second wave at most 8 \
+         times, and OLA's LP path at most 2 times per LP solve). Since PR 7 the rule \
+         is call-graph transitive over dlflow-sim: an allocation-shaped token \
+         (`Vec::new`, `vec!`, `.clone()`, `.collect()`, …) is flagged when it sits \
+         inside a loop of a hot-reachable function, or anywhere in a function that \
+         is itself reached through a call site inside a loop (loop context \
+         propagates along edges). Hoist buffers out of the loop or reuse a scratch \
+         field; justify cold setup allocations with a pragma.",
     ),
     (
         "float-into-exact",
@@ -622,19 +625,32 @@ pub(crate) struct RefSource<'a> {
 /// longer identifier.
 fn contains_word(hay: &str, needle: &str) -> bool {
     let bytes = hay.as_bytes();
-    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let mut from = 0;
     while let Some(pos) = hay[from..].find(needle) {
         let start = from + pos;
         let end = start + needle.len();
-        let ok_before = start == 0 || !is_ident(bytes[start - 1]);
-        let ok_after = end == bytes.len() || !is_ident(bytes[end]);
+        let ok_before = start == 0 || !is_word_byte(bytes[start - 1]);
+        let ok_after = end == bytes.len() || !is_word_byte(bytes[end]);
         if ok_before && ok_after {
             return true;
         }
         from = start + 1;
     }
     false
+}
+
+/// A byte of a word: `[A-Za-z0-9_]`.
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// The maximal runs of word bytes in `hay`. For a needle made of word
+/// bytes, `contains_word(hay, needle)` holds exactly when the needle is
+/// one of them.
+fn words(hay: &str) -> BTreeSet<&str> {
+    hay.split(|c: char| !u8::try_from(c).is_ok_and(is_word_byte))
+        .filter(|w| !w.is_empty())
+        .collect()
 }
 
 fn ref_qualifies(path: &str, def_crate: &str) -> bool {
@@ -715,8 +731,9 @@ struct PubCand {
 /// (iterated to a fixpoint) — demoting a type named in a live pub
 /// signature would trip `private_interfaces`, so it is not dead.
 pub(crate) fn check_dead_pub(lib: &[GraphFile<'_>], refs: &[RefSource<'_>]) -> Vec<Diagnostic> {
-    // Per-file identifier sets; the raw text is the fallback (doc
-    // comments, doctests) so the common case stays a set lookup.
+    // Per-file identifier sets, and the word sets of each file's raw text
+    // (doc comments, doctests) and doc text, so that every check is a set
+    // lookup.
     let idents: Vec<BTreeSet<&str>> = refs
         .iter()
         .map(|r| {
@@ -727,13 +744,24 @@ pub(crate) fn check_dead_pub(lib: &[GraphFile<'_>], refs: &[RefSource<'_>]) -> V
                 .collect()
         })
         .collect();
+    let raw_words: Vec<BTreeSet<&str>> = refs.iter().map(|r| words(r.raw)).collect();
     let docs: Vec<String> = refs.iter().map(|r| doc_text(r.raw)).collect();
+    let doc_words: Vec<BTreeSet<&str>> = docs.iter().map(|d| words(d)).collect();
     let referenced = |name: &str, def_crate: &str| {
+        // Only a word-shaped name can be looked up; any other takes the
+        // scan, which agrees with the lookup on words.
+        let in_text = |set: &BTreeSet<&str>, text: &str| {
+            if name.bytes().all(is_word_byte) {
+                set.contains(name)
+            } else {
+                contains_word(text, name)
+            }
+        };
         refs.iter().enumerate().any(|(i, r)| {
             if ref_qualifies(r.path, def_crate) {
-                idents[i].contains(name) || contains_word(r.raw, name)
+                idents[i].contains(name) || in_text(&raw_words[i], r.raw)
             } else {
-                contains_word(&docs[i], name)
+                in_text(&doc_words[i], &docs[i])
             }
         })
     };

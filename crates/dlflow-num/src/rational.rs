@@ -145,9 +145,19 @@ impl Rat {
         Rat::from_u128_reduced(num < 0, num.unsigned_abs(), den)
     }
 
-    /// Builds from unreduced `num / den` in wide integers.
-    fn from_i128_parts(num: i128, den: u128) -> Self {
-        debug_assert!(den >= 1);
+    /// Builds from unreduced `num / den` in wide integers; panics when
+    /// `den` is zero. With [`Rat::numer_i128`] and [`Rat::denom_u128`] it
+    /// lets exact code run over machine integers where values fit:
+    ///
+    /// ```
+    /// use dlflow_num::Rat;
+    ///
+    /// let x = Rat::from_i128_parts(-6, 4);
+    /// assert_eq!(x, Rat::from_ratio(-3, 2));
+    /// assert_eq!((x.numer_i128(), x.denom_u128()), (Some(-3), Some(2)));
+    /// ```
+    pub fn from_i128_parts(num: i128, den: u128) -> Self {
+        assert!(den != 0, "Rat::from_i128_parts zero denominator");
         if num == 0 {
             return Rat::zero();
         }
@@ -236,6 +246,31 @@ impl Rat {
         match &self.repr {
             Repr::Small { den, .. } => UBig::from_u64(*den),
             Repr::Big(b) => b.den.clone(),
+        }
+    }
+
+    /// The reduced numerator as an `i128`, or `None` when it does not fit.
+    /// Never allocates.
+    pub fn numer_i128(&self) -> Option<i128> {
+        match &self.repr {
+            Repr::Small { num, .. } => Some(i128::from(*num)),
+            Repr::Big(b) => {
+                let mag = b.num.magnitude().to_u128()?;
+                if b.num.is_negative() {
+                    0i128.checked_sub_unsigned(mag)
+                } else {
+                    i128::try_from(mag).ok()
+                }
+            }
+        }
+    }
+
+    /// The reduced (positive) denominator as a `u128`, or `None` when it
+    /// does not fit. Never allocates.
+    pub fn denom_u128(&self) -> Option<u128> {
+        match &self.repr {
+            Repr::Small { den, .. } => Some(u128::from(*den)),
+            Repr::Big(b) => b.den.to_u128(),
         }
     }
 
@@ -932,6 +967,28 @@ mod tests {
             s.finish()
         };
         assert_eq!(h(&via_small), h(&via_big));
+    }
+
+    #[test]
+    fn wide_integer_parts_round_trip_when_they_fit() {
+        for v in [r(0, 1), r(-3, 8), r(i64::MIN, 1), r(7, i64::MAX)] {
+            let (n, d) = (v.numer_i128().unwrap(), v.denom_u128().unwrap());
+            assert_eq!(Rat::from_i128_parts(n, d), v);
+        }
+        // A bignum value inside the i128 range: −2^127 / (2^64 + 1).
+        let v = Rat::from_i128_parts(i128::MIN, (1u128 << 64) + 1);
+        assert!(!v.is_inline());
+        assert_eq!(v.numer_i128(), Some(i128::MIN));
+        assert_eq!(v.denom_u128(), Some((1u128 << 64) + 1));
+        // Unreduced parts are reduced; values past the i128 range say so.
+        assert_eq!(Rat::from_i128_parts(-6, 4), r(-3, 2));
+        let huge = Rat::from_parts(
+            IBig::from_i128(i128::MAX).add_ref(&IBig::one()),
+            UBig::one(),
+        );
+        assert_eq!(huge.numer_i128(), None);
+        let tiny = Rat::from_parts(IBig::one(), UBig::from_u128(u128::MAX).add(&UBig::one()));
+        assert_eq!((tiny.numer_i128(), tiny.denom_u128()), (Some(1), None));
     }
 
     #[test]

@@ -41,6 +41,20 @@ pub trait Scalar: Clone + PartialEq + PartialOrd + Debug + Display + Send + Sync
     fn to_f64(&self) -> f64;
     /// Best-effort embedding of an `f64` (exact for [`Rat`]).
     fn from_f64_approx(v: f64) -> Self;
+    /// The value as `num/den` in machine integers: `Some` for an exact
+    /// scalar whose reduced numerator fits an `i128` and denominator a
+    /// `u128`, `None` otherwise and always for an inexact one (the
+    /// default). Lets generic code run exact arithmetic over integers.
+    fn to_i128_ratio(&self) -> Option<(i128, u128)> {
+        None
+    }
+
+    /// The exact value `num/den` (`den ≥ 1`), or `None` for an inexact
+    /// scalar (the default): the way back from [`Scalar::to_i128_ratio`].
+    fn from_i128_ratio(_num: i128, _den: u128) -> Option<Self> {
+        None
+    }
+
     /// Total-order comparison; panics on incomparable values (float NaN).
     fn cmp_total(&self, o: &Self) -> Ordering {
         self.partial_cmp(o)
@@ -189,6 +203,20 @@ impl Scalar for Rat {
     fn from_f64_approx(v: f64) -> Self {
         Rat::from_f64(v)
     }
+    // The slack is zero: compare directly rather than add it first, which
+    // would cost a reduction of the sum.
+    fn lt_tol(&self, o: &Self) -> bool {
+        self < o
+    }
+    fn gt_tol(&self, o: &Self) -> bool {
+        self > o
+    }
+    fn to_i128_ratio(&self) -> Option<(i128, u128)> {
+        Some((self.numer_i128()?, self.denom_u128()?))
+    }
+    fn from_i128_ratio(num: i128, den: u128) -> Option<Self> {
+        Some(Rat::from_i128_parts(num, den))
+    }
 }
 
 #[cfg(test)]
@@ -251,6 +279,15 @@ mod tests {
             Rat::min_val(Rat::from_i64(2), Rat::from_i64(1)),
             Rat::from_i64(1)
         );
+    }
+
+    #[test]
+    fn only_exact_scalars_expose_integer_ratios() {
+        let x = Rat::from_ratio(-7, 12);
+        assert_eq!(x.to_i128_ratio(), Some((-7, 12)));
+        assert_eq!(Rat::from_i128_ratio(-14, 24), Some(x));
+        assert_eq!(0.5f64.to_i128_ratio(), None);
+        assert_eq!(f64::from_i128_ratio(1, 2), None);
     }
 
     #[test]
