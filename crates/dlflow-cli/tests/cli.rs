@@ -256,6 +256,17 @@ fn simulate_refusals_exit_1_with_a_typed_message() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("unknown option \"throttle\""), "{stderr}");
 
+    // A repeated option is refused, not silently first-wins.
+    let repeated = [
+        "simulate",
+        t.as_str(),
+        "--scheduler",
+        "edf:target=3,target=-1",
+    ];
+    let (code, stderr) = code_of(&repeated);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("option \"target\" given twice"), "{stderr}");
+
     // A snapshot header claiming more machines than its rows hold is
     // malformed at the `busy` row, not an allocation that aborts.
     let snap = tempfile_path::TempPath::with_ext("", "snap");

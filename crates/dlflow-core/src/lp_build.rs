@@ -147,8 +147,9 @@ pub fn build_deadline_lp<S: Scalar>(
 /// [`build_deadline_lp`] into `out`, reusing its buffers: the program's
 /// rows and variable list, the `α` list and the interval points.
 ///
-/// This builder sits on OLA's per-event hot path (one call per bisection
-/// probe plus the final rate solve), so variables and
+/// This builder sits on OLA's per-event hot path (one call per probe of
+/// §4.3's milestone search, plus one for the serial-bound fallback when
+/// a stage does not end optimal), so variables and
 /// constraints are anonymous — names and labels are display-only and the
 /// `format!` calls used to dominate the build at production sub-problem
 /// sizes — and each row's terms are read off the `α` list, which the

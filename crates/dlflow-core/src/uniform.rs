@@ -25,7 +25,9 @@
 //! `(ΣW − a)/b` are exact, so every iterate is a proven lower bound on the
 //! optimum. One exact max-flow at the last iterate then certifies it and
 //! yields the schedule, over `i128` integers scaled by the capacities'
-//! common denominator when they fit (see [`crate::maxflow`]).
+//! common denominator when they fit (see [`crate::maxflow`]); the
+//! schedule is then packed from the integer flow, one exact value per
+//! slice.
 //!
 //! (The per-job bound (5b) of the preemptive variant is *not* expressible
 //! this way when speeds differ, because a job's wall-clock usage mixes
@@ -37,6 +39,7 @@ use crate::intervals::{AffineF, SymbolicIntervals};
 use crate::maxflow::MilestoneRange;
 use crate::schedule::{Schedule, ScheduleKind, Slice};
 use dlflow_num::Scalar;
+use std::mem;
 
 /// The factorized form of a uniform instance: `c[i][j] = work[j] · speed[i]`.
 #[derive(Clone, Debug)]
@@ -229,8 +232,9 @@ struct Transport<'a, S> {
 
 /// One exact maximum flow of a [`Transport`] network.
 enum ExactFlow<S> {
-    /// It ships all the work: the flow on each shipping edge, in order.
-    Saturated(Vec<S>),
+    /// It ships all the work: the schedule packed from it (see
+    /// [`Transport::schedule`]).
+    Saturated(Schedule<S>),
     /// It does not: the line of its minimum cut (see
     /// [`Transport::cut_line`]).
     Short(Option<AffineF<S>>),
@@ -451,6 +455,37 @@ impl<'a, S: Scalar> Transport<'a, S> {
         sched
     }
 
+    /// [`Transport::schedule`] for a flow over integers, each shipping
+    /// edge's amount times `den` (see [`Transport::scaled`]). Each slot
+    /// sums its shipped numerators in `i128`, where they cannot overflow
+    /// (the scaled total work fits), so a slice costs one exact value: it
+    /// ends at `start + s_i·(sum/den)`. `None` if a sum overflows or `S`
+    /// is inexact, neither of which a scaled flow can reach.
+    fn schedule_scaled(
+        &self,
+        f: &S,
+        shipped: impl IntoIterator<Item = i128>,
+        den: u128,
+    ) -> Option<Schedule<S>> {
+        let speed = &self.factors.speed;
+        let mut sched = Schedule::empty(speed.len(), ScheduleKind::Divisible);
+        let starts: Vec<S> = self.slots.iter().map(|s| s.start.eval(f)).collect();
+        let mut cursor = starts.clone();
+        let mut sums = vec![0i128; self.slots.len()];
+        for (&(k, j), shipped) in self.ship.iter().zip(shipped) {
+            if shipped <= 0 {
+                continue;
+            }
+            let i = self.slots[k].machine;
+            sums[k] = sums[k].checked_add(shipped)?;
+            let end = starts[k].add(&speed[i].mul(&S::from_i128_ratio(sums[k], den)?));
+            let start = mem::replace(&mut cursor[k], end.clone());
+            sched.push(i, Slice { job: j, start, end });
+        }
+        sched.normalize();
+        Some(sched)
+    }
+
     /// The same network over `f64` (with `factors`, the rounded factors),
     /// or `None` when a capacity does not stay finite.
     fn mirror<'b>(&self, factors: &'b UniformFactors<f64>) -> Option<Transport<'b, f64>> {
@@ -524,13 +559,12 @@ impl<'a, S: Scalar> Transport<'a, S> {
     fn newton(&self, range: &MilestoneRange<S>, floor: &S, mut f: S) -> Option<(S, Schedule<S>)> {
         loop {
             match self.exact_flow(&f) {
-                ExactFlow::Saturated(shipped) => {
+                ExactFlow::Saturated(sched) => {
                     // The iterates rise strictly, so only the first one
                     // can be `lo`.
                     if f == range.lo && range.lo != *floor {
                         return None;
                     }
-                    let sched = self.schedule(&f, shipped);
                     return Some((f, sched));
                 }
                 ExactFlow::Short(cut) => {
@@ -554,12 +588,13 @@ impl<'a, S: Scalar> Transport<'a, S> {
         if !self.saturated(&flow) {
             return ExactFlow::Short(self.cut_line(|v| net.on_source_side(v)));
         }
-        ExactFlow::Saturated(self.shipped(&net).collect())
+        ExactFlow::Saturated(self.schedule(f, self.shipped(&net)))
     }
 
     /// [`Transport::exact_flow`] over `i128` integers: every capacity at
-    /// `F = f` times `D`, their common denominator. `None` when `S` is
-    /// inexact or `D`, a scaled capacity or the scaled total work
+    /// `F = f` times `D`, their common denominator, and the schedule
+    /// packed over integers ([`Transport::schedule_scaled`]). `None` when
+    /// `S` is inexact or `D`, a scaled capacity or the scaled total work
     /// overflows.
     fn integer_flow(&self, f: &S) -> Option<ExactFlow<S>> {
         let (caps, total, den) = self.scaled(f)?;
@@ -568,10 +603,8 @@ impl<'a, S: Scalar> Transport<'a, S> {
         if net.max_flow(0, self.sink()).0 < total {
             return Some(ExactFlow::Short(self.cut_line(|v| net.on_source_side(v))));
         }
-        let shipped = (0..self.ship.len())
-            .map(|i| S::from_i128_ratio(net.flow_on(self.ship_edge(i)).0, den))
-            .collect::<Option<_>>()?;
-        Some(ExactFlow::Saturated(shipped))
+        let shipped = (0..self.ship.len()).map(|i| net.flow_on(self.ship_edge(i)).0);
+        Some(ExactFlow::Saturated(self.schedule_scaled(f, shipped, den)?))
     }
 
     /// The capacities at `F = f` in edge order as integer multiples of
@@ -839,22 +872,24 @@ mod tests {
     #[test]
     fn integer_certification_engages_on_campaign_shapes() {
         // At the optimum every capacity scales to i128, and the integer
-        // flow ships exactly what the rational one does.
+        // flow ships exactly what the rational one does: its schedule,
+        // packed over integers, equals the rational flow's, packed over
+        // `Rat`, slice for slice.
         for seed in 0..6 {
             let inst = crate::maxflow::tests::campaign_shaped(seed);
             let factors = uniform_factors(&inst).unwrap();
             let (range, opt) = exact_range(&inst, &factors);
             let network = Transport::for_range(&inst, &factors, &range);
-            let Some(ExactFlow::Saturated(shipped)) = network.integer_flow(&opt) else {
+            let Some(ExactFlow::Saturated(sched)) = network.integer_flow(&opt) else {
                 panic!("seed {seed}: the integer flow did not certify the optimum");
             };
             let (net, flow) = network.max_flow_at(&opt);
             assert!(network.saturated(&flow));
-            assert_eq!(
-                shipped,
-                network.shipped(&net).collect::<Vec<_>>(),
-                "seed {seed}"
-            );
+            let rational = network.schedule(&opt, network.shipped(&net));
+            assert!(sched.n_slices() > 0, "seed {seed}");
+            assert_eq!(sched.machines, rational.machines, "seed {seed}");
+            validate(&inst, &sched).unwrap();
+            assert_eq!(sched.max_weighted_flow(&inst), opt);
         }
     }
 

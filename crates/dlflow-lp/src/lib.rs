@@ -6,12 +6,22 @@
 //! crate is available in the offline dependency set, so this one is built
 //! from scratch.
 //!
-//! The default [`solve`] is a **sparse-column revised simplex** (Dantzig
-//! pricing, Bland anti-cycling fallback, warm-startable via
-//! [`solve_warm`]); the seed's dense two-phase tableau survives as
-//! [`solve_dense`] and serves as the reference oracle in property tests.
-//! Callers that solve many programs in a row pass one [`LpWorkspace`] to
-//! [`solve_in`] and stop allocating tableau storage.
+//! The default [`solve`] is a **revised simplex on one dense row-major
+//! tableau** (Dantzig pricing, Bland anti-cycling fallback,
+//! warm-startable via [`solve_warm`]); the seed's two-phase tableau
+//! survives as [`solve_dense`] and serves as the reference oracle in
+//! property tests. Callers that solve many programs in a row pass one
+//! [`LpWorkspace`] to [`solve_in`] and stop allocating tableau storage.
+//!
+//! The tableau holds `rows × columns` entries, where the columns are the
+//! variables some row or the objective mentions, one slack per
+//! inequality and, in a cold solve, the artificials; a variable nothing
+//! mentions gets no column. The paper's programs are small and fill in
+//! as they pivot, so rows cost less than sparse columns would, and the
+//! pivot rules fix every operand (see [`revised`] for the invariants), so
+//! results do not depend on the layout. The largest tableau the test
+//! suites and experiment bins build holds 0.26 M entries (2.1 MB over
+//! `f64`); the largest over `Rat`, 0.15 M (3.6 MB).
 //!
 //! Two instantiations matter:
 //!

@@ -1,11 +1,4 @@
-//! Sparse-column revised simplex — the default solver.
-//!
-//! The paper's LPs (Systems (1), (2), (3), (5)) are extremely sparse:
-//! every `α⁽ᵗ⁾ᵢⱼ` variable appears in at most three constraints. The seed
-//! solver kept a dense `rows × cols` tableau and touched every cell on
-//! every pivot; this module stores the tableau **column-wise** as sorted
-//! `(row, value)` pairs and skips structural zeros in pivoting, pricing
-//! and the ratio test.
+//! Revised simplex over a dense row-major tableau — the default solver.
 //!
 //! * **Pricing**: Dantzig (most negative reduced cost) by default — fast
 //!   in practice but can cycle on degenerate bases. After
@@ -31,6 +24,52 @@
 //!   solve starts from the same logical state as a fresh one, so it runs
 //!   the same pivots on the same operands. [`solve`] and [`solve_warm`]
 //!   use a fresh workspace.
+//!
+//! # Layout
+//!
+//! The tableau is one row-major buffer of `rows × columns` scalars. Its
+//! columns are the program's variables that some row or the objective
+//! mentions (in variable order), then one slack or surplus per inequality
+//! row (in row order), then, in a cold solve, one artificial per row
+//! without a basic slack. A variable no row or objective term mentions
+//! has no column: it would stay empty under every pivot with reduced cost
+//! zero, so it could never enter the basis. A variable only the objective
+//! mentions keeps its column, so an unbounded program still reports
+//! unbounded. [`WarmBasis`] snapshots stay
+//! in the program's structural+slack column space and are mapped to and
+//! from the tableau's; a hint naming an absent column is skipped, as an
+//! empty column would be. The paper's programs are small and fill in as
+//! they pivot, so a dense row costs less than sorted sparse columns: no
+//! search to read an entry or the pivot row, no merge to update one.
+//!
+//! Memory is the one cost: `rows × columns` entries whatever the fill.
+//! The largest tableau the test suites and experiment bins build holds
+//! 0.26 M entries, 2.1 MB (159 rows × 1,619 columns over `f64`, for a
+//! System (1) of 1,460 variables); the largest over `Rat` holds 0.15 M,
+//! 3.6 MB at 24 bytes an entry (188 × 800, for 1,275 variables).
+//!
+//! # Pivot arithmetic
+//!
+//! These rules fix every operand of every operation, so a solve's
+//! results do not depend on the storage, only on the pivot rules:
+//!
+//! * A structural zero is an *exact* zero (`== S::zero()`), never a
+//!   tolerance test; an entry is built by summing the row's duplicate
+//!   terms in term order, and a sum within tolerance is stored as zero.
+//! * A pivot on `(r, c)` updates only the rows where column `c` is
+//!   nonzero, and in them only the columns where row `r` is nonzero. An
+//!   updated entry `a_ij − f_j·e_i` (or `−(f_j·e_i)` from a structural
+//!   zero) that falls within tolerance is stored as zero; an entry the
+//!   pivot does not touch keeps its value, even a negligible one.
+//! * The pivot row's entries `f_j = a_rj / piv` are stored as computed,
+//!   even within tolerance.
+//! * Reduced costs are summed row by row: each row whose basic cost is
+//!   not negligible adds `c_B[i]·a_ij` into column `j`'s sum for every
+//!   nonzero `a_ij`, so each column sums its rows in increasing order.
+//! * Ratio tests scan rows in increasing order, and the dual ratio test
+//!   scans the pivot row in increasing column order, so their tie-breaks
+//!   see the candidates in a fixed order.
+//! * Removing a redundant row moves the last row into its place.
 //!
 //! The seed's dense two-phase solver survives as `solve_dense`
 //! ([`crate::simplex::solve`]) and is the reference oracle in the
@@ -85,9 +124,9 @@ pub struct WarmSolve<S> {
     pub warm_used: bool,
 }
 
-/// Reusable buffers for the sparse revised simplex: tableau columns,
-/// right-hand side, basis, pivot row and column, merge scratch, cost and
-/// reduced-cost vectors, and row flags.
+/// Reusable buffers for the revised simplex: the tableau entries,
+/// right-hand side, basis, variable-to-column map, pivot row and pivot
+/// column, cost and reduced-cost vectors, and row flags.
 ///
 /// A solve takes the buffers it needs and returns them when it ends, so
 /// repeated solves through one workspace stop allocating once capacity
@@ -140,21 +179,21 @@ impl<S> Default for LpWorkspace<S> {
 impl<S> std::fmt::Debug for LpWorkspace<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LpWorkspace")
-            .field("columns", &self.tab.cols.len())
+            .field("tableau_capacity", &self.tab.a.capacity())
             .finish_non_exhaustive()
     }
 }
 
-/// Solves the problem with the sparse revised simplex (cold start).
+/// Solves the problem with the revised simplex (cold start).
 pub fn solve<S: Scalar>(problem: &LpProblem<S>) -> LpSolution<S> {
     solve_in(problem, &mut LpWorkspace::new())
 }
 
 /// [`solve`] with the buffers of `ws`.
 pub fn solve_in<S: Scalar>(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> LpSolution<S> {
-    let mut tab = Tab::build_cold(p, ws);
+    let mut tab = Tab::build(p, ws, true);
     let (solution, _) = tab.solve_cold(p, ws, false);
-    tab.recycle(ws);
+    ws.tab = tab;
     solution
 }
 
@@ -170,13 +209,20 @@ pub fn solve_warm_in<S: Scalar>(
     ws: &mut LpWorkspace<S>,
 ) -> WarmSolve<S> {
     if let Some(h) = hint.filter(|h| h.compatible_with(p)) {
-        if let Some(out) = try_warm(p, h, ws) {
-            return out;
+        let mut tab = Tab::build(p, ws, false);
+        let out = tab.run_warm(p, &h.basis, ws);
+        ws.tab = tab;
+        if let Some((solution, basis)) = out {
+            return WarmSolve {
+                solution,
+                basis,
+                warm_used: true,
+            };
         }
     }
-    let mut tab = Tab::build_cold(p, ws);
+    let mut tab = Tab::build(p, ws, true);
     let (solution, basis) = tab.solve_cold(p, ws, true);
-    tab.recycle(ws);
+    ws.tab = tab;
     WarmSolve {
         solution,
         basis,
@@ -215,44 +261,50 @@ fn all_finite(p: &LpProblem<f64>) -> bool {
             .all(|c| finite(&c.expr) && c.rhs.is_finite())
 }
 
-/// Sparse column-major tableau.
+/// Dense row-major tableau (see the module doc for its layout and the
+/// arithmetic rules every pivot keeps).
 ///
-/// Every buffer comes from an [`LpWorkspace`] and goes back to one
-/// ([`Tab::recycle`]). `cols` may hold more buffers than the tableau
-/// has columns: entries at `n_total` and beyond are spare capacity whose
-/// contents are never read.
+/// Every buffer comes from an [`LpWorkspace`] and goes back to one. `a`
+/// may hold more entries than `rows × w`: those past the live rows are
+/// never read.
 struct Tab<S> {
-    /// Per column: sorted `(row, value)` pairs, structural zeros omitted.
-    cols: Vec<Vec<(u32, S)>>,
+    /// Entry `(i, j)` at `i * w + j`.
+    a: Vec<S>,
+    /// Row stride: the columns the tableau was built with.
+    w: usize,
     /// Right-hand side (basic variable values).
     b: Vec<S>,
     /// Basic column of each row (`usize::MAX` while unassigned).
     basis: Vec<usize>,
-    /// Number of structural (original) variables.
-    n_struct: usize,
-    /// Total columns (structural + slack [+ artificial]).
+    /// Number of the program's variables.
+    n_vars: usize,
+    /// Tableau column of each variable (`usize::MAX` when absent).
+    col_of: Vec<usize>,
+    /// Variable of each structural column: its length is the number of
+    /// structural columns, which come first.
+    var_of: Vec<usize>,
+    /// Columns in use (structural + slack [+ artificial]).
     n_total: usize,
     /// Column index where artificial variables start (== n_total when none).
     art_start: usize,
-    /// Recycled merge buffer (see [`Tab::pivot`]).
-    scratch: Vec<(u32, S)>,
-    /// The pivot column while a pivot runs (moved out of `cols`).
-    pcol: Vec<(u32, S)>,
-    /// The pivot row as sparse `(col, value)` pairs (see
-    /// [`Tab::extract_row`]).
+    /// The pivot column's nonzeros off the pivot row, as `(row, value)`.
+    pcol: Vec<(usize, S)>,
+    /// The pivot row's nonzeros as `(col, value)` (see [`Tab::extract_row`]).
     prow: Vec<(usize, S)>,
 }
 
 impl<S> Default for Tab<S> {
     fn default() -> Self {
         Tab {
-            cols: Vec::new(),
+            a: Vec::new(),
+            w: 0,
             b: Vec::new(),
             basis: Vec::new(),
-            n_struct: 0,
+            n_vars: 0,
+            col_of: Vec::new(),
+            var_of: Vec::new(),
             n_total: 0,
             art_start: 0,
-            scratch: Vec::new(),
             pcol: Vec::new(),
             prow: Vec::new(),
         }
@@ -269,135 +321,129 @@ fn flipped(rel: Rel, flip: bool) -> Rel {
 }
 
 impl<S: Scalar> Tab<S> {
-    /// Takes the workspace's retired storage as an empty tableau with `m`
-    /// unassigned rows and `n` empty structural columns.
-    fn recycled(ws: &mut LpWorkspace<S>, m: usize, n: usize) -> Tab<S> {
+    /// Standard form in the workspace's retired storage. Cold (`cold`):
+    /// rows with a negative right-hand side are negated so that `b ≥ 0`,
+    /// `≤` rows start on their slack and every other row on an artificial
+    /// (phase 1). Warm: no sign normalization, no artificials, and no row
+    /// assigned a basic column (negative `b` entries are repaired by dual
+    /// simplex once the hinted basis is realized).
+    fn build(p: &LpProblem<S>, ws: &mut LpWorkspace<S>, cold: bool) -> Tab<S> {
+        ws.flags.clear();
+        ws.flags.extend(
+            p.constraints()
+                .iter()
+                .map(|c| cold && c.rhs.is_negative_tol()),
+        );
+        let flip = &ws.flags;
         let mut tab = mem::take(&mut ws.tab);
+        tab.map_columns(p);
+        let rels = || {
+            p.constraints()
+                .iter()
+                .zip(flip.iter())
+                .map(|(c, &f)| flipped(c.rel, f))
+        };
+        let n_slack = rels().filter(|&r| r != Rel::Eq).count();
+        let n_art = if cold {
+            rels().filter(|&r| r != Rel::Le).count()
+        } else {
+            0
+        };
+        let (m, n_struct, zero) = (p.n_constraints(), tab.var_of.len(), S::zero());
+        let w = n_struct + n_slack + n_art;
+        tab.w = w;
+        tab.n_total = w;
+        tab.art_start = n_struct + n_slack;
+        // Re-zero the live region only; capacity past it stays unread.
+        tab.a.truncate(m * w);
+        tab.a.fill(zero.clone());
+        tab.a.resize(m * w, zero.clone());
         tab.b.clear();
         tab.basis.clear();
         tab.basis.resize(m, usize::MAX);
-        tab.n_struct = n;
-        tab.n_total = 0;
-        for _ in 0..n {
-            tab.push_col();
-        }
-        tab
-    }
-
-    /// Hands this tableau's buffers back to `ws`. When `ws` already holds
-    /// a larger set, this one is dropped instead.
-    fn recycle(self, ws: &mut LpWorkspace<S>) {
-        if self.cols.len() >= ws.tab.cols.len() {
-            ws.tab = self;
-        }
-    }
-
-    /// Appends an empty column, reusing a spare buffer when one is left.
-    fn push_col(&mut self) -> &mut Vec<(u32, S)> {
-        let j = self.n_total;
-        if j == self.cols.len() {
-            self.cols.push(Vec::new());
-        }
-        self.n_total += 1;
-        let col = &mut self.cols[j];
-        col.clear();
-        col
-    }
-
-    /// Fills the structural columns from the constraint expressions
-    /// (duplicates summed, zeros dropped). `flip[i]` negates row `i` on
-    /// the fly; rows past the end of `flip` are not negated.
-    fn fill_structural(&mut self, p: &LpProblem<S>, flip: &[bool]) {
-        for (i, c) in p.constraints().iter().enumerate() {
-            let negate = flip.get(i).is_some_and(|&f| f);
+        let (mut slack, mut art) = (n_struct, tab.art_start);
+        for (i, (c, rel)) in p.constraints().iter().zip(rels()).enumerate() {
+            let row = &mut tab.a[i * w..(i + 1) * w];
+            // Duplicate terms sum in term order; a negligible sum is zero.
             for (v, coeff) in &c.expr.terms {
-                let val = if negate { coeff.neg() } else { coeff.clone() };
-                self.cols[v.index()].push((i as u32, val));
+                let val = if flip[i] { coeff.neg() } else { coeff.clone() };
+                let cell = &mut row[tab.col_of[v.index()]];
+                *cell = if *cell == zero { val } else { cell.add(&val) };
             }
-        }
-        for col in &mut self.cols[..self.n_struct] {
-            // Rows arrive in constraint order, so the column is sorted:
-            // sum duplicate rows in place, then drop exact/negligible zeros.
-            let mut w = 0;
-            for k in 0..col.len() {
-                if w > 0 && col[w - 1].0 == col[k].0 {
-                    let (head, tail) = col.split_at_mut(k);
-                    head[w - 1].1 = head[w - 1].1.add(&tail[0].1);
-                } else {
-                    col.swap(w, k);
-                    w += 1;
+            for (v, _) in &c.expr.terms {
+                let cell = &mut row[tab.col_of[v.index()]];
+                if cell.is_negligible() {
+                    *cell = zero.clone();
                 }
             }
-            col.truncate(w);
-            col.retain(|(_, v)| !v.is_negligible());
-        }
-    }
-
-    /// Standard form with artificials and `b ≥ 0` (cold start, phase 1).
-    fn build_cold(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> Tab<S> {
-        ws.flags.clear();
-        ws.flags
-            .extend(p.constraints().iter().map(|c| c.rhs.is_negative_tol()));
-        let mut tab = Tab::recycled(ws, p.n_constraints(), p.n_vars());
-        let flip = &ws.flags;
-        tab.fill_structural(p, flip);
-        // Slack/surplus columns, in constraint order.
-        for (i, c) in p.constraints().iter().enumerate() {
             tab.b
                 .push(if flip[i] { c.rhs.neg() } else { c.rhs.clone() });
-            match flipped(c.rel, flip[i]) {
-                Rel::Le => {
-                    tab.basis[i] = tab.n_total;
-                    tab.push_col().push((i as u32, S::one()));
+            if rel != Rel::Eq {
+                row[slack] = if rel == Rel::Le {
+                    S::one()
+                } else {
+                    S::one().neg()
+                };
+                if cold && rel == Rel::Le {
+                    tab.basis[i] = slack;
                 }
-                Rel::Ge => tab.push_col().push((i as u32, S::one().neg())),
-                Rel::Eq => {}
+                slack += 1;
+            }
+            if cold && rel != Rel::Le {
+                row[art] = S::one();
+                tab.basis[i] = art;
+                art += 1;
             }
         }
-        // Artificials for the rows without a basic slack.
-        tab.art_start = tab.n_total;
-        for (i, c) in p.constraints().iter().enumerate() {
-            if flipped(c.rel, flip[i]) != Rel::Le {
-                tab.basis[i] = tab.n_total;
-                tab.push_col().push((i as u32, S::one()));
-            }
-        }
-        debug_assert!(tab.basis.iter().all(|&bv| bv != usize::MAX));
+        debug_assert!(!cold || tab.basis.iter().all(|&bv| bv != usize::MAX));
         tab
     }
 
-    /// Standard form without artificials and without sign normalization
-    /// (warm start; negative `b` entries are repaired by dual simplex).
-    fn build_warm(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> Tab<S> {
-        let mut tab = Tab::recycled(ws, p.n_constraints(), p.n_vars());
-        tab.fill_structural(p, &[]);
-        for (i, c) in p.constraints().iter().enumerate() {
-            tab.b.push(c.rhs.clone());
-            match c.rel {
-                Rel::Le => tab.push_col().push((i as u32, S::one())),
-                Rel::Ge => tab.push_col().push((i as u32, S::one().neg())),
-                Rel::Eq => {}
+    /// Gives a column to every variable that a row or the objective
+    /// mentions, in variable order, and none to the others.
+    fn map_columns(&mut self, p: &LpProblem<S>) {
+        self.n_vars = p.n_vars();
+        self.col_of.clear();
+        self.col_of.resize(self.n_vars, usize::MAX);
+        let terms = p.constraints().iter().flat_map(|c| &c.expr.terms);
+        for (v, _) in terms.chain(&p.objective().terms) {
+            self.col_of[v.index()] = 0; // mentioned; numbered below
+        }
+        self.var_of.clear();
+        for (v, col) in self.col_of.iter_mut().enumerate() {
+            if *col == 0 {
+                *col = self.var_of.len();
+                self.var_of.push(v);
             }
         }
-        tab.art_start = tab.n_total;
-        tab
     }
 
-    /// Value at `(row, col)`, `None` when structurally zero.
-    #[inline]
-    fn at(&self, row: usize, col: usize) -> Option<&S> {
-        let c = &self.cols[col];
-        c.binary_search_by_key(&(row as u32), |(r, _)| *r)
-            .ok()
-            .map(|k| &c[k].1)
+    /// The program's column (structural+slack space) of tableau column `j`.
+    fn program_col(&self, j: usize) -> usize {
+        match self.var_of.get(j) {
+            Some(&v) => v,
+            None => j - self.var_of.len() + self.n_vars,
+        }
     }
 
-    /// Loads row `row` into `prow` as sparse `(col, value)` pairs.
+    /// The tableau column of the program's column `c`: `usize::MAX` for a
+    /// variable without one, and past the tableau's columns for a slack
+    /// past the program's.
+    fn tableau_col(&self, c: usize) -> usize {
+        match self.col_of.get(c) {
+            Some(&j) => j,
+            None => c - self.n_vars + self.var_of.len(),
+        }
+    }
+
+    /// Loads row `row`'s nonzeros into `prow`.
     fn extract_row(&mut self, row: usize) {
         self.prow.clear();
-        for (j, c) in self.cols[..self.n_total].iter().enumerate() {
-            if let Ok(k) = c.binary_search_by_key(&(row as u32), |(r, _)| *r) {
-                self.prow.push((j, c[k].1.clone()));
+        let zero = S::zero();
+        let cells = &self.a[row * self.w..row * self.w + self.n_total];
+        for (j, v) in cells.iter().enumerate() {
+            if *v != zero {
+                self.prow.push((j, v.clone()));
             }
         }
     }
@@ -408,95 +454,51 @@ impl<S: Scalar> Tab<S> {
     /// says a caller already loaded the pivot row into `prow` (dual
     /// ratio test), which saves the scan.
     fn pivot(&mut self, row: usize, col: usize, rc: Option<(&mut [S], &mut S)>, prow_loaded: bool) {
-        // dlflint:allow(hot-path-panic, "ratio test only selects structurally nonzero pivots; a miss is a solver bug worth halting on")
-        let piv = self.at(row, col).expect("pivot on structural zero").clone();
+        let (w, zero) = (self.w, S::zero());
+        let piv = self.a[row * w + col].clone();
         debug_assert!(!piv.is_negligible());
         if !prow_loaded {
             self.extract_row(row);
         }
         // Pivot row with the elimination factor `a_rj / piv` cached, so
-        // the column update and the reduced-cost update share one division.
-        for (_, arj) in self.prow.iter_mut() {
+        // the row update and the reduced-cost update share one division.
+        for (j, arj) in self.prow.iter_mut() {
             *arj = arj.div(&piv);
+            self.a[row * w + *j] = arj.clone();
         }
-        // The pivot column moves out of its slot; the slot gets the unit
-        // vector at the end.
-        mem::swap(&mut self.pcol, &mut self.cols[col]);
+        // The pivot column moves out; it becomes the unit vector at `row`.
+        self.pcol.clear();
+        for i in (0..self.b.len()).filter(|&i| i != row) {
+            let cell = &mut self.a[i * w + col];
+            if *cell != zero {
+                self.pcol.push((i, mem::replace(cell, zero.clone())));
+            }
+        }
+        self.a[row * w + col] = S::one();
 
         let b_row_new = self.b[row].div(&piv);
-        // RHS update, touching only the pivot column's nonzero rows.
         for (i, e) in &self.pcol {
-            let i = *i as usize;
-            if i == row {
-                continue;
-            }
-            let v = self.b[i].sub(&b_row_new.mul(e));
-            self.b[i] = if v.is_negligible() { S::zero() } else { v };
+            let v = self.b[*i].sub(&b_row_new.mul(e));
+            self.b[*i] = if v.is_negligible() { zero.clone() } else { v };
         }
-        self.b[row] = b_row_new.clone();
+        self.b[row] = b_row_new;
 
-        // Column updates, touching only columns with a nonzero pivot-row
-        // entry (and in them only the pivot column's nonzero rows). The
-        // merge moves entries out of the old column and recycles its
-        // buffer as the next column's scratch — no steady-state allocation.
-        // A merged column has at most one entry per row, which caps its
-        // reservation.
-        let m = self.b.len();
-        let pcol = &self.pcol;
-        let mut scratch = mem::take(&mut self.scratch);
-        for (j, f) in &self.prow {
-            if *j == col {
-                continue;
-            }
-            let mut old = mem::replace(&mut self.cols[*j], scratch);
-            let merged = &mut self.cols[*j];
-            merged.clear();
-            merged.reserve((old.len() + pcol.len()).min(m));
-            {
-                let mut a = old.drain(..).peekable();
-                let mut c = pcol.iter().peekable();
-                loop {
-                    match (a.peek(), c.peek()) {
-                        (Some((ra, _)), Some((rc2, _))) if ra == rc2 => {
-                            let (r, va) = a.next().unwrap(); // dlflint:allow(hot-path-panic, "peek returned Some on this branch")
-                            let (_, ve) = c.next().unwrap(); // dlflint:allow(hot-path-panic, "peek returned Some on this branch")
-                            if r as usize == row {
-                                merged.push((r, f.clone()));
-                            } else {
-                                let v = va.sub(&f.mul(ve));
-                                if !v.is_negligible() {
-                                    merged.push((r, v));
-                                }
-                            }
-                        }
-                        (Some((ra, _)), Some((rc2, _))) if ra < rc2 => {
-                            merged.push(a.next().unwrap()); // dlflint:allow(hot-path-panic, "peek returned Some on this branch")
-                        }
-                        (Some(_), Some(_)) | (None, Some(_)) => {
-                            let (r, ve) = c.next().unwrap(); // dlflint:allow(hot-path-panic, "peek returned Some on this branch")
-                            if *r as usize == row {
-                                merged.push((*r, f.clone()));
-                            } else {
-                                let v = f.mul(ve).neg();
-                                if !v.is_negligible() {
-                                    merged.push((*r, v));
-                                }
-                            }
-                        }
-                        (Some(_), None) => {
-                            merged.push(a.next().unwrap()); // dlflint:allow(hot-path-panic, "peek returned Some on this branch")
-                        }
-                        (None, None) => break,
-                    }
+        // Only (rows of the pivot column) × (columns of the pivot row).
+        for (i, e) in &self.pcol {
+            let cells = &mut self.a[i * w..(i + 1) * w];
+            for (j, f) in &self.prow {
+                if *j == col {
+                    continue;
                 }
+                let cell = &mut cells[*j];
+                let v = if *cell == zero {
+                    f.mul(e).neg()
+                } else {
+                    cell.sub(&f.mul(e))
+                };
+                *cell = if v.is_negligible() { zero.clone() } else { v };
             }
-            scratch = old;
         }
-        self.scratch = scratch;
-        // The entering column becomes a unit vector.
-        let unit = &mut self.cols[col];
-        unit.clear();
-        unit.push((row as u32, S::one()));
 
         if let Some((r, z)) = rc {
             let re = r[col].clone();
@@ -506,36 +508,43 @@ impl<S: Scalar> Tab<S> {
                         continue;
                     }
                     let v = r[*j].sub(&re.mul(f));
-                    r[*j] = if v.is_negligible() { S::zero() } else { v };
+                    r[*j] = if v.is_negligible() { zero.clone() } else { v };
                 }
                 *z = z.sub(&re.mul(&self.b[row]));
-                r[col] = S::zero();
+                r[col] = zero;
             }
         }
         self.basis[row] = col;
     }
 
     /// Reduced costs `r_j = c_j − c_B · B⁻¹A_j` into `r` (with `cb` as the
-    /// basic-cost scratch), computed sparsely per column; returns the
-    /// negated objective value.
+    /// basic-cost scratch), summed row by row over the rows with a
+    /// non-negligible basic cost; returns the negated objective value.
     fn reduced_costs(&self, cost: &[S], cb: &mut Vec<S>, r: &mut Vec<S>) -> S {
         cb.clear();
         cb.extend(self.basis.iter().map(|&bv| cost[bv].clone()));
+        let zero = S::zero();
         r.clear();
-        r.extend_from_slice(cost);
-        for j in 0..self.n_total {
-            let mut acc = S::zero();
-            for (i, v) in &self.cols[j] {
-                let c = &cb[*i as usize];
-                if !c.is_negligible() {
-                    acc = acc.add(&c.mul(v));
+        r.resize(self.n_total, zero.clone());
+        for (i, c) in cb.iter().enumerate() {
+            if c.is_negligible() {
+                continue;
+            }
+            let cells = &self.a[i * self.w..i * self.w + self.n_total];
+            for (acc, v) in r.iter_mut().zip(cells) {
+                if *v != zero {
+                    *acc = acc.add(&c.mul(v));
                 }
             }
-            if !acc.is_negligible() {
-                r[j] = r[j].sub(&acc);
-            }
         }
-        let mut z = S::zero();
+        for (acc, c) in r.iter_mut().zip(cost) {
+            *acc = if acc.is_negligible() {
+                c.clone()
+            } else {
+                c.sub(acc)
+            };
+        }
+        let mut z = zero;
         for (i, c) in cb.iter().enumerate() {
             if !c.is_negligible() {
                 z = z.sub(&c.mul(&self.b[i]));
@@ -568,11 +577,11 @@ impl<S: Scalar> Tab<S> {
             let Some(enter) = enter else {
                 return true; // optimal
             };
-            // Ratio test over the entering column's nonzeros only;
-            // smallest-basis-index tie-break (required in Bland mode).
+            // Ratio test down the entering column; smallest-basis-index
+            // tie-break (required in Bland mode).
             let mut best: Option<(S, usize)> = None;
-            for (i, v) in &self.cols[enter] {
-                let i = *i as usize;
+            for i in 0..m {
+                let v = &self.a[i * self.w + enter];
                 if v.is_positive_tol() {
                     let ratio = self.b[i].div(v);
                     let better = match &best {
@@ -597,7 +606,7 @@ impl<S: Scalar> Tab<S> {
             streak = if degenerate { streak + 1 } else { 0 };
         }
         // dlflint:allow(hot-path-panic, "pivot-cap backstop: Bland's rule cannot cycle, so this is unreachable outside a solver bug")
-        panic!("sparse simplex exceeded pivot cap — this indicates a bug");
+        panic!("revised simplex exceeded pivot cap — this indicates a bug");
     }
 
     /// Dual simplex repair: assumes `r ≥ 0` (dual feasible) and drives
@@ -654,34 +663,26 @@ impl<S: Scalar> Tab<S> {
         None
     }
 
-    /// Removes row `row` (swap-remove semantics across `b`, `basis` and
-    /// every column's row indices).
+    /// Removes row `row`: the last row moves into its place (swap-remove
+    /// semantics across the entries, `b` and `basis`).
     fn remove_row(&mut self, row: usize) {
-        let last = self.b.len() - 1;
-        for col in self.cols[..self.n_total].iter_mut() {
-            col.retain(|(r, _)| *r as usize != row);
-            if row != last {
-                for (r, _) in col.iter_mut() {
-                    if *r as usize == last {
-                        *r = row as u32;
-                    }
-                }
-                col.sort_by_key(|(r, _)| *r);
-            }
+        let (last, w) = (self.b.len() - 1, self.w);
+        if row != last {
+            let (head, tail) = self.a.split_at_mut(last * w);
+            head[row * w..(row + 1) * w].swap_with_slice(&mut tail[..w]);
         }
         self.b.swap_remove(row);
         self.basis.swap_remove(row);
     }
 
     /// After phase 1: pivot zero-level artificials out of the basis, drop
-    /// rows that prove redundant, and delete artificial columns (their
-    /// buffers stay as spare capacity).
+    /// rows that prove redundant, and retire the artificial columns
+    /// (their entries stay in the buffer, unread).
     fn purge_artificials(&mut self) {
         let mut row = 0;
         while row < self.b.len() {
             if self.basis[row] >= self.art_start {
-                let col = (0..self.art_start)
-                    .find(|&j| self.at(row, j).is_some_and(|v| !v.is_negligible()));
+                let col = (0..self.art_start).find(|&j| !self.a[row * self.w + j].is_negligible());
                 match col {
                     Some(col) => {
                         // Degenerate pivot (b[row] == 0): keeps b ≥ 0.
@@ -704,18 +705,22 @@ impl<S: Scalar> Tab<S> {
         cost.resize(self.n_total, S::zero());
         let negate = p.sense() == Sense::Maximize;
         for (v, c) in &p.objective().terms {
-            let cur = cost[v.index()].clone();
-            cost[v.index()] = if negate { cur.sub(c) } else { cur.add(c) };
+            let j = self.col_of[v.index()];
+            cost[j] = if negate {
+                cost[j].sub(c)
+            } else {
+                cost[j].add(c)
+            };
         }
         negate
     }
 
     /// Extracts the solution after an optimal phase 2.
-    fn extract(&self, p: &LpProblem<S>, z: S, negate: bool) -> LpSolution<S> {
-        let mut values = vec![S::zero(); p.n_vars()];
+    fn extract(&self, z: S, negate: bool) -> LpSolution<S> {
+        let mut values = vec![S::zero(); self.n_vars];
         for (i, &bv) in self.basis.iter().enumerate() {
-            if bv < self.n_struct {
-                values[bv] = self.b[i].clone();
+            if let Some(&v) = self.var_of.get(bv) {
+                values[v] = self.b[i].clone();
             }
         }
         let min_val = z.neg();
@@ -732,7 +737,9 @@ impl<S: Scalar> Tab<S> {
         out.n_vars = p.n_vars();
         out.rels.clear();
         out.rels.extend(p.constraints().iter().map(|c| c.rel));
-        out.basis.clone_from(&self.basis);
+        out.basis.clear();
+        out.basis
+            .extend(self.basis.iter().map(|&j| self.program_col(j)));
         out
     }
 
@@ -766,10 +773,10 @@ impl<S: Scalar> Tab<S> {
             return (LpSolution::unbounded(p.n_vars()), None);
         }
         let basis = want_basis.then(|| self.snapshot_basis(p, ws.bases.pop()));
-        (self.extract(p, z, negate), basis)
+        (self.extract(z, negate), basis)
     }
 
-    /// Warm start on a [`Tab::build_warm`] tableau: re-realizes the
+    /// Warm start on a warm [`Tab::build`] tableau: re-realizes the
     /// hinted basis (basic column per row, as in [`WarmBasis`]) and
     /// repairs it to a verdict, with a basis snapshot iff it is optimal.
     /// `None` means the basis could not be realized or the pivot budget
@@ -781,19 +788,21 @@ impl<S: Scalar> Tab<S> {
         ws: &mut LpWorkspace<S>,
     ) -> Option<(LpSolution<S>, Option<WarmBasis>)> {
         let m = self.b.len();
+        let n_struct = self.var_of.len();
 
         // Re-realize the hinted basis by Gaussian pivoting: for each hinted
         // column pick the not-yet-assigned row with the largest pivot.
         let assigned = &mut ws.flags;
         assigned.clear();
         assigned.resize(m, false);
-        for &c in hint {
+        for &h in hint {
+            let c = self.tableau_col(h);
             if c >= self.n_total || self.basis.contains(&c) {
                 continue;
             }
             let mut pick: Option<(usize, S)> = None;
-            for (i, v) in &self.cols[c] {
-                let i = *i as usize;
+            for i in 0..m {
+                let v = &self.a[i * self.w + c];
                 if assigned[i] || v.is_negligible() {
                     continue;
                 }
@@ -813,11 +822,9 @@ impl<S: Scalar> Tab<S> {
             if assigned[row] {
                 continue;
             }
-            let col = (self.n_struct..self.n_total)
-                .chain(0..self.n_struct)
-                .find(|&j| {
-                    !self.basis.contains(&j) && self.at(row, j).is_some_and(|v| !v.is_negligible())
-                })?; // cannot complete a basis — cold solve
+            let col = (n_struct..self.n_total)
+                .chain(0..n_struct)
+                .find(|&j| !self.basis.contains(&j) && !self.a[row * self.w + j].is_negligible())?; // cannot complete a basis — cold solve
             self.pivot(row, col, None, false);
             assigned[row] = true;
         }
@@ -839,24 +846,8 @@ impl<S: Scalar> Tab<S> {
             return Some((LpSolution::unbounded(p.n_vars()), None));
         }
         let basis = self.snapshot_basis(p, ws.bases.pop());
-        Some((self.extract(p, z, negate), Some(basis)))
+        Some((self.extract(z, negate), Some(basis)))
     }
-}
-
-/// Attempts the warm-start path; `None` means "fall back to cold".
-fn try_warm<S: Scalar>(
-    p: &LpProblem<S>,
-    hint: &WarmBasis,
-    ws: &mut LpWorkspace<S>,
-) -> Option<WarmSolve<S>> {
-    let mut tab = Tab::build_warm(p, ws);
-    let out = tab.run_warm(p, &hint.basis, ws);
-    tab.recycle(ws);
-    out.map(|(solution, basis)| WarmSolve {
-        solution,
-        basis,
-        warm_used: true,
-    })
 }
 
 #[cfg(test)]
@@ -1041,6 +1032,112 @@ mod tests {
         let out = solve_warm(&probe(1), basis.as_ref());
         assert!(out.warm_used);
         assert_eq!(out.solution.status, LpStatus::Infeasible);
+    }
+
+    #[test]
+    fn a_column_only_the_objective_mentions_reports_unbounded() {
+        // min x − y s.t. x ≥ 1: no row mentions y, but its cost keeps its
+        // column, so it enters with an empty ratio test. z is mentioned
+        // nowhere and has no column; it reads 0 in a bounded solve.
+        let mut lp: LpProblem<f64> = LpProblem::new(Sense::Minimize);
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.add_var("z");
+        lp.set_objective(LinExpr::from_iter([(x, 1.0), (y, -1.0)]));
+        lp.add_constraint(LinExpr::term(x, 1.0), Rel::Ge, 1.0);
+        assert_eq!(solve(&lp).status, LpStatus::Unbounded);
+        assert_eq!(crate::simplex::solve(&lp).status, LpStatus::Unbounded);
+        lp.set_objective(LinExpr::term(x, 1.0));
+        let sol = solve(&lp);
+        assert_eq!(sol.objective, Some(1.0));
+        assert_eq!(sol.values, vec![1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn a_hint_maps_its_columns_past_a_variable_the_next_program_drops() {
+        // P1: max 2x0 + x2 s.t. x0 + x1 + x3 ≤ 1, x2 ≤ 1 — optimal basis
+        // {x0, x2}. P2 mentions x0 nowhere, so its tableau columns of x1..x3
+        // shift down by one. Mapped, the hint realizes x2 (then the slack of
+        // row 0), which is primal feasible; read unmapped it would realize
+        // {x1, x3}, neither primal nor dual feasible, and go cold.
+        fn program(p2: bool) -> LpProblem<Rat> {
+            let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Maximize);
+            let x: Vec<_> = (0..4).map(|k| lp.add_var(format!("x{k}"))).collect();
+            let (one, two) = (Rat::one(), Rat::from_i64(2));
+            if p2 {
+                lp.set_objective(LinExpr::from_iter(x[1..].iter().map(|&v| (v, one.clone()))));
+                lp.add_constraint(
+                    LinExpr::from_iter([(x[1], one.clone()), (x[3], one.clone())]),
+                    Rel::Le,
+                    one.clone(),
+                );
+                lp.add_constraint(
+                    LinExpr::from_iter([(x[2], one.clone()), (x[3], one.neg())]),
+                    Rel::Le,
+                    one,
+                );
+            } else {
+                lp.set_objective(LinExpr::from_iter([(x[0], two), (x[2], one.clone())]));
+                lp.add_constraint(
+                    LinExpr::from_iter([
+                        (x[0], one.clone()),
+                        (x[1], one.clone()),
+                        (x[3], one.clone()),
+                    ]),
+                    Rel::Le,
+                    one.clone(),
+                );
+                lp.add_constraint(LinExpr::term(x[2], one.clone()), Rel::Le, one);
+            }
+            lp
+        }
+        let first = solve_warm(&program(false), None);
+        let hint = first.basis.expect("P1 is optimal");
+        assert!(hint.basis.contains(&0), "x0 is basic in P1");
+        let p2 = program(true);
+        let warm = solve_warm(&p2, Some(&hint));
+        let cold = solve(&p2);
+        assert!(warm.warm_used);
+        assert_eq!(warm.solution.status, LpStatus::Optimal);
+        assert_eq!(warm.solution.objective, Some(Rat::from_i64(3)));
+        assert_eq!(warm.solution.objective, cold.objective);
+        assert_eq!(warm.solution.values, cold.values);
+        // The snapshot is in the program's column space: x3 and x2.
+        let mut basis = warm.basis.expect("optimal").basis;
+        basis.sort_unstable();
+        assert_eq!(basis, vec![2, 3]);
+    }
+
+    /// min 2x + y s.t. x + y = 2, 2x + 2y = 4, x − y ≤ 1: phase 1 ends at
+    /// (3/2, 1/2) and proves the middle row redundant, so the last row,
+    /// where x is basic, moves into its place; phase 2 then pivots x out
+    /// of that row to reach (0, 2).
+    fn middle_row_redundant<S: Scalar>() -> LpProblem<S> {
+        let k = S::from_i64;
+        let mut lp: LpProblem<S> = LpProblem::new(Sense::Minimize);
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective(LinExpr::from_iter([(x, k(2)), (y, k(1))]));
+        lp.add_constraint(LinExpr::from_iter([(x, k(1)), (y, k(1))]), Rel::Eq, k(2));
+        lp.add_constraint(LinExpr::from_iter([(x, k(2)), (y, k(2))]), Rel::Eq, k(4));
+        lp.add_constraint(LinExpr::from_iter([(x, k(1)), (y, k(-1))]), Rel::Le, k(1));
+        lp
+    }
+
+    #[test]
+    fn removing_a_redundant_middle_row_keeps_the_last_one() {
+        let exact = middle_row_redundant::<Rat>();
+        let (sol, dense) = (solve(&exact), crate::simplex::solve(&exact));
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_eq!(sol.status, dense.status);
+        assert_eq!(sol.objective, Some(Rat::from_i64(2)));
+        assert_eq!(sol.objective, dense.objective);
+        assert_eq!(sol.values, vec![Rat::zero(), Rat::from_i64(2)]);
+        let float = middle_row_redundant::<f64>();
+        let (sol, dense) = (solve(&float), crate::simplex::solve(&float));
+        assert_eq!(sol.status, dense.status);
+        assert!((sol.objective.unwrap() - dense.objective.unwrap()).abs() < 1e-9);
+        assert!((sol.objective.unwrap() - 2.0).abs() < 1e-9);
     }
 
     #[test]

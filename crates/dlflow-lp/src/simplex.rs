@@ -1,6 +1,6 @@
 //! Two-phase primal simplex on the dense tableau — the seed solver, kept
-//! as the slow-but-simple **reference oracle** for the default sparse
-//! solver in [`crate::revised`] (exported as [`crate::solve_dense`]).
+//! as the slow-but-simple **reference oracle** for the default revised
+//! simplex in [`crate::revised`] (exported as [`crate::solve_dense`]).
 //!
 //! * Entering/leaving variables follow **Bland's rule**, which guarantees
 //!   termination (no cycling) — essential for the exact-rational instantiation

@@ -139,8 +139,10 @@ impl SchedulerSpec {
         SchedulerSpec::parse(kind, &args)
     }
 
-    /// Parses `kind key=val…` tokens from a `scheduler` config line.
+    /// Parses `kind key=val…` tokens from a `scheduler` config line. A
+    /// key given twice is an error.
     pub fn parse(kind: &str, args: &[(String, f64)]) -> Result<SchedulerSpec, String> {
+        check_unique(args).map_err(|e| format!("scheduler {kind}: {e}"))?;
         let only = |allowed: &[&str]| -> Result<(), String> {
             for (k, _) in args {
                 if !allowed.contains(&k.as_str()) {
@@ -246,6 +248,26 @@ fn check_name(name: &str, line: usize) -> Result<String, String> {
     }
 }
 
+/// Rejects a key given twice among one line's `key=value` options.
+fn check_unique(kv: &[(String, f64)]) -> Result<(), String> {
+    for (i, (k, _)) in kv.iter().enumerate() {
+        if kv[..i].iter().any(|(seen, _)| seen == k) {
+            return Err(format!("option {k:?} given twice"));
+        }
+    }
+    Ok(())
+}
+
+/// A `platform` or `workload` line's `key=value` options, each key once.
+fn parse_options(args: &[&str], line: usize) -> Result<Vec<(String, f64)>, String> {
+    let kv = args
+        .iter()
+        .map(|t| parse_kv_f64(t, line))
+        .collect::<Result<Vec<_>, _>>()?;
+    check_unique(&kv).map_err(|e| format!("line {line}: {e}"))?;
+    Ok(kv)
+}
+
 fn parse_kv_f64(tok: &str, line: usize) -> Result<(String, f64), String> {
     let (k, v) = tok
         .split_once('=')
@@ -290,6 +312,8 @@ pub fn parse_campaign(text: &str) -> Result<CampaignConfig, String> {
         sig_bits: 12,
         stretch_weights: true,
     };
+    // The directives that set one value, each allowed once.
+    let mut seen: Vec<&str> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -299,6 +323,12 @@ pub fn parse_campaign(text: &str) -> Result<CampaignConfig, String> {
         let mut toks = line.split_whitespace();
         let directive = toks.next().expect("non-empty line");
         let rest: Vec<&str> = toks.collect();
+        if ["name", "seeds", "seed-base", "sigbits", "weights"].contains(&directive) {
+            if seen.contains(&directive) {
+                return Err(format!("line {lineno}: duplicate {directive} line"));
+            }
+            seen.push(directive);
+        }
         let one = |what: &str| -> Result<&str, String> {
             match rest.as_slice() {
                 [v] => Ok(v),
@@ -341,8 +371,7 @@ pub fn parse_campaign(text: &str) -> Result<CampaignConfig, String> {
                 let Some((name, args)) = rest.split_first() else {
                     return Err(format!("line {lineno}: platform needs a name"));
                 };
-                let kv: Result<Vec<_>, _> = args.iter().map(|t| parse_kv_f64(t, lineno)).collect();
-                let kv = kv?;
+                let kv = parse_options(args, lineno)?;
                 let get = |key: &str, default: f64| {
                     kv.iter()
                         .find(|(k, _)| k == key)
@@ -372,8 +401,7 @@ pub fn parse_campaign(text: &str) -> Result<CampaignConfig, String> {
                 let Some((name, args)) = rest.split_first() else {
                     return Err(format!("line {lineno}: workload needs a name"));
                 };
-                let kv: Result<Vec<_>, _> = args.iter().map(|t| parse_kv_f64(t, lineno)).collect();
-                let kv = kv?;
+                let kv = parse_options(args, lineno)?;
                 let get = |key: &str, default: f64| {
                     kv.iter()
                         .find(|(k, _)| k == key)
@@ -915,6 +943,30 @@ mod tests {
             // the charset is restricted at parse time.
             ("name he\"llo", "may only contain"),
             ("platform a|b servers=2", "may only contain"),
+            // A setting given twice is an error, not a silent first-wins.
+            (
+                "platform p servers=2 servers=9",
+                "line 1: option \"servers\" given twice",
+            ),
+            (
+                "workload w jobs=4 jobs=40",
+                "line 1: option \"jobs\" given twice",
+            ),
+            (
+                "scheduler edf target=3 target=0.5",
+                "line 1: scheduler edf: option \"target\" given twice",
+            ),
+            ("name a\nname b", "line 2: duplicate name line"),
+            ("seeds 2\nseeds 3", "line 2: duplicate seeds line"),
+            (
+                "seed-base 1\nseed-base 2",
+                "line 2: duplicate seed-base line",
+            ),
+            ("sigbits 12\nsigbits 8", "line 2: duplicate sigbits line"),
+            (
+                "weights stretch\nweights priority",
+                "line 2: duplicate weights line",
+            ),
         ] {
             let err = parse_campaign(bad).unwrap_err();
             assert!(err.contains(needle), "{bad:?} → {err}");
@@ -944,6 +996,9 @@ mod tests {
         assert!(SchedulerSpec::parse_compact("edf:target=x").is_err());
         assert!(SchedulerSpec::parse_compact("edf:target=inf").is_err());
         assert!(SchedulerSpec::parse_compact("mct:target=2").is_err());
+        // A repeated option is refused before its values are checked.
+        let err = SchedulerSpec::parse_compact("edf:target=3,target=-1").unwrap_err();
+        assert_eq!(err, "scheduler edf: option \"target\" given twice");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use dlflow_sim::engine::{Engine, OnlineScheduler, ResolveStats, StepOutcome};
 use dlflow_sim::schedulers::OfflineAdapt;
-use dlflow_sim::workload::{generate_trace, FaultProcess, Trace, TraceSpec};
+use dlflow_sim::workload::{generate_trace, replay_with_sink, FaultProcess, Trace, TraceSpec};
 use proptest::prelude::*;
 
 /// A small trace at one of three fault intensities: 0 = fault-free,
@@ -103,6 +103,53 @@ fn run_interrupted<P: OnlineScheduler>(
         }
     }
     (completions_of(&mut eng), policy.resolve_stats().unwrap())
+}
+
+/// Folds `word` into an FNV-1a hash, one byte at a time.
+fn fnv1a(mut hash: u64, word: u64) -> u64 {
+    for byte in word.to_le_bytes() {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// OLA's plans pinned to the last bit: replays a 400-request trace,
+/// fault-free and under a seeded fault process, and digests every
+/// completion (id and time bits, in completion order), the resolve
+/// counters and the bits of max stretch and max weighted flow. The
+/// constants pin the arithmetic of the sparse-column simplex that the
+/// dense tableau replaced pivot for pivot: any change in the LP's
+/// arithmetic, down to one ULP of one plan, changes a digest.
+#[test]
+fn ola_replays_are_pinned_to_the_bit() {
+    let digest = |intensity: u8| {
+        let trace = traced(2022, 400, intensity);
+        let mut policy = OfflineAdapt::new();
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        let stats = replay_with_sink(&trace, &mut policy, |c| {
+            hash = fnv1a(fnv1a(hash, c.id as u64), c.completion.to_bits());
+        })
+        .unwrap();
+        assert_eq!(stats.n_jobs, 400);
+        let r = policy.resolve_stats().unwrap();
+        for count in [
+            r.n_resolves,
+            r.warm_lp_solves,
+            r.cold_lp_solves,
+            r.warm_resolves,
+            r.cold_resolves,
+        ] {
+            hash = fnv1a(hash, count as u64);
+        }
+        hash = fnv1a(hash, stats.metrics.max_stretch.to_bits());
+        fnv1a(hash, stats.metrics.max_weighted_flow.to_bits())
+    };
+    let got = [digest(0), digest(1)];
+    assert_eq!(
+        got,
+        [0x2759_fd22_ca7b_6752, 0x86e3_876b_932f_c1b7],
+        "digests {got:#018x?}"
+    );
 }
 
 proptest! {

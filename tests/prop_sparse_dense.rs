@@ -1,6 +1,8 @@
-//! Property tests: the sparse revised simplex (`dlflow_lp::solve`) against
-//! the seed dense two-phase tableau (`dlflow_lp::solve_dense`) on
-//! randomized LPs, and warm-started solves against cold solves.
+//! Property tests: the revised simplex (`dlflow_lp::solve`) against the
+//! seed's two-phase tableau (`dlflow_lp::solve_dense`) on randomized LPs,
+//! and warm-started solves against cold solves. (The file and test names
+//! date from when the revised simplex stored its tableau in sparse
+//! columns.)
 //!
 //! Over `Rat` the agreement is **exact**: both solvers must report the
 //! same status, and on optimal instances the identical optimal objective
