@@ -11,7 +11,9 @@
 //! service at 8 shards (`run_simulation_with`, the `--shards` path),
 //! asserts its exact event count, and checks that the report is
 //! byte-identical to pushing every arrival into a [`ShardedEngine`] up
-//! front and draining it.
+//! front and draining it. The same trace also round-trips through
+//! `.dlt`: the parsed trace equals the generated one, and its report is
+//! byte-identical.
 //!
 //! Usage: `cargo run --release -p dlflow-bench --bin trace-smoke`
 
@@ -105,6 +107,12 @@ fn federation_leg(budget_s: f64) {
         ..Default::default()
     });
     assert!(!trace.platform_events.is_empty(), "the fixture has faults");
+    let text = trace.to_dlt();
+    let parsed = Trace::parse_dlt(&text).expect("the rendered trace parses");
+    assert!(
+        parsed == trace && parsed.to_dlt() == text,
+        "parse_dlt(to_dlt(trace)) must give the generated trace back"
+    );
     let spec = SchedulerSpec::Swrpt;
     let opts = SimOptions {
         shards: SHARDS,
@@ -134,6 +142,17 @@ fn federation_leg(budget_s: f64) {
         report.to_json(),
         push_all_report(trace, &spec),
         "the streamed sharded service run must match the push-all run byte for byte"
+    );
+    let (reparsed, _) = run_simulation_with(&SimInput::Open(parsed), &spec, &opts)
+        .expect("the parsed trace's sharded run completes");
+    assert_eq!(
+        reparsed.to_json(),
+        report.to_json(),
+        "the trace parsed back from .dlt must replay to the same report byte for byte"
+    );
+    println!(
+        "round-tripped the federation trace through {} bytes of .dlt: same trace, same report",
+        text.len(),
     );
     assert!(
         wall < budget_s,

@@ -12,7 +12,9 @@
 //!   phase 1 outright — and primal feasibility is reinstated by a bounded
 //!   **dual simplex** repair (valid whenever the warm basis is dual
 //!   feasible, which always holds for pure feasibility probes with a zero
-//!   objective). On any mismatch or failure it falls back to a cold solve.
+//!   objective). The repair has no anti-cycling rule, so it gives up after
+//!   more than `rows` degenerate pivots in a row. On any mismatch or
+//!   failure it falls back to a cold solve.
 //! * **Float guides**: [`solve_float_guided`] solves an `f64` copy of an
 //!   exact problem and hands only its optimal basis to the exact warm
 //!   path, so the exact solve starts at (or next to) the optimum instead
@@ -612,10 +614,14 @@ impl<S: Scalar> Tab<S> {
     /// Dual simplex repair: assumes `r ≥ 0` (dual feasible) and drives
     /// `b ≥ 0`. Returns `Some(true)` when primal feasibility was reached,
     /// `Some(false)` on a primal-infeasibility certificate, `None` when
-    /// the pivot budget ran out (caller should fall back to a cold solve).
+    /// the pivot budget ran out or more than `rows` pivots in a row were
+    /// degenerate (caller should fall back to a cold solve). The repair
+    /// has no anti-cycling rule: a degenerate stall is given up, not
+    /// ridden out.
     fn run_dual(&mut self, r: &mut [S], z: &mut S) -> Option<bool> {
         let m = self.b.len();
         let max_pivots = MAX_PIVOTS_FACTOR * (m + self.n_total + 1);
+        let mut streak = 0usize;
         for _ in 0..max_pivots {
             // Leaving row: most negative b, tie-break smallest basis index.
             let mut leave: Option<usize> = None;
@@ -658,6 +664,16 @@ impl<S: Scalar> Tab<S> {
             let Some((_, enter)) = best else {
                 return Some(false); // row ≥ 0 with b < 0: infeasible
             };
+            // The dual objective moves by r[enter] times the step: a zero
+            // reduced cost makes the pivot degenerate.
+            streak = if r[enter].is_positive_tol() {
+                0
+            } else {
+                streak + 1
+            };
+            if streak > m {
+                return None;
+            }
             self.pivot(leave, enter, Some((r, z)), true);
         }
         None

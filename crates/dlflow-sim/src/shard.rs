@@ -443,9 +443,12 @@ impl ShardedEngine {
             });
         }
         for (k, a) in trace.arrivals.iter().enumerate() {
-            if a.avail.len() != self.n_machines {
+            let Some(avail) = trace
+                .avail_row(k)
+                .filter(|row| row.len() == self.n_machines)
+            else {
                 return Err(invalid("costs length does not match the machine count"));
-            }
+            };
             let fastest = 'route: {
                 if cts_ok
                     && a.size.is_finite()
@@ -456,7 +459,7 @@ impl ShardedEngine {
                     && a.weight >= 0.0
                 {
                     let mut it = ct_order.iter().copied();
-                    if let Some(i0) = it.by_ref().find(|&i| a.avail[i as usize]) {
+                    if let Some(i0) = it.by_ref().find(|&i| avail[i as usize]) {
                         let cmin = a.size * cts[i0 as usize];
                         if cmin.is_finite() {
                             // Products are non-decreasing along the
@@ -464,7 +467,7 @@ impl ShardedEngine {
                             // one ends the tie run.
                             let mut lo = i0 as usize;
                             for i in it {
-                                if !a.avail[i as usize] {
+                                if !avail[i as usize] {
                                     continue;
                                 }
                                 if a.size * cts[i as usize] > cmin {
@@ -478,7 +481,7 @@ impl ShardedEngine {
                 }
                 let mut best: Option<(usize, f64)> = None;
                 let mut negative = false;
-                for (i, (ct, &ok)) in trace.cycle_times.iter().zip(&a.avail).enumerate() {
+                for (i, (ct, &ok)) in trace.cycle_times.iter().zip(avail).enumerate() {
                     let c = if ok { a.size * ct } else { f64::INFINITY };
                     negative |= c.is_nan() || c < 0.0;
                     if c.is_finite() && best.is_none_or(|(_, b)| c < b) {
@@ -594,7 +597,9 @@ mod tests {
     use super::*;
     use crate::engine::PlatformChange;
     use crate::schedulers::{Mct, Swrpt};
-    use crate::workload::{generate_trace, ArrivalProcess, FaultProcess, TraceSpec};
+    use crate::workload::{
+        generate_trace, ArrivalProcess, FaultProcess, Trace, TraceArrival, TraceSpec,
+    };
 
     fn job(release: f64, weight: f64, costs: &[f64]) -> JobSpec {
         JobSpec {
@@ -743,11 +748,11 @@ mod tests {
         // Rebuild shard 0's stream by hand with the same assignment rule.
         let mut manual = Engine::new(2);
         let mut mpol = Swrpt::new();
-        for a in &trace.arrivals {
+        for (k, a) in trace.arrivals.iter().enumerate() {
             let costs: Vec<f64> = trace
                 .cycle_times
                 .iter()
-                .zip(&a.avail)
+                .zip(trace.avail_row(k).unwrap())
                 .map(|(ct, &ok)| if ok { a.size * ct } else { f64::INFINITY })
                 .collect();
             let lo = costs[..2].iter().cloned().fold(f64::INFINITY, f64::min);
@@ -765,6 +770,36 @@ mod tests {
             manual.metrics().makespan.to_bits(),
             se.shard(0).metrics().makespan.to_bits()
         );
+    }
+
+    #[test]
+    fn replay_rejects_an_availability_matrix_of_the_wrong_size() {
+        // Hand-built: two requests on two machines, one cell short and
+        // one cell long. No row may be read from a misshapen matrix.
+        for cells in [3, 5] {
+            let trace = Trace {
+                cycle_times: vec![1.0, 1.0],
+                arrivals: vec![
+                    TraceArrival {
+                        release: 0.0,
+                        size: 2.0,
+                        weight: 1.0,
+                    };
+                    2
+                ],
+                avail: vec![true; cells],
+                platform_events: Vec::new(),
+            };
+            let mut se = ShardedEngine::new(2, 2);
+            let mut pols = vec![boxed(Swrpt::new()), boxed(Swrpt::new())];
+            let err = se.replay_trace(&trace, &mut pols).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::InvalidJob {
+                    reason: "costs length does not match the machine count"
+                }
+            );
+        }
     }
 
     #[test]

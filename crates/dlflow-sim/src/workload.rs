@@ -10,6 +10,12 @@
 //! text format (documented in `docs/FORMATS.md`, next to `.dlf`) and
 //! replay through the incremental [`Engine`] with memory proportional
 //! to the number of *in-flight* requests.
+//!
+//! A [`Trace`] keeps every request's availability mask in one row-major
+//! matrix, [`Trace::avail`], read through [`Trace::avail_row`]; only this
+//! module knows its layout. [`Trace::parse_dlt`] allocates nothing per
+//! line; its doc states the tokenizer's rules (a `#` comment anywhere,
+//! tokens split on any Unicode whitespace, `\r\n` line ends).
 
 use crate::engine::{
     CompletedJob, Engine, JobSpec, OnlineScheduler, PlatformChange, PlatformEvent, RunMetrics,
@@ -226,8 +232,10 @@ impl ArrivalProcess {
     }
 }
 
-/// One arriving request of an open trace.
-#[derive(Clone, Debug, PartialEq)]
+/// One arriving request of an open trace. Which machines hold its
+/// databank is its row of [`Trace::avail`], read through
+/// [`Trace::avail_row`].
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceArrival {
     /// Release date (seconds).
     pub release: f64,
@@ -236,8 +244,6 @@ pub struct TraceArrival {
     pub size: f64,
     /// Priority weight (≥ 0).
     pub weight: f64,
-    /// Which machines hold the request's databank.
-    pub avail: Vec<bool>,
 }
 
 /// An open-arrival trace: a machine fleet (cycle times) plus a stream of
@@ -250,6 +256,11 @@ pub struct Trace {
     pub cycle_times: Vec<f64>,
     /// Requests, sorted by release (ties keep file/generation order).
     pub arrivals: Vec<TraceArrival>,
+    /// Which machines hold each request's databank: a row-major
+    /// `len() × n_machines()` matrix whose row `k` belongs to
+    /// `arrivals[k]`. Read it through [`Trace::avail_row`], which also
+    /// catches a hand-built matrix of the wrong size.
+    pub avail: Vec<bool>,
     /// Machine failure/recovery events, sorted by time. Empty for a
     /// fault-free trace (the replay then takes exactly the fault-free
     /// engine paths).
@@ -369,27 +380,24 @@ pub fn generate_trace(spec: &TraceSpec) -> Trace {
         .collect();
     let releases = spec.process.sample(spec.n_requests, &mut rng);
 
-    let arrivals = releases
-        .into_iter()
-        .map(|release| {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            let size = lo * (hi / lo).powf(u);
-            let weight = spec.weights[rng.gen_range(0..spec.weights.len())];
-            let mut avail: Vec<bool> = (0..m)
-                .map(|_| rng.gen_bool(spec.availability.clamp(0.0, 1.0)))
-                .collect();
-            if !avail.iter().any(|&a| a) {
-                let i = rng.gen_range(0..m);
-                avail[i] = true;
-            }
-            TraceArrival {
-                release,
-                size,
-                weight,
-                avail,
-            }
-        })
-        .collect();
+    let mut arrivals = Vec::with_capacity(releases.len());
+    let mut avail = Vec::with_capacity(releases.len() * m);
+    for release in releases {
+        let u: f64 = rng.gen_range(0.0..1.0);
+        let size = lo * (hi / lo).powf(u);
+        let weight = spec.weights[rng.gen_range(0..spec.weights.len())];
+        let row = avail.len();
+        avail.extend((0..m).map(|_| rng.gen_bool(spec.availability.clamp(0.0, 1.0))));
+        if !avail[row..].contains(&true) {
+            let i = rng.gen_range(0..m);
+            avail[row + i] = true;
+        }
+        arrivals.push(TraceArrival {
+            release,
+            size,
+            weight,
+        });
+    }
 
     let platform_events = spec
         .faults
@@ -400,6 +408,7 @@ pub fn generate_trace(spec: &TraceSpec) -> Trace {
     Trace {
         cycle_times,
         arrivals,
+        avail,
         platform_events,
     }
 }
@@ -442,7 +451,20 @@ impl Trace {
         self.arrivals.is_empty()
     }
 
-    /// The `k`-th request as an engine [`JobSpec`].
+    /// Request `k`'s row of [`Trace::avail`]: entry `i` says whether
+    /// machine `i` holds its databank. `None` when `k` is out of range or
+    /// the matrix is not `len() × n_machines()` (a hand-built trace can
+    /// break that; parsed and generated ones cannot).
+    pub fn avail_row(&self, k: usize) -> Option<&[bool]> {
+        let m = self.n_machines();
+        if k >= self.len() || self.len().checked_mul(m) != Some(self.avail.len()) {
+            return None;
+        }
+        self.avail.get(k * m..(k + 1) * m)
+    }
+
+    /// The `k`-th request as an engine [`JobSpec`]. Without an
+    /// availability row its cost row is empty, which the engine refuses.
     pub fn job_spec(&self, k: usize) -> JobSpec {
         let a = &self.arrivals[k];
         JobSpec {
@@ -451,7 +473,7 @@ impl Trace {
             costs: self
                 .cycle_times
                 .iter()
-                .zip(&a.avail)
+                .zip(self.avail_row(k).unwrap_or_default())
                 .map(|(ct, &ok)| if ok { a.size * ct } else { f64::INFINITY })
                 .collect(), // dlflint:allow(alloc-in-hot-loop, "one cost row per admitted job; the JobSpec owns it from here on")
         }
@@ -463,7 +485,8 @@ impl Trace {
     /// Platform events are not representable in a closed instance and
     /// are ignored (the offline yardstick scores the fault-free
     /// platform). Fails when a request is unplaceable or a weight is
-    /// zero (closed instances are stricter than the engine).
+    /// zero (closed instances are stricter than the engine), and with a
+    /// shape error when [`Trace::avail`] has the wrong size.
     pub fn to_instance(&self) -> Result<Instance<f64>, String> {
         let jobs: Vec<Job<f64>> = self
             .arrivals
@@ -475,16 +498,17 @@ impl Trace {
                 name: format!("J{}", j + 1),
             })
             .collect();
+        // A missing row leaves every machine's cost row short.
         let cost: Vec<Vec<Cost<f64>>> = (0..self.n_machines())
             .map(|i| {
-                self.arrivals
-                    .iter()
-                    .map(|a| {
-                        if a.avail[i] {
-                            Cost::Finite(a.size * self.cycle_times[i])
+                (0..self.len())
+                    .filter_map(|k| {
+                        let ok = *self.avail_row(k)?.get(i)?;
+                        Some(if ok {
+                            Cost::Finite(self.arrivals[k].size * self.cycle_times[i])
                         } else {
                             Cost::Infinite
-                        }
+                        })
                     })
                     .collect()
             })
@@ -529,7 +553,9 @@ impl Trace {
     }
 
     /// Renders the trace in the `.dlt` text format (see
-    /// `docs/FORMATS.md`). Round-trips through [`Trace::parse_dlt`].
+    /// `docs/FORMATS.md`). Round-trips through [`Trace::parse_dlt`]. A
+    /// request without an availability row renders with an empty mask,
+    /// which the parser refuses.
     pub fn to_dlt(&self) -> String {
         let mut s = String::from("# dlflow open-arrival trace (.dlt) — see docs/FORMATS.md\n");
         // `fmt::Write` for `String` never fails.
@@ -538,12 +564,15 @@ impl Trace {
             let _ = write!(s, " {ct}");
         }
         s.push('\n');
-        for a in &self.arrivals {
+        for (k, a) in self.arrivals.iter().enumerate() {
             let _ = write!(s, "arrival {} {} {} ", a.release, a.size, a.weight);
-            if a.avail.iter().all(|&x| x) {
-                s.push('*');
-            } else {
-                s.extend(a.avail.iter().map(|&x| if x { '1' } else { '0' }));
+            match self.avail_row(k) {
+                Some(row) if row.iter().all(|&x| x) => s.push('*'),
+                row => s.extend(
+                    row.unwrap_or_default()
+                        .iter()
+                        .map(|&x| if x { '1' } else { '0' }),
+                ),
             }
             s.push('\n');
         }
@@ -563,156 +592,319 @@ impl Trace {
     /// time order and alternate down/up per machine — the stricter rule
     /// keeps a hand-edited fault schedule honest. Errors carry 1-based
     /// line numbers.
+    ///
+    /// The tokenizer's rules:
+    ///
+    /// - lines split exactly as [`str::lines`] splits them (`\n`, `\r\n`);
+    /// - a comment starts at the first `#`, anywhere in a line;
+    /// - tokens are separated by exactly the chars that
+    ///   [`char::is_whitespace`] accepts. On ASCII these are `\t`, `\n`,
+    ///   `\x0B`, `\x0C`, `\r` and space ([`u8::is_ascii_whitespace`]
+    ///   omits `\x0B`). A line with a non-ASCII byte before its `#` is
+    ///   split char by char, so U+00A0, U+3000 and the like separate
+    ///   tokens too;
+    /// - numbers go through `str::parse::<f64>` and must then be finite
+    ///   and non-negative (cycle times positive);
+    /// - a mask is `*` or exactly `n_machines()` bytes of `0`/`1`, not
+    ///   all `0`.
+    ///
+    /// It allocates nothing per line: an `arrival` line's tokens live in
+    /// a fixed array and its mask becomes a row of [`Trace::avail`].
     pub fn parse_dlt(text: &str) -> Result<Trace, String> {
-        let mut cycle_times: Option<Vec<f64>> = None;
-        let mut arrivals: Vec<TraceArrival> = Vec::new();
-        let mut platform_events: Vec<PlatformEvent> = Vec::new();
-        let mut down: Vec<bool> = Vec::new();
-        let parse_num = |tok: &str, what: &str, lineno: usize| -> Result<f64, String> {
-            let v: f64 = tok
-                .parse()
-                .map_err(|_| format!("line {lineno}: bad {what} {tok:?}"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!(
-                    "line {lineno}: {what} must be finite and non-negative, got {tok}"
-                ));
-            }
-            Ok(v)
-        };
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut toks = line.split_whitespace();
-            let directive = toks.next().expect("non-empty line");
-            let rest: Vec<&str> = toks.collect();
-            match directive {
-                "machines" => {
-                    if cycle_times.is_some() {
-                        return Err(format!("line {lineno}: duplicate machines line"));
-                    }
-                    if rest.is_empty() {
-                        return Err(format!(
-                            "line {lineno}: machines needs at least one cycle time"
-                        ));
-                    }
-                    let cts: Result<Vec<f64>, String> = rest
-                        .iter()
-                        .map(|t| {
-                            let v = parse_num(t, "cycle time", lineno)?;
-                            if v <= 0.0 {
-                                return Err(format!(
-                                    "line {lineno}: cycle time must be positive, got {t}"
-                                ));
-                            }
-                            Ok(v)
-                        })
-                        .collect();
-                    cycle_times = Some(cts?);
-                }
-                "arrival" => {
-                    let Some(cts) = &cycle_times else {
-                        return Err(format!("line {lineno}: arrival before the machines line"));
-                    };
-                    let [release, size, weight, mask] = rest.as_slice() else {
-                        return Err(format!(
-                            "line {lineno}: arrival expects <release> <size> <weight> <mask>"
-                        ));
-                    };
-                    let release = parse_num(release, "release", lineno)?;
-                    let size = parse_num(size, "size", lineno)?;
-                    let weight = parse_num(weight, "weight", lineno)?;
-                    let avail: Vec<bool> = if *mask == "*" {
-                        vec![true; cts.len()]
-                    } else {
-                        if mask.len() != cts.len() || !mask.chars().all(|c| c == '0' || c == '1') {
-                            return Err(format!(
-                                "line {lineno}: mask must be '*' or {} chars of 0/1, got {mask:?}",
-                                cts.len()
-                            ));
-                        }
-                        mask.chars().map(|c| c == '1').collect()
-                    };
-                    if !avail.iter().any(|&a| a) {
-                        return Err(format!(
-                            "line {lineno}: arrival can run on no machine (mask all 0)"
-                        ));
-                    }
-                    arrivals.push(TraceArrival {
-                        release,
-                        size,
-                        weight,
-                        avail,
-                    });
-                }
-                d @ ("fail" | "recover") => {
-                    let Some(cts) = &cycle_times else {
-                        return Err(format!("line {lineno}: {d} before the machines line"));
-                    };
-                    let [time, machine] = rest.as_slice() else {
-                        return Err(format!("line {lineno}: {d} expects <time> <machine>"));
-                    };
-                    let time = parse_num(time, "event time", lineno)?;
-                    let machine: usize = machine
-                        .parse()
-                        .map_err(|_| format!("line {lineno}: bad machine id {machine:?}"))?;
-                    if machine >= cts.len() {
-                        return Err(format!(
-                            "line {lineno}: machine id {machine} out of range (trace has {} machines)",
-                            cts.len()
-                        ));
-                    }
-                    if let Some(prev) = platform_events.last() {
-                        if time < prev.time {
-                            return Err(format!(
-                                "line {lineno}: non-monotone event time {time} (previous event at {})",
-                                prev.time
-                            ));
-                        }
-                    }
-                    down.resize(cts.len(), false);
-                    let change = if d == "fail" {
-                        if down[machine] {
-                            return Err(format!(
-                                "line {lineno}: machine {machine} fails while already down"
-                            ));
-                        }
-                        down[machine] = true;
-                        PlatformChange::Down
-                    } else {
-                        if !down[machine] {
-                            return Err(format!(
-                                "line {lineno}: machine {machine} recovers without a preceding fail"
-                            ));
-                        }
-                        down[machine] = false;
-                        PlatformChange::Up
-                    };
-                    platform_events.push(PlatformEvent {
-                        time,
-                        machine,
-                        change,
-                    });
-                }
-                other => {
-                    return Err(format!(
-                        "line {lineno}: unknown directive {other:?} (expected machines|arrival|fail|recover)"
-                    ))
-                }
-            }
+        let mut parsed = DltParser::default();
+        let mut toks = Tokens::new(text);
+        let mut lineno = 0;
+        while !toks.at_end() {
+            lineno += 1;
+            parsed
+                .line(&mut toks)
+                .map_err(|e| format!("line {lineno}: {e}"))?;
+            toks.end_line();
         }
-        let Some(cycle_times) = cycle_times else {
+        let Some(cycle_times) = parsed.cycle_times else {
             return Err("trace has no machines line".into());
         };
-        arrivals.sort_by(|a, b| a.release.partial_cmp(&b.release).unwrap());
+        sort_by_release(&mut parsed.arrivals, &mut parsed.avail, cycle_times.len());
         Ok(Trace {
             cycle_times,
-            arrivals,
-            platform_events,
+            arrivals: parsed.arrivals,
+            avail: parsed.avail,
+            platform_events: parsed.platform_events,
         })
     }
+}
+
+/// What a `.dlt` parse has read so far.
+#[derive(Default)]
+struct DltParser {
+    /// The `machines` line's cycle times, once read.
+    cycle_times: Option<Vec<f64>>,
+    arrivals: Vec<TraceArrival>,
+    /// The arrivals' availability rows, row-major as in [`Trace::avail`].
+    avail: Vec<bool>,
+    platform_events: Vec<PlatformEvent>,
+    /// Which machines the events so far left down.
+    down: Vec<bool>,
+}
+
+impl DltParser {
+    /// Parses the line at `toks`. The error message has no line number
+    /// yet.
+    fn line(&mut self, toks: &mut Tokens<'_>) -> Result<(), String> {
+        let Some(directive) = toks.next() else {
+            return Ok(());
+        };
+        let machines = |d: &str| {
+            self.cycle_times
+                .as_ref()
+                .map(Vec::len)
+                .ok_or_else(|| format!("{d} before the machines line"))
+        };
+        match directive {
+            "machines" => {
+                if self.cycle_times.is_some() {
+                    return Err("duplicate machines line".into());
+                }
+                let cycle_times = parse_cycle_times(toks)?;
+                self.down = vec![false; cycle_times.len()];
+                self.cycle_times = Some(cycle_times);
+            }
+            "arrival" => {
+                let m = machines(directive)?;
+                let Some([release, size, weight, mask]) = exactly(toks) else {
+                    return Err("arrival expects <release> <size> <weight> <mask>".into());
+                };
+                let release = parse_num(release, "release")?;
+                let size = parse_num(size, "size")?;
+                let weight = parse_num(weight, "weight")?;
+                if mask == "*" {
+                    self.avail.extend(std::iter::repeat_n(true, m));
+                } else if mask.len() == m && mask.bytes().all(|b| b == b'0' || b == b'1') {
+                    if !mask.contains('1') {
+                        return Err("arrival can run on no machine (mask all 0)".into());
+                    }
+                    self.avail.extend(mask.bytes().map(|b| b == b'1'));
+                } else {
+                    return Err(format!(
+                        "mask must be '*' or {m} chars of 0/1, got {mask:?}"
+                    ));
+                }
+                self.arrivals.push(TraceArrival {
+                    release,
+                    size,
+                    weight,
+                });
+            }
+            d @ ("fail" | "recover") => {
+                let m = machines(d)?;
+                let Some([time, machine]) = exactly(toks) else {
+                    return Err(format!("{d} expects <time> <machine>"));
+                };
+                let time = parse_num(time, "event time")?;
+                let machine: usize = machine
+                    .parse()
+                    .map_err(|_| format!("bad machine id {machine:?}"))?;
+                if machine >= m {
+                    return Err(format!(
+                        "machine id {machine} out of range (trace has {m} machines)"
+                    ));
+                }
+                if let Some(prev) = self.platform_events.last().filter(|p| time < p.time) {
+                    return Err(format!(
+                        "non-monotone event time {time} (previous event at {})",
+                        prev.time
+                    ));
+                }
+                let fails = d == "fail";
+                if std::mem::replace(&mut self.down[machine], fails) == fails {
+                    return Err(if fails {
+                        format!("machine {machine} fails while already down")
+                    } else {
+                        format!("machine {machine} recovers without a preceding fail")
+                    });
+                }
+                let change = if fails {
+                    PlatformChange::Down
+                } else {
+                    PlatformChange::Up
+                };
+                self.platform_events.push(PlatformEvent {
+                    time,
+                    machine,
+                    change,
+                });
+            }
+            other => {
+                return Err(format!(
+                    "unknown directive {other:?} (expected machines|arrival|fail|recover)"
+                ))
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A cursor over `.dlt` text. As an iterator it yields the tokens of
+/// the current line up to its first `#`, split as [`Trace::parse_dlt`]
+/// states; [`Tokens::end_line`] then moves on to the next line.
+struct Tokens<'a> {
+    text: &'a str,
+    /// The next byte to scan.
+    pos: usize,
+    /// Set once the current line shows a non-ASCII byte before its `#`:
+    /// the line's remaining tokens, split char by char, and its end.
+    chars: Option<(std::str::SplitWhitespace<'a>, usize)>,
+}
+
+/// Byte classes of the ASCII scan (see [`BYTE_CLASS`]).
+const TOKEN: u8 = 0;
+const SPACE: u8 = 1;
+const STOP: u8 = 2;
+const NON_ASCII: u8 = 3;
+
+/// The class of each byte. `SPACE` holds exactly the ASCII chars that
+/// [`char::is_whitespace`] accepts but `\n` (`u8::is_ascii_whitespace`
+/// would miss `\x0B`); `\n` and `#` end a line's tokens.
+const BYTE_CLASS: [u8; 256] = {
+    let mut class = [TOKEN; 256];
+    let mut b = 0x80;
+    while b < 256 {
+        class[b] = NON_ASCII;
+        b += 1;
+    }
+    class[b'\t' as usize] = SPACE;
+    class[0x0B] = SPACE;
+    class[0x0C] = SPACE;
+    class[b'\r' as usize] = SPACE;
+    class[b' ' as usize] = SPACE;
+    class[b'\n' as usize] = STOP;
+    class[b'#' as usize] = STOP;
+    class
+};
+
+impl<'a> Tokens<'a> {
+    fn new(text: &'a str) -> Self {
+        Tokens {
+            text,
+            pos: 0,
+            chars: None,
+        }
+    }
+
+    /// `true` when no line is left.
+    fn at_end(&self) -> bool {
+        self.pos >= self.text.len()
+    }
+
+    /// The text from the current line on.
+    fn rest(&self) -> &'a str {
+        &self.text[self.pos..]
+    }
+
+    /// Moves to the start of the next line.
+    fn end_line(&mut self) {
+        let end = match self.chars.take() {
+            Some((_, end)) => end,
+            None => self
+                .rest()
+                .find('\n')
+                .map_or(self.text.len(), |i| self.pos + i),
+        };
+        self.pos = self.text.len().min(end + 1);
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        if let Some((chars, _)) = &mut self.chars {
+            return chars.next();
+        }
+        let class = |i: usize| {
+            self.text
+                .as_bytes()
+                .get(i)
+                .map(|&b| BYTE_CLASS[usize::from(b)])
+        };
+        let mut i = self.pos;
+        while class(i) == Some(SPACE) {
+            i += 1;
+        }
+        let start = i;
+        while class(i) == Some(TOKEN) {
+            i += 1;
+        }
+        if class(i) == Some(NON_ASCII) {
+            // The tokens so far were ASCII and ended at ASCII whitespace,
+            // so splitting the rest by chars splits the line as a whole.
+            let line = self.rest();
+            let end = self.pos + line.find('\n').unwrap_or(line.len());
+            let line = &self.text[start..end];
+            let content = line.split_once('#').map_or(line, |(content, _)| content);
+            self.chars = Some((content.split_whitespace(), end));
+            return self.next();
+        }
+        self.pos = i;
+        (i > start).then(|| &self.text[start..i])
+    }
+}
+
+/// The line's remaining tokens, if there are exactly `N` of them.
+fn exactly<'a, const N: usize>(toks: &mut Tokens<'a>) -> Option<[&'a str; N]> {
+    let mut out = [""; N];
+    for slot in &mut out {
+        *slot = toks.next()?;
+    }
+    toks.next().is_none().then_some(out)
+}
+
+/// A number token: `str::parse::<f64>`, then finite and non-negative.
+fn parse_num(tok: &str, what: &str) -> Result<f64, String> {
+    let v: f64 = tok.parse().map_err(|_| format!("bad {what} {tok:?}"))?;
+    if !v.is_finite() || v < 0.0 {
+        return Err(format!("{what} must be finite and non-negative, got {tok}"));
+    }
+    Ok(v)
+}
+
+/// The cycle times of a `machines` line.
+fn parse_cycle_times(toks: &mut Tokens<'_>) -> Result<Vec<f64>, String> {
+    let mut cycle_times = Vec::new();
+    for t in toks {
+        let v = parse_num(t, "cycle time")?;
+        if v <= 0.0 {
+            return Err(format!("cycle time must be positive, got {t}"));
+        }
+        cycle_times.push(v);
+    }
+    if cycle_times.is_empty() {
+        return Err("machines needs at least one cycle time".into());
+    }
+    Ok(cycle_times)
+}
+
+/// Stably sorts the requests by release and moves each availability row
+/// with its request. A sorted trace, as every rendered or generated one
+/// is, is left as it is after one pass.
+fn sort_by_release(arrivals: &mut Vec<TraceArrival>, avail: &mut Vec<bool>, m: usize) {
+    if arrivals.windows(2).all(|w| w[0].release <= w[1].release) {
+        return;
+    }
+    let mut order: Vec<usize> = (0..arrivals.len()).collect();
+    // Releases are finite: `partial_cmp` is total, and -0 ties with 0.
+    order.sort_by(|&x, &y| {
+        arrivals[x]
+            .release
+            .partial_cmp(&arrivals[y].release)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    *arrivals = order.iter().map(|&k| arrivals[k]).collect();
+    *avail = order
+        .iter()
+        .flat_map(|&k| &avail[k * m..(k + 1) * m])
+        .copied()
+        .collect();
 }
 
 /// The one arrival feed behind [`Trace::replay`] and
@@ -737,7 +929,8 @@ pub(crate) fn stream_arrivals(
     mut sink: Option<&mut dyn FnMut(&CompletedJob)>,
 ) -> Result<(), SimError> {
     let n = picks.map_or(trace.arrivals.len(), <[u32]>::len);
-    let arrival = |k: usize| &trace.arrivals[picks.map_or(k, |p| p[k] as usize)];
+    let index = |k: usize| picks.map_or(k, |p| p[k] as usize);
+    let arrival = |k: usize| &trace.arrivals[index(k)];
     let m = eng.n_machines();
     // Reused cost row: `push_arrival_ref` copies it straight into the
     // slab, so the steady-state loop performs no allocation.
@@ -752,9 +945,10 @@ pub(crate) fn stream_arrivals(
             let t0 = arrival(next.saturating_sub(eng.pending_len())).release;
             while next < n && arrival(next).release <= t0 + EPS {
                 let a = arrival(next);
-                let (Some(cts), Some(avail)) =
-                    (trace.cycle_times.get(lo..lo + m), a.avail.get(lo..lo + m))
-                else {
+                let avail = trace
+                    .avail_row(index(next))
+                    .and_then(|row| row.get(lo..lo + m));
+                let (Some(cts), Some(avail)) = (trace.cycle_times.get(lo..lo + m), avail) else {
                     return Err(SimError::InvalidJob {
                         reason: "costs length does not match the machine count",
                     });
@@ -872,8 +1066,8 @@ mod tests {
         for w in a.arrivals.windows(2) {
             assert!(w[0].release <= w[1].release);
         }
-        for arr in &a.arrivals {
-            assert!(arr.avail.iter().any(|&x| x));
+        for (k, arr) in a.arrivals.iter().enumerate() {
+            assert!(a.avail_row(k).unwrap().contains(&true));
             assert!(arr.size > 0.0);
         }
     }
@@ -945,20 +1139,23 @@ mod tests {
                     release: 0.0,
                     size: 1e-7,
                     weight: 1.0,
-                    avail: vec![true; 3],
                 },
                 TraceArrival {
                     release: 0.1,
                     size: 3.0,
                     weight: 0.5,
-                    avail: vec![true, false, true],
                 },
                 TraceArrival {
                     release: 12.25,
                     size: 0.30000000000000004,
                     weight: 2.0,
-                    avail: vec![false, false, true],
                 },
+            ],
+            #[rustfmt::skip]
+            avail: vec![
+                true, true, true,
+                true, false, true,
+                false, false, true,
             ],
             platform_events: vec![
                 PlatformEvent {
@@ -1137,29 +1334,97 @@ mod tests {
         assert!(s_faulty.metrics.makespan >= s_clean.metrics.makespan - 1e-9);
     }
 
-    #[test]
-    fn replay_rejects_an_availability_row_of_the_wrong_length() {
-        // Built by hand (the parser checks mask lengths): the short row
-        // must not leave a stale zero cost on machine 1.
-        let trace = Trace {
+    /// Hand-built traces whose availability matrix is not `len() ×
+    /// n_machines()`: one cell short, and one cell long. (The sharded
+    /// replay's test sits in `shard.rs`.)
+    fn misshapen_traces() -> [Trace; 2] {
+        let trace = |avail: Vec<bool>| Trace {
             cycle_times: vec![1.0, 1.0],
-            arrivals: vec![TraceArrival {
-                release: 0.0,
-                size: 2.0,
-                weight: 1.0,
-                avail: vec![true],
-            }],
+            arrivals: vec![
+                TraceArrival {
+                    release: 0.0,
+                    size: 2.0,
+                    weight: 1.0,
+                };
+                2
+            ],
+            avail,
             platform_events: Vec::new(),
         };
-        let err = trace
-            .replay(&mut crate::schedulers::Swrpt::new())
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SimError::InvalidJob {
-                reason: "costs length does not match the machine count"
+        [trace(vec![true; 3]), trace(vec![true; 5])]
+    }
+
+    const SHORT_ROW: &str = "costs length does not match the machine count";
+
+    #[test]
+    fn replay_rejects_an_availability_row_of_the_wrong_length() {
+        // The misshapen matrix must not leave a stale zero cost on a
+        // machine, nor read a neighbour's row.
+        for trace in misshapen_traces() {
+            let err = trace
+                .replay(&mut crate::schedulers::Swrpt::new())
+                .unwrap_err();
+            assert_eq!(err, SimError::InvalidJob { reason: SHORT_ROW });
+        }
+    }
+
+    #[test]
+    fn service_paths_reject_an_availability_matrix_of_the_wrong_size() {
+        use crate::service::{run_simulation_with, FaultInjection, SimInput, SimOptions};
+        let faults = Some(FaultInjection {
+            mtbf: 1e9,
+            mttr: 1.0,
+            seed: 1,
+            until: Some(10.0),
+        });
+        for trace in misshapen_traces() {
+            let input = SimInput::Open(trace);
+            for opts in [
+                SimOptions {
+                    shards: 2,
+                    ..Default::default()
+                },
+                SimOptions {
+                    faults: faults.clone(),
+                    ..Default::default()
+                },
+                SimOptions {
+                    snapshot_at: Some(1),
+                    ..Default::default()
+                },
+            ] {
+                let err =
+                    run_simulation_with(&input, &crate::campaign::SchedulerSpec::Swrpt, &opts)
+                        .unwrap_err();
+                assert!(err.ends_with(SHORT_ROW), "{opts:?}: {err}");
             }
-        );
+        }
+    }
+
+    #[test]
+    fn to_instance_rejects_an_availability_matrix_of_the_wrong_size() {
+        for trace in misshapen_traces() {
+            assert_eq!(
+                trace.to_instance().unwrap_err(),
+                "cost matrix shape mismatch"
+            );
+        }
+    }
+
+    #[test]
+    fn job_spec_and_to_dlt_survive_an_availability_matrix_of_the_wrong_size() {
+        for trace in misshapen_traces() {
+            // No row: an empty cost row, which the engine refuses.
+            let spec = trace.job_spec(1);
+            assert!(spec.costs.is_empty());
+            let err = Engine::new(2).push_arrival(spec).unwrap_err();
+            assert_eq!(err, SimError::InvalidJob { reason: SHORT_ROW });
+            // No row: an empty mask, which the parser refuses.
+            let text = trace.to_dlt();
+            assert!(text.contains("arrival 0 2 1 \n"), "{text}");
+            let err = Trace::parse_dlt(&text).unwrap_err();
+            assert!(err.contains("arrival expects"), "{err}");
+        }
     }
 
     #[test]
@@ -1228,5 +1493,451 @@ mod tests {
         let spec = trace.job_spec(1);
         assert_eq!(spec.costs[0], 2.0);
         assert!(spec.costs[1].is_infinite());
+    }
+}
+
+/// Differential fuzz of [`Trace::parse_dlt`] against the parser it
+/// replaced: the same trace bit for bit, or the same error byte for byte.
+#[cfg(test)]
+mod dlt_fuzz {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The line-by-line `.dlt` parser that [`Trace::parse_dlt`] replaced,
+    /// changed only to return the flat availability matrix: one `Vec` per
+    /// line of tokens and one per mask.
+    fn oracle_parse_dlt(text: &str) -> Result<Trace, String> {
+        let mut cycle_times: Option<Vec<f64>> = None;
+        let mut arrivals: Vec<(TraceArrival, Vec<bool>)> = Vec::new();
+        let mut platform_events: Vec<PlatformEvent> = Vec::new();
+        let mut down: Vec<bool> = Vec::new();
+        let parse_num = |tok: &str, what: &str, lineno: usize| -> Result<f64, String> {
+            let v: f64 = tok
+                .parse()
+                .map_err(|_| format!("line {lineno}: bad {what} {tok:?}"))?;
+            if !v.is_finite() || v < 0.0 {
+                return Err(format!(
+                    "line {lineno}: {what} must be finite and non-negative, got {tok}"
+                ));
+            }
+            Ok(v)
+        };
+        for (idx, raw) in text.lines().enumerate() {
+            let lineno = idx + 1;
+            let line = raw.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            let mut toks = line.split_whitespace();
+            let directive = toks.next().expect("non-empty line");
+            let rest: Vec<&str> = toks.collect();
+            match directive {
+                "machines" => {
+                    if cycle_times.is_some() {
+                        return Err(format!("line {lineno}: duplicate machines line"));
+                    }
+                    if rest.is_empty() {
+                        return Err(format!(
+                            "line {lineno}: machines needs at least one cycle time"
+                        ));
+                    }
+                    let cts: Result<Vec<f64>, String> = rest
+                        .iter()
+                        .map(|t| {
+                            let v = parse_num(t, "cycle time", lineno)?;
+                            if v <= 0.0 {
+                                return Err(format!(
+                                    "line {lineno}: cycle time must be positive, got {t}"
+                                ));
+                            }
+                            Ok(v)
+                        })
+                        .collect();
+                    cycle_times = Some(cts?);
+                }
+                "arrival" => {
+                    let Some(cts) = &cycle_times else {
+                        return Err(format!("line {lineno}: arrival before the machines line"));
+                    };
+                    let [release, size, weight, mask] = rest.as_slice() else {
+                        return Err(format!(
+                            "line {lineno}: arrival expects <release> <size> <weight> <mask>"
+                        ));
+                    };
+                    let release = parse_num(release, "release", lineno)?;
+                    let size = parse_num(size, "size", lineno)?;
+                    let weight = parse_num(weight, "weight", lineno)?;
+                    let avail: Vec<bool> = if *mask == "*" {
+                        vec![true; cts.len()]
+                    } else {
+                        if mask.len() != cts.len() || !mask.chars().all(|c| c == '0' || c == '1') {
+                            return Err(format!(
+                                "line {lineno}: mask must be '*' or {} chars of 0/1, got {mask:?}",
+                                cts.len()
+                            ));
+                        }
+                        mask.chars().map(|c| c == '1').collect()
+                    };
+                    if !avail.iter().any(|&a| a) {
+                        return Err(format!(
+                            "line {lineno}: arrival can run on no machine (mask all 0)"
+                        ));
+                    }
+                    arrivals.push((
+                        TraceArrival {
+                            release,
+                            size,
+                            weight,
+                        },
+                        avail,
+                    ));
+                }
+                d @ ("fail" | "recover") => {
+                    let Some(cts) = &cycle_times else {
+                        return Err(format!("line {lineno}: {d} before the machines line"));
+                    };
+                    let [time, machine] = rest.as_slice() else {
+                        return Err(format!("line {lineno}: {d} expects <time> <machine>"));
+                    };
+                    let time = parse_num(time, "event time", lineno)?;
+                    let machine: usize = machine
+                        .parse()
+                        .map_err(|_| format!("line {lineno}: bad machine id {machine:?}"))?;
+                    if machine >= cts.len() {
+                        return Err(format!(
+                            "line {lineno}: machine id {machine} out of range (trace has {} machines)",
+                            cts.len()
+                        ));
+                    }
+                    if let Some(prev) = platform_events.last() {
+                        if time < prev.time {
+                            return Err(format!(
+                                "line {lineno}: non-monotone event time {time} (previous event at {})",
+                                prev.time
+                            ));
+                        }
+                    }
+                    down.resize(cts.len(), false);
+                    let change = if d == "fail" {
+                        if down[machine] {
+                            return Err(format!(
+                                "line {lineno}: machine {machine} fails while already down"
+                            ));
+                        }
+                        down[machine] = true;
+                        PlatformChange::Down
+                    } else {
+                        if !down[machine] {
+                            return Err(format!(
+                                "line {lineno}: machine {machine} recovers without a preceding fail"
+                            ));
+                        }
+                        down[machine] = false;
+                        PlatformChange::Up
+                    };
+                    platform_events.push(PlatformEvent {
+                        time,
+                        machine,
+                        change,
+                    });
+                }
+                other => {
+                    return Err(format!(
+                        "line {lineno}: unknown directive {other:?} (expected machines|arrival|fail|recover)"
+                    ))
+                }
+            }
+        }
+        let Some(cycle_times) = cycle_times else {
+            return Err("trace has no machines line".into());
+        };
+        arrivals.sort_by(|a, b| a.0.release.partial_cmp(&b.0.release).unwrap());
+        Ok(Trace {
+            cycle_times,
+            avail: arrivals
+                .iter()
+                .flat_map(|(_, row)| row.iter().copied())
+                .collect(),
+            arrivals: arrivals.into_iter().map(|(a, _)| a).collect(),
+            platform_events,
+        })
+    }
+
+    /// Everything a trace holds, floats as bits.
+    type Bits = (Vec<u64>, Vec<[u64; 3]>, Vec<bool>, Vec<(u64, usize, bool)>);
+
+    fn bits(t: &Trace) -> Bits {
+        (
+            t.cycle_times.iter().map(|x| x.to_bits()).collect(),
+            t.arrivals
+                .iter()
+                .map(|a| [a.release.to_bits(), a.size.to_bits(), a.weight.to_bits()])
+                .collect(),
+            t.avail.clone(),
+            t.platform_events
+                .iter()
+                .map(|e| {
+                    (
+                        e.time.to_bits(),
+                        e.machine,
+                        e.change == PlatformChange::Down,
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// Asserts that the parser gives the oracle's answer.
+    fn assert_matches_oracle(text: &str) -> Result<(), TestCaseError> {
+        let want = oracle_parse_dlt(text).map(|t| bits(&t));
+        let got = Trace::parse_dlt(text).map(|t| bits(&t));
+        prop_assert!(got == want, "on {text:?}:\n got {got:?}\nwant {want:?}");
+        Ok(())
+    }
+
+    fn pick<'a, T>(rng: &mut SmallRng, items: &'a [T]) -> &'a T {
+        &items[rng.gen_range(0..items.len())]
+    }
+
+    /// A `.dlt` document of 1–40 machines: tied and unsorted releases,
+    /// `*` and explicit masks, faults or none, comments and blank lines.
+    fn random_dlt(rng: &mut SmallRng) -> String {
+        let m = rng.gen_range(1..=40usize);
+        let mut doc = String::new();
+        if rng.gen_bool(0.5) {
+            doc.push_str("# a fuzzed trace\n");
+        }
+        doc.push_str("machines");
+        for _ in 0..m {
+            let any = rng.gen_range(0.2..4.0);
+            let _ = write!(doc, " {}", pick(rng, &[1.0, 0.1, 2.5, any]));
+        }
+        doc.push('\n');
+        // Platform events in time order, alternating per machine.
+        let mut events = Vec::new();
+        if rng.gen_bool(0.5) {
+            let mut down = vec![false; m];
+            let mut t = 0.0;
+            for _ in 0..rng.gen_range(0..12) {
+                let any = rng.gen_range(0.0..3.0);
+                t += pick(rng, &[0.0, 0.5, any]);
+                let i = rng.gen_range(0..m);
+                down[i] = !down[i];
+                events.push(format!(
+                    "{} {t} {i}",
+                    if down[i] { "fail" } else { "recover" }
+                ));
+            }
+        }
+        let mut events = events.into_iter().peekable();
+        for _ in 0..rng.gen_range(0..=60) {
+            while events.peek().is_some() && rng.gen_bool(0.2) {
+                doc.push_str(&events.next().unwrap_or_default());
+                doc.push('\n');
+            }
+            let any = rng.gen_range(0.0..10.0);
+            let release = *pick(rng, &[0.0, 0.5, 1.0, 2.25, any]);
+            let size = rng.gen_range(0.01..5.0);
+            let weight = pick(rng, &[1.0, 2.0, 5.0, 0.0]);
+            let _ = write!(doc, "arrival {release} {size} {weight} ");
+            if rng.gen_bool(0.3) {
+                doc.push('*');
+            } else {
+                let one = rng.gen_range(0..m);
+                doc.extend((0..m).map(|i| {
+                    if i == one || rng.gen_bool(0.5) {
+                        '1'
+                    } else {
+                        '0'
+                    }
+                }));
+            }
+            if rng.gen_bool(0.1) {
+                doc.push_str(" # note");
+            }
+            doc.push('\n');
+            if rng.gen_bool(0.05) {
+                let line = pick(rng, &["\n", "# comment\n", "  \t\n"]);
+                doc.push_str(line);
+            }
+        }
+        for e in events {
+            doc.push_str(&e);
+            doc.push('\n');
+        }
+        doc
+    }
+
+    /// Byte spans of the whitespace-separated tokens of `text`.
+    fn token_spans(text: &str) -> Vec<(usize, usize)> {
+        let mut spans = Vec::new();
+        let mut start = None;
+        for (i, c) in text.char_indices().chain([(text.len(), ' ')]) {
+            match (start, c.is_whitespace()) {
+                (None, false) => start = Some(i),
+                (Some(s), true) => {
+                    spans.push((s, i));
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        spans
+    }
+
+    /// One random mutation of `text`.
+    fn mutate(text: &str, rng: &mut SmallRng) -> String {
+        let toks = token_spans(text);
+        let mut lines: Vec<String> = text
+            .split_inclusive('\n')
+            .map(|l| {
+                if l.ends_with('\n') {
+                    l.to_string()
+                } else {
+                    format!("{l}\n")
+                }
+            })
+            .collect();
+        let tok = |rng: &mut SmallRng| *pick(rng, &toks);
+        match rng.gen_range(0..11) {
+            // Truncation at any byte (that keeps the text UTF-8).
+            0 => {
+                let mut cut = rng.gen_range(0..=text.len());
+                while !text.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                return text[..cut].to_string();
+            }
+            // Token splice and deletion.
+            1 if !toks.is_empty() => {
+                let ((a, b), (at, _)) = (tok(rng), tok(rng));
+                return format!("{} {} {}", &text[..at], &text[a..b], &text[at..]);
+            }
+            2 if !toks.is_empty() => {
+                let (a, b) = tok(rng);
+                return format!("{}{}", &text[..a], &text[b..]);
+            }
+            // A number that parses but is refused, or does not parse.
+            3 if !toks.is_empty() => {
+                let (a, b) = tok(rng);
+                let bad = pick(rng, &["-1", "-0", "nan", "inf", "1e400", "+.5", "0"]);
+                return format!("{}{bad}{}", &text[..a], &text[b..]);
+            }
+            // Duplicated and swapped lines, a second machines line.
+            4 if !lines.is_empty() => {
+                let k = rng.gen_range(0..lines.len());
+                let line = lines[k].clone();
+                lines.insert(rng.gen_range(0..=lines.len()), line);
+            }
+            5 if !lines.is_empty() => {
+                let (i, j) = (rng.gen_range(0..lines.len()), rng.gen_range(0..lines.len()));
+                lines.swap(i, j);
+            }
+            6 => lines.insert(rng.gen_range(0..=lines.len()), "machines 1 2\n".into()),
+            7 => return text.replace('\n', "\r\n"),
+            // Other separators: every char `char::is_whitespace` accepts
+            // on ASCII, a lone `\r`, three Unicode spaces, and `\x1C`,
+            // which is no whitespace at all.
+            8 => {
+                let seps = [
+                    "\t", "\x0B", "\x0C", "\r", "\u{A0}", "\u{3000}", "\u{85}", "\x1C",
+                ];
+                let sep = *pick(rng, &seps);
+                let every = rng.gen_bool(0.3);
+                return text
+                    .split(' ')
+                    .enumerate()
+                    .map(|(i, part)| {
+                        let keep = i == 0 || !(every || rng.gen_bool(0.2));
+                        format!(
+                            "{}{part}",
+                            if i == 0 {
+                                ""
+                            } else if keep {
+                                " "
+                            } else {
+                                sep
+                            }
+                        )
+                    })
+                    .collect();
+            }
+            // `#` inside a token.
+            9 if !toks.is_empty() => {
+                let (a, b) = tok(rng);
+                let mut at = rng.gen_range(a..=b);
+                while !text.is_char_boundary(at) {
+                    at -= 1;
+                }
+                return format!("{}#{}", &text[..at], &text[at..]);
+            }
+            // Blank and comment-only lines.
+            _ => {
+                let line = pick(rng, &["\n", "# only a comment\n", " \t \n", "#\n"]);
+                lines.insert(rng.gen_range(0..=lines.len()), line.to_string());
+            }
+        }
+        lines.concat()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_matches_the_line_parser(seed in any::<u64>(), n_mutations in 0usize..4) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut text = random_dlt(&mut rng);
+            for _ in 0..n_mutations {
+                text = mutate(&text, &mut rng);
+            }
+            assert_matches_oracle(&text)?;
+        }
+    }
+
+    #[test]
+    fn hand_picked_documents_match_the_line_parser() {
+        for text in [
+            "",
+            "\n\n",
+            "machines 1",
+            "machines 1\narrival 0 1 1 *",
+            "machines 1 2\r\narrival 0 1 1 10\r\narrival 0 1 1 01\r\n",
+            "machines\x0B1\narrival\x0B0\x0B1\x0B1\x0B*\n",
+            "machines 1\narrival\u{A0}0 1 1 *\narrival 0\u{3000}1 1 *\n",
+            "machines 1 # fleet\narrival 0 1 1 *# no space before the comment\n",
+            "machines 1\narrival 0 1 1 *\rarrival 0 1 1 *\n",
+            "machines 1\narri#val 0 1 1 *\n",
+            "machines 1\narrival 0 1 1 é\n",
+            "machines 1 1\narrival 0 1 1 é\n",
+            "machines 1\narrival -0 1 1 *\narrival 0 2 1 *\narrival -0 3 1 *\n",
+            "machines 1\nfail 1 0\nrecover 0.5 0\narrival 0 1 1 *\nfrob\n",
+            "machines 1\narrival 0 1 1 *\nmachines 2\n",
+            "machines 1 2\narrival 0 1 1 00\n",
+            "machines 1\narrival x 1 1 *\n",
+            "# only a comment\n",
+        ] {
+            assert_matches_oracle(text).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_benchmark_trace_parses_as_the_line_parser_parses_it() {
+        // The `stream-swrpt` trace: 300k requests on 3 machines.
+        for seed in [1, 8191] {
+            let spec = |n_requests, seed| TraceSpec {
+                n_requests,
+                n_machines: 3,
+                availability: 0.6,
+                process: ArrivalProcess::Poisson { rate: 2.0 },
+                seed,
+                ..Default::default()
+            };
+            let mut trace = generate_trace(&spec(300_000, seed));
+            trace.cycle_times = generate_trace(&spec(1, 4)).cycle_times;
+            let text = trace.to_dlt();
+            let parsed = Trace::parse_dlt(&text).unwrap();
+            assert!(bits(&parsed) == bits(&oracle_parse_dlt(&text).unwrap()));
+            assert!(bits(&parsed) == bits(&trace));
+        }
     }
 }
