@@ -300,3 +300,55 @@ fn simulate_refusals_exit_1_with_a_typed_message() {
         "{stderr}"
     );
 }
+
+#[test]
+fn every_simulate_path_words_an_engine_error_the_same_way() {
+    // Both requests run only on machine 0, which fails at t = 2 and never
+    // recovers: every path stalls. (Shards keep their own clocks, so the
+    // time is not asserted.)
+    let stall = "machines 1 2\narrival 0 4 1 10\narrival 1 2 2 10\nfail 2 0\n";
+    let t = tempfile_path::TempPath::with_ext(stall, "dlt");
+    // A snapshot to resume from, before the failure: taken on a twin
+    // trace whose machine recovers, with the recovery cut out.
+    let twin = tempfile_path::TempPath::with_ext(&format!("{stall}recover 100 0\n"), "dlt");
+    let snap = tempfile_path::TempPath::with_ext("", "snap");
+    let (ok, _, stderr) = run(&[
+        "simulate",
+        twin.as_str(),
+        "--snapshot-at",
+        "1",
+        "--snapshot-out",
+        snap.as_str(),
+    ]);
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&snap.0).unwrap();
+    let cut: String = text
+        .replace("\nplatform 2\n", "\nplatform 1\n")
+        .lines()
+        .filter(|l| !(l.starts_with("event ") && l.ends_with(" up")))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(cut.lines().count() + 1, text.lines().count(), "{text}");
+    let cut = tempfile_path::TempPath::with_ext(&cut, "snap");
+
+    let t = t.as_str();
+    for extra in [
+        &[][..],
+        &["--faults", "mtbf=1000000000,mttr=1"],
+        &["--shards", "2"],
+        &["--snapshot-at", "1", "--snapshot-out", snap.as_str()],
+        &["--resume", cut.as_str()],
+    ] {
+        let out = Command::new(BIN)
+            .args(["simulate", t])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(
+            stderr.starts_with("SWRPT: simulation stalled at t = "),
+            "{extra:?}: {stderr}"
+        );
+    }
+}

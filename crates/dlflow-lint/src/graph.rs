@@ -224,9 +224,10 @@ impl Graph {
 
         // Type witnesses for dyn-dispatch resolution: a `.m(…)` call can
         // only land on an impl whose self type or trait is named
-        // somewhere in the calling file. Without this, std name
-        // collisions (`Vec::drain` vs `Engine::drain`) stitch unrelated
-        // subsystems together and poison reachability.
+        // somewhere in the calling file's library code (a type only its
+        // `#[cfg(test)]` module names witnesses nothing). Without this,
+        // std name collisions (`Vec::drain` vs `Engine::drain`) stitch
+        // unrelated subsystems together and poison reachability.
         let idents_by_file: BTreeMap<usize, std::collections::BTreeSet<&str>> = files
             .iter()
             .map(|f| {
@@ -234,8 +235,9 @@ impl Graph {
                     f.file_idx,
                     f.tokens
                         .iter()
-                        .filter(|t| t.kind == TokKind::Ident)
-                        .map(|t| t.text.as_str())
+                        .zip(f.mask)
+                        .filter(|(t, &masked)| !masked && t.kind == TokKind::Ident)
+                        .map(|(t, _)| t.text.as_str())
                         .collect(),
                 )
             })
@@ -530,6 +532,31 @@ fn drive(p: &dyn P) { p.plan(); }
         let g = build(&owned);
         let drive = id_of(&g, "drive");
         assert_eq!(g.edges[drive].len(), 2, "dyn dispatch over-approximates");
+    }
+
+    #[test]
+    fn a_test_module_witnesses_no_library_call() {
+        // `drive`'s `p.plan()` may land on `A::plan` (A is named in library
+        // code), never on `B::plan`, which only the test module names.
+        let src = "
+struct A;
+impl A { fn plan(&self) {} }
+fn drive(p: &A) { p.plan(); }
+#[cfg(test)]
+mod tests { fn t() { let _ = B; } }
+";
+        let other = "pub struct B; impl B { pub fn plan(&self) {} }";
+        let owned = prep(&[
+            ("crates/dlflow-sim/src/x.rs", src),
+            ("crates/dlflow-sim/src/y.rs", other),
+        ]);
+        let g = build(&owned);
+        let drive = id_of(&g, "drive");
+        let owners: Vec<_> = g.edges[drive]
+            .iter()
+            .map(|e| g.fns[e.callee].item.owner.as_deref())
+            .collect();
+        assert_eq!(owners, [Some("A")]);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! warm-startable via [`solve_warm`]); the seed's two-phase tableau
 //! survives as [`solve_dense`] and serves as the reference oracle in
 //! property tests. Callers that solve many programs in a row pass one
-//! [`LpWorkspace`] to [`solve_in`] and stop allocating tableau storage.
+//! [`LpWorkspace`] to [`solve_in`] and stop allocating tableau storage;
+//! [`reoptimize_in`] continues the last solve's optimal tableau after
+//! some inequality right-hand sides and the objective changed.
 //!
 //! The tableau holds `rows × columns` entries, where the columns are the
 //! variables some row or the objective mentions, one slack per
@@ -63,7 +65,7 @@ pub mod solution;
 
 pub use problem::{Constraint, LinExpr, LpProblem, Rel, Sense, VarId};
 pub use revised::{
-    solve, solve_float_guided, solve_in, solve_warm, solve_warm_in, LpWorkspace, WarmBasis,
+    reoptimize_in, solve, solve_float_guided, solve_in, solve_warm, LpWorkspace, WarmBasis,
     WarmSolve,
 };
 pub use simplex::solve as solve_dense;

@@ -19,13 +19,21 @@
 //!   exact problem and hands only its optimal basis to the exact warm
 //!   path, so the exact solve starts at (or next to) the optimum instead
 //!   of pivoting there in rational arithmetic.
+//! * **Re-optimization**: [`reoptimize_in`] continues from the optimal
+//!   tableau the last solve through a workspace ended on, after some
+//!   inequality right-hand sides and the objective changed (post-optimal
+//!   analysis, as in Chvátal, *Linear Programming*, 1983). Nothing is
+//!   rebuilt and no basis is re-realized: the right-hand sides move
+//!   through their slack columns, the new objective is priced, and the
+//!   primal simplex runs from there. It refuses, with `None`, whenever
+//!   that tableau cannot serve (see its doc); the caller solves afresh.
 //! * **Workspaces**: every tableau takes its buffers from an
 //!   [`LpWorkspace`] and hands them back when the solve ends, so a caller
 //!   that solves many programs in a row ([`solve_in`]) stops allocating
-//!   once the buffers have grown. A workspace holds capacity only: every
-//!   solve starts from the same logical state as a fresh one, so it runs
-//!   the same pivots on the same operands. [`solve`] and [`solve_warm`]
-//!   use a fresh workspace.
+//!   once the buffers have grown. Every solve starts from the same logical
+//!   state as with a fresh workspace, so it runs the same pivots on the
+//!   same operands; only [`reoptimize_in`] reads the tableau the last
+//!   solve left. [`solve`] and [`solve_warm`] use a fresh workspace.
 //!
 //! # Layout
 //!
@@ -72,6 +80,15 @@
 //!   scans the pivot row in increasing column order, so their tie-breaks
 //!   see the candidates in a fixed order.
 //! * Removing a redundant row moves the last row into its place.
+//! * A re-optimization adds a right-hand-side change `Δ` of row `k` as
+//!   `b_i += Δ·t_i` down the row's slack column `t` (`−Δ` for a `≥`
+//!   row's surplus), rows in increasing order, changed rows in row order,
+//!   and stores a negligible result as zero. It then prices the new
+//!   objective with the phase-2 costs and the row-by-row reduced-cost sum
+//!   above, and runs the primal simplex under the same pricing and
+//!   ratio-test rules. It does no dual repair: the old basis stays primal
+//!   feasible or the call refuses, while the new objective need not be
+//!   dual feasible.
 //!
 //! The seed's dense two-phase solver survives as `solve_dense`
 //! ([`crate::simplex::solve`]) and is the reference oracle in the
@@ -103,7 +120,7 @@ pub struct WarmBasis {
 
 impl WarmBasis {
     /// `true` when this basis can seed a solve of `p`.
-    pub fn compatible_with<S: Scalar>(&self, p: &LpProblem<S>) -> bool {
+    fn compatible_with<S: Scalar>(&self, p: &LpProblem<S>) -> bool {
         self.n_vars == p.n_vars()
             && self.rels.len() == p.n_constraints()
             && p.constraints()
@@ -132,9 +149,10 @@ pub struct WarmSolve<S> {
 ///
 /// A solve takes the buffers it needs and returns them when it ends, so
 /// repeated solves through one workspace stop allocating once capacity
-/// has grown to the largest program seen. Only capacity survives a
-/// solve; the next one starts from the same logical state as with a
-/// fresh workspace, so results are bit-identical either way.
+/// has grown to the largest program seen. The next solve starts from the
+/// same logical state as with a fresh workspace, so results are
+/// bit-identical either way; the last tableau survives only for
+/// [`reoptimize_in`].
 pub struct LpWorkspace<S> {
     /// Storage of the last retired tableau.
     tab: Tab<S>,
@@ -147,9 +165,6 @@ pub struct LpWorkspace<S> {
     /// Per-row flags: sign flips of a cold build, realized rows of a
     /// warm one.
     flags: Vec<bool>,
-    /// Bases handed back by [`LpWorkspace::recycle_basis`], refilled by
-    /// the next basis snapshots.
-    bases: Vec<WarmBasis>,
 }
 
 impl<S> LpWorkspace<S> {
@@ -161,14 +176,7 @@ impl<S> LpWorkspace<S> {
             r: Vec::new(),
             cb: Vec::new(),
             flags: Vec::new(),
-            bases: Vec::new(),
         }
-    }
-
-    /// Hands a basis snapshot back, so that a later solve through this
-    /// workspace refills its buffers instead of allocating new ones.
-    pub fn recycle_basis(&mut self, basis: WarmBasis) {
-        self.bases.push(basis);
     }
 }
 
@@ -199,17 +207,41 @@ pub fn solve_in<S: Scalar>(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> LpSolut
     solution
 }
 
-/// Solves the problem, optionally warm-starting from a previous basis.
-pub fn solve_warm<S: Scalar>(p: &LpProblem<S>, hint: Option<&WarmBasis>) -> WarmSolve<S> {
-    solve_warm_in(p, hint, &mut LpWorkspace::new())
+/// Re-optimizes, in place, the optimal tableau that the last solve
+/// through `ws` ended on, for `p`: that solve's program with some
+/// inequality right-hand sides and the objective (sense included)
+/// changed. The coefficients must be the ones that solve saw; that is the
+/// caller's to keep, since the tableau no longer holds them.
+///
+/// The changed right-hand sides move the basic values through their
+/// slack columns, the new objective is priced, and the primal simplex
+/// runs from the old basis (the module doc gives the arithmetic). The
+/// result is an optimum of `p`, or its unboundedness; where `p`'s optimum
+/// is tied it may be another vertex than a cold solve's.
+///
+/// Returns `None`, and leaves `ws` usable by any solve, unless all of
+/// these hold:
+/// * the last solve through `ws` (or re-optimization) ended optimal;
+/// * `p` has its shape: variable count, row count and each row's relation;
+/// * every changed row is an inequality the cold build did not sign-flip
+///   (its old right-hand side was not negative);
+/// * every variable of the objective has a column;
+/// * the changes leave every basic value `≥ −tolerance`.
+///
+/// Once the buffers have grown it allocates only the returned values.
+pub fn reoptimize_in<S: Scalar>(
+    p: &LpProblem<S>,
+    ws: &mut LpWorkspace<S>,
+) -> Option<LpSolution<S>> {
+    let mut tab = mem::take(&mut ws.tab);
+    let out = tab.reoptimize(p, ws);
+    ws.tab = tab;
+    out
 }
 
-/// [`solve_warm`] with the buffers of `ws`.
-pub fn solve_warm_in<S: Scalar>(
-    p: &LpProblem<S>,
-    hint: Option<&WarmBasis>,
-    ws: &mut LpWorkspace<S>,
-) -> WarmSolve<S> {
+/// Solves the problem, optionally warm-starting from a previous basis.
+pub fn solve_warm<S: Scalar>(p: &LpProblem<S>, hint: Option<&WarmBasis>) -> WarmSolve<S> {
+    let ws = &mut LpWorkspace::new();
     if let Some(h) = hint.filter(|h| h.compatible_with(p)) {
         let mut tab = Tab::build(p, ws, false);
         let out = tab.run_warm(p, &h.basis, ws);
@@ -224,7 +256,6 @@ pub fn solve_warm_in<S: Scalar>(
     }
     let mut tab = Tab::build(p, ws, true);
     let (solution, basis) = tab.solve_cold(p, ws, true);
-    ws.tab = tab;
     WarmSolve {
         solution,
         basis,
@@ -289,6 +320,13 @@ struct Tab<S> {
     n_total: usize,
     /// Column index where artificial variables start (== n_total when none).
     art_start: usize,
+    /// Relation and right-hand side of each of the program's rows, as
+    /// given (before any sign flip).
+    rows: Vec<(Rel, S)>,
+    /// The last phase 2 of a cold solve, or of a re-optimization since,
+    /// ended optimal: the basis is optimal for `rows`. (Warm solves run
+    /// on a workspace of their own, which no caller sees again.)
+    optimal: bool,
     /// The pivot column's nonzeros off the pivot row, as `(row, value)`.
     pcol: Vec<(usize, S)>,
     /// The pivot row's nonzeros as `(col, value)` (see [`Tab::extract_row`]).
@@ -307,6 +345,8 @@ impl<S> Default for Tab<S> {
             var_of: Vec::new(),
             n_total: 0,
             art_start: 0,
+            rows: Vec::new(),
+            optimal: false,
             pcol: Vec::new(),
             prow: Vec::new(),
         }
@@ -363,6 +403,10 @@ impl<S: Scalar> Tab<S> {
         tab.b.clear();
         tab.basis.clear();
         tab.basis.resize(m, usize::MAX);
+        tab.rows.clear();
+        tab.rows
+            .extend(p.constraints().iter().map(|c| (c.rel, c.rhs.clone())));
+        tab.optimal = false;
         let (mut slack, mut art) = (n_struct, tab.art_start);
         for (i, (c, rel)) in p.constraints().iter().zip(rels()).enumerate() {
             let row = &mut tab.a[i * w..(i + 1) * w];
@@ -744,19 +788,12 @@ impl<S: Scalar> Tab<S> {
         LpSolution::optimal(objective, values)
     }
 
-    fn snapshot_basis(&self, p: &LpProblem<S>, spare: Option<WarmBasis>) -> WarmBasis {
-        let mut out = spare.unwrap_or(WarmBasis {
-            n_vars: 0,
-            rels: Vec::new(),
-            basis: Vec::new(),
-        });
-        out.n_vars = p.n_vars();
-        out.rels.clear();
-        out.rels.extend(p.constraints().iter().map(|c| c.rel));
-        out.basis.clear();
-        out.basis
-            .extend(self.basis.iter().map(|&j| self.program_col(j)));
-        out
+    fn snapshot_basis(&self, p: &LpProblem<S>) -> WarmBasis {
+        WarmBasis {
+            n_vars: p.n_vars(),
+            rels: p.constraints().iter().map(|c| c.rel).collect(),
+            basis: self.basis.iter().map(|&j| self.program_col(j)).collect(),
+        }
     }
 
     /// Two-phase cold solve over the vectors of `ws`; the optimal basis
@@ -788,7 +825,8 @@ impl<S: Scalar> Tab<S> {
         if !self.run_primal(r, &mut z) {
             return (LpSolution::unbounded(p.n_vars()), None);
         }
-        let basis = want_basis.then(|| self.snapshot_basis(p, ws.bases.pop()));
+        self.optimal = true;
+        let basis = want_basis.then(|| self.snapshot_basis(p));
         (self.extract(z, negate), basis)
     }
 
@@ -861,14 +899,69 @@ impl<S: Scalar> Tab<S> {
         if !self.run_primal(r, &mut z) {
             return Some((LpSolution::unbounded(p.n_vars()), None));
         }
-        let basis = self.snapshot_basis(p, ws.bases.pop());
-        Some((self.extract(z, negate), Some(basis)))
+        Some((self.extract(z, negate), Some(self.snapshot_basis(p))))
+    }
+
+    /// [`reoptimize_in`] on this tableau, the workspace's last.
+    fn reoptimize(&mut self, p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> Option<LpSolution<S>> {
+        let fits = self.optimal
+            && self.n_vars == p.n_vars()
+            && self.rows.len() == p.n_constraints()
+            && p.constraints()
+                .iter()
+                .zip(&self.rows)
+                .all(|(c, (rel, _))| c.rel == *rel)
+            && p.objective()
+                .terms
+                .iter()
+                .all(|(v, _)| self.col_of[v.index()] != usize::MAX);
+        if !fits {
+            return None;
+        }
+        // Until the primal simplex below ends optimal again.
+        self.optimal = false;
+        let zero = S::zero();
+        let mut slack = self.var_of.len();
+        for (c, (rel, rhs)) in p.constraints().iter().zip(&mut self.rows) {
+            if c.rhs != *rhs {
+                // A negative right-hand side was sign-flipped by the build.
+                if *rel == Rel::Eq || rhs.is_negative_tol() {
+                    return None;
+                }
+                // A `≥` row's surplus column holds −B⁻¹e_k.
+                let delta = c.rhs.sub(rhs);
+                let delta = if *rel == Rel::Ge { delta.neg() } else { delta };
+                for (i, b) in self.b.iter_mut().enumerate() {
+                    let t = &self.a[i * self.w + slack];
+                    if *t != zero {
+                        let v = b.add(&delta.mul(t));
+                        *b = if v.is_negligible() { zero.clone() } else { v };
+                    }
+                }
+                *rhs = c.rhs.clone();
+            }
+            if *rel != Rel::Eq {
+                slack += 1;
+            }
+        }
+        if self.b.iter().any(|v| v.is_negative_tol()) {
+            return None;
+        }
+        let LpWorkspace { cost, r, cb, .. } = ws;
+        let negate = self.phase2_cost(p, cost);
+        let mut z = self.reduced_costs(cost, cb, r);
+        if !self.run_primal(r, &mut z) {
+            return Some(LpSolution::unbounded(p.n_vars()));
+        }
+        self.optimal = true;
+        Some(self.extract(z, negate))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::VarId;
     use crate::solution::LpStatus;
     use dlflow_num::Rat;
 
@@ -1154,6 +1247,137 @@ mod tests {
         assert_eq!(sol.status, dense.status);
         assert!((sol.objective.unwrap() - dense.objective.unwrap()).abs() < 1e-9);
         assert!((sol.objective.unwrap() - 2.0).abs() < 1e-9);
+    }
+
+    /// The textbook program (max 3x + 5y s.t. x ≤ 4, 2y ≤ 12,
+    /// 3x + 2y ≤ 18; optimum 36 at (2, 6), where only x ≤ 4 has a basic
+    /// slack, 2) with row 0's right-hand side at `x_cap`, objective
+    /// `cx·x + cy·y` and sense `sense`.
+    fn textbook(x_cap: f64, (cx, cy): (f64, f64), sense: Sense) -> LpProblem<f64> {
+        let mut lp: LpProblem<f64> = LpProblem::new(sense);
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective(LinExpr::from_iter([(x, cx), (y, cy)]));
+        lp.add_constraint(LinExpr::term(x, 1.0), Rel::Le, x_cap);
+        lp.add_constraint(LinExpr::term(y, 2.0), Rel::Le, 12.0);
+        lp.add_constraint(LinExpr::from_iter([(x, 3.0), (y, 2.0)]), Rel::Le, 18.0);
+        lp
+    }
+
+    #[test]
+    fn reoptimizing_a_changed_rhs_and_objective_equals_a_cold_solve() {
+        let mut ws = LpWorkspace::new();
+        assert_eq!(
+            solve_in(&textbook(4.0, (3.0, 5.0), Sense::Maximize), &mut ws).objective,
+            Some(36.0)
+        );
+        // Tighten x ≤ 4 to x ≤ 3 (its slack, 2, stays basic at 1) and
+        // maximize 3x + y instead: the optimum moves to (3, 4.5), 13.5.
+        let changed = textbook(3.0, (3.0, 1.0), Sense::Maximize);
+        let re = reoptimize_in(&changed, &mut ws).expect("the old basis stays feasible");
+        let cold = solve(&changed);
+        assert_eq!(re.status, LpStatus::Optimal);
+        assert_eq!(
+            (re.objective, re.values.clone()),
+            (Some(13.5), vec![3.0, 4.5])
+        );
+        assert_eq!((re.objective, re.values), (cold.objective, cold.values));
+        // The re-optimized tableau is optimal in turn, so it chains: min
+        // x − y over the same rows, 0 − 6 at (0, 6).
+        let again = textbook(3.0, (1.0, -1.0), Sense::Minimize);
+        let re = reoptimize_in(&again, &mut ws).expect("chains");
+        assert_eq!((re.objective, re.values), (Some(-6.0), vec![0.0, 6.0]));
+        assert_eq!(re.objective, solve(&again).objective);
+    }
+
+    #[test]
+    fn reoptimizing_a_ge_row_moves_its_surplus_the_other_way() {
+        // min x + y s.t. x + y ≥ 1, x ≤ 5, y ≤ 5 over Rat → 1. Raising the
+        // ≥ row to 3 moves the basic values the other way from a ≤ row.
+        let program = |lo: i64, cy: i64| {
+            let k = Rat::from_i64;
+            let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Minimize);
+            let x = lp.add_var("x");
+            let y = lp.add_var("y");
+            lp.set_objective(LinExpr::from_iter([(x, k(1)), (y, k(cy))]));
+            lp.add_constraint(LinExpr::from_iter([(x, k(1)), (y, k(1))]), Rel::Ge, k(lo));
+            lp.add_constraint(LinExpr::term(x, k(1)), Rel::Le, k(5));
+            lp.add_constraint(LinExpr::term(y, k(1)), Rel::Le, k(5));
+            lp
+        };
+        let mut ws = LpWorkspace::new();
+        assert_eq!(
+            solve_in(&program(1, 1), &mut ws).objective,
+            Some(Rat::one())
+        );
+        // A higher floor only shortens the basic slacks of x ≤ 5 and
+        // y ≤ 5; with y twice as dear, all of it goes to x.
+        let changed = program(3, 2);
+        let re = reoptimize_in(&changed, &mut ws).expect("feasible");
+        assert_eq!(re.objective, Some(Rat::from_i64(3)));
+        assert_eq!(re.objective, solve(&changed).objective);
+        assert_eq!(re.values, solve(&changed).values);
+    }
+
+    /// `reoptimize_in` refuses `p` after `first` was solved through a
+    /// workspace, and the workspace's next solve equals a fresh one.
+    fn refuses_then_solves_fresh(first: &LpProblem<f64>, p: &LpProblem<f64>) {
+        let mut ws = LpWorkspace::new();
+        solve_in(first, &mut ws);
+        assert!(reoptimize_in(p, &mut ws).is_none());
+        assert!(reoptimize_in(p, &mut ws).is_none(), "a refusal is final");
+        let (next, fresh) = (solve_in(p, &mut ws), solve(p));
+        assert_eq!(
+            (next.status, next.objective),
+            (fresh.status, fresh.objective)
+        );
+        assert_eq!(next.values, fresh.values);
+    }
+
+    #[test]
+    fn reoptimizing_refuses_a_tableau_that_cannot_serve() {
+        let base = textbook(4.0, (3.0, 5.0), Sense::Maximize);
+        // The last solve did not end optimal: x ≥ 5 contradicts x ≤ 4.
+        let mut infeasible = base.clone();
+        infeasible.add_constraint(LinExpr::term(VarId(0), 1.0), Rel::Ge, 5.0);
+        let mut unbounded: LpProblem<f64> = LpProblem::new(Sense::Maximize);
+        let x = unbounded.add_var("x");
+        unbounded.add_var("y");
+        unbounded.set_objective(LinExpr::term(x, 1.0));
+        for _ in 0..3 {
+            unbounded.add_constraint(LinExpr::term(x, -1.0), Rel::Le, 0.0);
+        }
+        refuses_then_solves_fresh(&infeasible, &infeasible);
+        refuses_then_solves_fresh(&unbounded, &base);
+        // Another shape: one row more, or one relation changed.
+        let mut more = base.clone();
+        more.add_constraint(LinExpr::term(VarId(1), 1.0), Rel::Le, 5.0);
+        refuses_then_solves_fresh(&base, &more);
+        let mut ge = textbook(4.0, (3.0, 5.0), Sense::Maximize);
+        ge.constraints_mut()[0].rel = Rel::Ge;
+        refuses_then_solves_fresh(&base, &ge);
+        // A changed equality row.
+        let mut eq = base.clone();
+        eq.constraints_mut()[0].rel = Rel::Eq;
+        let mut eq_moved = eq.clone();
+        eq_moved.constraints_mut()[0].rhs = 3.0;
+        refuses_then_solves_fresh(&eq, &eq_moved);
+        // A change that drives a basic value negative: x ≤ 1 would leave
+        // x ≤ 4's slack at −1.
+        refuses_then_solves_fresh(&base, &textbook(1.0, (3.0, 5.0), Sense::Maximize));
+        // A row the cold build sign-flipped: −x ≤ −1 became x ≥ 1.
+        let mut flipped = base.clone();
+        flipped.add_constraint(LinExpr::term(VarId(0), -1.0), Rel::Le, -1.0);
+        let mut flipped_moved = flipped.clone();
+        flipped_moved.constraints_mut()[3].rhs = -0.5;
+        refuses_then_solves_fresh(&flipped, &flipped_moved);
+        // An objective variable without a column: z is mentioned nowhere
+        // in the solved program.
+        let mut with_z = base.clone();
+        let z = with_z.add_var("z");
+        let mut prices_z = with_z.clone();
+        prices_z.set_objective(LinExpr::term(z, 1.0));
+        refuses_then_solves_fresh(&with_z, &prices_z);
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! (b) primal feasibility of the returned point,
 //! (c) optimality against brute-force vertex enumeration in 2 variables,
 //! (d) bit-identity of solves through one reused `LpWorkspace` with
-//!     solves through a fresh one.
+//!     solves through a fresh one,
+//! (e) re-optimization after a tightened row and a new objective against
+//!     a cold solve of the changed program.
 
 use dlflow_lp::{
-    solve, solve_float_guided, solve_in, LinExpr, LpProblem, LpSolution, LpStatus, LpWorkspace,
-    Rel, Sense,
+    reoptimize_in, solve, solve_float_guided, solve_in, LinExpr, LpProblem, LpSolution, LpStatus,
+    LpWorkspace, Rel, Sense,
 };
 use dlflow_num::{Rat, Scalar};
 use proptest::prelude::*;
@@ -108,8 +110,83 @@ fn build_pair(
     (lp_f, lp_r)
 }
 
+/// Solves `p` through a fresh workspace, tightens the row with the
+/// largest slack at the optimum (so its slack is basic) by `cut`/4 of
+/// that slack, replaces the objective by `c` under `sense`, and requires
+/// `reoptimize_in` to reach a cold solve's status and an objective that
+/// `same` accepts, at a feasible point. Returns whether a row had slack.
+fn reoptimized_matches_cold<S: Scalar>(
+    p: &LpProblem<S>,
+    (c, sense): (&[i64], Sense),
+    cut: i64,
+    same: impl Fn(&S, &S) -> bool,
+) -> Result<bool, TestCaseError> {
+    let mut ws = LpWorkspace::new();
+    let first = solve_in(p, &mut ws);
+    prop_assert_eq!(first.status, LpStatus::Optimal);
+    let slack = |row: &dlflow_lp::Constraint<S>| {
+        let lhs = row.expr.terms.iter().fold(S::zero(), |acc, (v, a)| {
+            acc.add(&a.mul(&first.values[v.index()]))
+        });
+        row.rhs.sub(&lhs)
+    };
+    let Some((k, s_k)) = p
+        .constraints()
+        .iter()
+        .map(slack)
+        .enumerate()
+        .filter(|(_, s)| s.is_positive_tol())
+        .max_by(|a, b| a.1.cmp_total(&b.1))
+    else {
+        return Ok(false);
+    };
+    let mut changed = p.clone();
+    let row = &mut changed.constraints_mut()[k];
+    row.rhs = row
+        .rhs
+        .sub(&s_k.mul(&S::from_i64(cut)).div(&S::from_i64(4)));
+    changed.reset_objective(sense);
+    // The old objective names every variable, in order.
+    for ((v, _), &cj) in p.objective().terms.iter().zip(c) {
+        changed.objective_term(*v, S::from_i64(cj));
+    }
+    let re = reoptimize_in(&changed, &mut ws);
+    prop_assert!(re.is_some(), "refused a row whose slack is basic");
+    let (re, cold) = (re.unwrap(), solve(&changed));
+    prop_assert_eq!(re.status, cold.status);
+    let (got, want) = (re.objective.unwrap(), cold.objective.unwrap());
+    prop_assert!(same(&got, &want), "re-optimized {:?}, cold {:?}", got, want);
+    prop_assert!(changed.check_feasible(&re.values).is_ok());
+    Ok(true)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Tighten a row whose slack is basic and replace the objective: the
+    /// re-optimized status and objective equal a cold solve's, exactly
+    /// over `Rat` and within 1e-9 relative over `f64`.
+    #[test]
+    fn reoptimizing_matches_a_cold_solve(
+        n in 1usize..4,
+        m in 1usize..4,
+        seed_c in proptest::collection::vec(-5i64..=5, 3),
+        seed_a in proptest::collection::vec(-4i64..=6, 9),
+        seed_b in proptest::collection::vec(0i64..=10, 3),
+        cap in 1i64..=20,
+        new_c in proptest::collection::vec(-5i64..=5, 3),
+        minimize in 0u8..2,
+        cut in 0i64..=4,
+    ) {
+        let rows: Vec<Vec<i64>> = (0..m).map(|i| (0..n).map(|j| seed_a[(i * 3 + j) % 9]).collect()).collect();
+        let (lp_f, lp_r) = build_pair(n, &seed_c[..n], &rows, &seed_b[..m], cap);
+        let sense = if minimize == 1 { Sense::Minimize } else { Sense::Maximize };
+        let exact = reoptimized_matches_cold(&lp_r, (&new_c, sense), cut, |a, b| a == b)?;
+        let float = reoptimized_matches_cold(&lp_f, (&new_c, sense), cut, |a: &f64, b: &f64| {
+            (a - b).abs() <= 1e-9 * b.abs().max(1.0)
+        })?;
+        prop_assert_eq!(exact, float, "a row has slack in one scalar only");
+    }
 
     #[test]
     fn f64_and_exact_agree(

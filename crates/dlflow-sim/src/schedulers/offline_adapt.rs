@@ -13,9 +13,12 @@
 //!    minimizing `F` (both built by `dlflow-core`);
 //! 2. solve System (3) again with `F` pinned at `F*` (to 1e-12
 //!    relative), maximizing the weighted work of the first interval,
-//!    `Σⱼ wⱼ Σᵢ α⁽⁰⁾ᵢⱼ`. Columns are in job-id order, so the plan depends
-//!    on the active set, not on its order or on the vertex the first
-//!    solve landed on;
+//!    `Σⱼ wⱼ Σᵢ α⁽⁰⁾ᵢⱼ`. Columns are in job-id order, so the plan does
+//!    not depend on the active set's order. Where this stage's optimum
+//!    is tied, the plan is the vertex its pivots reach from the first
+//!    stage's final basis, so it also depends on that pivot path: GriPPS
+//!    costs are size × cycle time, so machines are uniform-related and
+//!    two jobs can often trade machines at equal weighted work;
 //! 3. convert the first interval's fractions `α⁽⁰⁾ᵢⱼ` into machine
 //!    shares and follow them until the next event (arrival, completion,
 //!    platform change), then re-plan. Divisibility makes preemption and
@@ -24,8 +27,9 @@
 //! A single active job needs no LP: running it on every live machine that
 //! holds its databank is optimal, with
 //! `F* = w·(now − r + 1/Σᵢ 1/c'ᵢ)` for remaining-work costs `c'`. Should
-//! either stage not end optimal, the re-plan falls back to System (2) at
-//! the serial bound, which is feasible by construction.
+//! either stage not end optimal, or the second refuse to re-optimize,
+//! the re-plan falls back to System (2) at the serial bound, which is
+//! feasible by construction.
 //!
 //! The policy never sees a closed instance: the sub-problem is built from
 //! the active set the engine hands to `plan`, so it works unchanged on
@@ -35,11 +39,15 @@
 //!
 //! A re-plan with several jobs costs one LP solve per probe plus the two
 //! stages, through the one [`LpWorkspace`] the policy owns: the probes
-//! and the first stage solve cold, the second starts from the first
-//! stage's optimal basis. The programs, the milestone list, the deadline
-//! vector and the basis snapshots are refilled in place. Only buffer
-//! capacity outlives an event, so reset, restore and platform changes
-//! have no solver state to drop.
+//! and the first stage solve cold, and the second re-optimizes the first
+//! stage's final tableau in place ([`reoptimize_in`]): the pin moves one
+//! right-hand side down that row's basic slack, the new objective is
+//! priced, and the primal simplex takes about one pivot. No basis is
+//! snapshotted. The programs, the milestone list and the deadline vector
+//! are refilled in place. The tableau the second stage continues is the
+//! one the same re-plan's first stage left, so only buffer capacity
+//! outlives an event, and reset, restore and platform changes have no
+//! solver state to drop.
 
 use crate::engine::{ActiveSet, Allocation, JobView, OnlineScheduler, ResolveStats};
 use dlflow_core::instance::{Cost, Instance, Job};
@@ -48,7 +56,7 @@ use dlflow_core::lp_build::{
 };
 use dlflow_core::maxflow::locate_range;
 use dlflow_core::milestones::milestones_into;
-use dlflow_lp::{solve_in, solve_warm_in, LpSolution, LpWorkspace, Rel, Sense, WarmBasis};
+use dlflow_lp::{reoptimize_in, solve_in, LpSolution, LpWorkspace, Rel, Sense};
 use std::mem;
 
 /// Smallest weight the heaviest active job is taken to have: the
@@ -201,16 +209,17 @@ impl PolicyLp {
     }
 
     /// Milestone search and the first stage: the optimal objective of
-    /// the sub-problem and the optimal basis of its range LP, which
-    /// [`Self::range`] keeps with a last row `F ≤ cap` for the second
-    /// stage to tighten. `None` when the range LP does not end optimal.
+    /// the sub-problem. [`Self::range`] keeps its range LP, with a last
+    /// row `F ≤ cap` for the second stage to tighten, and the workspace
+    /// keeps that LP's final tableau. `None` when the range LP does not
+    /// end optimal.
     fn min_flow(
         &mut self,
         sub: &Instance<f64>,
         origins: &[f64],
         now: f64,
         cap: f64,
-    ) -> Option<(f64, WarmBasis)> {
+    ) -> Option<f64> {
         let floor = origins
             .iter()
             .zip(sub.jobs())
@@ -234,29 +243,19 @@ impl PolicyLp {
         );
         r.lp.push_row(Rel::Le, cap).expr.push(r.f_var, 1.0);
         self.solves += 1;
-        let out = solve_warm_in(&r.lp, None, &mut self.ws);
-        let basis = out.basis?;
-        Some((out.solution.values[r.f_var.index()], basis))
+        let sol = solve_in(&r.lp, &mut self.ws);
+        sol.is_optimal().then(|| sol.values[r.f_var.index()])
     }
 
-    /// The second stage: pins `F` at `f_star` and maximizes the weighted
-    /// work of the first interval, warm from the first stage's optimal
-    /// `basis` (the pinned vertex stays feasible), then adds its rates
-    /// to `alloc`. `false` (and `alloc` untouched) when it does not end
-    /// optimal.
-    fn canonical_rates(
-        &mut self,
-        sub: &Instance<f64>,
-        ids: &[usize],
-        (f_star, basis): (f64, WarmBasis),
-        alloc: &mut Allocation,
-    ) -> bool {
-        let RangeLp {
-            lp,
-            alpha,
-            f_var,
-            intervals,
-        } = &mut self.range;
+    /// The second stage: pins `F ≤ f_star·(1 + F_PIN)` on the last row
+    /// and maximizes the weighted work of the first interval by
+    /// re-optimizing the first stage's final tableau (the pin only
+    /// tightens a row whose slack is basic, so that vertex stays
+    /// feasible). `None` when the tableau refuses or the solve does not
+    /// end optimal. It counts as a warm solve: it starts from the first
+    /// stage's basis.
+    fn stage_two(&mut self, sub: &Instance<f64>, f_star: f64) -> Option<LpSolution<f64>> {
+        let RangeLp { lp, alpha, .. } = &mut self.range;
         if let Some(pin) = lp.constraints_mut().last_mut() {
             pin.rhs = f_star + f_star.abs() * F_PIN;
         }
@@ -264,26 +263,34 @@ impl PolicyLp {
         for &(_, _, k, v) in alpha.iter().take_while(|a| a.0 == 0) {
             lp.objective_term(v, sub.job(k).weight);
         }
+        let sol = reoptimize_in(lp, &mut self.ws)?;
         self.solves += 1;
-        let out = solve_warm_in(lp, Some(&basis), &mut self.ws);
-        self.warm += usize::from(out.warm_used);
-        // Both snapshots go back to the workspace: steady-state re-plans
-        // refill their buffers.
-        self.ws.recycle_basis(basis);
-        if let Some(b) = out.basis {
-            self.ws.recycle_basis(b);
-        }
-        let sol = out.solution;
-        sol.is_optimal()
-            && intervals.n_intervals() > 0
-            && add_first_interval(
-                alloc,
-                alpha,
-                &sol.values,
-                intervals.len(0).eval(&sol.values[f_var.index()]),
-                sub,
-                ids,
-            )
+        self.warm += 1;
+        sol.is_optimal().then_some(sol)
+    }
+
+    /// [`Self::stage_two`], with its first-interval rates added to
+    /// `alloc`. `false` (and `alloc` untouched) when it does not end
+    /// optimal.
+    fn canonical_rates(
+        &mut self,
+        sub: &Instance<f64>,
+        ids: &[usize],
+        f_star: f64,
+        alloc: &mut Allocation,
+    ) -> bool {
+        self.stage_two(sub, f_star).is_some_and(|sol| {
+            let r = &self.range;
+            r.intervals.n_intervals() > 0
+                && add_first_interval(
+                    alloc,
+                    &r.alpha,
+                    &sol.values,
+                    r.intervals.len(0).eval(&sol.values[r.f_var.index()]),
+                    sub,
+                    ids,
+                )
+        })
     }
 
     /// The fallback: System (2) at the serial bound `hi`, feasible by
@@ -585,6 +592,7 @@ mod tests {
     use crate::schedulers::mct::Mct;
     use crate::snapshot::SnapshotError;
     use dlflow_core::instance::InstanceBuilder;
+    use dlflow_lp::solve_warm;
 
     #[test]
     fn splits_divisible_job_across_machines() {
@@ -747,7 +755,7 @@ mod tests {
             let sub = build_sub(now, &cols, &up, m, &mut (Vec::new(), Vec::new())).unwrap();
             let mut lp = PolicyLp::default();
             let hi0 = serial_bound(&sub, &cols.release, now);
-            let (f_star, _) = lp.min_flow(&sub, &cols.release, now, hi0).expect("range LP optimal");
+            let f_star = lp.min_flow(&sub, &cols.release, now, hi0).expect("range LP optimal");
 
             let (mut lo, mut hi) = (0.0f64, hi0);
             for k in 0..n {
@@ -794,11 +802,7 @@ mod tests {
         // The sub-problem measures weights relative to the heaviest job.
         assert_eq!(sub.job(0).weight, 1.0);
         let want = now - release + 1.0 / (1.0 / 1.5 + 1.0 / 3.0);
-        assert!(
-            (opt.0 - want).abs() <= 1e-9 * want,
-            "F* {} vs {want}",
-            opt.0
-        );
+        assert!((opt - want).abs() <= 1e-9 * want, "F* {opt} vs {want}");
         let mut staged = Allocation::idle(3);
         assert!(lp.canonical_rates(&sub, &cols.ids, opt, &mut staged));
         for i in 0..3 {
@@ -944,6 +948,173 @@ mod tests {
                 proptest::prop_assert!(policy.multi_job_plans > 0);
                 proptest::prop_assert_eq!(policy.mismatches, 0);
             }
+        }
+    }
+
+    /// The second stage both ways at every multi-job re-plan of the plans
+    /// `ola` makes: re-optimized on the first stage's final tableau (the
+    /// policy's path) and, as the oracle, warm from the first stage's
+    /// basis by `solve_warm`, which re-realizes that basis in a fresh
+    /// build of the pinned program (the path re-optimization replaced).
+    /// A shadow [`PolicyLp`] repeats each first stage, so both paths start
+    /// from the state the policy's own stage 2 started from.
+    #[derive(Default)]
+    struct StageTwoOracle {
+        ola: OfflineAdapt,
+        shadow: PolicyLp,
+        cols: JobCols,
+        recycle: SubBuffers,
+        allocs: [Allocation; 2],
+        /// Multi-job re-plans whose first stage ended optimal.
+        replans: usize,
+        /// Of those, re-plans where only one path ended optimal.
+        status_mismatches: usize,
+        /// Largest relative gap between the two stage-2 objectives.
+        objective_gap: f64,
+        /// Largest gap between the two paths' first-interval shares.
+        share_gap: f64,
+        /// Re-plans whose shares differ by more than 1e-9: tied optima.
+        ties: usize,
+    }
+
+    impl OnlineScheduler for StageTwoOracle {
+        fn name(&self) -> String {
+            "OLA, stage 2 both ways".into()
+        }
+
+        fn on_platform_change(&mut self, now: f64, up: &[bool]) {
+            self.ola.on_platform_change(now, up);
+        }
+
+        fn plan(&mut self, now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
+            self.ola.plan(now, active, alloc);
+            let (m, up) = (active.n_machines(), &self.ola.up);
+            self.cols.fill(active);
+            self.cols.retain_by(|c, k| {
+                (0..m).any(|i| (up.is_empty() || up[i]) && c.cost(i, k).is_some())
+            });
+            if self.cols.n() < 2 {
+                return;
+            }
+            let sub = build_sub(now, &self.cols, up, m, &mut self.recycle).unwrap();
+            let origins = &self.cols.release;
+            let hi = serial_bound(&sub, origins, now);
+            if let Some(f_star) = self.shadow.min_flow(&sub, origins, now, hi) {
+                self.replans += 1;
+                let stage_one = solve_warm(&self.shadow.range.lp, None);
+                let basis = stage_one.basis.expect("the first stage ended optimal");
+                let new = self.shadow.stage_two(&sub, f_star);
+                let old = solve_warm(&self.shadow.range.lp, Some(&basis));
+                assert!(
+                    old.warm_used,
+                    "the first stage's basis fits the pinned program"
+                );
+                match (new, old.solution.is_optimal()) {
+                    (Some(new), true) => self.compare(&sub, &new, &old.solution),
+                    (None, false) => {}
+                    _ => self.status_mismatches += 1,
+                }
+            }
+            self.recycle = sub.into_parts();
+        }
+    }
+
+    impl StageTwoOracle {
+        /// Records the gaps between two optimal stage-2 solutions.
+        fn compare(&mut self, sub: &Instance<f64>, new: &LpSolution<f64>, old: &LpSolution<f64>) {
+            let ids = &self.cols.ids;
+            let (a, b) = (new.objective.unwrap(), old.objective.unwrap());
+            let scale = a.abs().max(b.abs());
+            if scale > 0.0 {
+                self.objective_gap = self.objective_gap.max((a - b).abs() / scale);
+            }
+            let r = &self.shadow.range;
+            if r.intervals.n_intervals() == 0 {
+                return;
+            }
+            for (alloc, sol) in self.allocs.iter_mut().zip([new, old]) {
+                alloc.reset(sub.n_machines());
+                let len0 = r.intervals.len(0).eval(&sol.values[r.f_var.index()]);
+                add_first_interval(alloc, &r.alpha, &sol.values, len0, sub, ids);
+            }
+            let [x, y] = &self.allocs;
+            let gap = (0..sub.n_machines())
+                .flat_map(|i| {
+                    ids.iter()
+                        .map(move |&j| (x.share(i, j) - y.share(i, j)).abs())
+                })
+                .fold(0.0, f64::max);
+            self.share_gap = self.share_gap.max(gap);
+            self.ties += usize::from(gap > 1e-9);
+        }
+    }
+
+    #[test]
+    fn stage_two_matches_the_warm_oracle_on_seeded_traces() {
+        use crate::workload::{generate_trace, FaultProcess, TraceSpec};
+        // The three fault intensities of `tests/ola_differential.rs`.
+        for (intensity, (mtbf, mttr)) in
+            [(0.0, 0.0), (8.0, 2.0), (3.0, 3.0)].into_iter().enumerate()
+        {
+            let mut oracle = StageTwoOracle::default();
+            for seed in 0..6u64 {
+                generate_trace(&TraceSpec {
+                    n_requests: 100,
+                    n_machines: 3,
+                    seed,
+                    faults: (mtbf > 0.0).then_some(FaultProcess {
+                        mtbf,
+                        mttr,
+                        horizon: 30.0,
+                        seed: seed ^ 0x01A0,
+                    }),
+                    ..Default::default()
+                })
+                .replay(&mut oracle)
+                .unwrap();
+            }
+            let o = &oracle;
+            eprintln!(
+                "intensity {intensity}: {} re-plans, {} ties, objective gap {:.1e}, share gap {:.1e}",
+                o.replans, o.ties, o.objective_gap, o.share_gap
+            );
+            assert!(o.replans > 100, "{} re-plans", o.replans);
+            assert_eq!(o.status_mismatches, 0);
+            assert!(o.objective_gap <= 1e-9, "objective gap {}", o.objective_gap);
+        }
+    }
+
+    /// `dlbench`'s `ola-online` trace of `seed`: 3,000 Poisson requests
+    /// at rate 1 on the three machines of the seed-4 platform.
+    fn ola_online_trace(seed: u64) -> crate::workload::Trace {
+        use crate::workload::{generate_trace, ArrivalProcess, TraceSpec};
+        let spec = |n_requests, seed| TraceSpec {
+            n_requests,
+            n_machines: 3,
+            availability: 0.6,
+            process: ArrivalProcess::Poisson { rate: 1.0 },
+            seed,
+            ..Default::default()
+        };
+        let mut trace = generate_trace(&spec(3_000, seed));
+        trace.cycle_times = generate_trace(&spec(1, 4)).cycle_times;
+        trace
+    }
+
+    #[test]
+    fn stage_two_matches_the_warm_oracle_on_ola_online_traces() {
+        for seed in [1, 8191] {
+            let mut oracle = StageTwoOracle::default();
+            ola_online_trace(seed).replay(&mut oracle).unwrap();
+            let o = &oracle;
+            eprintln!(
+                "seed {seed}: {} re-plans, {} ties, objective gap {:.1e}, share gap {:.1e}",
+                o.replans, o.ties, o.objective_gap, o.share_gap
+            );
+            assert!(o.replans > 1_000, "{} re-plans", o.replans);
+            assert_eq!(o.status_mismatches, 0);
+            assert!(o.objective_gap <= 1e-9, "objective gap {}", o.objective_gap);
+            assert!(o.share_gap <= 1e-9, "share gap {}", o.share_gap);
         }
     }
 

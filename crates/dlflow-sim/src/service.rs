@@ -25,7 +25,7 @@
 use crate::campaign::SchedulerSpec;
 use crate::engine::{
     simulate, CompletedJob, Engine, OnlineScheduler, PlatformEvent, ResolveStats, RunMetrics,
-    SimResult, StepOutcome,
+    SimError, SimResult, StepOutcome,
 };
 use crate::shard::ShardedEngine;
 use crate::workload::{stream_arrivals, FaultProcess, Trace};
@@ -179,32 +179,66 @@ fn completion_times(mut done: Vec<CompletedJob>) -> Vec<f64> {
     done.into_iter().map(|c| c.completion).collect()
 }
 
+/// Why a run stopped: the engine refused a step, or the service refused
+/// an option or input (a message worded in full).
+enum RunError {
+    Engine(SimError),
+    Refused(String),
+}
+
+impl From<SimError> for RunError {
+    fn from(e: SimError) -> Self {
+        RunError::Engine(e)
+    }
+}
+
+impl From<String> for RunError {
+    fn from(msg: String) -> Self {
+        RunError::Refused(msg)
+    }
+}
+
+/// A run's outcome inside the service: the report and, if one was
+/// requested and taken, the snapshot text.
+type Run = Result<(ServiceReport, Option<String>), RunError>;
+
 /// Runs `spec`'s scheduler over the input with fault-injection and
 /// snapshot/resume options. Returns the report plus the snapshot text,
 /// if one was requested and taken. The plain-options path is exactly
 /// [`run_simulation`]. An open trace streams its arrivals unless a
 /// snapshot is taken or resumed, which needs them all pushed.
+///
+/// Every path words an engine error the same way, behind the scheduler's
+/// label: `SWRPT: simulation stalled at t = …`.
 pub fn run_simulation_with(
     input: &SimInput,
     spec: &SchedulerSpec,
     opts: &SimOptions,
 ) -> Result<(ServiceReport, Option<String>), String> {
+    run_unlabelled(input, spec, opts).map_err(|e| match e {
+        RunError::Engine(e) => format!("{}: {e}", spec.label()),
+        RunError::Refused(msg) => msg,
+    })
+}
+
+/// [`run_simulation_with`], before its errors are worded.
+fn run_unlabelled(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> Run {
     if opts.is_plain() {
-        return Ok((run_simulation(input, spec)?, None));
+        return Ok((run_plain(input, spec)?, None));
     }
     if opts.resume.is_some() && opts.faults.is_some() {
-        return Err(
+        return Err(RunError::Refused(
             "--resume and --faults cannot be combined: the snapshot already carries its \
              fault schedule"
                 .into(),
-        );
+        ));
     }
     if opts.shards > 1 {
         if opts.resume.is_some() || opts.snapshot_at.is_some() {
-            return Err(
+            return Err(RunError::Refused(
                 "--shards: snapshot and resume cover a single engine; rerun without sharding"
                     .into(),
-            );
+            ));
         }
         return run_sharded(input, spec, opts);
     }
@@ -223,31 +257,29 @@ pub fn run_simulation_with(
     let mut eng = if let Some(snap) = &opts.resume {
         let eng = Engine::restore(snap, policy.as_mut()).map_err(|e| format!("--resume: {e}"))?;
         if eng.n_machines() != m {
-            return Err(format!(
+            return Err(RunError::Refused(format!(
                 "--resume: snapshot has {} machines but the input has {m}",
                 eng.n_machines()
-            ));
+            )));
         }
         eng
     } else {
         policy.reset();
         let mut eng = Engine::new(m);
         for e in platform_events(input, opts)? {
-            eng.push_platform_event(e).map_err(|e| e.to_string())?;
+            eng.push_platform_event(e)?;
         }
         match input {
             SimInput::Closed(inst) => {
                 for j in 0..inst.n_jobs() {
-                    eng.push_arrival(crate::engine::job_spec_of(inst, j))
-                        .map_err(|e| e.to_string())?;
+                    eng.push_arrival(crate::engine::job_spec_of(inst, j))?;
                 }
             }
             SimInput::Open(trace) => {
                 // The snapshot covers every arrival, so all are pushed.
                 eng.record_completions = false;
                 for k in 0..trace.len() {
-                    eng.push_arrival(trace.job_spec(k))
-                        .map_err(|e| e.to_string())?;
+                    eng.push_arrival(trace.job_spec(k))?;
                 }
             }
         }
@@ -262,13 +294,15 @@ pub fn run_simulation_with(
     loop {
         guard += 1;
         if guard > budget.saturating_mul(8) {
-            return Err("simulation exceeded its event budget (engine stuck?)".into());
+            return Err(RunError::Refused(
+                "simulation exceeded its event budget (engine stuck?)".into(),
+            ));
         }
         max_active = max_active.max(eng.active().len());
         if snapshot.is_none() && opts.snapshot_at.is_some_and(|at| eng.n_events() >= at) {
             snapshot = Some(eng.snapshot(policy.as_ref()));
         }
-        if eng.step(policy.as_mut()).map_err(|e| e.to_string())? == StepOutcome::Idle {
+        if eng.step(policy.as_mut())? == StepOutcome::Idle {
             break;
         }
     }
@@ -303,20 +337,15 @@ pub fn run_simulation_with(
 /// events pushed (the trace's first, then `--faults`) and the arrivals
 /// streamed through [`stream_arrivals`], so only the in-flight window is
 /// resident. The report is the push-all run's, byte for byte.
-fn run_streamed(
-    input: &SimInput,
-    trace: &Trace,
-    spec: &SchedulerSpec,
-    opts: &SimOptions,
-) -> Result<(ServiceReport, Option<String>), String> {
+fn run_streamed(input: &SimInput, trace: &Trace, spec: &SchedulerSpec, opts: &SimOptions) -> Run {
     let mut policy = spec.build();
     policy.reset();
     let mut eng = Engine::new(trace.n_machines());
     eng.record_completions = false;
     for e in platform_events(input, opts)? {
-        eng.push_platform_event(e).map_err(|e| e.to_string())?;
+        eng.push_platform_event(e)?;
     }
-    stream_arrivals(trace, None, 0, &mut eng, policy.as_mut(), None).map_err(|e| e.to_string())?;
+    stream_arrivals(trace, None, 0, &mut eng, policy.as_mut(), None)?;
     let report = ServiceReport {
         scheduler: spec.label(),
         input_kind: "trace",
@@ -339,26 +368,21 @@ fn run_streamed(
 /// instances push every job up front and report per-job completions from
 /// the deterministic merged stream; open traces stream their arrivals
 /// through [`ShardedEngine::replay_trace`]'s feed.
-fn run_sharded(
-    input: &SimInput,
-    spec: &SchedulerSpec,
-    opts: &SimOptions,
-) -> Result<(ServiceReport, Option<String>), String> {
+fn run_sharded(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> Run {
     let m = input_machines(input);
     let mut se = ShardedEngine::new(m, opts.shards);
     let mut policies: Vec<Box<dyn OnlineScheduler + Send>> =
         (0..se.n_shards()).map(|_| spec.build()).collect();
     for e in platform_events(input, opts)? {
-        se.push_platform_event(e).map_err(|e| e.to_string())?;
+        se.push_platform_event(e)?;
     }
     let (kind, n_jobs, completions) = match input {
         SimInput::Closed(inst) => {
             se.set_record_completions(true);
             for j in 0..inst.n_jobs() {
-                se.push_arrival(crate::engine::job_spec_of(inst, j))
-                    .map_err(|e| e.to_string())?;
+                se.push_arrival(crate::engine::job_spec_of(inst, j))?;
             }
-            se.drain(&mut policies).map_err(|e| e.to_string())?;
+            se.drain(&mut policies)?;
             (
                 "instance",
                 inst.n_jobs(),
@@ -366,8 +390,7 @@ fn run_sharded(
             )
         }
         SimInput::Open(trace) => {
-            se.stream_trace(trace, &mut policies)
-                .map_err(|e| e.to_string())?;
+            se.stream_trace(trace, &mut policies)?;
             ("trace", trace.len(), Vec::new())
         }
     };
@@ -397,13 +420,18 @@ fn run_sharded(
 }
 
 /// Runs `spec`'s scheduler over the input. Closed instances go through
-/// [`simulate`]; open traces through [`Trace::replay`].
+/// [`simulate`]; open traces through [`Trace::replay`]. Errors are
+/// worded as [`run_simulation_with`] words them.
 pub fn run_simulation(input: &SimInput, spec: &SchedulerSpec) -> Result<ServiceReport, String> {
+    run_simulation_with(input, spec, &SimOptions::default()).map(|(report, _)| report)
+}
+
+/// The plain path of [`run_simulation_with`].
+fn run_plain(input: &SimInput, spec: &SchedulerSpec) -> Result<ServiceReport, SimError> {
     let mut policy = spec.build();
     match input {
         SimInput::Closed(inst) => {
-            let res: SimResult =
-                simulate(inst, policy.as_mut()).map_err(|e| format!("{}: {e}", spec.label()))?;
+            let res: SimResult = simulate(inst, policy.as_mut())?;
             let metrics = RunMetrics::from_completions(inst, &res.completions);
             Ok(ServiceReport {
                 scheduler: spec.label(),
@@ -420,9 +448,7 @@ pub fn run_simulation(input: &SimInput, spec: &SchedulerSpec) -> Result<ServiceR
             })
         }
         SimInput::Open(trace) => {
-            let stats = trace
-                .replay(policy.as_mut())
-                .map_err(|e| format!("{}: {e}", spec.label()))?;
+            let stats = trace.replay(policy.as_mut())?;
             Ok(ServiceReport {
                 scheduler: spec.label(),
                 input_kind: "trace",

@@ -606,7 +606,8 @@ impl Trace {
     /// - numbers go through `str::parse::<f64>` and must then be finite
     ///   and non-negative (cycle times positive);
     /// - a mask is `*` or exactly `n_machines()` bytes of `0`/`1`, not
-    ///   all `0`.
+    ///   all `0`;
+    /// - requests × machines may not pass 2²⁸ availability cells.
     ///
     /// It allocates nothing per line: an `arrival` line's tokens live in
     /// a fixed array and its mask becomes a row of [`Trace::avail`].
@@ -633,6 +634,12 @@ impl Trace {
         })
     }
 }
+
+/// Most availability cells (requests × machines) a `.dlt` text may ask
+/// for: 2²⁸ booleans, 256 MiB. A `*` mask costs one line yet a whole row,
+/// so without a bound a few MB of text could ask for 10¹² cells. A
+/// 200k-request trace on 32 machines holds 6.4 M.
+const MAX_AVAIL_CELLS: usize = 1 << 28;
 
 /// What a `.dlt` parse has read so far.
 #[derive(Default)]
@@ -677,6 +684,12 @@ impl DltParser {
                 let release = parse_num(release, "release")?;
                 let size = parse_num(size, "size")?;
                 let weight = parse_num(weight, "weight")?;
+                if (self.arrivals.len() + 1).saturating_mul(m) > MAX_AVAIL_CELLS {
+                    return Err(format!(
+                        "too many availability cells: requests × machines would pass \
+                         {MAX_AVAIL_CELLS}"
+                    ));
+                }
                 if mask == "*" {
                     self.avail.extend(std::iter::repeat_n(true, m));
                 } else if mask.len() == m && mask.bytes().all(|b| b == b'0' || b == b'1') {
@@ -1425,6 +1438,38 @@ mod tests {
             let err = Trace::parse_dlt(&text).unwrap_err();
             assert!(err.contains("arrival expects"), "{err}");
         }
+    }
+
+    #[test]
+    fn a_dlt_text_cannot_ask_for_more_availability_cells_than_the_bound() {
+        // 2¹⁴ machines and 2¹⁴ arrivals already read fill the bound to the
+        // cell; the hand-built state holds no matrix, so nothing large is
+        // allocated.
+        let m = 1 << 14;
+        let arrival = TraceArrival {
+            release: 0.0,
+            size: 1.0,
+            weight: 1.0,
+        };
+        let mut parser = DltParser {
+            cycle_times: Some(vec![1.0; m]),
+            arrivals: vec![arrival; 1 << 14],
+            down: vec![false; m],
+            ..Default::default()
+        };
+        assert_eq!(parser.arrivals.len() * m, MAX_AVAIL_CELLS);
+        let err = parser
+            .line(&mut Tokens::new("arrival 0 1 1 *"))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "too many availability cells: requests × machines would pass 268435456"
+        );
+        assert_eq!((parser.arrivals.len(), parser.avail.len()), (1 << 14, 0));
+        // Under the bound the same line is read.
+        parser.arrivals.pop();
+        parser.line(&mut Tokens::new("arrival 0 1 1 *")).unwrap();
+        assert_eq!((parser.arrivals.len(), parser.avail.len()), (1 << 14, m));
     }
 
     #[test]

@@ -117,9 +117,10 @@ fn fnv1a(mut hash: u64, word: u64) -> u64 {
 /// fault-free and under a seeded fault process, and digests every
 /// completion (id and time bits, in completion order), the resolve
 /// counters and the bits of max stretch and max weighted flow. The
-/// constants pin the arithmetic of the sparse-column simplex that the
-/// dense tableau replaced pivot for pivot: any change in the LP's
-/// arithmetic, down to one ULP of one plan, changes a digest.
+/// constants pin the dense tableau's arithmetic with the second stage
+/// re-optimized on the first stage's final tableau: any change in the
+/// LP's arithmetic or pivot path, down to one ULP of one plan, changes a
+/// digest.
 #[test]
 fn ola_replays_are_pinned_to_the_bit() {
     let digest = |intensity: u8| {
@@ -147,7 +148,7 @@ fn ola_replays_are_pinned_to_the_bit() {
     let got = [digest(0), digest(1)];
     assert_eq!(
         got,
-        [0x2759_fd22_ca7b_6752, 0x86e3_876b_932f_c1b7],
+        [0x0bb3_6887_dd57_0169, 0xec6b_1e39_0677_57ec],
         "digests {got:#018x?}"
     );
 }
