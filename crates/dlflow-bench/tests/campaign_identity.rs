@@ -1,7 +1,8 @@
 //! The committed quick-campaign artifact is a byte-level regression
 //! oracle: any change that perturbs scheduler decisions, float
 //! accumulation order, RNG draws, or report rendering shows up as a
-//! diff against `CAMPAIGN_PR4.json`. In particular this pins the
+//! diff against `CAMPAIGN_PR4.json` or its markdown twin
+//! `CAMPAIGN_PR4.md`. In particular this pins the
 //! `HashMap` → `BTreeMap` migration inside `Mct`/`Edf` as
 //! behavior-neutral, and guards every future "surely equivalent"
 //! refactor of the campaign path.
@@ -11,17 +12,19 @@ use std::path::Path;
 
 #[test]
 fn quick_campaign_json_is_byte_identical_to_committed_artifact() {
+    let report = run_campaign(&CampaignConfig::quick()).expect("quick campaign must run");
+    assert_same_bytes(&report.to_json(), "CAMPAIGN_PR4.json");
+    assert_same_bytes(&report.to_markdown(), "CAMPAIGN_PR4.md");
+}
+
+/// Panics with a focused first difference instead of two 100k blobs.
+fn assert_same_bytes(fresh: &str, name: &str) {
     let artifact = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..")
-        .join("CAMPAIGN_PR4.json");
+        .join(name);
     let committed = std::fs::read_to_string(&artifact)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", artifact.display()));
-    let fresh = run_campaign(&CampaignConfig::quick())
-        .expect("quick campaign must run")
-        .to_json();
-    // On mismatch, print a focused first-difference instead of two 100k
-    // blobs.
     if fresh != committed {
         let byte = fresh
             .bytes()
@@ -30,7 +33,7 @@ fn quick_campaign_json_is_byte_identical_to_committed_artifact() {
             .unwrap_or_else(|| fresh.len().min(committed.len()));
         let lo = byte.saturating_sub(80);
         panic!(
-            "quick campaign diverged from CAMPAIGN_PR4.json at byte {byte}:\n\
+            "quick campaign diverged from {name} at byte {byte}:\n\
              fresh:     …{}…\n\
              committed: …{}…",
             &fresh[lo..(byte + 80).min(fresh.len())],

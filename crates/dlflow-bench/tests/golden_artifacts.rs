@@ -7,9 +7,7 @@
 //! scheduler decisions, float accumulation order, RNG draws, fault
 //! schedules, and report rendering.
 
-use dlflow_sim::chaos::{
-    default_levels, run_fault_campaign, run_fault_campaign_serial, FaultCampaignConfig,
-};
+use dlflow_sim::campaign::{parse_campaign, run_fault_sweep, run_fault_sweep_serial};
 use dlflow_sim::schedulers::Swrpt;
 use dlflow_sim::workload::{generate_trace, ArrivalProcess, TraceSpec};
 use std::path::Path;
@@ -42,28 +40,26 @@ fn committed(name: &str) -> String {
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", artifact.display()))
 }
 
-/// The chaos sweep (4 fault levels × 6 schedulers × 12 seeds) renders
-/// byte-identically to the artifact the pre-rework engine wrote — and
+/// The chaos sweep of the committed `CAMPAIGN_PR8.campaign` (4 fault
+/// levels × 6 schedulers × 12 seeds) renders its JSON and markdown
+/// byte-identically to the artifacts the pre-rework engine wrote — and
 /// the parallel and serial drivers agree, so the rayon fan-out adds no
 /// nondeterminism.
 #[test]
 fn fault_campaign_json_is_byte_identical_to_committed_artifact() {
-    let cfg = FaultCampaignConfig {
-        levels: default_levels(),
-        ..FaultCampaignConfig::quick()
-    };
-    let parallel = run_fault_campaign(&cfg)
-        .expect("chaos campaign must run")
-        .to_json();
+    let cfg = parse_campaign(&committed("CAMPAIGN_PR8.campaign")).expect("config parses");
+    let parallel = run_fault_sweep(&cfg).expect("chaos campaign must run");
+    let json = parallel.to_json();
+    assert_same_bytes(&json, &committed("CAMPAIGN_PR8.json"), "CAMPAIGN_PR8.json");
     assert_same_bytes(
-        &parallel,
-        &committed("CAMPAIGN_PR8.json"),
-        "CAMPAIGN_PR8.json",
+        &parallel.to_markdown(),
+        &committed("CAMPAIGN_PR8.md"),
+        "CAMPAIGN_PR8.md",
     );
-    let serial = run_fault_campaign_serial(&cfg)
+    let serial = run_fault_sweep_serial(&cfg)
         .expect("serial chaos campaign must run")
         .to_json();
-    assert_same_bytes(&serial, &parallel, "serial vs parallel chaos report");
+    assert_same_bytes(&serial, &json, "serial vs parallel chaos report");
 }
 
 /// The 10k-request smoke trace (Poisson seed 17, SWRPT) crosses exactly

@@ -9,7 +9,7 @@
 //! | `maxflow` (`--preemptive`, `--stretch`) | `dlflow_core::maxflow` | Theorem 2 / §4.4 |
 //! | `deadline` | `dlflow_core::deadline` | Lemma 1 |
 //! | `milestones` | `dlflow_core::milestones` | the Theorem-2 breakpoints |
-//! | `campaign` (`--out`, `--serial`) | `dlflow_sim::campaign` | the §6 tournament |
+//! | `campaign` (`--out`, `--serial`) | `dlflow_sim::campaign`, `dlflow_sim::chaos` | the §6 tournament, or its fault sweep when the config has a `faults` line |
 //! | `simulate` (`--scheduler`, `--json`) | `dlflow_sim::service` | the §5 online model, streamed |
 //!
 //! Instances are read from `.dlf` text files (parsed by [`mod@format`]

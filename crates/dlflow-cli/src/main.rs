@@ -8,7 +8,8 @@
 //! dlflow deadline  <instance.dlf> <d1> <d2> … [--preemptive]
 //!                                            Lemma 1: deadline feasibility
 //! dlflow milestones <instance.dlf>           list the Theorem-2 milestones
-//! dlflow campaign  <config> [options]        §6 scheduler tournament
+//! dlflow campaign  <config> [options]        §6 scheduler tournament (a fault
+//!                                            sweep if the config has a `faults` line)
 //!     --out <prefix>   write <prefix>.json + <prefix>.md
 //!     --serial         single-threaded (determinism oracle)
 //! dlflow simulate  <instance.dlf|trace.dlt> [options]
@@ -40,6 +41,7 @@ use dlflow_core::milestones::{milestone_bound, milestones};
 use dlflow_core::schedule::Schedule;
 use dlflow_core::validate::validate;
 use dlflow_num::Rat;
+use dlflow_sim::campaign;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -359,22 +361,33 @@ fn run() -> Result<(), String> {
             };
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let cfg =
-                dlflow_sim::campaign::parse_campaign(&text).map_err(|e| format!("{path}: {e}"))?;
-            let report = if opts.serial {
-                dlflow_sim::campaign::run_campaign_serial(&cfg)
+            let cfg = campaign::parse_campaign(&text).map_err(|e| format!("{path}: {e}"))?;
+            // A `faults` line makes the config a fault sweep, with its
+            // own report layout.
+            let (json, markdown) = if cfg.faults.is_empty() {
+                let report = if opts.serial {
+                    campaign::run_campaign_serial(&cfg)
+                } else {
+                    campaign::run_campaign(&cfg)
+                }?;
+                (report.to_json(), report.to_markdown())
             } else {
-                dlflow_sim::campaign::run_campaign(&cfg)
-            }?;
-            print!("{}", report.to_markdown());
+                let sweep = if opts.serial {
+                    campaign::run_fault_sweep_serial(&cfg)
+                } else {
+                    campaign::run_fault_sweep(&cfg)
+                }?;
+                (sweep.to_json(), sweep.to_markdown())
+            };
+            print!("{markdown}");
             if let Some(prefix) = &opts.out {
-                let json = format!("{prefix}.json");
-                let md = format!("{prefix}.md");
-                std::fs::write(&json, report.to_json())
-                    .map_err(|e| format!("cannot write {json}: {e}"))?;
-                std::fs::write(&md, report.to_markdown())
-                    .map_err(|e| format!("cannot write {md}: {e}"))?;
-                println!("\nwrote {json} and {md}");
+                let json_path = format!("{prefix}.json");
+                let md_path = format!("{prefix}.md");
+                std::fs::write(&json_path, json)
+                    .map_err(|e| format!("cannot write {json_path}: {e}"))?;
+                std::fs::write(&md_path, markdown)
+                    .map_err(|e| format!("cannot write {md_path}: {e}"))?;
+                println!("\nwrote {json_path} and {md_path}");
             }
         }
         "simulate" => {
@@ -384,7 +397,7 @@ fn run() -> Result<(), String> {
                 );
             };
             let spec_text = opts.scheduler.as_deref().unwrap_or("swrpt");
-            let spec = dlflow_sim::campaign::SchedulerSpec::parse_compact(spec_text)
+            let spec = campaign::SchedulerSpec::parse_compact(spec_text)
                 .map_err(|e| format!("--scheduler {spec_text}: {e}"))?;
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;

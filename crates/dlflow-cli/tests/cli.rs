@@ -169,6 +169,28 @@ fn campaign_subcommand_prints_and_writes_reports() {
 }
 
 #[test]
+fn campaign_with_a_faults_line_prints_and_writes_the_chaos_reports() {
+    let f = write_instance(&format!("{CAMPAIGN_CFG}faults none heavy\n"));
+    let prefix = std::env::temp_dir().join(format!("dlflow-cli-chaos-{}", std::process::id()));
+    let prefix = prefix.to_str().unwrap().to_string();
+    let (ok, stdout, stderr) = run(&["campaign", f.as_str(), "--out", &prefix]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("# Chaos campaign `clitest`"), "{stdout}");
+    assert!(stdout.contains("| scheduler | none | heavy |"), "{stdout}");
+    let (ok2, stdout2, _) = run(&["campaign", f.as_str(), "--serial", "--out", &prefix]);
+    assert!(ok2);
+    assert_eq!(stdout, stdout2);
+    let json = std::fs::read_to_string(format!("{prefix}.json")).unwrap();
+    assert!(json.contains("\"campaign\": \"clitest\""), "{json}");
+    assert!(json.contains("\"levels\": [\"none\", \"heavy\"]"), "{json}");
+    assert!(json.contains("\"n_runs\": 8,"), "{json}");
+    let md = std::fs::read_to_string(format!("{prefix}.md")).unwrap();
+    assert!(stdout.starts_with(&md), "{md}");
+    let _ = std::fs::remove_file(format!("{prefix}.json"));
+    let _ = std::fs::remove_file(format!("{prefix}.md"));
+}
+
+#[test]
 fn campaign_config_errors_have_context() {
     let bad = write_instance("name x\nfrob 1\n");
     let (ok, _, stderr) = run(&["campaign", bad.as_str()]);

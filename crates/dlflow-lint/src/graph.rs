@@ -16,7 +16,9 @@
 //!   stitching unrelated subsystems together);
 //! * `Q::m(…)` — methods of type `Q`, else free functions in module
 //!   `Q`;
-//! * `m(…)` — every free function named `m` in the workspace.
+//! * `m(…)` — every free function named `m` in the workspace, unless the
+//!   caller binds `m` itself (a parameter, closure parameter or `let`):
+//!   then the call runs that binding, a closure or fn pointer.
 //!
 //! Calls that resolve to no workspace function (std/vendor calls,
 //! `Some(…)`-style constructors) are **recorded** per caller as
@@ -261,6 +263,7 @@ impl Graph {
                 .expect("graph file for fn");
             let toks = file.tokens;
             let loops = loop_spans(toks, lo, hi);
+            let bound = local_bindings(toks, &info.item.name, lo, hi);
             let owner = info.item.owner.clone();
             let mut edges = Vec::new();
             let mut unresolved = Vec::new();
@@ -327,6 +330,7 @@ impl Graph {
                             None => Vec::new(),
                         }
                     }
+                    _ if bound.contains(name) => Vec::new(),
                     _ => free_by_name.get(name).cloned().unwrap_or_default(),
                 };
                 if candidates.is_empty() {
@@ -362,6 +366,93 @@ impl Graph {
         (0..self.fns.len())
             .filter(|&i| pred(&self.fns[i]))
             .collect()
+    }
+}
+
+/// The names the fn `name` with body `[lo, hi)` binds itself: its
+/// parameters, its closures' parameters and its `let` patterns, anywhere
+/// in the body (scopes are not tracked).
+fn local_bindings<'t>(
+    toks: &'t [Token],
+    name: &str,
+    lo: usize,
+    hi: usize,
+) -> std::collections::BTreeSet<&'t str> {
+    let mut bound = std::collections::BTreeSet::new();
+    let hi = hi.min(toks.len());
+    // The signature: every `ident:` between `fn name` and the body is a
+    // parameter (or a generic bound, which binds no call name anyway).
+    let sig = (0..lo.saturating_sub(1))
+        .rev()
+        .find(|&i| toks[i].text == "fn" && toks.get(i + 1).is_some_and(|t| t.text == name))
+        .unwrap_or(lo);
+    for i in sig..lo.saturating_sub(1) {
+        if toks[i].kind == TokKind::Ident && toks[i + 1].text == ":" {
+            bound.insert(toks[i].text.as_str());
+        }
+    }
+    let mut i = lo;
+    while i < hi {
+        let t = toks[i].text.as_str();
+        let prev = i.checked_sub(1).map(|k| toks[k].text.as_str());
+        // A `|` opens a closure's parameter list where no operand ends
+        // before it: after `(`, `,`, `=`, `{`, `;`, `>` (of `=>`) or `move`.
+        let opens_closure = t == "|"
+            && matches!(
+                prev,
+                Some("(" | "," | "=" | "{" | ";" | ">" | "move" | "return")
+            );
+        let (start, delim): (usize, &[&str]) = if opens_closure {
+            (i + 1, &["|"])
+        } else if t == "let" {
+            (i + 1, &["=", ";", "else"])
+        } else {
+            i += 1;
+            continue;
+        };
+        let mut end = start;
+        let mut depth = 0usize;
+        while end < hi && !(depth == 0 && delim.contains(&toks[end].text.as_str())) {
+            match toks[end].text.as_str() {
+                "(" | "[" | "{" | "<" => depth += 1,
+                ")" | "]" | "}" | ">" => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            end += 1;
+        }
+        pattern_bindings(toks, start, end, &mut bound);
+        i = end + 1;
+    }
+    bound
+}
+
+/// Adds the identifiers a pattern over `[a, b)` binds: not a type after
+/// a top-level `:`, a path, a tuple-struct or struct name, or a field
+/// name before a nested `:`.
+fn pattern_bindings<'t>(
+    toks: &'t [Token],
+    a: usize,
+    b: usize,
+    out: &mut std::collections::BTreeSet<&'t str>,
+) {
+    let mut depth = 0usize;
+    let mut in_type = false;
+    for i in a..b {
+        let t = &toks[i];
+        match t.text.as_str() {
+            "(" | "[" | "{" | "<" => depth += 1,
+            ")" | "]" | "}" | ">" => depth = depth.saturating_sub(1),
+            "," if depth == 0 => in_type = false,
+            ":" if depth == 0 => in_type = true,
+            _ => {}
+        }
+        let next = toks.get(i + 1).map(|n| n.text.as_str());
+        let names_something = matches!(next, Some("(" | "{" | "::" | "!"))
+            || (depth > 0 && next == Some(":"))
+            || matches!(t.text.as_str(), "mut" | "ref" | "box");
+        if !in_type && t.kind == TokKind::Ident && !names_something {
+            out.insert(t.text.as_str());
+        }
     }
 }
 
@@ -500,6 +591,36 @@ mod tests {
         assert_eq!(g.edges[step].len(), 1);
         assert_eq!(g.edges[step][0].callee, helper);
         assert!(!g.edges[step][0].in_loop);
+    }
+
+    #[test]
+    fn a_local_binding_shadows_free_fns_of_its_name() {
+        // `drain`'s closure parameters `run` and `load` are what its bare
+        // calls run, not the free fns of those names; `plain` binds
+        // nothing, so its `run()` still reaches the free fn.
+        let src = "
+fn drain(shards: &mut [E], load: impl Fn(usize) -> usize, go: impl Fn(usize)) {
+    shards.iter().for_each(|run| run(load(0)));
+    let done = |n: usize| go(n);
+    done(1);
+}
+fn plain() { run(); }
+fn run() {}
+fn load(x: usize) -> usize { x }
+fn done(n: usize) {}
+";
+        let owned = prep(&[("crates/dlflow-sim/src/x.rs", src)]);
+        let g = build(&owned);
+        let drain = id_of(&g, "drain");
+        assert!(g.edges[drain].is_empty(), "{:?}", g.edges[drain]);
+        let names: Vec<&str> = g.unresolved[drain]
+            .iter()
+            .map(|u| u.name.as_str())
+            .collect();
+        assert_eq!(names, ["iter", "for_each", "run", "load", "go", "done"]);
+        let plain = id_of(&g, "plain");
+        assert_eq!(g.edges[plain].len(), 1);
+        assert_eq!(g.fns[g.edges[plain][0].callee].item.name, "run");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! through the incremental event engine (each run is a
-//! [`simulate`] drain of an [`Engine`](crate::engine::Engine)), in
+//! [`simulate_with_events`] drain of an [`Engine`](crate::engine::Engine)), in
 //! parallel over scenarios (vendored-rayon workers), and aggregates
 //! per-run metrics into the statistics a
 //! methodology comparison needs: mean/median/p95/worst of the
@@ -35,7 +35,16 @@
 //! scheduler mct
 //! scheduler edf target=3
 //! scheduler ola
+//! faults none heavy        # optional: a fault-intensity sweep
 //! ```
+//!
+//! A `faults` line makes the campaign a *fault sweep*: every scheduler
+//! also runs under each listed level's seeded failure/recovery schedule
+//! (levels `none light moderate heavy`), still scored against the scenario's
+//! **fault-free** exact optimum, so a level's ratios price its faults
+//! ([`run_fault_sweep`], rendered by [`crate::chaos`]). Both reports come
+//! from one scenario runner: a config without `faults` is the single
+//! fault-free level.
 //!
 //! ## Example
 //!
@@ -56,10 +65,12 @@
 //! assert!(report.runs.iter().all(|r| r.stretch_ratio > 0.99));
 //! ```
 
-use crate::engine::{simulate, OnlineScheduler, RunMetrics};
+use crate::chaos::{FaultSweepReport, SweepLevel};
+use crate::engine::{simulate_with_events, OnlineScheduler, RunMetrics};
 use crate::schedulers::{
     Edf, FifoFastest, Mct, OfflineAdapt, RoundRobin, Srpt, Swrpt, WeightedAge,
 };
+use crate::workload::FaultProcess;
 use dlflow_core::instance::Instance;
 use dlflow_core::maxflow::{min_max_weighted_flow_divisible_with, ProbeMethod};
 use dlflow_gripps::{CostModel, PlatformFamily, RequestFamily};
@@ -203,7 +214,29 @@ pub struct CampaignConfig {
     /// *is* max stretch (the paper's §6 objective). When false, the
     /// GriPPS priority weights {1,2,5} are kept.
     pub stretch_weights: bool,
+    /// The `faults` line's levels in report order, as positions on the
+    /// ladder `none light moderate heavy` (0–3); empty without a
+    /// `faults` line (the fault-free tournament).
+    pub faults: Vec<usize>,
 }
+
+/// The fault-intensity levels a `faults` line picks from, as `(name,
+/// failures, repair)`: `failures` is the expected failures per machine
+/// over the scenario's serial horizon `H` (latest release plus all work
+/// back to back on the fastest machines), so `H / MTBF`, and `repair` is
+/// `MTTR / H`. Scaling by `H` makes "one failure per machine" mean the
+/// same on a 2-second and a 200-second scenario. A level's position
+/// salts its fault seed, so its schedules do not depend on the other
+/// levels listed.
+pub(crate) const FAULT_LADDER: [(&str, f64, f64); 4] = [
+    ("none", 0.0, 0.0),
+    ("light", 1.0, 0.05),
+    ("moderate", 2.5, 0.10),
+    ("heavy", 5.0, 0.20),
+];
+
+/// Base seed of every fault schedule, independent of the scenario seeds.
+const FAULT_SEED: u64 = 0xC0FFEE;
 
 /// The built-in quick-mode tournament: 1 platform × 1 workload ×
 /// 20 seeds × 6 schedulers. `cargo run --release -p dlflow-bench --bin
@@ -221,6 +254,28 @@ scheduler mct
 scheduler fifo
 scheduler srpt
 scheduler swrpt
+scheduler edf
+scheduler ola
+";
+
+/// The bigger sweep behind the `campaign` bin's `--full`: two platform
+/// families × two workload families × 20 seeds × 8 schedulers.
+pub const FULL_CONFIG: &str = "\
+name full
+seeds 20
+seed-base 1
+sigbits 12
+weights stretch
+platform cluster servers=4 banks=5 heterogeneity=3
+platform wide    servers=8 banks=10 heterogeneity=5
+workload steady  jobs=8 load=1.2
+workload surge   jobs=14 load=2.0
+scheduler mct
+scheduler fifo
+scheduler srpt
+scheduler swrpt
+scheduler rr
+scheduler wage
 scheduler edf
 scheduler ola
 ";
@@ -311,6 +366,7 @@ pub fn parse_campaign(text: &str) -> Result<CampaignConfig, String> {
         seed_base: 1,
         sig_bits: 12,
         stretch_weights: true,
+        faults: Vec::new(),
     };
     // The directives that set one value, each allowed once.
     let mut seen: Vec<&str> = Vec::new();
@@ -323,7 +379,7 @@ pub fn parse_campaign(text: &str) -> Result<CampaignConfig, String> {
         let mut toks = line.split_whitespace();
         let directive = toks.next().expect("non-empty line");
         let rest: Vec<&str> = toks.collect();
-        if ["name", "seeds", "seed-base", "sigbits", "weights"].contains(&directive) {
+        if ["name", "seeds", "seed-base", "sigbits", "weights", "faults"].contains(&directive) {
             if seen.contains(&directive) {
                 return Err(format!("line {lineno}: duplicate {directive} line"));
             }
@@ -438,6 +494,23 @@ pub fn parse_campaign(text: &str) -> Result<CampaignConfig, String> {
                 }
                 cfg.schedulers.push(spec);
             }
+            "faults" => {
+                if rest.is_empty() {
+                    return Err(format!("line {lineno}: faults expects at least one level"));
+                }
+                for level in &rest {
+                    let Some(rung) = FAULT_LADDER.iter().position(|l| l.0 == *level) else {
+                        return Err(format!(
+                            "line {lineno}: unknown fault level {level:?} \
+                             (expected none|light|moderate|heavy)"
+                        ));
+                    };
+                    if cfg.faults.contains(&rung) {
+                        return Err(format!("line {lineno}: fault level {level:?} given twice"));
+                    }
+                    cfg.faults.push(rung);
+                }
+            }
             other => return Err(format!("line {lineno}: unknown directive {other:?}")),
         }
     }
@@ -539,14 +612,14 @@ pub struct CampaignReport {
     pub win_matrix: Vec<Vec<usize>>,
 }
 
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-pub(crate) fn scenario_seed(base: u64, pi: usize, wi: usize, k: u64) -> u64 {
+fn scenario_seed(base: u64, pi: usize, wi: usize, k: u64) -> u64 {
     splitmix64(
         splitmix64(splitmix64(base.wrapping_add(pi as u64)).wrapping_add(wi as u64))
             .wrapping_add(k),
@@ -571,13 +644,26 @@ fn scenario_instance(
         .map_err(|e| format!("scenario ({pi},{wi},{k}): {e}"))
 }
 
-/// Runs every scheduler of the config on one scenario.
+/// Serial horizon of an instance: latest release plus everything run
+/// back-to-back on its fastest machine — the time scale of the
+/// [`FAULT_LADDER`]'s MTBF and MTTR.
+fn serial_horizon(inst: &Instance<f64>) -> f64 {
+    let max_release = (0..inst.n_jobs())
+        .map(|j| inst.job(j).release)
+        .fold(0.0f64, f64::max);
+    let serial: f64 = (0..inst.n_jobs()).map(|j| inst.fastest_cost(j)).sum();
+    max_release + serial.max(1e-9)
+}
+
+/// Runs one scenario: realizes it and its fault-free exact yardstick
+/// once, then every scheduler under each level's sampled fault schedule
+/// (`levels` are [`FAULT_LADDER`] positions). Returns, per level, the
+/// records in scheduler order and the number of injected events.
 fn run_scenario(
     cfg: &CampaignConfig,
-    pi: usize,
-    wi: usize,
-    k: u64,
-) -> Result<Vec<RunRecord>, String> {
+    levels: &[usize],
+    (pi, wi, k): (usize, usize, u64),
+) -> Result<Vec<(Vec<RunRecord>, usize)>, String> {
     let base = scenario_instance(cfg, pi, wi, k)?;
 
     // Exact yardstick: Theorem 2 on the very same (dyadic) instance.
@@ -593,32 +679,56 @@ fn run_scenario(
         base
     };
 
-    let mut records = Vec::with_capacity(cfg.schedulers.len());
-    for spec in &cfg.schedulers {
-        let mut policy = spec.build();
-        let res = simulate(&sim_inst, policy.as_mut())
-            .map_err(|e| format!("scenario ({pi},{wi},{k}) / {}: {e}", spec.label()))?;
-        let m = RunMetrics::from_completions(&sim_inst, &res.completions);
-        records.push(RunRecord {
-            platform: cfg.platforms[pi].name.clone(),
-            workload: cfg.workloads[wi].name.clone(),
-            seed: k,
-            scheduler: spec.label(),
-            max_stretch: m.max_stretch,
-            sum_stretch: m.sum_stretch,
-            makespan: m.makespan,
-            utilization: res.utilization(&sim_inst),
-            max_weighted_flow: m.max_weighted_flow,
-            opt_stretch,
-            stretch_ratio: m.max_stretch / opt_stretch,
-            n_events: res.n_events,
-            n_plans: res.n_plans,
-        });
+    let mut per_level = Vec::with_capacity(levels.len());
+    for &rung in levels {
+        let (name, failures, repair) = FAULT_LADDER[rung];
+        let events = if failures > 0.0 {
+            let horizon = serial_horizon(&sim_inst);
+            let seed = scenario_seed(cfg.seed_base, pi, wi, k);
+            FaultProcess {
+                mtbf: horizon / failures,
+                mttr: (horizon * repair).max(1e-9),
+                horizon,
+                seed: splitmix64(FAULT_SEED ^ seed.wrapping_add(rung as u64)),
+            }
+            .sample(sim_inst.n_machines())
+        } else {
+            Vec::new()
+        };
+        let at = if cfg.faults.is_empty() {
+            String::new()
+        } else {
+            format!("{name} / ")
+        };
+        let mut records = Vec::with_capacity(cfg.schedulers.len());
+        for spec in &cfg.schedulers {
+            let mut policy = spec.build();
+            let res = simulate_with_events(&sim_inst, policy.as_mut(), &events)
+                .map_err(|e| format!("scenario ({pi},{wi},{k}) / {at}{}: {e}", spec.label()))?;
+            let m = RunMetrics::from_completions(&sim_inst, &res.completions);
+            records.push(RunRecord {
+                platform: cfg.platforms[pi].name.clone(),
+                workload: cfg.workloads[wi].name.clone(),
+                seed: k,
+                scheduler: spec.label(),
+                max_stretch: m.max_stretch,
+                sum_stretch: m.sum_stretch,
+                makespan: m.makespan,
+                utilization: res.utilization(&sim_inst),
+                max_weighted_flow: m.max_weighted_flow,
+                opt_stretch,
+                stretch_ratio: m.max_stretch / opt_stretch,
+                n_events: res.n_events,
+                n_plans: res.n_plans,
+            });
+        }
+        per_level.push((records, events.len()));
     }
-    Ok(records)
+    Ok(per_level)
 }
 
-fn aggregate(cfg: &CampaignConfig, runs: &[RunRecord], n_scenarios: usize) -> CampaignReport {
+/// One level's tournament report over scenario-major `runs`.
+fn aggregate(cfg: &CampaignConfig, runs: Vec<RunRecord>, n_scenarios: usize) -> CampaignReport {
     let labels: Vec<String> = cfg.schedulers.iter().map(|s| s.label()).collect();
     let ns = labels.len();
 
@@ -673,13 +783,21 @@ fn aggregate(cfg: &CampaignConfig, runs: &[RunRecord], n_scenarios: usize) -> Ca
         schedulers: labels,
         platforms: cfg.platforms.iter().map(|p| p.name.clone()).collect(),
         workloads: cfg.workloads.iter().map(|w| w.name.clone()).collect(),
-        runs: runs.to_vec(),
+        runs,
         aggregates,
         win_matrix,
     }
 }
 
-fn run_impl(cfg: &CampaignConfig, parallel: bool) -> Result<CampaignReport, String> {
+/// The one fan-out: every scenario of the config (in parallel on the
+/// rayon shim, or serially) at each of `levels`, then each level's runs
+/// aggregated into its tournament report. Results never depend on the
+/// worker split (see `tests/prop_campaign.rs`).
+fn run_levels(
+    cfg: &CampaignConfig,
+    levels: &[usize],
+    parallel: bool,
+) -> Result<Vec<SweepLevel>, String> {
     let mut scenarios: Vec<(usize, usize, u64)> = Vec::new();
     for pi in 0..cfg.platforms.len() {
         for wi in 0..cfg.workloads.len() {
@@ -688,39 +806,92 @@ fn run_impl(cfg: &CampaignConfig, parallel: bool) -> Result<CampaignReport, Stri
             }
         }
     }
-    let results: Vec<Result<Vec<RunRecord>, String>> = if parallel {
-        scenarios
-            .par_iter()
-            .map(|&(pi, wi, k)| run_scenario(cfg, pi, wi, k))
-            .collect()
+    let run = |&sc: &(usize, usize, u64)| run_scenario(cfg, levels, sc);
+    let results: Vec<Result<_, String>> = if parallel {
+        scenarios.par_iter().map(run).collect()
     } else {
-        scenarios
-            .iter()
-            .map(|&(pi, wi, k)| run_scenario(cfg, pi, wi, k))
-            .collect()
+        scenarios.iter().map(run).collect()
     };
-    let mut runs = Vec::with_capacity(scenarios.len() * cfg.schedulers.len());
+    let n = scenarios.len();
+    let mut runs: Vec<Vec<RunRecord>> = levels
+        .iter()
+        .map(|_| Vec::with_capacity(n * cfg.schedulers.len()))
+        .collect();
+    let mut fault_events: Vec<Vec<usize>> = levels.iter().map(|_| Vec::with_capacity(n)).collect();
     for r in results {
-        runs.extend(r?);
+        for (li, (records, n_events)) in r?.into_iter().enumerate() {
+            runs[li].extend(records);
+            fault_events[li].push(n_events);
+        }
     }
-    Ok(aggregate(cfg, &runs, scenarios.len()))
+    Ok(levels
+        .iter()
+        .zip(runs.into_iter().zip(fault_events))
+        .map(|(&rung, (runs, fault_events))| SweepLevel {
+            level: FAULT_LADDER[rung].0,
+            report: aggregate(cfg, runs, n),
+            fault_events,
+        })
+        .collect())
+}
+
+/// The fault-free tournament: the single level `none`. A config with a
+/// `faults` line is refused rather than silently losing its levels.
+fn run_tournament(cfg: &CampaignConfig, parallel: bool) -> Result<CampaignReport, String> {
+    if !cfg.faults.is_empty() {
+        return Err("config has a `faults` line: run it as a fault sweep".into());
+    }
+    let mut levels = run_levels(cfg, &[0], parallel)?;
+    Ok(levels.remove(0).report)
 }
 
 /// Runs the campaign, scenarios in parallel (vendored-rayon workers).
 /// The report is bit-identical to [`run_campaign_serial`]'s — the
 /// worker split never leaks into results (see `tests/prop_campaign.rs`).
 pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
-    run_impl(cfg, true)
+    run_tournament(cfg, true)
 }
 
 /// Single-threaded reference runner (determinism oracle and small jobs).
 pub fn run_campaign_serial(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
-    run_impl(cfg, false)
+    run_tournament(cfg, false)
+}
+
+/// Runs the config's fault sweep, scenarios in parallel: one tournament
+/// report per level of its `faults` line (just `none` without one), all
+/// scored against the fault-free exact optimum. Bit-identical to
+/// [`run_fault_sweep_serial`]'s.
+pub fn run_fault_sweep(cfg: &CampaignConfig) -> Result<FaultSweepReport, String> {
+    run_sweep(cfg, true)
+}
+
+/// Single-threaded [`run_fault_sweep`] (determinism oracle).
+pub fn run_fault_sweep_serial(cfg: &CampaignConfig) -> Result<FaultSweepReport, String> {
+    run_sweep(cfg, false)
+}
+
+fn run_sweep(cfg: &CampaignConfig, parallel: bool) -> Result<FaultSweepReport, String> {
+    let levels: &[usize] = if cfg.faults.is_empty() {
+        &[0]
+    } else {
+        &cfg.faults
+    };
+    let levels = run_levels(cfg, levels, parallel)?;
+    Ok(FaultSweepReport { levels })
 }
 
 /// Formats a float for report output: fixed 6 decimals, deterministic.
 pub(crate) fn f6(v: f64) -> String {
     format!("{v:.6}")
+}
+
+/// A JSON array body of quoted names: `"a", "b"`.
+pub(crate) fn quoted<S: AsRef<str>>(names: &[S]) -> String {
+    names
+        .iter()
+        .map(|x| format!("\"{}\"", x.as_ref()))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 impl CampaignReport {
@@ -741,12 +912,6 @@ impl CampaignReport {
         s.push_str(&format!("  \"seeds_per_cell\": {},\n", self.n_seeds));
         s.push_str(&format!("  \"n_scenarios\": {},\n", self.n_scenarios));
         s.push_str(&format!("  \"n_runs\": {},\n", self.runs.len()));
-        let quoted = |v: &[String]| -> String {
-            v.iter()
-                .map(|x| format!("\"{x}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
         s.push_str(&format!(
             "  \"platforms\": [{}],\n",
             quoted(&self.platforms)
@@ -894,6 +1059,13 @@ mod tests {
         assert_eq!(cfg.n_seeds, 20);
         assert!(cfg.schedulers.len() >= 3);
         assert!(cfg.stretch_weights);
+        assert!(cfg.faults.is_empty());
+        // The other committed configs: `--full`, and the chaos sweep.
+        let full = parse_campaign(FULL_CONFIG).unwrap();
+        assert_eq!((full.platforms.len(), full.schedulers.len()), (2, 8));
+        let pr8 = parse_campaign(PR8_CONFIG).unwrap();
+        assert_eq!((pr8.name.as_str(), pr8.n_seeds), ("quick-chaos", 12));
+        assert_eq!(pr8.faults, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -967,6 +1139,16 @@ mod tests {
                 "weights stretch\nweights priority",
                 "line 2: duplicate weights line",
             ),
+            // A `faults` line picks ladder levels, each once, in one line.
+            ("faults", "line 1: faults expects at least one level"),
+            ("faults none frob", "line 1: unknown fault level \"frob\""),
+            ("faults Heavy", "line 1: unknown fault level \"Heavy\""),
+            ("faults none=1", "line 1: unknown fault level \"none=1\""),
+            (
+                "faults light heavy light",
+                "line 1: fault level \"light\" given twice",
+            ),
+            ("faults none\nfaults heavy", "line 2: duplicate faults line"),
         ] {
             let err = parse_campaign(bad).unwrap_err();
             assert!(err.contains(needle), "{bad:?} → {err}");
@@ -1140,6 +1322,31 @@ mod tests {
     }
 
     #[test]
+    fn a_level_samples_the_same_faults_whatever_else_is_listed() {
+        // Levels keep the line's order, and a level's ladder position —
+        // not its place on the line — salts its fault seed.
+        let cfg = parse_campaign(&format!("{TINY}faults heavy none\n")).unwrap();
+        assert_eq!(cfg.faults, [3, 0]);
+        let picked = run_fault_sweep(&cfg).unwrap();
+        let names: Vec<&str> = picked.levels.iter().map(|l| l.level).collect();
+        assert_eq!(names, ["heavy", "none"]);
+        let all = parse_campaign(&format!("{TINY}faults none light moderate heavy\n")).unwrap();
+        let all = run_fault_sweep(&all).unwrap();
+        assert_eq!(picked.levels[0].fault_events, all.levels[3].fault_events);
+        assert_eq!(
+            picked.levels[0].report.to_json(),
+            all.levels[3].report.to_json()
+        );
+        // Without a `faults` line the sweep is the fault-free level alone.
+        let plain = run_fault_sweep_serial(&parse_campaign(TINY).unwrap()).unwrap();
+        assert_eq!(plain.levels.len(), 1);
+        assert_eq!(
+            plain.levels[0].report.to_json(),
+            all.levels[0].report.to_json()
+        );
+    }
+
+    #[test]
     fn ola_participates_and_reports_per_run_ratio() {
         let cfg = parse_campaign(
             "name olatest\nseeds 1\nsigbits 10\nplatform p servers=2 banks=2 heterogeneity=2\nworkload w jobs=3 load=1.0\nscheduler ola\n",
@@ -1151,5 +1358,141 @@ mod tests {
         assert_eq!(r.scheduler, "OLA");
         // OLA tracks the offline optimum closely on tiny instances.
         assert!(r.stretch_ratio < 3.0, "ratio {}", r.stretch_ratio);
+    }
+
+    /// The committed fault-sweep config behind `CAMPAIGN_PR8.json`.
+    const PR8_CONFIG: &str = include_str!("../../../CAMPAIGN_PR8.campaign");
+
+    /// A parse either succeeds or names the line at fault; only the three
+    /// whole-document "config has no `…` line" errors name none.
+    fn assert_names_its_line(text: &str) -> Result<(), proptest::prelude::TestCaseError> {
+        let Err(err) = parse_campaign(text) else {
+            return Ok(());
+        };
+        let whole = ["platform", "workload", "scheduler"]
+            .iter()
+            .any(|d| err == format!("config has no `{d}` line"));
+        let lineno = err
+            .strip_prefix("line ")
+            .and_then(|rest| rest.split_once(':'))
+            .and_then(|(n, _)| n.parse::<usize>().ok());
+        let named = lineno.is_some_and(|n| (1..=text.lines().count()).contains(&n));
+        proptest::prop_assert!(whole || named, "on {text:?}: {err}");
+        Ok(())
+    }
+
+    /// One random mutation of a config: truncation at any byte, token
+    /// splice and deletion, a refused number, duplicated and swapped
+    /// lines, a second `faults` line, or an unknown, repeated or empty
+    /// level list.
+    fn mutate(text: &str, rng: &mut rand::rngs::SmallRng) -> String {
+        use rand::Rng;
+        let mut lines: Vec<Vec<String>> = text
+            .lines()
+            .map(|l| l.split_whitespace().map(String::from).collect())
+            .collect();
+        let n_lines = lines.len().max(1);
+        let at =
+            |rng: &mut rand::rngs::SmallRng, lines: &[Vec<String>]| -> Option<(usize, usize)> {
+                let li = rng.gen_range(0..lines.len().max(1));
+                let n = lines.get(li)?.len();
+                (n > 0).then(|| (li, rng.gen_range(0..n)))
+            };
+        let pick = |rng: &mut rand::rngs::SmallRng, items: &[&str]| {
+            items[rng.gen_range(0..items.len())].to_string()
+        };
+        match rng.gen_range(0..8) {
+            0 => {
+                let mut cut = rng.gen_range(0..=text.len());
+                while !text.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                return text[..cut].to_string();
+            }
+            1 => {
+                if let (Some((a, b)), Some((c, d))) = (at(rng, &lines), at(rng, &lines)) {
+                    let tok = lines[a][b].clone();
+                    lines[c].insert(d, tok);
+                }
+            }
+            2 => {
+                if let Some((a, b)) = at(rng, &lines) {
+                    lines[a].remove(b);
+                }
+            }
+            3 => {
+                if let Some((a, b)) = at(rng, &lines) {
+                    let bad = pick(rng, &["nan", "inf", "1e400", "-1", "0", "10001"]);
+                    let tok = &mut lines[a][b];
+                    *tok = match tok.split_once('=') {
+                        Some((key, _)) => format!("{key}={bad}"),
+                        None => bad,
+                    };
+                }
+            }
+            4 => {
+                let line = lines
+                    .get(rng.gen_range(0..n_lines))
+                    .cloned()
+                    .unwrap_or_default();
+                lines.insert(rng.gen_range(0..=lines.len()), line);
+            }
+            5 if !lines.is_empty() => {
+                let (i, j) = (rng.gen_range(0..n_lines), rng.gen_range(0..n_lines));
+                lines.swap(i, j);
+            }
+            6 => {
+                let faults = pick(rng, &["faults heavy", "faults none light moderate heavy"]);
+                let line = faults.split(' ').map(String::from).collect();
+                lines.insert(rng.gen_range(0..=lines.len()), line);
+            }
+            _ => {
+                let list = pick(
+                    rng,
+                    &[
+                        "",
+                        "none none",
+                        "light frob",
+                        "NONE",
+                        "heavy heavy none",
+                        "none,light",
+                    ],
+                );
+                let line: Vec<String> = std::iter::once("faults")
+                    .chain(list.split_whitespace())
+                    .map(String::from)
+                    .collect();
+                match lines
+                    .iter()
+                    .position(|l| l.first().is_some_and(|d| d == "faults"))
+                {
+                    Some(k) => lines[k] = line,
+                    None => lines.insert(rng.gen_range(0..=lines.len()), line),
+                }
+            }
+        }
+        lines
+            .iter()
+            .map(|l| l.join(" "))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn mutated_configs_parse_or_name_their_line(
+            seed in proptest::prelude::any::<u64>(),
+            n_mutations in 1usize..5,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut text = [QUICK_CONFIG, FULL_CONFIG, PR8_CONFIG][(seed % 3) as usize].to_string();
+            for _ in 0..n_mutations {
+                text = mutate(&text, &mut rng);
+            }
+            assert_names_its_line(&text)?;
+        }
     }
 }

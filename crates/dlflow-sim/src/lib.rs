@@ -29,9 +29,10 @@
 //!   directives) with work-loss semantics and scheduler degradation
 //!   via `on_platform_change`; crash-consistent
 //!   [`engine::Engine::snapshot`] / [`engine::Engine::restore`] in the
-//!   byte-stable `dlflow-snapshot v1` format ([`snapshot`]); and the
-//!   [`chaos`] module sweeping failure intensity × scheduler against
-//!   the fault-free exact optimum.
+//!   byte-stable `dlflow-snapshot v1` format ([`snapshot`]); and fault
+//!   sweeps: a campaign config's `faults` line runs failure intensity ×
+//!   scheduler against the fault-free exact optimum, reported by the
+//!   [`chaos`] module.
 //!
 //! The closed-instance entry point [`engine::simulate`] remains a thin
 //! wrapper over the engine; the seed's dense batch loop survives as
@@ -75,13 +76,10 @@ pub mod snapshot;
 pub mod workload;
 
 pub use campaign::{
-    parse_campaign, run_campaign, run_campaign_serial, CampaignConfig, CampaignReport, RunRecord,
-    SchedulerSpec,
+    parse_campaign, run_campaign, run_campaign_serial, run_fault_sweep, run_fault_sweep_serial,
+    CampaignConfig, CampaignReport, RunRecord, SchedulerSpec,
 };
-pub use chaos::{
-    default_levels, run_fault_campaign, run_fault_campaign_serial, FaultAggregate,
-    FaultCampaignConfig, FaultCampaignReport, FaultLevel, FaultRunRecord,
-};
+pub use chaos::{FaultSweepReport, SweepLevel};
 pub use engine::{
     simulate, simulate_dense, simulate_with_events, ActiveJob, ActiveSet, Allocation, CompletedJob,
     Engine, JobSpec, JobView, MetricsAccumulator, OnlineScheduler, PlatformChange, PlatformEvent,

@@ -22,10 +22,10 @@
 //! assert!(report.to_json().contains("\"scheduler\": \"SWRPT\""));
 //! ```
 
-use crate::campaign::SchedulerSpec;
+use crate::campaign::{f6, SchedulerSpec};
 use crate::engine::{
-    simulate, CompletedJob, Engine, OnlineScheduler, PlatformEvent, ResolveStats, RunMetrics,
-    SimError, SimResult, StepOutcome,
+    CompletedJob, Engine, OnlineScheduler, PlatformEvent, ResolveStats, RunMetrics, SimError,
+    StepOutcome,
 };
 use crate::shard::ShardedEngine;
 use crate::workload::{stream_arrivals, FaultProcess, Trace};
@@ -63,9 +63,10 @@ pub struct ServiceReport {
     pub metrics: RunMetrics,
     /// Fleet utilization over `[first release, makespan]`.
     pub utilization: f64,
-    /// Largest number of simultaneously in-flight jobs (trace replays
-    /// only; equals 0 for closed instances, where the engine does not
-    /// track it).
+    /// Largest number of simultaneously in-flight jobs: the engine's peak
+    /// active set, for closed instances and trace replays alike (since
+    /// the snapshot, for a resumed run; the sum of the shards' peaks, an
+    /// upper bound, for a sharded one).
     pub max_active: usize,
     /// Per-job completion times (closed instances only; empty for
     /// trace replays, which stream completions instead of storing them).
@@ -111,15 +112,6 @@ pub struct SimOptions {
     /// both mean the flat single-engine path). Sharding is incompatible
     /// with snapshot/resume — the snapshot format covers one engine.
     pub shards: usize,
-}
-
-impl SimOptions {
-    fn is_plain(&self) -> bool {
-        self.faults.is_none()
-            && self.snapshot_at.is_none()
-            && self.resume.is_none()
-            && self.shards <= 1
-    }
 }
 
 /// Default failure window of an input: everything after the last
@@ -223,9 +215,6 @@ pub fn run_simulation_with(
 
 /// [`run_simulation_with`], before its errors are worded.
 fn run_unlabelled(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> Run {
-    if opts.is_plain() {
-        return Ok((run_plain(input, spec)?, None));
-    }
     if opts.resume.is_some() && opts.faults.is_some() {
         return Err(RunError::Refused(
             "--resume and --faults cannot be combined: the snapshot already carries its \
@@ -419,56 +408,12 @@ fn run_sharded(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> Run
     Ok((report, None))
 }
 
-/// Runs `spec`'s scheduler over the input. Closed instances go through
-/// [`simulate`]; open traces through [`Trace::replay`]. Errors are
-/// worded as [`run_simulation_with`] words them.
+/// Runs `spec`'s scheduler over the input: [`run_simulation_with`] with
+/// the default options. A closed instance pushes every job up front and
+/// drains the engine, which is what [`crate::engine::simulate`] does; an
+/// open trace streams its arrivals as [`Trace::replay`] does.
 pub fn run_simulation(input: &SimInput, spec: &SchedulerSpec) -> Result<ServiceReport, String> {
     run_simulation_with(input, spec, &SimOptions::default()).map(|(report, _)| report)
-}
-
-/// The plain path of [`run_simulation_with`].
-fn run_plain(input: &SimInput, spec: &SchedulerSpec) -> Result<ServiceReport, SimError> {
-    let mut policy = spec.build();
-    match input {
-        SimInput::Closed(inst) => {
-            let res: SimResult = simulate(inst, policy.as_mut())?;
-            let metrics = RunMetrics::from_completions(inst, &res.completions);
-            Ok(ServiceReport {
-                scheduler: spec.label(),
-                input_kind: "instance",
-                n_jobs: inst.n_jobs(),
-                n_machines: inst.n_machines(),
-                n_events: res.n_events,
-                n_plans: res.n_plans,
-                utilization: res.utilization(inst),
-                metrics,
-                max_active: 0,
-                completions: res.completions,
-                resolve_stats: policy.resolve_stats(),
-            })
-        }
-        SimInput::Open(trace) => {
-            let stats = trace.replay(policy.as_mut())?;
-            Ok(ServiceReport {
-                scheduler: spec.label(),
-                input_kind: "trace",
-                n_jobs: stats.n_jobs,
-                n_machines: trace.n_machines(),
-                n_events: stats.n_events,
-                n_plans: stats.n_plans,
-                utilization: stats.utilization,
-                metrics: stats.metrics,
-                max_active: stats.max_active,
-                completions: Vec::new(),
-                resolve_stats: policy.resolve_stats(),
-            })
-        }
-    }
-}
-
-/// Formats a float for report output: fixed 6 decimals, deterministic.
-fn f6(v: f64) -> String {
-    format!("{v:.6}")
 }
 
 impl ServiceReport {
@@ -636,6 +581,42 @@ mod tests {
         };
         let err = run_simulation_with(&input, &spec, &both).unwrap_err();
         assert!(err.contains("cannot be combined"), "{err}");
+    }
+
+    #[test]
+    fn closed_runs_report_the_engine_peak_on_every_flat_path() {
+        // Four jobs, all in flight from t = 1 under SRPT. A fault window
+        // that closes before the first failure injects nothing, so all
+        // three runs take the same 10 events.
+        let mut b = dlflow_core::instance::InstanceBuilder::new();
+        for (release, weight) in [(0.0, 1.0), (0.0, 2.0), (0.5, 1.0), (1.0, 1.0)] {
+            b.job(release, weight);
+        }
+        b.machine(vec![Some(4.0), Some(2.0), Some(3.0), Some(5.0)]);
+        b.machine(vec![Some(8.0), None, Some(2.0), Some(4.0)]);
+        let input = SimInput::Closed(b.build().unwrap());
+        let spec = SchedulerSpec::parse_compact("srpt").unwrap();
+        let plain = run_simulation(&input, &spec).unwrap();
+        let inert = SimOptions {
+            faults: Some(FaultInjection {
+                mtbf: 1e6,
+                mttr: 1.0,
+                seed: 1,
+                until: Some(1.0),
+            }),
+            ..Default::default()
+        };
+        let snapshot = SimOptions {
+            snapshot_at: Some(3),
+            ..Default::default()
+        };
+        for opts in [inert, snapshot] {
+            let (other, _) = run_simulation_with(&input, &spec, &opts).unwrap();
+            assert_eq!(other.n_events, 10);
+            assert_eq!(other.completions, plain.completions);
+            assert_eq!(other.max_active, plain.max_active);
+        }
+        assert_eq!(plain.max_active, 4);
     }
 
     #[test]
