@@ -17,8 +17,9 @@
 //!
 //! Reports go to `<prefix>.json` and `<prefix>.md`: the prefix is
 //! `--out`'s, else the `--config` path without its `.campaign`
-//! extension, else `CAMPAIGN_PR4`. Custom configs use the format
-//! documented in `docs/FORMATS.md`.
+//! extension, else `CAMPAIGN_FULL` under `--full` and `CAMPAIGN_PR4` for
+//! the quick campaign, which regenerates its committed golden. Custom
+//! configs use the format documented in `docs/FORMATS.md`.
 
 #![allow(
     clippy::disallowed_methods,
@@ -51,9 +52,13 @@ fn main() {
         }
         None => {
             let full = args.iter().any(|a| a == "--full");
-            let text = if full { FULL_CONFIG } else { QUICK_CONFIG };
+            let (text, prefix) = if full {
+                (FULL_CONFIG, "CAMPAIGN_FULL")
+            } else {
+                (QUICK_CONFIG, "CAMPAIGN_PR4")
+            };
             let cfg = parse_campaign(text).expect("built-in config parses");
-            (cfg, "CAMPAIGN_PR4".to_string())
+            (cfg, prefix.to_string())
         }
     };
     let prefix = get("--out").unwrap_or(prefix);

@@ -17,6 +17,41 @@ fn quick_campaign_json_is_byte_identical_to_committed_artifact() {
     assert_same_bytes(&report.to_markdown(), "CAMPAIGN_PR4.md");
 }
 
+/// `campaign --full` without `--out` writes `CAMPAIGN_FULL.json/.md`:
+/// run where copies of the quick golden lie, it leaves both untouched.
+#[test]
+fn full_sweep_without_out_leaves_the_quick_golden_alone() {
+    let dir = std::env::temp_dir().join(format!("dlflow-campaign-full-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let golden = |name: &str| {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(name);
+        std::fs::read(path).unwrap()
+    };
+    for name in ["CAMPAIGN_PR4.json", "CAMPAIGN_PR4.md"] {
+        std::fs::write(dir.join(name), golden(name)).unwrap();
+    }
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .arg("--full")
+        .current_dir(&dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("the campaign bin runs");
+    assert!(status.success());
+    for name in ["CAMPAIGN_PR4.json", "CAMPAIGN_PR4.md"] {
+        assert!(
+            std::fs::read(dir.join(name)).unwrap() == golden(name),
+            "`campaign --full` rewrote {name}"
+        );
+    }
+    let full = std::fs::read_to_string(dir.join("CAMPAIGN_FULL.json")).unwrap();
+    assert!(full.contains("\"campaign\": \"full\""), "{}", &full[..200]);
+    assert!(dir.join("CAMPAIGN_FULL.md").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Panics with a focused first difference instead of two 100k blobs.
 fn assert_same_bytes(fresh: &str, name: &str) {
     let artifact = Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -12,8 +12,10 @@
 //! survives as [`solve_dense`] and serves as the reference oracle in
 //! property tests. Callers that solve many programs in a row pass one
 //! [`LpWorkspace`] to [`solve_in`] and stop allocating tableau storage;
-//! [`reoptimize_in`] continues the last solve's optimal tableau after
-//! some inequality right-hand sides and the objective changed.
+//! [`solve_dual_in`] skips phase 1 by starting the dual simplex from the
+//! slack basis where that basis is dual feasible, and [`reoptimize_in`]
+//! continues the last solve's optimal tableau after some inequality
+//! right-hand sides and the objective changed.
 //!
 //! The tableau holds `rows × columns` entries, where the columns are the
 //! variables some row or the objective mentions, one slack per
@@ -65,8 +67,8 @@ pub mod solution;
 
 pub use problem::{Constraint, LinExpr, LpProblem, Rel, Sense, VarId};
 pub use revised::{
-    reoptimize_in, solve, solve_float_guided, solve_in, solve_warm, LpWorkspace, WarmBasis,
-    WarmSolve,
+    reoptimize_in, solve, solve_dual_in, solve_float_guided, solve_in, solve_warm, LpWorkspace,
+    WarmBasis, WarmSolve,
 };
 pub use simplex::solve as solve_dense;
 pub use solution::{LpSolution, LpStatus};

@@ -5,7 +5,14 @@
 //!   `DEGENERACY_STREAK` consecutive pivots without objective progress
 //!   the solver switches to **Bland's rule** until progress resumes,
 //!   which restores the termination guarantee (exactness over `Rat` makes
-//!   "no progress" detectable without tolerances).
+//!   "no progress" detectable without tolerances). Dantzig ties go to the
+//!   lowest column. A cold solve or dual start ties only equal reduced
+//!   costs: its operands follow from the program alone. A warm start or
+//!   re-optimization also ties reduced costs within the tolerance: its
+//!   tableau carries the rounding of whichever path produced its basis,
+//!   and at a tied optimum a last-bit difference there would otherwise
+//!   pick the vertex (exact scalars have zero tolerance, so nothing
+//!   changes for them).
 //! * **Warm starts**: [`solve_warm`] accepts the optimal basis of a
 //!   structurally identical LP (same variables, same constraint
 //!   relations). The basis is re-realized by Gaussian pivoting — skipping
@@ -15,6 +22,18 @@
 //!   objective). The repair has no anti-cycling rule, so it gives up after
 //!   more than `rows` degenerate pivots in a row. On any mismatch or
 //!   failure it falls back to a cold solve.
+//! * **Dual start**: [`solve_dual_in`] skips phase 1. Its tableau starts
+//!   on every inequality row's slack, a `≥` row negated so that its
+//!   surplus enters at +1, and on each equality row's last term, pivoted
+//!   into that row in row order. No artificial column is built. When
+//!   that basis is dual feasible (every reduced cost `≥ −tolerance`; a
+//!   minimization with nonnegative costs whose equality rows end on
+//!   uncosted terms always is), the dual simplex above drives it primal
+//!   feasible and the primal simplex finishes, leaving the tableau
+//!   optimal for [`reoptimize_in`]. It refuses, with `None`, when an
+//!   equality row is empty or its last term's entry is zero, when the
+//!   start is not dual feasible, and when the dual simplex stalls or runs
+//!   out of pivots; the caller solves with [`solve_in`].
 //! * **Float guides**: [`solve_float_guided`] solves an `f64` copy of an
 //!   exact problem and hands only its optimal basis to the exact warm
 //!   path, so the exact solve starts at (or next to) the optimum instead
@@ -32,8 +51,9 @@
 //!   that solves many programs in a row ([`solve_in`]) stops allocating
 //!   once the buffers have grown. Every solve starts from the same logical
 //!   state as with a fresh workspace, so it runs the same pivots on the
-//!   same operands; only [`reoptimize_in`] reads the tableau the last
-//!   solve left. [`solve`] and [`solve_warm`] use a fresh workspace.
+//!   same operands; only [`reoptimize_in`] and [`LpWorkspace::basis`]
+//!   read the tableau the last solve left. [`solve`] and [`solve_warm`]
+//!   use a fresh workspace.
 //!
 //! # Layout
 //!
@@ -80,6 +100,11 @@
 //!   scans the pivot row in increasing column order, so their tie-breaks
 //!   see the candidates in a fixed order.
 //! * Removing a redundant row moves the last row into its place.
+//! * A negated row's entries and right-hand side are built negated
+//!   (`−a` summed in term order, `−b`), and the build records the flip
+//!   per row: a cold build negates the rows with a negative right-hand
+//!   side, a dual start every `≥` row. [`reoptimize_in`] reads that flag,
+//!   not the right-hand side's sign, to refuse a change to a negated row.
 //! * A re-optimization adds a right-hand-side change `Δ` of row `k` as
 //!   `b_i += Δ·t_i` down the row's slack column `t` (`−Δ` for a `≥`
 //!   row's surplus), rows in increasing order, changed rows in row order,
@@ -145,7 +170,7 @@ pub struct WarmSolve<S> {
 
 /// Reusable buffers for the revised simplex: the tableau entries,
 /// right-hand side, basis, variable-to-column map, pivot row and pivot
-/// column, cost and reduced-cost vectors, and row flags.
+/// column, cost and reduced-cost vectors, and a warm start's row flags.
 ///
 /// A solve takes the buffers it needs and returns them when it ends, so
 /// repeated solves through one workspace stop allocating once capacity
@@ -162,8 +187,7 @@ pub struct LpWorkspace<S> {
     r: Vec<S>,
     /// Basic costs (scratch of `Tab::reduced_costs`).
     cb: Vec<S>,
-    /// Per-row flags: sign flips of a cold build, realized rows of a
-    /// warm one.
+    /// Rows a warm start has realized.
     flags: Vec<bool>,
 }
 
@@ -177,6 +201,15 @@ impl<S> LpWorkspace<S> {
             cb: Vec::new(),
             flags: Vec::new(),
         }
+    }
+}
+
+impl<S: Scalar> LpWorkspace<S> {
+    /// The basis the last solve or re-optimization through this
+    /// workspace ended on, as a [`solve_warm`] hint; `None` unless it
+    /// ended optimal.
+    pub fn basis(&self) -> Option<WarmBasis> {
+        self.tab.optimal.then(|| self.tab.snapshot_basis())
     }
 }
 
@@ -201,10 +234,38 @@ pub fn solve<S: Scalar>(problem: &LpProblem<S>) -> LpSolution<S> {
 
 /// [`solve`] with the buffers of `ws`.
 pub fn solve_in<S: Scalar>(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> LpSolution<S> {
-    let mut tab = Tab::build(p, ws, true);
+    let mut tab = Tab::build(p, ws, Start::Cold);
     let (solution, _) = tab.solve_cold(p, ws, false);
     ws.tab = tab;
     solution
+}
+
+/// Solves `p` through `ws` without a phase 1: the dual simplex starts
+/// from the basis of every inequality row's slack (a `≥` row negated, so
+/// that its surplus enters at +1) and of each equality row's last term,
+/// pivoted into that row, and the primal simplex finishes (the module
+/// doc gives the rules). Status and objective are [`solve_in`]'s; where
+/// the optimum is tied the vertex may differ. The tableau is left for
+/// [`reoptimize_in`] as a [`solve_in`] leaves it.
+///
+/// Returns `None`, and leaves `ws` usable by any solve, when that start
+/// cannot serve; the caller then solves with [`solve_in`]. That happens
+/// when an equality row is empty or its last term's entry is zero once
+/// the rows above it are pivoted, when the start is not dual feasible,
+/// or when the dual simplex stalls (more than `rows` degenerate pivots
+/// in a row) or runs out of pivots. A minimization whose objective
+/// coefficients are all nonnegative, with no objective term on an
+/// equality row's last term, always starts dual feasible.
+///
+/// Once the buffers have grown it allocates only the returned values.
+pub fn solve_dual_in<S: Scalar>(
+    p: &LpProblem<S>,
+    ws: &mut LpWorkspace<S>,
+) -> Option<LpSolution<S>> {
+    let mut tab = Tab::build(p, ws, Start::Dual);
+    let out = tab.solve_dual_start(p, ws);
+    ws.tab = tab;
+    out
 }
 
 /// Re-optimizes, in place, the optimal tableau that the last solve
@@ -223,8 +284,9 @@ pub fn solve_in<S: Scalar>(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> LpSolut
 /// these hold:
 /// * the last solve through `ws` (or re-optimization) ended optimal;
 /// * `p` has its shape: variable count, row count and each row's relation;
-/// * every changed row is an inequality the cold build did not sign-flip
-///   (its old right-hand side was not negative);
+/// * every changed row is an inequality the last build did not negate
+///   (a cold build negates a row with a negative right-hand side, a dual
+///   start every `≥` row);
 /// * every variable of the objective has a column;
 /// * the changes leave every basic value `≥ −tolerance`.
 ///
@@ -243,7 +305,7 @@ pub fn reoptimize_in<S: Scalar>(
 pub fn solve_warm<S: Scalar>(p: &LpProblem<S>, hint: Option<&WarmBasis>) -> WarmSolve<S> {
     let ws = &mut LpWorkspace::new();
     if let Some(h) = hint.filter(|h| h.compatible_with(p)) {
-        let mut tab = Tab::build(p, ws, false);
+        let mut tab = Tab::build(p, ws, Start::Warm);
         let out = tab.run_warm(p, &h.basis, ws);
         ws.tab = tab;
         if let Some((solution, basis)) = out {
@@ -254,7 +316,7 @@ pub fn solve_warm<S: Scalar>(p: &LpProblem<S>, hint: Option<&WarmBasis>) -> Warm
             };
         }
     }
-    let mut tab = Tab::build(p, ws, true);
+    let mut tab = Tab::build(p, ws, Start::Cold);
     let (solution, basis) = tab.solve_cold(p, ws, true);
     WarmSolve {
         solution,
@@ -321,9 +383,9 @@ struct Tab<S> {
     /// Column index where artificial variables start (== n_total when none).
     art_start: usize,
     /// Relation and right-hand side of each of the program's rows, as
-    /// given (before any sign flip).
-    rows: Vec<(Rel, S)>,
-    /// The last phase 2 of a cold solve, or of a re-optimization since,
+    /// given, and whether the build negated the row.
+    rows: Vec<(Rel, S, bool)>,
+    /// The last cold solve or dual start, or a re-optimization since,
     /// ended optimal: the basis is optimal for `rows`. (Warm solves run
     /// on a workspace of their own, which no caller sees again.)
     optimal: bool,
@@ -353,6 +415,22 @@ impl<S> Default for Tab<S> {
     }
 }
 
+/// How [`Tab::build`] lays out the starting tableau.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Start {
+    /// Two-phase: a row with a negative right-hand side is negated, so
+    /// that `b ≥ 0`; `≤` rows start on their slack, every other row on an
+    /// artificial.
+    Cold,
+    /// No negation, no artificials and no row assigned: the hinted basis
+    /// is realized afterwards.
+    Warm,
+    /// Dual start: every `≥` row is negated, so that every inequality
+    /// starts on its slack at +1; equality rows stay unassigned until
+    /// their last term is pivoted in. No artificials.
+    Dual,
+}
+
 /// The relation of a constraint row after an optional sign flip.
 fn flipped(rel: Rel, flip: bool) -> Rel {
     match (rel, flip) {
@@ -363,30 +441,25 @@ fn flipped(rel: Rel, flip: bool) -> Rel {
 }
 
 impl<S: Scalar> Tab<S> {
-    /// Standard form in the workspace's retired storage. Cold (`cold`):
-    /// rows with a negative right-hand side are negated so that `b ≥ 0`,
-    /// `≤` rows start on their slack and every other row on an artificial
-    /// (phase 1). Warm: no sign normalization, no artificials, and no row
-    /// assigned a basic column (negative `b` entries are repaired by dual
-    /// simplex once the hinted basis is realized).
-    fn build(p: &LpProblem<S>, ws: &mut LpWorkspace<S>, cold: bool) -> Tab<S> {
-        ws.flags.clear();
-        ws.flags.extend(
-            p.constraints()
-                .iter()
-                .map(|c| cold && c.rhs.is_negative_tol()),
-        );
-        let flip = &ws.flags;
+    /// Standard form in the workspace's retired storage, laid out for
+    /// `start` (see [`Start`]). Warm builds keep negative `b` entries for
+    /// the dual simplex to repair once the hinted basis is realized, and
+    /// dual starts keep them for the dual simplex outright.
+    fn build(p: &LpProblem<S>, ws: &mut LpWorkspace<S>, start: Start) -> Tab<S> {
         let mut tab = mem::take(&mut ws.tab);
         tab.map_columns(p);
-        let rels = || {
-            p.constraints()
-                .iter()
-                .zip(flip.iter())
-                .map(|(c, &f)| flipped(c.rel, f))
-        };
+        tab.rows.clear();
+        tab.rows.extend(p.constraints().iter().map(|c| {
+            let flip = match start {
+                Start::Cold => c.rhs.is_negative_tol(),
+                Start::Warm => false,
+                Start::Dual => c.rel == Rel::Ge,
+            };
+            (c.rel, c.rhs.clone(), flip)
+        }));
+        let rels = || tab.rows.iter().map(|&(rel, _, flip)| flipped(rel, flip));
         let n_slack = rels().filter(|&r| r != Rel::Eq).count();
-        let n_art = if cold {
+        let n_art = if start == Start::Cold {
             rels().filter(|&r| r != Rel::Le).count()
         } else {
             0
@@ -403,16 +476,15 @@ impl<S: Scalar> Tab<S> {
         tab.b.clear();
         tab.basis.clear();
         tab.basis.resize(m, usize::MAX);
-        tab.rows.clear();
-        tab.rows
-            .extend(p.constraints().iter().map(|c| (c.rel, c.rhs.clone())));
         tab.optimal = false;
         let (mut slack, mut art) = (n_struct, tab.art_start);
-        for (i, (c, rel)) in p.constraints().iter().zip(rels()).enumerate() {
+        for (i, c) in p.constraints().iter().enumerate() {
+            let flip = tab.rows[i].2;
+            let rel = flipped(c.rel, flip);
             let row = &mut tab.a[i * w..(i + 1) * w];
             // Duplicate terms sum in term order; a negligible sum is zero.
             for (v, coeff) in &c.expr.terms {
-                let val = if flip[i] { coeff.neg() } else { coeff.clone() };
+                let val = if flip { coeff.neg() } else { coeff.clone() };
                 let cell = &mut row[tab.col_of[v.index()]];
                 *cell = if *cell == zero { val } else { cell.add(&val) };
             }
@@ -422,26 +494,25 @@ impl<S: Scalar> Tab<S> {
                     *cell = zero.clone();
                 }
             }
-            tab.b
-                .push(if flip[i] { c.rhs.neg() } else { c.rhs.clone() });
+            tab.b.push(if flip { c.rhs.neg() } else { c.rhs.clone() });
             if rel != Rel::Eq {
                 row[slack] = if rel == Rel::Le {
                     S::one()
                 } else {
                     S::one().neg()
                 };
-                if cold && rel == Rel::Le {
+                if start != Start::Warm && rel == Rel::Le {
                     tab.basis[i] = slack;
                 }
                 slack += 1;
             }
-            if cold && rel != Rel::Le {
+            if start == Start::Cold && rel != Rel::Le {
                 row[art] = S::one();
                 tab.basis[i] = art;
                 art += 1;
             }
         }
-        debug_assert!(!cold || tab.basis.iter().all(|&bv| bv != usize::MAX));
+        debug_assert!(start != Start::Cold || tab.basis.iter().all(|&bv| bv != usize::MAX));
         tab
     }
 
@@ -601,7 +672,11 @@ impl<S: Scalar> Tab<S> {
 
     /// Primal simplex until optimal (`true`) or unbounded (`false`).
     /// Dantzig pricing with a Bland fallback after a degeneracy streak.
-    fn run_primal(&mut self, r: &mut [S], z: &mut S) -> bool {
+    /// With `near_ties`, a column displaces the best candidate only when
+    /// its reduced cost is lower by more than the tolerance, so reduced
+    /// costs that agree to within it go to the lower column; without, only
+    /// an exact tie does.
+    fn run_primal(&mut self, r: &mut [S], z: &mut S, near_ties: bool) -> bool {
         let m = self.b.len();
         let max_pivots = MAX_PIVOTS_FACTOR * (m + self.n_total + 1);
         let mut streak = 0usize;
@@ -612,9 +687,14 @@ impl<S: Scalar> Tab<S> {
             } else {
                 let mut best: Option<usize> = None;
                 for j in 0..self.n_total {
-                    if r[j].is_negative_tol()
-                        && best.is_none_or(|bj| r[j].cmp_total(&r[bj]) == std::cmp::Ordering::Less)
-                    {
+                    let lower = |bj: usize| {
+                        if near_ties {
+                            r[j].lt_tol(&r[bj])
+                        } else {
+                            r[j].cmp_total(&r[bj]) == std::cmp::Ordering::Less
+                        }
+                    };
+                    if r[j].is_negative_tol() && best.is_none_or(lower) {
                         best = Some(j);
                     }
                 }
@@ -788,10 +868,11 @@ impl<S: Scalar> Tab<S> {
         LpSolution::optimal(objective, values)
     }
 
-    fn snapshot_basis(&self, p: &LpProblem<S>) -> WarmBasis {
+    /// The basis, as a hint for the program this tableau was built from.
+    fn snapshot_basis(&self) -> WarmBasis {
         WarmBasis {
-            n_vars: p.n_vars(),
-            rels: p.constraints().iter().map(|c| c.rel).collect(),
+            n_vars: self.n_vars,
+            rels: self.rows.iter().map(|r| r.0).collect(),
             basis: self.basis.iter().map(|&j| self.program_col(j)).collect(),
         }
     }
@@ -815,18 +896,18 @@ impl<S: Scalar> Tab<S> {
             // Phase 1 is bounded below by 0, so "unbounded" can only be
             // float breakdown on a badly scaled program: no feasible
             // point was found, and the caller gets to fall back.
-            if !self.run_primal(r, &mut z) || z.neg().is_positive_tol() {
+            if !self.run_primal(r, &mut z, false) || z.neg().is_positive_tol() {
                 return (LpSolution::infeasible(p.n_vars()), None);
             }
             self.purge_artificials();
         }
         let negate = self.phase2_cost(p, cost);
         let mut z = self.reduced_costs(cost, cb, r);
-        if !self.run_primal(r, &mut z) {
+        if !self.run_primal(r, &mut z, false) {
             return (LpSolution::unbounded(p.n_vars()), None);
         }
         self.optimal = true;
-        let basis = want_basis.then(|| self.snapshot_basis(p));
+        let basis = want_basis.then(|| self.snapshot_basis());
         (self.extract(z, negate), basis)
     }
 
@@ -896,10 +977,46 @@ impl<S: Scalar> Tab<S> {
         } else if !primal_feasible {
             return None; // neither primal nor dual feasible — cold solve
         }
-        if !self.run_primal(r, &mut z) {
+        if !self.run_primal(r, &mut z, true) {
             return Some((LpSolution::unbounded(p.n_vars()), None));
         }
-        Some((self.extract(z, negate), Some(self.snapshot_basis(p))))
+        Some((self.extract(z, negate), Some(self.snapshot_basis())))
+    }
+
+    /// [`solve_dual_in`] on a dual-start [`Tab::build`] tableau: pivots
+    /// each equality row's last term into that row, in row order, then
+    /// runs the dual simplex to primal feasibility and the primal simplex
+    /// to a verdict. `None` when the start cannot serve (see
+    /// [`solve_dual_in`]).
+    fn solve_dual_start(
+        &mut self,
+        p: &LpProblem<S>,
+        ws: &mut LpWorkspace<S>,
+    ) -> Option<LpSolution<S>> {
+        for (i, c) in p.constraints().iter().enumerate() {
+            if c.rel != Rel::Eq {
+                continue;
+            }
+            let col = self.col_of[c.expr.terms.last()?.0.index()];
+            if self.a[i * self.w + col].is_negligible() {
+                return None;
+            }
+            self.pivot(i, col, None, false);
+        }
+        let LpWorkspace { cost, r, cb, .. } = ws;
+        let negate = self.phase2_cost(p, cost);
+        let mut z = self.reduced_costs(cost, cb, r);
+        if r.iter().any(|v| v.is_negative_tol()) {
+            return None;
+        }
+        if !self.run_dual(r, &mut z)? {
+            return Some(LpSolution::infeasible(p.n_vars()));
+        }
+        if !self.run_primal(r, &mut z, false) {
+            return Some(LpSolution::unbounded(p.n_vars()));
+        }
+        self.optimal = true;
+        Some(self.extract(z, negate))
     }
 
     /// [`reoptimize_in`] on this tableau, the workspace's last.
@@ -910,7 +1027,7 @@ impl<S: Scalar> Tab<S> {
             && p.constraints()
                 .iter()
                 .zip(&self.rows)
-                .all(|(c, (rel, _))| c.rel == *rel)
+                .all(|(c, (rel, ..))| c.rel == *rel)
             && p.objective()
                 .terms
                 .iter()
@@ -922,10 +1039,9 @@ impl<S: Scalar> Tab<S> {
         self.optimal = false;
         let zero = S::zero();
         let mut slack = self.var_of.len();
-        for (c, (rel, rhs)) in p.constraints().iter().zip(&mut self.rows) {
+        for (c, (rel, rhs, negated)) in p.constraints().iter().zip(&mut self.rows) {
             if c.rhs != *rhs {
-                // A negative right-hand side was sign-flipped by the build.
-                if *rel == Rel::Eq || rhs.is_negative_tol() {
+                if *rel == Rel::Eq || *negated {
                     return None;
                 }
                 // A `≥` row's surplus column holds −B⁻¹e_k.
@@ -950,7 +1066,7 @@ impl<S: Scalar> Tab<S> {
         let LpWorkspace { cost, r, cb, .. } = ws;
         let negate = self.phase2_cost(p, cost);
         let mut z = self.reduced_costs(cost, cb, r);
-        if !self.run_primal(r, &mut z) {
+        if !self.run_primal(r, &mut z, true) {
             return Some(LpSolution::unbounded(p.n_vars()));
         }
         self.optimal = true;
@@ -1378,6 +1494,99 @@ mod tests {
         let mut prices_z = with_z.clone();
         prices_z.set_objective(LinExpr::term(z, 1.0));
         refuses_then_solves_fresh(&with_z, &prices_z);
+    }
+
+    /// min x + 2y + z s.t. x + y ≥ 2, x − y ≤ −1 (a `≤` row with a
+    /// negative right-hand side), x ≤ 4, y ≤ 4, x + y + z = 3 over `Rat`:
+    /// the dual start begins at x = y = 0, z = 3 with two rows negative
+    /// and repairs to (1/2, 3/2, 1), 9/2.
+    fn dual_startable() -> LpProblem<Rat> {
+        let k = Rat::from_i64;
+        let mut lp: LpProblem<Rat> = LpProblem::new(Sense::Minimize);
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        let z = lp.add_var("z");
+        lp.set_objective(LinExpr::from_iter([(x, k(1)), (y, k(2)), (z, k(1))]));
+        lp.add_constraint(LinExpr::from_iter([(x, k(1)), (y, k(1))]), Rel::Ge, k(2));
+        lp.add_constraint(LinExpr::from_iter([(x, k(1)), (y, k(-1))]), Rel::Le, k(-1));
+        lp.add_constraint(LinExpr::term(x, k(1)), Rel::Le, k(4));
+        lp.add_constraint(LinExpr::term(y, k(1)), Rel::Le, k(4));
+        lp.add_constraint(
+            LinExpr::from_iter([(x, k(1)), (y, k(1)), (z, k(1))]),
+            Rel::Eq,
+            k(3),
+        );
+        lp
+    }
+
+    #[test]
+    fn a_dual_start_reaches_the_two_phase_optimum() {
+        let lp = dual_startable();
+        let mut ws = LpWorkspace::new();
+        let dual = solve_dual_in(&lp, &mut ws).expect("the slack basis is dual feasible");
+        let cold = solve(&lp);
+        assert_eq!(dual.status, LpStatus::Optimal);
+        assert_eq!(dual.objective, Some(Rat::from_ratio(9, 2)));
+        assert_eq!(dual.values, cold.values);
+        assert_eq!(dual.objective, cold.objective);
+        // The tableau it leaves is optimal: its basis seeds a warm solve
+        // that needs no repair.
+        let warm = solve_warm(&lp, ws.basis().as_ref());
+        assert!(warm.warm_used);
+        assert_eq!(warm.solution.objective, cold.objective);
+    }
+
+    #[test]
+    fn a_dual_start_refuses_and_leaves_the_workspace_usable() {
+        let k = Rat::from_i64;
+        // Not dual feasible: maximizing x prices x at −1.
+        let mut max = dual_startable();
+        max.reset_objective(Sense::Maximize);
+        max.objective_term(VarId(0), k(1));
+        // An equality row without terms.
+        let mut empty = dual_startable();
+        empty.push_row(Rel::Eq, k(1));
+        // A last term whose entry the rows above cancel: 2x + 2y + 2z = 6
+        // repeats the equality row, so z's entry there pivots to zero.
+        let mut repeated = dual_startable();
+        repeated.add_constraint(
+            LinExpr::from_iter([(VarId(0), k(2)), (VarId(1), k(2)), (VarId(2), k(2))]),
+            Rel::Eq,
+            k(6),
+        );
+        for p in [&max, &empty, &repeated] {
+            let mut ws = LpWorkspace::new();
+            solve_in(&dual_startable(), &mut ws);
+            assert!(solve_dual_in(p, &mut ws).is_none());
+            assert!(ws.basis().is_none(), "a refusal leaves no optimal tableau");
+            let (next, fresh) = (solve_in(p, &mut ws), solve(p));
+            assert_eq!(
+                (next.status, next.objective),
+                (fresh.status, fresh.objective)
+            );
+            assert_eq!(next.values, fresh.values);
+        }
+    }
+
+    #[test]
+    fn reoptimizing_after_a_dual_start_reads_the_recorded_negation() {
+        let k = Rat::from_i64;
+        // The dual start negated x + y ≥ 2, so a change to it is refused.
+        let mut ws = LpWorkspace::new();
+        solve_dual_in(&dual_startable(), &mut ws).expect("serves");
+        let mut ge_moved = dual_startable();
+        ge_moved.constraints_mut()[0].rhs = k(3);
+        assert!(reoptimize_in(&ge_moved, &mut ws).is_none());
+        // x − y ≤ −1 has a negative right-hand side but kept its sign, so
+        // moving it to −2 re-optimizes: (0, 2, 1), 5.
+        let mut ws = LpWorkspace::new();
+        solve_dual_in(&dual_startable(), &mut ws).expect("serves");
+        let mut le_moved = dual_startable();
+        le_moved.constraints_mut()[1].rhs = k(-2);
+        let re = reoptimize_in(&le_moved, &mut ws).expect("the row was not negated");
+        let cold = solve(&le_moved);
+        assert_eq!(re.objective, Some(k(5)));
+        assert_eq!((re.objective, re.values), (cold.objective, cold.values));
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! (d) bit-identity of solves through one reused `LpWorkspace` with
 //!     solves through a fresh one,
 //! (e) re-optimization after a tightened row and a new objective against
-//!     a cold solve of the changed program.
+//!     a cold solve of the changed program,
+//! (f) the dual start (`solve_dual_in`) against the two-phase solve on
+//!     programs whose slack basis is dual feasible, and re-optimization
+//!     after it as in (e).
 
 use dlflow_lp::{
-    reoptimize_in, solve, solve_float_guided, solve_in, LinExpr, LpProblem, LpSolution, LpStatus,
-    LpWorkspace, Rel, Sense,
+    reoptimize_in, solve, solve_dual_in, solve_float_guided, solve_in, LinExpr, LpProblem,
+    LpSolution, LpStatus, LpWorkspace, Rel, Sense,
 };
 use dlflow_num::{Rat, Scalar};
 use proptest::prelude::*;
@@ -110,19 +113,21 @@ fn build_pair(
     (lp_f, lp_r)
 }
 
-/// Solves `p` through a fresh workspace, tightens the row with the
-/// largest slack at the optimum (so its slack is basic) by `cut`/4 of
-/// that slack, replaces the objective by `c` under `sense`, and requires
-/// `reoptimize_in` to reach a cold solve's status and an objective that
-/// `same` accepts, at a feasible point. Returns whether a row had slack.
+/// Solves `p` by `first_solve` through a fresh workspace, tightens the
+/// row with the largest slack at the optimum (so its slack is basic) by
+/// `cut`/4 of that slack, replaces the objective by `c` under `sense`,
+/// and requires `reoptimize_in` to reach a cold solve's status and an
+/// objective that `same` accepts, at a feasible point. Returns whether a
+/// row had slack.
 fn reoptimized_matches_cold<S: Scalar>(
     p: &LpProblem<S>,
+    first_solve: impl Fn(&LpProblem<S>, &mut LpWorkspace<S>) -> LpSolution<S>,
     (c, sense): (&[i64], Sense),
     cut: i64,
     same: impl Fn(&S, &S) -> bool,
 ) -> Result<bool, TestCaseError> {
     let mut ws = LpWorkspace::new();
-    let first = solve_in(p, &mut ws);
+    let first = first_solve(p, &mut ws);
     prop_assert_eq!(first.status, LpStatus::Optimal);
     let slack = |row: &dlflow_lp::Constraint<S>| {
         let lhs = row.expr.terms.iter().fold(S::zero(), |acc, (v, a)| {
@@ -160,8 +165,160 @@ fn reoptimized_matches_cold<S: Scalar>(
     Ok(true)
 }
 
+/// `f64` objectives agree to 1e-9 relative (absolute below 1).
+fn f64_close(a: &f64, b: &f64) -> bool {
+    (a - b).abs() <= 1e-9 * b.abs().max(1.0)
+}
+
+/// The integer data of a program whose slack-plus-last-term basis is
+/// dual feasible (see [`dual_startable`]).
+struct DualData<'a> {
+    /// Costs of the `n` shared variables, all `≥ 0`.
+    c: &'a [i64],
+    /// Inequality rows as (is `≥`, coefficients over every variable,
+    /// right-hand side of either sign).
+    ineq: Vec<(bool, &'a [i64], i64)>,
+    /// Equality rows as (coefficients over the shared variables, the
+    /// coefficient of the row's own last variable, right-hand side).
+    eq: Vec<(&'a [i64], i64, i64)>,
+    /// Right-hand side of `Σ x ≤ cap` over every variable.
+    cap: i64,
+    /// Maximize `−c·x` instead of minimizing `c·x`.
+    maximize: bool,
+}
+
+/// The program of `d` over `S`: minimize `c·x` (or maximize `−c·x`)
+/// over the shared variables and one more variable per equality row,
+/// which ends that row, appears in no other, and costs nothing. Every
+/// reduced cost at the slack-plus-last-term basis is then a cost `≥ 0`,
+/// and each last term keeps its entry while the rows above it pivot, so
+/// the dual start has its basis.
+fn dual_startable<S: Scalar>(d: &DualData<'_>) -> LpProblem<S> {
+    let k = S::from_i64;
+    let sense = if d.maximize {
+        Sense::Maximize
+    } else {
+        Sense::Minimize
+    };
+    let mut lp: LpProblem<S> = LpProblem::new(sense);
+    let shared: Vec<_> = (0..d.c.len())
+        .map(|i| lp.add_var(format!("x{i}")))
+        .collect();
+    let own: Vec<_> = (0..d.eq.len())
+        .map(|i| lp.add_var(format!("e{i}")))
+        .collect();
+    let sign = if d.maximize { -1 } else { 1 };
+    lp.set_objective(LinExpr::from_iter(
+        shared.iter().zip(d.c).map(|(&v, &ci)| (v, k(sign * ci))),
+    ));
+    let all: Vec<_> = shared.iter().chain(&own).copied().collect();
+    for &(ge, a, rhs) in &d.ineq {
+        let rel = if ge { Rel::Ge } else { Rel::Le };
+        lp.add_constraint(
+            LinExpr::from_iter(all.iter().zip(a).map(|(&v, &ai)| (v, k(ai)))),
+            rel,
+            k(rhs),
+        );
+    }
+    lp.add_constraint(
+        LinExpr::from_iter(all.iter().map(|&v| (v, k(1)))),
+        Rel::Le,
+        k(d.cap),
+    );
+    for (&e, &(a, last, rhs)) in own.iter().zip(&d.eq) {
+        let mut expr = LinExpr::from_iter(shared.iter().zip(a).map(|(&v, &ai)| (v, k(ai))));
+        expr.push(e, k(last));
+        lp.add_constraint(expr, Rel::Eq, k(rhs));
+    }
+    lp
+}
+
+/// [`solve_dual_in`] on a program built by [`dual_startable`], where it
+/// serves.
+fn dual_in<S: Scalar>(p: &LpProblem<S>, ws: &mut LpWorkspace<S>) -> LpSolution<S> {
+    solve_dual_in(p, ws).expect("the dual start serves")
+}
+
+/// Requires the dual start on `p` to serve, through the shared workspace
+/// `ws` bit for bit (under `key`) as through a fresh one, and to reach
+/// the two-phase solve's status and an objective that `same` accepts, at
+/// a feasible point. Returns that status.
+fn dual_start_serves_like_two_phase<S: Scalar, K: PartialEq + Debug>(
+    p: &LpProblem<S>,
+    ws: &mut LpWorkspace<S>,
+    same: impl Fn(&S, &S) -> bool,
+    key: impl Fn(&S) -> K,
+) -> Result<LpStatus, TestCaseError> {
+    let dual = solve_dual_in(p, ws);
+    prop_assert!(
+        dual.is_some(),
+        "the dual start refused a dual-feasible start"
+    );
+    let dual = dual.unwrap();
+    let fresh = solve_dual_in(p, &mut LpWorkspace::new()).expect("served through ws");
+    prop_assert_eq!(solution_key(&dual, &key), solution_key(&fresh, &key));
+    let cold = solve(p);
+    prop_assert_eq!(dual.status, cold.status);
+    if let (Some(got), Some(want)) = (&dual.objective, &cold.objective) {
+        prop_assert!(
+            same(got, want),
+            "dual start {:?}, two-phase {:?}",
+            got,
+            want
+        );
+        prop_assert!(p.check_feasible(&dual.values).is_ok());
+    }
+    Ok(dual.status)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// On programs whose slack-plus-last-term basis is dual feasible the
+    /// dual start serves and reaches the two-phase status and objective,
+    /// exactly over `Rat` and within 1e-9 relative over `f64`; after it,
+    /// tightening a row whose slack is basic and replacing the objective
+    /// re-optimizes to a cold solve's status and objective.
+    #[test]
+    fn dual_start_matches_two_phase(
+        c in proptest::collection::vec(0i64..=5, 3),
+        n in 1usize..4,
+        rels in proptest::collection::vec(0u8..2, 3),
+        m in 1usize..4,
+        a in proptest::collection::vec(-4i64..=6, 15),
+        b in proptest::collection::vec(-6i64..=10, 3),
+        eq_a in proptest::collection::vec(-2i64..=3, 6),
+        eq_last in proptest::collection::vec(1i64..=3, 2),
+        eq_b in proptest::collection::vec(0i64..=8, 2),
+        n_eq in 0usize..3,
+        cap in 1i64..=20,
+        maximize in 0u8..2,
+        new_c in proptest::collection::vec(-5i64..=5, 5),
+        minimize_next in 0u8..2,
+        cut in 0i64..=4,
+    ) {
+        let width = n + n_eq;
+        let d = DualData {
+            c: &c[..n],
+            ineq: (0..m).map(|i| (rels[i] == 1, &a[i * 5..i * 5 + width], b[i])).collect(),
+            eq: (0..n_eq).map(|r| (&eq_a[r * 3..r * 3 + n], eq_last[r], eq_b[r])).collect(),
+            cap,
+            maximize: maximize == 1,
+        };
+        let (lp_r, lp_f) = (dual_startable::<Rat>(&d), dual_startable::<f64>(&d));
+        let exact = WS_RAT.with(|ws| {
+            dual_start_serves_like_two_phase(&lp_r, &mut ws.borrow_mut(), |a, b| a == b, Rat::clone)
+        })?;
+        let float = WS_F64.with(|ws| {
+            dual_start_serves_like_two_phase(&lp_f, &mut ws.borrow_mut(), f64_close, |v| v.to_bits())
+        })?;
+        prop_assert_eq!(exact, float);
+        if exact == LpStatus::Optimal {
+            let next = (&new_c[..width], if minimize_next == 1 { Sense::Minimize } else { Sense::Maximize });
+            reoptimized_matches_cold(&lp_r, dual_in, next, cut, |a, b| a == b)?;
+            reoptimized_matches_cold(&lp_f, dual_in, next, cut, f64_close)?;
+        }
+    }
 
     /// Tighten a row whose slack is basic and replace the objective: the
     /// re-optimized status and objective equal a cold solve's, exactly
@@ -181,10 +338,8 @@ proptest! {
         let rows: Vec<Vec<i64>> = (0..m).map(|i| (0..n).map(|j| seed_a[(i * 3 + j) % 9]).collect()).collect();
         let (lp_f, lp_r) = build_pair(n, &seed_c[..n], &rows, &seed_b[..m], cap);
         let sense = if minimize == 1 { Sense::Minimize } else { Sense::Maximize };
-        let exact = reoptimized_matches_cold(&lp_r, (&new_c, sense), cut, |a, b| a == b)?;
-        let float = reoptimized_matches_cold(&lp_f, (&new_c, sense), cut, |a: &f64, b: &f64| {
-            (a - b).abs() <= 1e-9 * b.abs().max(1.0)
-        })?;
+        let exact = reoptimized_matches_cold(&lp_r, solve_in, (&new_c, sense), cut, |a, b| a == b)?;
+        let float = reoptimized_matches_cold(&lp_f, solve_in, (&new_c, sense), cut, f64_close)?;
         prop_assert_eq!(exact, float, "a row has slack in one scalar only");
     }
 

@@ -629,7 +629,7 @@ fn scenario_seed(base: u64, pi: usize, wi: usize, k: u64) -> u64 {
 /// The instance of one scenario: dyadic and factorization-preserving, so
 /// lossless in f64 *and* as exact rationals, and still uniform-with-
 /// restricted-availabilities so the yardstick runs on max-flows alone.
-fn scenario_instance(
+pub(crate) fn scenario_instance(
     cfg: &CampaignConfig,
     pi: usize,
     wi: usize,

@@ -15,10 +15,11 @@
 //!    relative), maximizing the weighted work of the first interval,
 //!    `Σⱼ wⱼ Σᵢ α⁽⁰⁾ᵢⱼ`. Columns are in job-id order, so the plan does
 //!    not depend on the active set's order. Where this stage's optimum
-//!    is tied, the plan is the vertex its pivots reach from the first
-//!    stage's final basis, so it also depends on that pivot path: GriPPS
-//!    costs are size × cycle time, so machines are uniform-related and
-//!    two jobs can often trade machines at equal weighted work;
+//!    is tied, the plan is the vertex its pivots reach from the basis
+//!    the first stage's dual start ended on, so it also depends on that
+//!    pivot path: GriPPS costs are size × cycle time, so machines are
+//!    uniform-related and two jobs can often trade machines at equal
+//!    weighted work;
 //! 3. convert the first interval's fractions `α⁽⁰⁾ᵢⱼ` into machine
 //!    shares and follow them until the next event (arrival, completion,
 //!    platform change), then re-plan. Divisibility makes preemption and
@@ -38,16 +39,20 @@
 //! # Per-event work
 //!
 //! A re-plan with several jobs costs one LP solve per probe plus the two
-//! stages, through the one [`LpWorkspace`] the policy owns: the probes
-//! and the first stage solve cold, and the second re-optimizes the first
-//! stage's final tableau in place ([`reoptimize_in`]): the pin moves one
-//! right-hand side down that row's basic slack, the new objective is
-//! priced, and the primal simplex takes about one pivot. No basis is
-//! snapshotted. The programs, the milestone list and the deadline vector
-//! are refilled in place. The tableau the second stage continues is the
-//! one the same re-plan's first stage left, so only buffer capacity
-//! outlives an event, and reset, restore and platform changes have no
-//! solver state to drop.
+//! stages, through the one [`LpWorkspace`] the policy owns. The probes
+//! solve cold. The first stage minimizes `F` alone, so the basis of the
+//! slacks and one `α` per completion row is dual feasible: it starts the
+//! dual simplex there and runs no phase 1 ([`solve_dual_in`]), solving
+//! two-phase only where that start refuses (a dual stall). The second
+//! re-optimizes the first stage's final tableau in place
+//! ([`reoptimize_in`]): the pin moves one right-hand side down that
+//! row's basic slack, the new objective is priced, and the primal
+//! simplex takes one or two pivots. No basis is snapshotted. The
+//! programs, the milestone list and the deadline vector are refilled in
+//! place. The tableau the second stage continues is the one the same
+//! re-plan's first stage left, so only buffer capacity outlives an
+//! event, and reset, restore and platform changes have no solver state
+//! to drop.
 
 use crate::engine::{ActiveSet, Allocation, JobView, OnlineScheduler, ResolveStats};
 use dlflow_core::instance::{Cost, Instance, Job};
@@ -56,7 +61,7 @@ use dlflow_core::lp_build::{
 };
 use dlflow_core::maxflow::locate_range;
 use dlflow_core::milestones::milestones_into;
-use dlflow_lp::{reoptimize_in, solve_in, LpSolution, LpWorkspace, Rel, Sense};
+use dlflow_lp::{reoptimize_in, solve_dual_in, solve_in, LpSolution, LpWorkspace, Rel, Sense};
 use std::mem;
 
 /// Smallest weight the heaviest active job is taken to have: the
@@ -211,8 +216,10 @@ impl PolicyLp {
     /// Milestone search and the first stage: the optimal objective of
     /// the sub-problem. [`Self::range`] keeps its range LP, with a last
     /// row `F ≤ cap` for the second stage to tighten, and the workspace
-    /// keeps that LP's final tableau. `None` when the range LP does not
-    /// end optimal.
+    /// keeps that LP's final tableau. The range LP minimizes `F` alone, so
+    /// its slack basis is dual feasible and the solve starts there
+    /// ([`solve_dual_in`]), solving two-phase only where that start
+    /// refuses. `None` when the range LP does not end optimal.
     fn min_flow(
         &mut self,
         sub: &Instance<f64>,
@@ -243,7 +250,8 @@ impl PolicyLp {
         );
         r.lp.push_row(Rel::Le, cap).expr.push(r.f_var, 1.0);
         self.solves += 1;
-        let sol = solve_in(&r.lp, &mut self.ws);
+        let sol =
+            solve_dual_in(&r.lp, &mut self.ws).unwrap_or_else(|| solve_in(&r.lp, &mut self.ws));
         sol.is_optimal().then(|| sol.values[r.f_var.index()])
     }
 
@@ -951,13 +959,102 @@ mod tests {
         }
     }
 
+    /// The placeable active jobs of a multi-job re-plan, filtered into
+    /// `cols` as `ola` filters them, and their sub-problem; `None` below
+    /// two jobs.
+    fn multi_job_sub(
+        ola: &OfflineAdapt,
+        now: f64,
+        active: &ActiveSet<'_>,
+        cols: &mut JobCols,
+        recycle: &mut SubBuffers,
+    ) -> Option<Instance<f64>> {
+        let (m, up) = (active.n_machines(), &ola.up);
+        cols.fill(active);
+        cols.retain_by(|c, k| (0..m).any(|i| (up.is_empty() || up[i]) && c.cost(i, k).is_some()));
+        (cols.n() >= 2).then(|| build_sub(now, cols, up, m, recycle).unwrap())
+    }
+
+    /// The first stage both ways at every multi-job re-plan of the plans
+    /// `ola` makes: from the dual start, solved two-phase where that
+    /// start refuses (the policy's path), and two-phase by `solve_in`
+    /// (the path the dual start replaced). A shadow [`PolicyLp`] builds
+    /// each first stage's program as the policy does.
+    #[derive(Default)]
+    struct StageOneOracle {
+        ola: OfflineAdapt,
+        shadow: PolicyLp,
+        ws: LpWorkspace<f64>,
+        cols: JobCols,
+        recycle: SubBuffers,
+        /// Multi-job re-plans.
+        replans: usize,
+        /// Of those, re-plans where the dual start refused.
+        fallbacks: usize,
+        /// Re-plans where the two paths' statuses differ.
+        status_mismatches: usize,
+        /// Largest relative gap between the two paths' `F*`.
+        f_gap: f64,
+    }
+
+    impl OnlineScheduler for StageOneOracle {
+        fn name(&self) -> String {
+            "OLA, stage 1 both ways".into()
+        }
+
+        fn on_platform_change(&mut self, now: f64, up: &[bool]) {
+            self.ola.on_platform_change(now, up);
+        }
+
+        fn plan(&mut self, now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
+            self.ola.plan(now, active, alloc);
+            let Some(sub) =
+                multi_job_sub(&self.ola, now, active, &mut self.cols, &mut self.recycle)
+            else {
+                return;
+            };
+            let origins = &self.cols.release;
+            self.shadow
+                .min_flow(&sub, origins, now, serial_bound(&sub, origins, now));
+            self.replans += 1;
+            let (lp, ws) = (&self.shadow.range.lp, &mut self.ws);
+            let dual = solve_dual_in(lp, ws);
+            self.fallbacks += usize::from(dual.is_none());
+            let dual = dual.unwrap_or_else(|| solve_in(lp, ws));
+            let two_phase = solve_in(lp, ws);
+            if dual.status != two_phase.status {
+                self.status_mismatches += 1;
+            } else if let (Some(a), Some(b)) = (dual.objective, two_phase.objective) {
+                let scale = a.abs().max(b.abs());
+                if scale > 0.0 {
+                    self.f_gap = self.f_gap.max((a - b).abs() / scale);
+                }
+            }
+            self.recycle = sub.into_parts();
+        }
+    }
+
+    impl StageOneOracle {
+        /// Prints the counts under `label` and asserts the same status at
+        /// every re-plan and `F*` within 1e-9 relative.
+        fn check(&self, label: &str) {
+            eprintln!(
+                "{label}: {} re-plans, {} dual-start fallbacks, F* gap {:.1e}",
+                self.replans, self.fallbacks, self.f_gap
+            );
+            assert!(self.replans > 100, "{label}: {} re-plans", self.replans);
+            assert_eq!(self.status_mismatches, 0, "{label}");
+            assert!(self.f_gap <= 1e-9, "{label}: F* gap {}", self.f_gap);
+        }
+    }
+
     /// The second stage both ways at every multi-job re-plan of the plans
     /// `ola` makes: re-optimized on the first stage's final tableau (the
-    /// policy's path) and, as the oracle, warm from the first stage's
-    /// basis by `solve_warm`, which re-realizes that basis in a fresh
+    /// policy's path) and, as the oracle, warm from the basis that tableau
+    /// holds by `solve_warm`, which re-realizes that basis in a fresh
     /// build of the pinned program (the path re-optimization replaced).
     /// A shadow [`PolicyLp`] repeats each first stage, so both paths start
-    /// from the state the policy's own stage 2 started from.
+    /// from the basis the policy's own stage 2 started from.
     #[derive(Default)]
     struct StageTwoOracle {
         ola: OfflineAdapt,
@@ -988,21 +1085,20 @@ mod tests {
 
         fn plan(&mut self, now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
             self.ola.plan(now, active, alloc);
-            let (m, up) = (active.n_machines(), &self.ola.up);
-            self.cols.fill(active);
-            self.cols.retain_by(|c, k| {
-                (0..m).any(|i| (up.is_empty() || up[i]) && c.cost(i, k).is_some())
-            });
-            if self.cols.n() < 2 {
+            let Some(sub) =
+                multi_job_sub(&self.ola, now, active, &mut self.cols, &mut self.recycle)
+            else {
                 return;
-            }
-            let sub = build_sub(now, &self.cols, up, m, &mut self.recycle).unwrap();
+            };
             let origins = &self.cols.release;
             let hi = serial_bound(&sub, origins, now);
             if let Some(f_star) = self.shadow.min_flow(&sub, origins, now, hi) {
                 self.replans += 1;
-                let stage_one = solve_warm(&self.shadow.range.lp, None);
-                let basis = stage_one.basis.expect("the first stage ended optimal");
+                let basis = self
+                    .shadow
+                    .ws
+                    .basis()
+                    .expect("the first stage ended optimal");
                 let new = self.shadow.stage_two(&sub, f_star);
                 let old = solve_warm(&self.shadow.range.lp, Some(&basis));
                 assert!(
@@ -1049,29 +1145,33 @@ mod tests {
         }
     }
 
+    /// The fault intensities `(mtbf, mttr)` of `tests/ola_differential.rs`.
+    const INTENSITIES: [(f64, f64); 3] = [(0.0, 0.0), (8.0, 2.0), (3.0, 3.0)];
+
+    /// The seeded trace `seed` at fault intensity `(mtbf, mttr)`: 100
+    /// requests on three machines.
+    fn seeded_trace(seed: u64, (mtbf, mttr): (f64, f64)) -> crate::workload::Trace {
+        use crate::workload::{generate_trace, FaultProcess, TraceSpec};
+        generate_trace(&TraceSpec {
+            n_requests: 100,
+            n_machines: 3,
+            seed,
+            faults: (mtbf > 0.0).then_some(FaultProcess {
+                mtbf,
+                mttr,
+                horizon: 30.0,
+                seed: seed ^ 0x01A0,
+            }),
+            ..Default::default()
+        })
+    }
+
     #[test]
     fn stage_two_matches_the_warm_oracle_on_seeded_traces() {
-        use crate::workload::{generate_trace, FaultProcess, TraceSpec};
-        // The three fault intensities of `tests/ola_differential.rs`.
-        for (intensity, (mtbf, mttr)) in
-            [(0.0, 0.0), (8.0, 2.0), (3.0, 3.0)].into_iter().enumerate()
-        {
+        for (intensity, faults) in INTENSITIES.into_iter().enumerate() {
             let mut oracle = StageTwoOracle::default();
             for seed in 0..6u64 {
-                generate_trace(&TraceSpec {
-                    n_requests: 100,
-                    n_machines: 3,
-                    seed,
-                    faults: (mtbf > 0.0).then_some(FaultProcess {
-                        mtbf,
-                        mttr,
-                        horizon: 30.0,
-                        seed: seed ^ 0x01A0,
-                    }),
-                    ..Default::default()
-                })
-                .replay(&mut oracle)
-                .unwrap();
+                seeded_trace(seed, faults).replay(&mut oracle).unwrap();
             }
             let o = &oracle;
             eprintln!(
@@ -1115,6 +1215,49 @@ mod tests {
             assert_eq!(o.status_mismatches, 0);
             assert!(o.objective_gap <= 1e-9, "objective gap {}", o.objective_gap);
             assert!(o.share_gap <= 1e-9, "share gap {}", o.share_gap);
+        }
+    }
+
+    /// Stage 1 from the dual start and two-phase at every multi-job
+    /// re-plan of the seeded traces (each fault intensity) and of the
+    /// `ola-online` traces (seeds 1 and 8191).
+    #[test]
+    fn stage_one_dual_start_matches_two_phase_on_traces() {
+        for (intensity, faults) in INTENSITIES.into_iter().enumerate() {
+            let mut oracle = StageOneOracle::default();
+            for seed in 0..6u64 {
+                seeded_trace(seed, faults).replay(&mut oracle).unwrap();
+            }
+            oracle.check(&format!("intensity {intensity}"));
+        }
+        for seed in [1, 8191] {
+            let mut oracle = StageOneOracle::default();
+            ola_online_trace(seed).replay(&mut oracle).unwrap();
+            oracle.check(&format!("ola-online seed {seed}"));
+        }
+    }
+
+    /// Stage 1 from the dual start and two-phase at every multi-job
+    /// re-plan of OLA's runs in the quick and the full tournament.
+    #[test]
+    fn stage_one_dual_start_matches_two_phase_in_the_tournaments() {
+        use crate::campaign::{parse_campaign, scenario_instance, FULL_CONFIG, QUICK_CONFIG};
+        for (name, text) in [("quick", QUICK_CONFIG), ("full", FULL_CONFIG)] {
+            let cfg = parse_campaign(text).unwrap();
+            assert!(
+                cfg.stretch_weights,
+                "the campaign simulates stretch weights"
+            );
+            let mut oracle = StageOneOracle::default();
+            for pi in 0..cfg.platforms.len() {
+                for wi in 0..cfg.workloads.len() {
+                    for k in 0..cfg.n_seeds {
+                        let inst = scenario_instance(&cfg, pi, wi, k).unwrap();
+                        simulate(&inst.with_stretch_weights(), &mut oracle).unwrap();
+                    }
+                }
+            }
+            oracle.check(&format!("{name} tournament"));
         }
     }
 

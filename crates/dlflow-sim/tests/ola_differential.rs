@@ -117,7 +117,8 @@ fn fnv1a(mut hash: u64, word: u64) -> u64 {
 /// fault-free and under a seeded fault process, and digests every
 /// completion (id and time bits, in completion order), the resolve
 /// counters and the bits of max stretch and max weighted flow. The
-/// constants pin the dense tableau's arithmetic with the second stage
+/// constants pin the dense tableau's arithmetic with the first stage
+/// started from the dual simplex's slack basis and the second stage
 /// re-optimized on the first stage's final tableau: any change in the
 /// LP's arithmetic or pivot path, down to one ULP of one plan, changes a
 /// digest.
@@ -148,7 +149,7 @@ fn ola_replays_are_pinned_to_the_bit() {
     let got = [digest(0), digest(1)];
     assert_eq!(
         got,
-        [0x0bb3_6887_dd57_0169, 0xec6b_1e39_0677_57ec],
+        [0x60b2_0efd_11e7_89f8, 0xb679_5136_6e60_77ff],
         "digests {got:#018x?}"
     );
 }
