@@ -324,6 +324,49 @@ fn simulate_refusals_exit_1_with_a_typed_message() {
 }
 
 #[test]
+fn resume_refuses_an_id_the_snapshot_cannot_back() {
+    // Job 0 completes at t = 1, before request 1 is released at t = 5:
+    // the snapshot after two events holds request 1 as a pending arrival
+    // and says `next_id 2`. An id of 2⁶² once panicked with `capacity
+    // overflow` (exit 101) as restore sized its id map by it.
+    let t = tempfile_path::TempPath::with_ext(
+        "machines 1 2\narrival 0 1 1 *\narrival 5 2 2 *\n",
+        "dlt",
+    );
+    let snap = tempfile_path::TempPath::with_ext("", "snap");
+    let (ok, _, stderr) = run(&[
+        "simulate",
+        t.as_str(),
+        "--snapshot-at",
+        "2",
+        "--snapshot-out",
+        snap.as_str(),
+    ]);
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&snap.0).unwrap();
+    assert!(text.contains("\nnext_id 2\n"), "{text}");
+    let line = 1 + text
+        .lines()
+        .position(|l| l.starts_with("arrival 1 "))
+        .expect("request 1 pending");
+    let bad = text.replace("\narrival 1 ", "\narrival 4611686018427387904 ");
+    let bad = tempfile_path::TempPath::with_ext(&bad, "snap");
+    let out = Command::new(BIN)
+        .args(["simulate", t.as_str(), "--resume", bad.as_str()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "malformed snapshot at line {line}: arrival: id 4611686018427387904 is not below \
+             next_id 2"
+        )),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn every_simulate_path_words_an_engine_error_the_same_way() {
     // Both requests run only on machine 0, which fails at t = 2 and never
     // recovers: every path stalls. (Shards keep their own clocks, so the

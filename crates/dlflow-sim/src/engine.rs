@@ -957,7 +957,8 @@ impl Engine {
     }
 
     /// High-water mark of the active set (informational; not part of
-    /// the snapshot format, resets on restore).
+    /// the snapshot format: a restored engine's starts at its restored
+    /// active set).
     pub fn peak_active(&self) -> usize {
         self.peak_active
     }
@@ -1477,10 +1478,20 @@ impl Engine {
     /// policy that spins on zero-length events errors out instead of
     /// hanging.
     pub fn drain(&mut self, policy: &mut dyn OnlineScheduler) -> Result<(), SimError> {
+        self.drain_until(policy, usize::MAX)
+    }
+
+    /// [`Engine::drain`], returning early, resumable, once the engine
+    /// has taken `stop` events.
+    pub(crate) fn drain_until(
+        &mut self,
+        policy: &mut dyn OnlineScheduler,
+        stop: usize,
+    ) -> Result<(), SimError> {
         let max_iters =
             100_000 + 200 * self.next_id * (self.n_machines + 2) + 2 * self.n_platform_pushed;
         for _ in 0..max_iters {
-            if self.step(policy)? == StepOutcome::Idle {
+            if self.n_events >= stop || self.step(policy)? == StepOutcome::Idle {
                 return Ok(());
             }
         }
@@ -1540,6 +1551,12 @@ impl Engine {
             .as_slice()
             .iter()
             .map(|p| (p.time, p.seq, p.event))
+    }
+
+    /// Whether job `id` is pending or active (the snapshot loader's
+    /// duplicate check).
+    pub(crate) fn holds(&self, id: usize) -> bool {
+        self.id_slot.get(id).is_some_and(|&slot| slot != NONE)
     }
 
     /// Re-inserts one pending arrival during restore (no validation —

@@ -22,7 +22,9 @@
 //!   against the **exact** Theorem-2 offline optimum;
 //! * the [`service`] module — the replayable report API behind the
 //!   `dlflow simulate` CLI subcommand, including fault injection and
-//!   snapshot/resume;
+//!   snapshot/resume. It streams every open trace through the one
+//!   arrival feed, so a snapshot holds only the arrivals pushed so far,
+//!   and its `next_id` is the cursor a resumed run streams on from;
 //! * **fault tolerance**: machine failure/recovery as a third event
 //!   stream ([`engine::PlatformEvent`], the seeded
 //!   [`workload::FaultProcess`] generator, `.dlt` `fail`/`recover`

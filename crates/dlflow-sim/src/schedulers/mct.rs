@@ -101,16 +101,16 @@ impl OnlineScheduler for Mct {
             .strip_prefix("nqueues ")
             .and_then(|v| v.parse().ok())
             .ok_or("MCT state: bad nqueues line")?;
-        self.queues = vec![Vec::new(); n];
-        for q in &mut self.queues {
+        // `n` comes from the document: grow with the lines it supplies.
+        self.queues.clear();
+        for _ in 0..n {
             let line = lines.next().ok_or("MCT state: missing queue line")?;
             let mut toks = line.split_whitespace();
             if toks.next() != Some("queue") {
                 return Err("MCT state: bad queue line".into());
             }
-            for tok in toks {
-                q.push(tok.parse().map_err(|_| "MCT state: bad queue id")?);
-            }
+            let q: Result<Vec<usize>, _> = toks.map(str::parse).collect();
+            self.queues.push(q.map_err(|_| "MCT state: bad queue id")?);
         }
         let line = lines.next().ok_or("MCT state: missing assigned line")?;
         let mut toks = line.split_whitespace();

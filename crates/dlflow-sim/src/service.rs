@@ -25,7 +25,6 @@
 use crate::campaign::{f6, SchedulerSpec};
 use crate::engine::{
     CompletedJob, Engine, OnlineScheduler, PlatformEvent, ResolveStats, RunMetrics, SimError,
-    StepOutcome,
 };
 use crate::shard::ShardedEngine;
 use crate::workload::{stream_arrivals, FaultProcess, Trace};
@@ -103,9 +102,11 @@ pub struct SimOptions {
     /// Take one snapshot when the engine's event counter first reaches
     /// this value (the run still continues to completion).
     pub snapshot_at: Option<usize>,
-    /// Resume from this snapshot text instead of starting at `t = 0`
-    /// (the snapshot carries the full engine + scheduler state, so the
-    /// input's arrivals are **not** re-pushed).
+    /// Resume from this snapshot text instead of starting at `t = 0`.
+    /// The snapshot carries the engine + scheduler state and the arrivals
+    /// pushed so far; an open trace's requests from its cursor
+    /// (`next_id`) on are read from the input, after checking that the
+    /// snapshot's pending and active jobs are the input's.
     pub resume: Option<String>,
     /// Partition the platform into this many contiguous machine shards,
     /// each drained by its own engine + scheduler instance (`0` and `1`
@@ -197,8 +198,9 @@ type Run = Result<(ServiceReport, Option<String>), RunError>;
 /// Runs `spec`'s scheduler over the input with fault-injection and
 /// snapshot/resume options. Returns the report plus the snapshot text,
 /// if one was requested and taken. The plain-options path is exactly
-/// [`run_simulation`]. An open trace streams its arrivals unless a
-/// snapshot is taken or resumed, which needs them all pushed.
+/// [`run_simulation`]. An open trace always streams its arrivals, so a
+/// snapshot holds only those the feed has pushed; a closed instance
+/// pushes every job up front.
 ///
 /// Every path words an engine error the same way, behind the scheduler's
 /// label: `SWRPT: simulation stalled at t = …`.
@@ -213,7 +215,8 @@ pub fn run_simulation_with(
     })
 }
 
-/// [`run_simulation_with`], before its errors are worded.
+/// [`run_simulation_with`], before its errors are worded. One flat path
+/// whatever the options: a snapshot splits the run at its event count.
 fn run_unlabelled(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> Run {
     if opts.resume.is_some() && opts.faults.is_some() {
         return Err(RunError::Refused(
@@ -231,18 +234,8 @@ fn run_unlabelled(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> 
         }
         return run_sharded(input, spec, opts);
     }
-    if let SimInput::Open(trace) = input {
-        if opts.resume.is_none() && opts.snapshot_at.is_none() {
-            return run_streamed(input, trace, spec, opts);
-        }
-    }
     let mut policy = spec.build();
     let m = input_machines(input);
-    let (kind, n_jobs_hint) = match input {
-        SimInput::Closed(inst) => ("instance", inst.n_jobs()),
-        SimInput::Open(trace) => ("trace", trace.len()),
-    };
-
     let mut eng = if let Some(snap) = &opts.resume {
         let eng = Engine::restore(snap, policy.as_mut()).map_err(|e| format!("--resume: {e}"))?;
         if eng.n_machines() != m {
@@ -251,6 +244,9 @@ fn run_unlabelled(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> 
                 eng.n_machines()
             )));
         }
+        if let SimInput::Open(trace) = input {
+            check_cursor(&eng, trace)?;
+        }
         eng
     } else {
         policy.reset();
@@ -258,54 +254,38 @@ fn run_unlabelled(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> 
         for e in platform_events(input, opts)? {
             eng.push_platform_event(e)?;
         }
-        match input {
-            SimInput::Closed(inst) => {
-                for j in 0..inst.n_jobs() {
-                    eng.push_arrival(crate::engine::job_spec_of(inst, j))?;
-                }
-            }
-            SimInput::Open(trace) => {
-                // The snapshot covers every arrival, so all are pushed.
-                eng.record_completions = false;
-                for k in 0..trace.len() {
-                    eng.push_arrival(trace.job_spec(k))?;
-                }
+        eng.record_completions = matches!(input, SimInput::Closed(_));
+        if let SimInput::Closed(inst) = input {
+            for j in 0..inst.n_jobs() {
+                eng.push_arrival(crate::engine::job_spec_of(inst, j))?;
             }
         }
         eng
     };
 
-    let mut snapshot = None;
-    let mut max_active = 0usize;
-    let mut guard = 0usize;
-    let budget =
-        4 * (n_jobs_hint + eng.pending_len() + eng.active().len()) + 2 * eng.n_events() + 64;
-    loop {
-        guard += 1;
-        if guard > budget.saturating_mul(8) {
-            return Err(RunError::Refused(
-                "simulation exceeded its event budget (engine stuck?)".into(),
-            ));
-        }
-        max_active = max_active.max(eng.active().len());
-        if snapshot.is_none() && opts.snapshot_at.is_some_and(|at| eng.n_events() >= at) {
-            snapshot = Some(eng.snapshot(policy.as_ref()));
-        }
-        if eng.step(policy.as_mut())? == StepOutcome::Idle {
-            break;
-        }
-    }
-    // A snapshot point past the final event degenerates to the end state.
-    if snapshot.is_none() && opts.snapshot_at.is_some() {
-        snapshot = Some(eng.snapshot(policy.as_ref()));
-    }
-
-    let completions = if matches!(input, SimInput::Closed(_)) && opts.resume.is_none() {
-        completion_times(eng.take_completed())
-    } else {
-        Vec::new()
+    // Runs until the engine has taken `stop` events or is done: an open
+    // trace streams from the engine's cursor, a closed instance drains.
+    let run = |eng: &mut Engine, policy: &mut dyn OnlineScheduler, stop| match input {
+        SimInput::Closed(_) => eng.drain_until(policy, stop),
+        SimInput::Open(trace) => stream_arrivals(trace, None, 0, eng, policy, None, stop),
     };
+    // A snapshot point past the final event degenerates to the end state.
+    let snapshot = match opts.snapshot_at {
+        Some(at) => {
+            run(&mut eng, policy.as_mut(), at)?;
+            Some(eng.snapshot(policy.as_ref()))
+        }
+        None => None,
+    };
+    run(&mut eng, policy.as_mut(), usize::MAX)?;
 
+    let (kind, completions) = match input {
+        SimInput::Closed(_) if opts.resume.is_none() => {
+            ("instance", completion_times(eng.take_completed()))
+        }
+        SimInput::Closed(_) => ("instance", Vec::new()),
+        SimInput::Open(_) => ("trace", Vec::new()),
+    };
     let report = ServiceReport {
         scheduler: spec.label(),
         input_kind: kind,
@@ -315,40 +295,48 @@ fn run_unlabelled(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> 
         n_plans: eng.n_plans(),
         utilization: eng.utilization(),
         metrics: eng.metrics(),
-        max_active,
+        max_active: eng.peak_active(),
         completions,
         resolve_stats: policy.resolve_stats(),
     };
     Ok((report, snapshot))
 }
 
-/// The flat path for an open trace without a snapshot: the platform
-/// events pushed (the trace's first, then `--faults`) and the arrivals
-/// streamed through [`stream_arrivals`], so only the in-flight window is
-/// resident. The report is the push-all run's, byte for byte.
-fn run_streamed(input: &SimInput, trace: &Trace, spec: &SchedulerSpec, opts: &SimOptions) -> Run {
-    let mut policy = spec.build();
-    policy.reset();
-    let mut eng = Engine::new(trace.n_machines());
-    eng.record_completions = false;
-    for e in platform_events(input, opts)? {
-        eng.push_platform_event(e)?;
+/// Refuses a snapshot that `trace` does not continue: its cursor
+/// (`next_id`) must lie within the trace, its pending arrivals be the last
+/// ones pushed, and each pending and active job the trace's, bit for bit.
+fn check_cursor(eng: &Engine, trace: &Trace) -> Result<(), String> {
+    let cursor = eng.n_pushed();
+    if cursor > trace.len() {
+        return Err(format!(
+            "--resume: snapshot has pushed {cursor} requests but the input has {}",
+            trace.len()
+        ));
     }
-    stream_arrivals(trace, None, 0, &mut eng, policy.as_mut(), None)?;
-    let report = ServiceReport {
-        scheduler: spec.label(),
-        input_kind: "trace",
-        n_jobs: eng.n_completed(),
-        n_machines: trace.n_machines(),
-        n_events: eng.n_events(),
-        n_plans: eng.n_plans(),
-        utilization: eng.utilization(),
-        metrics: eng.metrics(),
-        max_active: eng.peak_active(),
-        completions: Vec::new(),
-        resolve_stats: policy.resolve_stats(),
+    // Restore keeps ids below `next_id` and distinct, so this is the
+    // pending set exactly when no id falls short of it.
+    let first = cursor - eng.pending_len();
+    if let Some((id, ..)) = eng.pending_entries().find(|&(id, ..)| id < first) {
+        return Err(format!(
+            "--resume: pending request {id} is not among the last {} pushed",
+            eng.pending_len()
+        ));
+    }
+    let bits = |r: f64, w: f64, c: &[f64]| -> Vec<u64> {
+        [r, w].iter().chain(c).map(|x| x.to_bits()).collect()
     };
-    Ok((report, None))
+    let active = eng
+        .active_entries()
+        .map(|(id, _, release, weight, costs, _)| (id, release, weight, costs));
+    for (id, release, weight, costs) in eng.pending_entries().chain(active) {
+        let want = trace.job_spec(id);
+        if bits(release, weight, costs) != bits(want.release, want.weight, &want.costs) {
+            return Err(format!(
+                "--resume: request {id} of the snapshot differs from the input's"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The multi-cluster path behind `--shards N`: one [`ShardedEngine`]
@@ -581,6 +569,221 @@ mod tests {
         };
         let err = run_simulation_with(&input, &spec, &both).unwrap_err();
         assert!(err.contains("cannot be combined"), "{err}");
+    }
+
+    const SPECS: [&str; 8] = ["mct", "fifo", "srpt", "swrpt", "rr", "wage", "edf", "ola"];
+
+    /// A 40-request trace on 3 machines, with or without its own faults.
+    fn small_trace(seed: u64, faulty: bool) -> Trace {
+        generate_trace(&TraceSpec {
+            n_requests: 40,
+            n_machines: 3,
+            seed,
+            faults: faulty.then_some(FaultProcess {
+                mtbf: 8.0,
+                mttr: 2.0,
+                horizon: 20.0,
+                seed: seed ^ 0xFA,
+            }),
+            ..Default::default()
+        })
+    }
+
+    /// The value of a snapshot's `key <n>` line.
+    fn count(snap: &str, key: &str) -> usize {
+        snap.lines()
+            .find_map(|l| l.strip_prefix(key)?.strip_prefix(' ')?.parse().ok())
+            .unwrap()
+    }
+
+    /// `resumed` with the straight run's `max_active` (a resumed run
+    /// counts its peak since the snapshot), as JSON.
+    fn but_max_active(resumed: &ServiceReport, straight: &ServiceReport) -> String {
+        let mut r = resumed.clone();
+        r.max_active = straight.max_active;
+        r.to_json()
+    }
+
+    /// A streamed snapshot holds only the arrivals the feed pushed: none
+    /// released past the earliest pending one + 1e-9, nor lines beyond
+    /// the fixed 19, pending, active (twice under faults), queued
+    /// platform events and state.
+    fn assert_streamed_shape(snap: &str) {
+        let releases: Vec<f64> = snap
+            .lines()
+            .filter_map(|l| l.strip_prefix("arrival "))
+            .map(|l| f64::from_bits(u64::from_str_radix(l.split(' ').nth(1).unwrap(), 16).unwrap()))
+            .collect();
+        let first = releases.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(releases.iter().all(|&r| r <= first + 1e-9), "{snap}");
+        let faulty = count(snap, "faulty");
+        let bound = 19
+            + count(snap, "pending")
+            + count(snap, "active") * (1 + faulty)
+            + count(snap, "platform")
+            + count(snap, "state");
+        assert_eq!(snap.lines().count(), bound, "{snap}");
+    }
+
+    #[test]
+    fn chained_resumes_reproduce_the_straight_run_for_every_policy() {
+        // Every 7 events: snapshot, resume it with the next point. Each
+        // resumed run finishes the trace with the straight run's report.
+        for (name, faulty, inject) in SPECS.iter().flat_map(|n| {
+            [
+                (n, false, false),
+                (n, false, true),
+                (n, true, false),
+                (n, true, true),
+            ]
+        }) {
+            let spec = SchedulerSpec::parse_compact(name).unwrap();
+            let input = SimInput::Open(small_trace(21, faulty));
+            let faults = inject.then_some(FaultInjection {
+                mtbf: 6.0,
+                mttr: 1.5,
+                seed: 8,
+                until: None,
+            });
+            let plain = SimOptions {
+                faults: faults.clone(),
+                ..Default::default()
+            };
+            let (straight, _) = run_simulation_with(&input, &spec, &plain).unwrap();
+            let mut opts = SimOptions {
+                snapshot_at: Some(7),
+                ..plain
+            };
+            let mut n_resumes = 0;
+            loop {
+                let (report, snap) = run_simulation_with(&input, &spec, &opts).unwrap();
+                assert_eq!(but_max_active(&report, &straight), straight.to_json());
+                let snap = snap.unwrap();
+                assert_streamed_shape(&snap);
+                let at = count(&snap, "n_events");
+                if at == straight.n_events {
+                    break;
+                }
+                n_resumes += 1;
+                opts = SimOptions {
+                    snapshot_at: Some(at + 7),
+                    resume: Some(snap),
+                    ..Default::default()
+                };
+            }
+            assert!(n_resumes >= 10, "{name}: {n_resumes} resumes");
+        }
+    }
+
+    #[test]
+    fn a_snapshot_of_a_push_all_run_resumes_through_the_service() {
+        // The shape a v1 document had when the service pushed every
+        // arrival: all unreleased requests pending, `next_id` = n.
+        for (name, faulty) in SPECS.iter().flat_map(|n| [(n, false), (n, true)]) {
+            let spec = SchedulerSpec::parse_compact(name).unwrap();
+            let trace = small_trace(22, faulty);
+            let input = SimInput::Open(trace.clone());
+            let straight = run_simulation(&input, &spec).unwrap();
+            for at in [0, 5, 60, usize::MAX] {
+                let mut policy = spec.build();
+                let mut eng = Engine::new(trace.n_machines());
+                for e in &trace.platform_events {
+                    eng.push_platform_event(*e).unwrap();
+                }
+                eng.record_completions = false;
+                for k in 0..trace.len() {
+                    eng.push_arrival(trace.job_spec(k)).unwrap();
+                }
+                eng.drain_until(policy.as_mut(), at).unwrap();
+                let resume = SimOptions {
+                    resume: Some(eng.snapshot(policy.as_ref())),
+                    ..Default::default()
+                };
+                let (resumed, _) = run_simulation_with(&input, &spec, &resume).unwrap();
+                assert_eq!(but_max_active(&resumed, &straight), straight.to_json());
+            }
+        }
+    }
+
+    /// A streamed snapshot of `small_trace(23, false)` under SWRPT that
+    /// holds a pending and an active request.
+    fn mid_run_snapshot(input: &SimInput) -> String {
+        (1..100)
+            .map(|at| {
+                let opts = SimOptions {
+                    snapshot_at: Some(at),
+                    ..Default::default()
+                };
+                run_simulation_with(input, &SchedulerSpec::Swrpt, &opts)
+                    .unwrap()
+                    .1
+                    .unwrap()
+            })
+            .find(|snap| count(snap, "pending") > 0 && count(snap, "active") > 0)
+            .expect("a point with both")
+    }
+
+    #[test]
+    fn resume_refuses_a_snapshot_that_does_not_continue_the_input() {
+        let trace = small_trace(23, false);
+        let snap = mid_run_snapshot(&SimInput::Open(trace.clone()));
+        let cursor = count(&snap, "next_id");
+        let resume = |trace: &Trace, snap: &str| {
+            let opts = SimOptions {
+                resume: Some(snap.to_string()),
+                ..Default::default()
+            };
+            run_simulation_with(&SimInput::Open(trace.clone()), &SchedulerSpec::Swrpt, &opts)
+        };
+
+        // A trace shorter than the cursor.
+        let mut short = trace.clone();
+        short.arrivals.truncate(cursor - 1);
+        short.avail.truncate((cursor - 1) * trace.n_machines());
+        let err = resume(&short, &snap).unwrap_err();
+        let want = format!("--resume: snapshot has pushed {cursor} requests but the input has");
+        assert!(err.starts_with(&want), "{err}");
+
+        // Pending requests that are not the last ones pushed.
+        let skipped = snap.replace(
+            &format!("\nnext_id {cursor}\n"),
+            &format!("\nnext_id {}\n", cursor + 1),
+        );
+        let err = resume(&trace, &skipped).unwrap_err();
+        assert!(err.contains("is not among the last"), "{err}");
+
+        // An in-flight request that differs: the active one's weight,
+        // the pending one's size.
+        for kind in ["job ", "arrival "] {
+            let id: usize = snap
+                .lines()
+                .find_map(|l| l.strip_prefix(kind)?.split(' ').next()?.parse().ok())
+                .unwrap();
+            let mut other = trace.clone();
+            if kind == "job " {
+                other.arrivals[id].weight += 1.0;
+            } else {
+                other.arrivals[id].size *= 1.5;
+            }
+            let err = resume(&other, &snap).unwrap_err();
+            let want = format!("--resume: request {id} of the snapshot differs from the input's");
+            assert_eq!(err, want);
+        }
+
+        // A trace that differs only after the cursor resumes, and the
+        // run continues with the input's requests.
+        let mut later = trace.clone();
+        later.arrivals.last_mut().unwrap().size *= 3.0;
+        let straight = run_simulation(&SimInput::Open(later.clone()), &SchedulerSpec::Swrpt);
+        let straight = straight.unwrap();
+        let (resumed, _) = resume(&later, &snap).unwrap();
+        assert_eq!(but_max_active(&resumed, &straight), straight.to_json());
+        assert_ne!(
+            straight.to_json(),
+            run_simulation(&SimInput::Open(trace), &SchedulerSpec::Swrpt)
+                .unwrap()
+                .to_json()
+        );
     }
 
     #[test]

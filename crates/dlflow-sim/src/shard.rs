@@ -514,7 +514,7 @@ impl ShardedEngine {
             &mut self.shards,
             policies,
             |s, _| routed[s].len(),
-            |s, eng, pol| stream_arrivals(trace, Some(&routed[s]), starts[s], eng, pol, None),
+            |s, e, p| stream_arrivals(trace, Some(&routed[s]), starts[s], e, p, None, usize::MAX),
         )?;
         Ok(ReplayStats {
             n_jobs: trace.len(),

@@ -7,7 +7,9 @@
 //! results: every f64 is serialized as the lowercase hex of its IEEE-754
 //! bit pattern, and both heaps are written in their canonical pop order,
 //! so `snapshot → restore → continue` takes exactly the float operations
-//! the uninterrupted run takes.
+//! the uninterrupted run takes. Of a streamed trace the pending queue
+//! holds only the arrivals the feed has pushed: `next_id` counts them,
+//! and the trace supplies the rest when the run resumes.
 //!
 //! The format is line-oriented UTF-8 text with a `dlflow-snapshot v1`
 //! header (see `docs/FORMATS.md` for the grammar). It is deliberately
@@ -24,6 +26,8 @@
 use crate::engine::{
     CompletedJob, Engine, MetricsAccumulator, OnlineScheduler, PlatformChange, PlatformEvent,
 };
+use crate::workload::MAX_AVAIL_CELLS;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Errors surfaced when parsing or applying a snapshot.
@@ -325,6 +329,7 @@ impl Engine {
         }
         let now = r.f64_field("now")?;
         let next_id = r.usize_field("next_id")?;
+        let next_id_line = r.pos;
         let n_events = r.usize_field("n_events")?;
         let n_plans = r.usize_field("n_plans")?;
         let n_completed = r.usize_field("n_completed")?;
@@ -334,6 +339,17 @@ impl Engine {
 
         let row = r.field("busy")?;
         let busy = parse_hex_row(&r, &mut row.split_whitespace(), n_machines, "busy")?;
+        // The `busy` row vouches for `n_machines`; ids below `next_id`
+        // size the engine's id map.
+        if next_id.saturating_mul(n_machines) > MAX_AVAIL_CELLS {
+            return Err(SnapshotError::Malformed {
+                line: next_id_line,
+                reason: format!(
+                    "next_id {next_id} on {n_machines} machines passes the {MAX_AVAIL_CELLS} \
+                     cells a trace may hold"
+                ),
+            });
+        }
 
         let row = r.field("up")?;
         let mut up = Vec::new();
@@ -393,14 +409,24 @@ impl Engine {
         engine.up = up;
         engine.metrics = metrics;
 
+        // A job id must be below `next_id` and held once.
+        let job_id = |r: &Reader<'_>, engine: &Engine, what: &str, tok: Option<&str>| {
+            let id: usize = tok
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| r.bad(format!("{what}: bad id")))?;
+            if id >= next_id {
+                return Err(r.bad(format!("{what}: id {id} is not below next_id {next_id}")));
+            }
+            if engine.holds(id) {
+                return Err(r.bad(format!("{what}: id {id} is already pending or active")));
+            }
+            Ok(id)
+        };
         let n_pending = r.usize_field("pending")?;
         for _ in 0..n_pending {
             let row = r.field("arrival")?;
             let mut toks = row.split_whitespace();
-            let id: usize = toks
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| r.bad("arrival: bad id"))?;
+            let id = job_id(&r, &engine, "arrival", toks.next())?;
             let vals = parse_hex_row(&r, &mut toks, 2 + n_machines, "arrival")?;
             engine.restore_pending(id, vals[0], vals[1], &vals[2..]);
         }
@@ -409,10 +435,7 @@ impl Engine {
         for _ in 0..n_active {
             let row = r.field("job")?;
             let mut toks = row.split_whitespace();
-            let id: usize = toks
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| r.bad("job: bad id"))?;
+            let id = job_id(&r, &engine, "job", toks.next())?;
             let vals = parse_hex_row(&r, &mut toks, 3 + n_machines, "job")?;
             let volatile = if faulty {
                 let row = r.field("volatile")?;
@@ -436,6 +459,7 @@ impl Engine {
         }
 
         let n_platform = r.usize_field("platform")?;
+        let mut seqs = BTreeSet::new();
         for _ in 0..n_platform {
             let row = r.field("event")?;
             let mut toks = row.split_whitespace();
@@ -459,6 +483,18 @@ impl Engine {
             if toks.next().is_some() {
                 return Err(r.bad("event: too many values"));
             }
+            if seq >= n_platform_pushed {
+                return Err(r.bad(format!(
+                    "event: seq {seq} is not below n_platform_pushed {n_platform_pushed}"
+                )));
+            }
+            // Distinct seqs keep the queue's `(time, seq)` order total.
+            if !seqs.insert(seq) {
+                return Err(r.bad(format!("event: seq {seq} repeats")));
+            }
+            if machine >= n_machines {
+                return Err(r.bad(format!("event: machine {machine} out of range")));
+            }
             engine.restore_platform(
                 time,
                 seq,
@@ -478,6 +514,9 @@ impl Engine {
                 .next()
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| r.bad("done: bad id"))?;
+            if id >= next_id {
+                return Err(r.bad(format!("done: id {id} is not below next_id {next_id}")));
+            }
             let vals = parse_hex_row(&r, &mut toks, 4, "done")?;
             engine.completed.push(CompletedJob {
                 id,
@@ -592,6 +631,129 @@ mod tests {
         }
     }
 
+    /// A snapshot under MCT on two machines holding one job of each
+    /// kind: job 0 done, job 1 active, job 2 pending (`next_id 3`), and
+    /// the second of two platform events queued (`n_platform_pushed 2`).
+    fn busy_snapshot() -> String {
+        let mut eng = Engine::new(2);
+        let mut pol = Mct::new();
+        for (time, change) in [(0.5, PlatformChange::Down), (9.0, PlatformChange::Up)] {
+            let event = PlatformEvent {
+                time,
+                machine: 1,
+                change,
+            };
+            eng.push_platform_event(event).unwrap();
+        }
+        eng.push_arrival(spec(0.0, 1.0, &[1.0, 1.0])).unwrap();
+        eng.push_arrival(spec(0.2, 1.0, &[4.0, 4.0])).unwrap();
+        eng.push_arrival(spec(20.0, 1.0, &[1.0, 1.0])).unwrap();
+        while eng.n_completed() == 0 {
+            eng.step(&mut pol).unwrap();
+        }
+        let snap = eng.snapshot(&pol);
+        for line in [
+            "next_id 3\n",
+            "n_platform_pushed 2\n",
+            "\narrival 2 ",
+            "\njob 1 ",
+        ] {
+            assert!(snap.contains(line), "{line:?} in {snap}");
+        }
+        assert!(
+            snap.contains("\ndone 0 ") && snap.contains(" 1 1 up\n"),
+            "{snap}"
+        );
+        snap
+    }
+
+    /// Restores [`busy_snapshot`] with its first `from` replaced by `to`
+    /// and asserts a [`SnapshotError::Malformed`] at the first line that
+    /// starts with `at`, naming `why`.
+    fn refused(from: &str, to: &str, at: &str, why: &str) {
+        let bad = busy_snapshot().replacen(from, to, 1);
+        let want = bad.lines().position(|l| l.starts_with(at)).unwrap() + 1;
+        match Engine::restore(&bad, &mut Mct::new()) {
+            Err(SnapshotError::Malformed { line, reason }) => {
+                assert_eq!(line, want, "{reason}");
+                assert!(reason.contains(why), "{reason}");
+            }
+            other => panic!("{to:?}: want Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_an_arrival_id_at_or_past_next_id() {
+        // 2⁶² once made the id map's resize overflow its capacity.
+        for id in ["3", "4611686018427387904", "18446744073709551615"] {
+            let to = format!("\narrival {id} ");
+            refused("\narrival 2 ", &to, &to[1..], "not below next_id 3");
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_job_id_at_or_past_next_id() {
+        refused("\njob 1 ", "\njob 3 ", "job 3 ", "not below next_id 3");
+    }
+
+    #[test]
+    fn restore_refuses_a_done_id_at_or_past_next_id() {
+        refused("\ndone 0 ", "\ndone 7 ", "done 7 ", "not below next_id 3");
+    }
+
+    #[test]
+    fn restore_refuses_an_id_both_pending_and_active() {
+        refused(
+            "\narrival 2 ",
+            "\narrival 1 ",
+            "job 1 ",
+            "already pending or active",
+        );
+    }
+
+    #[test]
+    fn restore_refuses_an_event_seq_at_or_past_n_platform_pushed() {
+        refused(
+            " 1 1 up\n",
+            " 2 1 up\n",
+            "event ",
+            "not below n_platform_pushed 2",
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_repeated_event_seq_and_a_machine_out_of_range() {
+        let snap = busy_snapshot();
+        let event = snap.lines().find(|l| l.starts_with("event ")).unwrap();
+        let twice = snap
+            .replace("n_platform_pushed 2\n", "n_platform_pushed 3\n")
+            .replace("platform 1\n", "platform 2\n")
+            .replace(event, &format!("{event}\n{event}"));
+        let second = twice.lines().position(|l| l == event).unwrap() + 2;
+        match Engine::restore(&twice, &mut Mct::new()) {
+            Err(SnapshotError::Malformed { line, reason }) => {
+                assert_eq!(line, second, "{reason}");
+                assert!(reason.contains("seq 1 repeats"), "{reason}");
+            }
+            other => panic!("want Malformed, got {other:?}"),
+        }
+        refused(" 1 1 up\n", " 1 2 up\n", "event ", "machine 2 out of range");
+    }
+
+    #[test]
+    fn restore_refuses_a_next_id_past_the_trace_bound() {
+        // 2 machines: 2²⁷ ids fill the 2²⁸ cells a `.dlt` trace may hold.
+        let snap = busy_snapshot();
+        let edge = snap.replace("next_id 3\n", "next_id 134217728\n");
+        let mut pol = Mct::new();
+        let eng = Engine::restore(&edge, &mut pol).unwrap();
+        assert_eq!(eng.snapshot(&pol), edge);
+        for n in ["134217729", "18446744073709551615"] {
+            let to = format!("next_id {n}\n");
+            refused("next_id 3\n", &to, "next_id ", "passes the 268435456 cells");
+        }
+    }
+
     #[test]
     fn restore_rejects_scheduler_kind_mismatch() {
         let mut eng = Engine::new(1);
@@ -666,5 +828,244 @@ mod tests {
                 .map(|c| c.to_bits())
                 .collect::<Vec<_>>()
         );
+    }
+}
+
+#[cfg(test)]
+mod fuzz {
+    use super::*;
+    use crate::campaign::SchedulerSpec;
+    use crate::engine::StepOutcome;
+    use crate::service::{run_simulation_with, SimInput, SimOptions};
+    use crate::workload::{generate_trace, FaultProcess, TraceSpec};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::OnceLock;
+
+    /// Valid documents: a 30-request trace on 3 machines, with and
+    /// without faults, under SWRPT, MCT, EDF and OLA (whose state lines
+    /// ride along), snapshotted early and mid-run by the streamed service
+    /// and by an engine that pushed every arrival up front.
+    fn documents() -> &'static [(SchedulerSpec, String)] {
+        static DOCS: OnceLock<Vec<(SchedulerSpec, String)>> = OnceLock::new();
+        DOCS.get_or_init(|| {
+            let mut docs = Vec::new();
+            for name in ["swrpt", "mct", "edf", "ola"] {
+                let spec = SchedulerSpec::parse_compact(name).unwrap();
+                for faulty in [false, true] {
+                    let trace = generate_trace(&TraceSpec {
+                        n_requests: 30,
+                        n_machines: 3,
+                        seed: 3,
+                        faults: faulty.then_some(FaultProcess {
+                            mtbf: 6.0,
+                            mttr: 1.5,
+                            horizon: 15.0,
+                            seed: 4,
+                        }),
+                        ..Default::default()
+                    });
+                    for at in [5, 40] {
+                        let opts = SimOptions {
+                            snapshot_at: Some(at),
+                            ..Default::default()
+                        };
+                        let input = SimInput::Open(trace.clone());
+                        let (_, snap) = run_simulation_with(&input, &spec, &opts).unwrap();
+                        docs.push((spec.clone(), snap.unwrap()));
+
+                        let mut policy = spec.build();
+                        let mut eng = Engine::new(trace.n_machines());
+                        for e in &trace.platform_events {
+                            eng.push_platform_event(*e).unwrap();
+                        }
+                        for k in 0..trace.len() {
+                            eng.push_arrival(trace.job_spec(k)).unwrap();
+                        }
+                        while eng.n_events() < at
+                            && eng.step(policy.as_mut()).unwrap() == StepOutcome::Advanced
+                        {
+                        }
+                        docs.push((spec.clone(), eng.snapshot(policy.as_ref())));
+                    }
+                }
+            }
+            docs
+        })
+    }
+
+    fn pick<'a>(rng: &mut SmallRng, items: &[&'a str]) -> &'a str {
+        items[rng.gen_range(0..items.len())]
+    }
+
+    /// A perturbed decimal: a neighbour of `n`, or a value no allocation
+    /// can hold (2⁶², `usize::MAX`). Values in between would make a
+    /// parser that sizes by them allocate gigabytes before failing.
+    fn perturb_count(n: usize, rng: &mut SmallRng) -> String {
+        match rng.gen_range(0..7) {
+            0 => n.saturating_add(1).to_string(),
+            1 => n.saturating_sub(1).to_string(),
+            2 => n.saturating_mul(2).to_string(),
+            3 => "0".into(),
+            4 => "-1".into(),
+            5 => "4611686018427387904".into(),
+            _ => usize::MAX.to_string(),
+        }
+    }
+
+    /// A perturbed hex float: one flipped bit or a special value.
+    fn perturb_hex(tok: &str, rng: &mut SmallRng) -> String {
+        match (rng.gen_bool(0.5), u64::from_str_radix(tok, 16)) {
+            (true, Ok(bits)) => format!("{:016x}", bits ^ (1u64 << rng.gen_range(0..64))),
+            _ => pick(
+                rng,
+                &[
+                    "7ff8000000000000",
+                    "7ff0000000000000",
+                    "fff0000000000000",
+                    "8000000000000000",
+                    "0000000000000001",
+                    "ffffffffffffffff",
+                    "7ff",
+                ],
+            )
+            .into(),
+        }
+    }
+
+    fn perturb(tok: &str, rng: &mut SmallRng) -> String {
+        match tok.parse::<usize>() {
+            Ok(n) if tok.len() < 16 => perturb_count(n, rng),
+            _ => perturb_hex(tok, rng),
+        }
+    }
+
+    /// One random mutation: truncation, token splice and deletion, a
+    /// perturbed number (any token; a job id or event seq; a count), or
+    /// a duplicated or swapped line.
+    fn mutate(text: &str, rng: &mut SmallRng) -> String {
+        let mut lines: Vec<Vec<String>> = text
+            .lines()
+            .map(|l| l.split(' ').map(String::from).collect())
+            .collect();
+        let n = lines.len();
+        let at = |rng: &mut SmallRng, lines: &[Vec<String>]| {
+            let li = rng.gen_range(0..lines.len());
+            let len = lines[li].len();
+            (len > 0).then(|| (li, rng.gen_range(0..len)))
+        };
+        match rng.gen_range(0..8) {
+            0 => {
+                let mut cut = rng.gen_range(0..=text.len());
+                while !text.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                return text[..cut].to_string();
+            }
+            1 => {
+                if let (Some((a, b)), Some((c, d))) = (at(rng, &lines), at(rng, &lines)) {
+                    let tok = lines[a][b].clone();
+                    lines[c].insert(d, tok);
+                }
+            }
+            2 => {
+                if let Some((a, b)) = at(rng, &lines) {
+                    lines[a].remove(b);
+                }
+            }
+            3 => {
+                if let Some((a, b)) = at(rng, &lines) {
+                    lines[a][b] = perturb(&lines[a][b], rng);
+                }
+            }
+            4 => {
+                // The id of an arrival, job or done line, an event's seq.
+                let keyed: Vec<(usize, usize)> = (0..n)
+                    .filter_map(|li| match lines[li].first()?.as_str() {
+                        "arrival" | "job" | "done" => Some((li, 1)),
+                        "event" => Some((li, 2)),
+                        _ => None,
+                    })
+                    .filter(|&(li, k)| k < lines[li].len())
+                    .collect();
+                if let Some(&(li, k)) = keyed.get(rng.gen_range(0..keyed.len().max(1))) {
+                    let v = lines[li][k].parse().unwrap_or(0);
+                    lines[li][k] = perturb_count(v, rng);
+                }
+            }
+            5 => {
+                let counted: Vec<usize> = (0..n)
+                    .filter(|&li| lines[li].len() == 2 && lines[li][1].parse::<usize>().is_ok())
+                    .collect();
+                if let Some(&li) = counted.get(rng.gen_range(0..counted.len().max(1))) {
+                    let v = lines[li][1].parse().unwrap_or(0);
+                    lines[li][1] = perturb_count(v, rng);
+                }
+            }
+            6 => {
+                let line = lines[rng.gen_range(0..n)].clone();
+                lines.insert(rng.gen_range(0..=n), line);
+            }
+            _ => lines.swap(rng.gen_range(0..n), rng.gen_range(0..n)),
+        }
+        lines.iter().map(|l| l.join(" ") + "\n").collect()
+    }
+
+    /// Restoring `text` under `spec` ends in a line-numbered
+    /// `Malformed`, another typed error, or an engine whose snapshot is
+    /// a fixed point of `restore → snapshot`.
+    fn assert_typed_or_fixed_point(spec: &SchedulerSpec, text: &str) -> Result<(), TestCaseError> {
+        let mut policy = spec.build();
+        match Engine::restore(text, policy.as_mut()) {
+            Err(SnapshotError::Malformed { line, reason }) => {
+                prop_assert!(
+                    (1..=text.lines().count() + 1).contains(&line),
+                    "line {line}: {reason} on {text:?}"
+                );
+            }
+            Err(_) => {}
+            Ok(eng) => {
+                let once = eng.snapshot(policy.as_ref());
+                let mut again = spec.build();
+                let restored = Engine::restore(&once, again.as_mut());
+                prop_assert!(restored.is_ok(), "{restored:?} on {once:?}");
+                if let Ok(eng) = restored {
+                    prop_assert_eq!(eng.snapshot(again.as_ref()), once);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn mutated_snapshots_are_refused_by_line_or_restore_to_a_fixed_point(
+            seed in any::<u64>(),
+            n_mutations in 1usize..4,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let docs = documents();
+            let (spec, doc) = &docs[rng.gen_range(0..docs.len())];
+            let mut text = doc.clone();
+            for _ in 0..n_mutations {
+                if text.is_empty() {
+                    break;
+                }
+                text = mutate(&text, &mut rng);
+            }
+            assert_typed_or_fixed_point(spec, &text)?;
+        }
+    }
+
+    #[test]
+    fn every_document_restores_to_a_fixed_point() {
+        for (spec, doc) in documents() {
+            let mut policy = spec.build();
+            let eng = Engine::restore(doc, policy.as_mut()).unwrap();
+            assert_eq!(&eng.snapshot(policy.as_ref()), doc);
+        }
     }
 }

@@ -540,7 +540,7 @@ impl Trace {
         for e in &self.platform_events {
             eng.push_platform_event(*e)?;
         }
-        stream_arrivals(self, None, 0, &mut eng, policy, sink)?;
+        stream_arrivals(self, None, 0, &mut eng, policy, sink, usize::MAX)?;
         Ok(ReplayStats {
             n_jobs: self.len(),
             n_events: eng.n_events(),
@@ -639,7 +639,7 @@ impl Trace {
 /// for: 2²⁸ booleans, 256 MiB. A `*` mask costs one line yet a whole row,
 /// so without a bound a few MB of text could ask for 10¹² cells. A
 /// 200k-request trace on 32 machines holds 6.4 M.
-const MAX_AVAIL_CELLS: usize = 1 << 28;
+pub(crate) const MAX_AVAIL_CELLS: usize = 1 << 28;
 
 /// What a `.dlt` parse has read so far.
 #[derive(Default)]
@@ -920,19 +920,21 @@ fn sort_by_release(arrivals: &mut Vec<TraceArrival>, avail: &mut Vec<bool>, m: u
         .collect();
 }
 
-/// The one arrival feed behind [`Trace::replay`] and
-/// [`ShardedEngine::replay_trace`](crate::shard::ShardedEngine::replay_trace):
+/// The one arrival feed behind [`Trace::replay`], the `simulate` service
+/// and [`ShardedEngine::replay_trace`](crate::shard::ShardedEngine::replay_trace):
 /// streams the arrivals `picks` names (indices into `trace.arrivals`, in
 /// trace order; `None` = all of them) into `eng`, whose machines are the
-/// trace's `lo..lo + eng.n_machines()`, and steps it to quiescence.
+/// trace's `lo..lo + eng.n_machines()`, and steps it to quiescence, or
+/// until it has taken `stop` events.
 ///
 /// Before each step it pushes every arrival released by the earliest
 /// pushed-but-unadmitted release (else the next release) plus `EPS`.
 /// The engine's clock never passes that release, so these are all the
 /// arrivals the step can see as its horizon or admit: the engine takes
 /// exactly the events of a run that pushed the whole trace up front,
-/// while holding only its in-flight window. `eng` must start with no
-/// pending arrivals.
+/// while holding only its in-flight window. The feed resumes at pick
+/// `eng.n_pushed()`, so `eng` is fresh or one it stopped, perhaps
+/// restored from a snapshot since.
 pub(crate) fn stream_arrivals(
     trace: &Trace,
     picks: Option<&[u32]>,
@@ -940,6 +942,7 @@ pub(crate) fn stream_arrivals(
     eng: &mut Engine,
     policy: &mut dyn OnlineScheduler,
     mut sink: Option<&mut dyn FnMut(&CompletedJob)>,
+    stop: usize,
 ) -> Result<(), SimError> {
     let n = picks.map_or(trace.arrivals.len(), <[u32]>::len);
     let index = |k: usize| picks.map_or(k, |p| p[k] as usize);
@@ -948,10 +951,13 @@ pub(crate) fn stream_arrivals(
     // Reused cost row: `push_arrival_ref` copies it straight into the
     // slab, so the steady-state loop performs no allocation.
     let mut costs = vec![0.0f64; m]; // dlflint:allow(alloc-in-hot-loop, "one buffer per replay, recycled across every arrival")
-    let mut next = 0usize;
+    let mut next = eng.n_pushed();
     // Stall guard equivalent to `Engine::drain`'s.
     let max_iters = 100_000 + 200 * n * (m + 2) + 2 * eng.platform_pending_len();
     for _ in 0..max_iters {
+        if eng.n_events() >= stop {
+            return Ok(());
+        }
         if next < n {
             // Arrivals are sorted and admitted in release order, so the
             // pending ones are the last `pending_len` pushed.

@@ -629,9 +629,10 @@ proptest! {
     }
 
     /// The service's flat `--faults` path streams its arrivals, yet
-    /// renders exactly the report of a push-all run, for every policy,
-    /// with and without the trace's own faults: both the manual engine's
-    /// and the service's own push-all path's (a snapshot run).
+    /// renders exactly the report of the test's own push-all engine
+    /// ([`flat_push_all_report`]), for every policy, with and without the
+    /// trace's own faults. So does a run that snapshots past its last
+    /// event, which streams the trace too.
     #[test]
     fn flat_faults_service_report_matches_the_push_all_run(
         seed in 0u64..5_000,
@@ -649,7 +650,7 @@ proptest! {
             faults: Some(faults.clone()),
             ..Default::default()
         };
-        let push_all = SimOptions {
+        let snapshot_at_end = SimOptions {
             snapshot_at: Some(usize::MAX),
             ..opts.clone()
         };
@@ -660,7 +661,7 @@ proptest! {
             let (streamed, snapshot) = run_simulation_with(&input, &spec, &opts).unwrap();
             prop_assert!(snapshot.is_none());
             let json = streamed.to_json();
-            prop_assert_eq!(&json, &run_simulation_with(&input, &spec, &push_all).unwrap().0.to_json());
+            prop_assert_eq!(&json, &run_simulation_with(&input, &spec, &snapshot_at_end).unwrap().0.to_json());
             prop_assert_eq!(json, flat_push_all_report(trace, &spec, &faults));
         }
     }
