@@ -367,6 +367,50 @@ fn resume_refuses_an_id_the_snapshot_cannot_back() {
 }
 
 #[test]
+fn resume_refuses_a_trace_snapshot_on_an_instance_it_does_not_cover() {
+    // A trace's snapshot holds only the requests the feed has pushed:
+    // here 2 (`next_id 2`). A closed run pushes every job before it
+    // steps, so on a 3-job instance of two machines this snapshot would
+    // finish only the 2 pushed jobs and report a truncated run.
+    let t = tempfile_path::TempPath::with_ext(
+        "machines 1 3\narrival 0 1 1 *\narrival 5 2 2 *\narrival 6 1 1 *\n",
+        "dlt",
+    );
+    let snap = tempfile_path::TempPath::with_ext("", "snap");
+    let (ok, _, stderr) = run(&[
+        "simulate",
+        t.as_str(),
+        "--snapshot-at",
+        "2",
+        "--snapshot-out",
+        snap.as_str(),
+    ]);
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&snap.0).unwrap();
+    assert!(text.contains("\nnext_id 2\n"), "{text}");
+    for (dlf, want) in [
+        (
+            "job 0 1 a\njob 5 2 b\njob 6 1 c\nmachine 1 2 1\nmachine 2 4 2\n",
+            "--resume: snapshot has pushed 2 of the instance's 3 jobs, not all",
+        ),
+        // Fewer jobs than the cursor: refused at the `next_id` line.
+        (
+            "job 0 1 a\nmachine 1\nmachine 2\n",
+            "--resume: malformed snapshot at line 4: next_id 2 passes the input's 1 requests",
+        ),
+    ] {
+        let dlf = write_instance(dlf);
+        let out = Command::new(BIN)
+            .args(["simulate", dlf.as_str(), "--resume", snap.as_str()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains(want), "{stderr}");
+    }
+}
+
+#[test]
 fn every_simulate_path_words_an_engine_error_the_same_way() {
     // Both requests run only on machine 0, which fails at t = 2 and never
     // recovers: every path stalls. (Shards keep their own clocks, so the

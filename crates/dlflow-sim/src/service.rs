@@ -104,9 +104,11 @@ pub struct SimOptions {
     pub snapshot_at: Option<usize>,
     /// Resume from this snapshot text instead of starting at `t = 0`.
     /// The snapshot carries the engine + scheduler state and the arrivals
-    /// pushed so far; an open trace's requests from its cursor
-    /// (`next_id`) on are read from the input, after checking that the
-    /// snapshot's pending and active jobs are the input's.
+    /// pushed so far; its cursor (`next_id`) may not pass the input's
+    /// requests. An open trace's requests from the cursor on are read
+    /// from the input, after checking that the snapshot's pending and
+    /// active jobs are the input's; a closed instance's snapshot must
+    /// have pushed every job.
     pub resume: Option<String>,
     /// Partition the platform into this many contiguous machine shards,
     /// each drained by its own engine + scheduler instance (`0` and `1`
@@ -237,16 +239,19 @@ fn run_unlabelled(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> 
     let mut policy = spec.build();
     let m = input_machines(input);
     let mut eng = if let Some(snap) = &opts.resume {
-        let eng = Engine::restore(snap, policy.as_mut()).map_err(|e| format!("--resume: {e}"))?;
+        let n = match input {
+            SimInput::Closed(inst) => inst.n_jobs(),
+            SimInput::Open(trace) => trace.len(),
+        };
+        let eng = Engine::restore_within(snap, policy.as_mut(), n)
+            .map_err(|e| format!("--resume: {e}"))?;
         if eng.n_machines() != m {
             return Err(RunError::Refused(format!(
                 "--resume: snapshot has {} machines but the input has {m}",
                 eng.n_machines()
             )));
         }
-        if let SimInput::Open(trace) = input {
-            check_cursor(&eng, trace)?;
-        }
+        check_cursor(&eng, input)?;
         eng
     } else {
         policy.reset();
@@ -302,17 +307,23 @@ fn run_unlabelled(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> 
     Ok((report, snapshot))
 }
 
-/// Refuses a snapshot that `trace` does not continue: its cursor
-/// (`next_id`) must lie within the trace, its pending arrivals be the last
-/// ones pushed, and each pending and active job the trace's, bit for bit.
-fn check_cursor(eng: &Engine, trace: &Trace) -> Result<(), String> {
+/// Refuses a snapshot that the input does not continue; restore has
+/// kept its cursor (`next_id`) within the input. A closed run pushes
+/// every job before it steps, so its snapshot has pushed them all. Of an
+/// open trace, the pending arrivals must be the last ones pushed, and
+/// each pending and active job the trace's, bit for bit.
+fn check_cursor(eng: &Engine, input: &SimInput) -> Result<(), String> {
     let cursor = eng.n_pushed();
-    if cursor > trace.len() {
-        return Err(format!(
-            "--resume: snapshot has pushed {cursor} requests but the input has {}",
-            trace.len()
-        ));
-    }
+    let trace = match input {
+        SimInput::Closed(inst) if cursor < inst.n_jobs() => {
+            return Err(format!(
+                "--resume: snapshot has pushed {cursor} of the instance's {} jobs, not all",
+                inst.n_jobs()
+            ));
+        }
+        SimInput::Closed(_) => return Ok(()),
+        SimInput::Open(trace) => trace,
+    };
     // Restore keeps ids below `next_id` and distinct, so this is the
     // pending set exactly when no id falls short of it.
     let first = cursor - eng.pending_len();
@@ -705,8 +716,8 @@ mod tests {
         }
     }
 
-    /// A streamed snapshot of `small_trace(23, false)` under SWRPT that
-    /// holds a pending and an active request.
+    /// A streamed snapshot of `input` under SWRPT that holds a pending
+    /// and an active request.
     fn mid_run_snapshot(input: &SimInput) -> String {
         (1..100)
             .map(|at| {
@@ -736,13 +747,17 @@ mod tests {
             run_simulation_with(&SimInput::Open(trace.clone()), &SchedulerSpec::Swrpt, &opts)
         };
 
-        // A trace shorter than the cursor.
+        // A trace shorter than the cursor: refused at the `next_id` line.
         let mut short = trace.clone();
         short.arrivals.truncate(cursor - 1);
         short.avail.truncate((cursor - 1) * trace.n_machines());
         let err = resume(&short, &snap).unwrap_err();
-        let want = format!("--resume: snapshot has pushed {cursor} requests but the input has");
-        assert!(err.starts_with(&want), "{err}");
+        let want = format!(
+            "--resume: malformed snapshot at line 4: next_id {cursor} passes the input's {} \
+             requests",
+            cursor - 1
+        );
+        assert_eq!(err, want);
 
         // Pending requests that are not the last ones pushed.
         let skipped = snap.replace(
@@ -784,6 +799,47 @@ mod tests {
                 .unwrap()
                 .to_json()
         );
+    }
+
+    #[test]
+    fn resume_sizes_nothing_by_a_cursor_past_the_input() {
+        // One machine, `next_id` at the 2²⁸-cell bound a trace may hold,
+        // and a pending arrival at the top id: restore alone would size
+        // its id map to 2²⁸ entries (1 GiB) before checking the input.
+        // The input's length refuses it at the `next_id` line first.
+        let trace = generate_trace(&TraceSpec {
+            n_requests: 40,
+            n_machines: 1,
+            seed: 24,
+            ..Default::default()
+        });
+        let input = SimInput::Open(trace);
+        let snap = mid_run_snapshot(&input);
+        let cursor = count(&snap, "next_id");
+        let id = snap
+            .lines()
+            .find_map(|l| l.strip_prefix("arrival ")?.split(' ').next())
+            .unwrap();
+        let top = snap
+            .replace(&format!("\nnext_id {cursor}\n"), "\nnext_id 268435456\n")
+            .replace(&format!("\narrival {id} "), "\narrival 268435455 ");
+        assert_eq!(count(&top, "next_id"), 268_435_456);
+        assert!(top.contains("\narrival 268435455 "));
+        let mut b = dlflow_core::instance::InstanceBuilder::new();
+        b.job(0.0, 1.0);
+        b.machine(vec![Some(1.0)]);
+        for (input, n) in [(input, 40), (SimInput::Closed(b.build().unwrap()), 1)] {
+            let opts = SimOptions {
+                resume: Some(top.clone()),
+                ..Default::default()
+            };
+            let err = run_simulation_with(&input, &SchedulerSpec::Swrpt, &opts).unwrap_err();
+            let want = format!(
+                "--resume: malformed snapshot at line 4: next_id 268435456 passes the input's \
+                 {n} requests"
+            );
+            assert_eq!(err, want);
+        }
     }
 
     #[test]

@@ -316,6 +316,17 @@ impl Engine {
     /// (with its line number), a scheduler kind mismatch, or state the
     /// scheduler rejects.
     pub fn restore(text: &str, policy: &mut dyn OnlineScheduler) -> Result<Engine, SnapshotError> {
+        Engine::restore_within(text, policy, usize::MAX)
+    }
+
+    /// [`Engine::restore`] of a snapshot of an input of `n_requests`
+    /// requests: a `next_id` past them is refused at its line, before it
+    /// sizes anything.
+    pub(crate) fn restore_within(
+        text: &str,
+        policy: &mut dyn OnlineScheduler,
+        n_requests: usize,
+    ) -> Result<Engine, SnapshotError> {
         let mut r = Reader::new(text);
         let header = r.next()?;
         if header != HEADER {
@@ -329,6 +340,11 @@ impl Engine {
         }
         let now = r.f64_field("now")?;
         let next_id = r.usize_field("next_id")?;
+        if next_id > n_requests {
+            return Err(r.bad(format!(
+                "next_id {next_id} passes the input's {n_requests} requests"
+            )));
+        }
         let next_id_line = r.pos;
         let n_events = r.usize_field("n_events")?;
         let n_plans = r.usize_field("n_plans")?;
