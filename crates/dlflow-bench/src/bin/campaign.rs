@@ -5,9 +5,10 @@
 //! family × 20 seeds × 6 schedulers, exact Theorem-2 yardstick per run)
 //! and writes `CAMPAIGN_PR4.json` (machine-readable, every run) plus
 //! `CAMPAIGN_PR4.md` (aggregate table + head-to-head win matrix). A
-//! config with a `faults` line is a fault sweep, written in the layout
-//! of `CAMPAIGN_PR8.json`/`.md` (stretch-ratio degradation per level);
-//! the committed `CAMPAIGN_PR8.campaign` regenerates those two.
+//! config with a `faults` line is a fault sweep, written as one such
+//! tournament report per level, each headed by the level's name and its
+//! injected-event counts; the committed `CAMPAIGN_PR8.campaign`
+//! regenerates `CAMPAIGN_PR8.json`/`.md`.
 //!
 //! ```text
 //! cargo run --release -p dlflow-bench --bin campaign            # quick mode
@@ -28,7 +29,7 @@
 )]
 
 use dlflow_sim::campaign::{
-    parse_campaign, run_campaign, run_fault_sweep, FULL_CONFIG, QUICK_CONFIG,
+    parse_campaign, render_campaign, run_fault_sweep, FULL_CONFIG, QUICK_CONFIG,
 };
 
 fn main() {
@@ -73,20 +74,9 @@ fn main() {
         cfg.schedulers.len()
     );
     let t0 = std::time::Instant::now();
-    let (reports, json, markdown) = if cfg.faults.is_empty() {
-        let report = run_campaign(&cfg).expect("campaign completes");
-        let (json, md) = (report.to_json(), report.to_markdown());
-        (vec![report], json, md)
-    } else {
-        let sweep = run_fault_sweep(&cfg).expect("fault sweep completes");
-        let (json, md) = (sweep.to_json(), sweep.to_markdown());
-        (
-            sweep.levels.into_iter().map(|l| l.report).collect(),
-            json,
-            md,
-        )
-    };
-    let runs: Vec<_> = reports.iter().flat_map(|r| &r.runs).collect();
+    let levels = run_fault_sweep(&cfg).expect("campaign completes");
+    let (json, markdown) = render_campaign(&cfg, &levels);
+    let runs: Vec<_> = levels.iter().flat_map(|l| &l.report.runs).collect();
     eprintln!("{} runs in {:.2}s", runs.len(), t0.elapsed().as_secs_f64());
 
     print!("{markdown}");
@@ -101,7 +91,7 @@ fn main() {
     // checks only apply to the built-in configs — a custom --config may
     // legitimately be smaller.
     if custom.is_none() {
-        let report = &reports[0];
+        let report = &levels[0].report;
         assert!(
             report.schedulers.len() >= 3,
             "tournament needs >= 3 schedulers"

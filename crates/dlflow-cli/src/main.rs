@@ -30,7 +30,7 @@
 //! in `docs/FORMATS.md` (and summarized in `dlflow_cli::format` /
 //! `dlflow_sim::campaign` / `dlflow_sim::workload`).
 
-use dlflow_cli::format;
+use dlflow_cli::{format, parse_faults};
 
 use dlflow_core::deadline::{deadline_feasible_divisible, deadline_feasible_preemptive};
 use dlflow_core::gantt::render_gantt;
@@ -178,61 +178,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     Ok(o)
 }
 
-/// Parses a `--faults` spec: `mtbf=<s>,mttr=<s>[,seed=<n>][,until=<t>]`.
-fn parse_faults(spec: &str) -> Result<dlflow_sim::service::FaultInjection, String> {
-    let mut mtbf = None;
-    let mut mttr = None;
-    let mut seed = 0xFA017u64;
-    let mut until = None;
-    for part in spec.split(',') {
-        let Some((k, v)) = part.split_once('=') else {
-            return Err(format!("--faults: expected key=value, got {part:?}"));
-        };
-        match k {
-            "mtbf" => {
-                mtbf = Some(
-                    v.parse::<f64>()
-                        .map_err(|e| format!("--faults mtbf: {e}"))?,
-                )
-            }
-            "mttr" => {
-                mttr = Some(
-                    v.parse::<f64>()
-                        .map_err(|e| format!("--faults mttr: {e}"))?,
-                )
-            }
-            "seed" => {
-                seed = v
-                    .parse::<u64>()
-                    .map_err(|e| format!("--faults seed: {e}"))?
-            }
-            "until" => {
-                until = Some(
-                    v.parse::<f64>()
-                        .map_err(|e| format!("--faults until: {e}"))?,
-                )
-            }
-            other => return Err(format!("--faults: unknown key {other:?}")),
-        }
-    }
-    let mtbf = mtbf.ok_or("--faults needs mtbf=<secs>")?;
-    let mttr = mttr.ok_or("--faults needs mttr=<secs>")?;
-    if !(mtbf > 0.0 && mtbf.is_finite() && mttr > 0.0 && mttr.is_finite()) {
-        return Err("--faults: mtbf and mttr must be positive and finite".into());
-    }
-    if let Some(u) = until {
-        if !(u > 0.0 && u.is_finite()) {
-            return Err("--faults: until must be positive and finite".into());
-        }
-    }
-    Ok(dlflow_sim::service::FaultInjection {
-        mtbf,
-        mttr,
-        seed,
-        until,
-    })
-}
-
 fn load(path: &str) -> Result<Instance<Rat>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     format::parse_instance(&text).map_err(|e| format!("{path}: {e}"))
@@ -362,23 +307,12 @@ fn run() -> Result<(), String> {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let cfg = campaign::parse_campaign(&text).map_err(|e| format!("{path}: {e}"))?;
-            // A `faults` line makes the config a fault sweep, with its
-            // own report layout.
-            let (json, markdown) = if cfg.faults.is_empty() {
-                let report = if opts.serial {
-                    campaign::run_campaign_serial(&cfg)
-                } else {
-                    campaign::run_campaign(&cfg)
-                }?;
-                (report.to_json(), report.to_markdown())
+            let levels = if opts.serial {
+                campaign::run_fault_sweep_serial(&cfg)
             } else {
-                let sweep = if opts.serial {
-                    campaign::run_fault_sweep_serial(&cfg)
-                } else {
-                    campaign::run_fault_sweep(&cfg)
-                }?;
-                (sweep.to_json(), sweep.to_markdown())
-            };
+                campaign::run_fault_sweep(&cfg)
+            }?;
+            let (json, markdown) = campaign::render_campaign(&cfg, &levels);
             print!("{markdown}");
             if let Some(prefix) = &opts.out {
                 let json_path = format!("{prefix}.json");

@@ -175,15 +175,29 @@ fn campaign_with_a_faults_line_prints_and_writes_the_chaos_reports() {
     let prefix = prefix.to_str().unwrap().to_string();
     let (ok, stdout, stderr) = run(&["campaign", f.as_str(), "--out", &prefix]);
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("# Chaos campaign `clitest`"), "{stdout}");
-    assert!(stdout.contains("| scheduler | none | heavy |"), "{stdout}");
+    // One tournament report per level, each under its level's heading.
+    let none = stdout.find("# Fault level `none`").expect(&stdout);
+    let heavy = stdout.find("# Fault level `heavy`").expect(&stdout);
+    assert!(none < heavy, "{stdout}");
+    assert_eq!(
+        stdout.matches("# Campaign `clitest`").count(),
+        2,
+        "{stdout}"
+    );
+    assert!(stdout.contains("Platform events injected per scenario: 0, 0."));
     let (ok2, stdout2, _) = run(&["campaign", f.as_str(), "--serial", "--out", &prefix]);
     assert!(ok2);
     assert_eq!(stdout, stdout2);
     let json = std::fs::read_to_string(format!("{prefix}.json")).unwrap();
-    assert!(json.contains("\"campaign\": \"clitest\""), "{json}");
-    assert!(json.contains("\"levels\": [\"none\", \"heavy\"]"), "{json}");
-    assert!(json.contains("\"n_runs\": 8,"), "{json}");
+    assert!(json.starts_with("{\n  \"levels\": [\n"), "{json}");
+    assert_eq!(
+        json.matches("\"campaign\": \"clitest\"").count(),
+        2,
+        "{json}"
+    );
+    assert!(json.contains("\"level\": \"none\",\n      \"fault_events\": [0, 0],"));
+    assert!(json.contains("\"level\": \"heavy\","), "{json}");
+    assert_eq!(json.matches("\"n_runs\": 4,").count(), 2, "{json}");
     let md = std::fs::read_to_string(format!("{prefix}.md")).unwrap();
     assert!(stdout.starts_with(&md), "{md}");
     let _ = std::fs::remove_file(format!("{prefix}.json"));
@@ -460,4 +474,19 @@ fn every_simulate_path_words_an_engine_error_the_same_way() {
             "{extra:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn a_repeated_faults_key_is_refused_not_overwritten() {
+    // `--scheduler` and campaign configs already refuse a repeat; the
+    // second `mtbf` here once silently replaced the first.
+    let f = write_instance(DEMO);
+    let (ok, _, stderr) = run(&[
+        "simulate",
+        f.as_str(),
+        "--faults",
+        "mtbf=5,mtbf=1000000,mttr=1",
+    ]);
+    assert!(!ok);
+    assert_eq!(stderr.trim_end(), "--faults: key \"mtbf\" given twice");
 }

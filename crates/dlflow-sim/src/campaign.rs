@@ -42,9 +42,11 @@
 //! also runs under each listed level's seeded failure/recovery schedule
 //! (levels `none light moderate heavy`), still scored against the scenario's
 //! **fault-free** exact optimum, so a level's ratios price its faults
-//! ([`run_fault_sweep`], rendered by [`crate::chaos`]). Both reports come
-//! from one scenario runner: a config without `faults` is the single
-//! fault-free level.
+//! ([`run_fault_sweep`]). The failure/recovery model is §3's restricted
+//! availability made time-varying: a machine that is down serves no
+//! request. Both come from one scenario runner, and one report layout:
+//! a config without `faults` is the single fault-free level, and
+//! [`render_campaign`] prints a sweep as each level's tournament report.
 //!
 //! ## Example
 //!
@@ -65,7 +67,6 @@
 //! assert!(report.runs.iter().all(|r| r.stretch_ratio > 0.99));
 //! ```
 
-use crate::chaos::{FaultSweepReport, SweepLevel};
 use crate::engine::{simulate_with_events, OnlineScheduler, RunMetrics};
 use crate::schedulers::{
     Edf, FifoFastest, Mct, OfflineAdapt, RoundRobin, Srpt, Swrpt, WeightedAge,
@@ -612,6 +613,19 @@ pub struct CampaignReport {
     pub win_matrix: Vec<Vec<usize>>,
 }
 
+/// One fault level of a campaign.
+#[derive(Clone, Debug)]
+pub struct SweepLevel {
+    /// Level name: `none`, `light`, `moderate` or `heavy`.
+    pub level: &'static str,
+    /// The level's tournament: online metrics under its faults, every
+    /// ratio against the scenario's fault-free exact optimum.
+    pub report: CampaignReport,
+    /// Platform events injected per scenario, in scenario order (every
+    /// scheduler of a scenario sees the same schedule).
+    pub fault_events: Vec<usize>,
+}
+
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -790,14 +804,16 @@ fn aggregate(cfg: &CampaignConfig, runs: Vec<RunRecord>, n_scenarios: usize) -> 
 }
 
 /// The one fan-out: every scenario of the config (in parallel on the
-/// rayon shim, or serially) at each of `levels`, then each level's runs
-/// aggregated into its tournament report. Results never depend on the
-/// worker split (see `tests/prop_campaign.rs`).
-fn run_levels(
-    cfg: &CampaignConfig,
-    levels: &[usize],
-    parallel: bool,
-) -> Result<Vec<SweepLevel>, String> {
+/// rayon shim, or serially) at each level of its `faults` line (just
+/// `none` without one), then each level's runs aggregated into its
+/// tournament report. Results never depend on the worker split (see
+/// `tests/prop_campaign.rs`).
+fn run_levels(cfg: &CampaignConfig, parallel: bool) -> Result<Vec<SweepLevel>, String> {
+    let levels: &[usize] = if cfg.faults.is_empty() {
+        &[0]
+    } else {
+        &cfg.faults
+    };
     let mut scenarios: Vec<(usize, usize, u64)> = Vec::new();
     for pi in 0..cfg.platforms.len() {
         for wi in 0..cfg.workloads.len() {
@@ -841,7 +857,7 @@ fn run_tournament(cfg: &CampaignConfig, parallel: bool) -> Result<CampaignReport
     if !cfg.faults.is_empty() {
         return Err("config has a `faults` line: run it as a fault sweep".into());
     }
-    let mut levels = run_levels(cfg, &[0], parallel)?;
+    let mut levels = run_levels(cfg, parallel)?;
     Ok(levels.remove(0).report)
 }
 
@@ -857,27 +873,49 @@ pub fn run_campaign_serial(cfg: &CampaignConfig) -> Result<CampaignReport, Strin
     run_tournament(cfg, false)
 }
 
-/// Runs the config's fault sweep, scenarios in parallel: one tournament
-/// report per level of its `faults` line (just `none` without one), all
-/// scored against the fault-free exact optimum. Bit-identical to
-/// [`run_fault_sweep_serial`]'s.
-pub fn run_fault_sweep(cfg: &CampaignConfig) -> Result<FaultSweepReport, String> {
-    run_sweep(cfg, true)
+/// Runs any config, scenarios in parallel: one [`SweepLevel`] per level
+/// of its `faults` line (just `none` without one), all scored against
+/// the fault-free exact optimum. Bit-identical to
+/// [`run_fault_sweep_serial`]'s; [`render_campaign`] prints the result.
+pub fn run_fault_sweep(cfg: &CampaignConfig) -> Result<Vec<SweepLevel>, String> {
+    run_levels(cfg, true)
 }
 
 /// Single-threaded [`run_fault_sweep`] (determinism oracle).
-pub fn run_fault_sweep_serial(cfg: &CampaignConfig) -> Result<FaultSweepReport, String> {
-    run_sweep(cfg, false)
+pub fn run_fault_sweep_serial(cfg: &CampaignConfig) -> Result<Vec<SweepLevel>, String> {
+    run_levels(cfg, false)
 }
 
-fn run_sweep(cfg: &CampaignConfig, parallel: bool) -> Result<FaultSweepReport, String> {
-    let levels: &[usize] = if cfg.faults.is_empty() {
-        &[0]
-    } else {
-        &cfg.faults
-    };
-    let levels = run_levels(cfg, levels, parallel)?;
-    Ok(FaultSweepReport { levels })
+/// The campaign's report as `(json, markdown)`, from its
+/// [`run_fault_sweep`] levels. Without a `faults` line that is the one
+/// level's tournament report, byte for byte. A sweep prints each level's
+/// tournament report in the line's order, headed by the level's name and
+/// each scenario's injected-event count: in JSON, the objects of a
+/// `levels` array (`level`, `fault_events`, `report`); in markdown, one
+/// `# Fault level` section each.
+pub fn render_campaign(cfg: &CampaignConfig, levels: &[SweepLevel]) -> (String, String) {
+    if cfg.faults.is_empty() {
+        let report = &levels[0].report;
+        return (report.to_json(), report.to_markdown());
+    }
+    let (mut json, mut markdown) = (Vec::new(), Vec::new());
+    for l in levels {
+        let events: Vec<String> = l.fault_events.iter().map(|n| n.to_string()).collect();
+        let events = events.join(", ");
+        json.push(format!(
+            "    {{\n      \"level\": \"{}\",\n      \"fault_events\": [{events}],\n      \"report\": {}\n    }}",
+            l.level,
+            l.report.to_json().trim_end().replace('\n', "\n      "),
+        ));
+        markdown.push(format!(
+            "# Fault level `{}`\n\nPlatform events injected per scenario: {events}. Every \
+             ratio is against the scenario's fault-free exact optimum.\n\n{}",
+            l.level,
+            l.report.to_markdown(),
+        ));
+    }
+    let json = format!("{{\n  \"levels\": [\n{}\n  ]\n}}\n", json.join(",\n"));
+    (json, markdown.join("\n"))
 }
 
 /// Formats a float for report output: fixed 6 decimals, deterministic.
@@ -886,10 +924,10 @@ pub(crate) fn f6(v: f64) -> String {
 }
 
 /// A JSON array body of quoted names: `"a", "b"`.
-pub(crate) fn quoted<S: AsRef<str>>(names: &[S]) -> String {
+fn quoted(names: &[String]) -> String {
     names
         .iter()
-        .map(|x| format!("\"{}\"", x.as_ref()))
+        .map(|x| format!("\"{x}\""))
         .collect::<Vec<_>>()
         .join(", ")
 }
@@ -1328,22 +1366,114 @@ mod tests {
         let cfg = parse_campaign(&format!("{TINY}faults heavy none\n")).unwrap();
         assert_eq!(cfg.faults, [3, 0]);
         let picked = run_fault_sweep(&cfg).unwrap();
-        let names: Vec<&str> = picked.levels.iter().map(|l| l.level).collect();
+        let names: Vec<&str> = picked.iter().map(|l| l.level).collect();
         assert_eq!(names, ["heavy", "none"]);
         let all = parse_campaign(&format!("{TINY}faults none light moderate heavy\n")).unwrap();
         let all = run_fault_sweep(&all).unwrap();
-        assert_eq!(picked.levels[0].fault_events, all.levels[3].fault_events);
-        assert_eq!(
-            picked.levels[0].report.to_json(),
-            all.levels[3].report.to_json()
-        );
+        assert_eq!(picked[0].fault_events, all[3].fault_events);
+        assert_eq!(picked[0].report.to_json(), all[3].report.to_json());
         // Without a `faults` line the sweep is the fault-free level alone.
         let plain = run_fault_sweep_serial(&parse_campaign(TINY).unwrap()).unwrap();
-        assert_eq!(plain.levels.len(), 1);
-        assert_eq!(
-            plain.levels[0].report.to_json(),
-            all.levels[0].report.to_json()
+        assert_eq!(plain.len(), 1);
+        assert_eq!(plain[0].report.to_json(), all[0].report.to_json());
+    }
+
+    fn tiny_sweep() -> CampaignConfig {
+        parse_campaign(
+            "name tiny-chaos\nseeds 2\nsigbits 10\n\
+             platform p servers=3 banks=3 heterogeneity=2\n\
+             workload w jobs=4 load=1.2\n\
+             scheduler swrpt\nscheduler mct\n\
+             faults none light moderate heavy\n",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn parallel_and_serial_chaos_reports_are_byte_identical() {
+        let cfg = tiny_sweep();
+        let par = render_campaign(&cfg, &run_fault_sweep(&cfg).unwrap());
+        let ser = render_campaign(&cfg, &run_fault_sweep_serial(&cfg).unwrap());
+        assert_eq!(par.0, ser.0);
+        assert_eq!(par.1, ser.1);
+    }
+
+    #[test]
+    fn ratios_never_beat_the_fault_free_optimum() {
+        let levels = run_fault_sweep(&tiny_sweep()).unwrap();
+        assert_eq!(levels.len(), 4);
+        for l in &levels {
+            assert_eq!(l.report.runs.len(), 2 * 2); // scenarios × schedulers
+            for r in &l.report.runs {
+                assert!(
+                    r.stretch_ratio > 0.99,
+                    "{} at {}: ratio {}",
+                    r.scheduler,
+                    l.level,
+                    r.stretch_ratio
+                );
+                assert!(r.makespan.is_finite());
+            }
+        }
+        // The `none` level injects nothing; heavier levels do.
+        assert_eq!(levels[0].level, "none");
+        assert_eq!(levels[0].fault_events, [0, 0]);
+        let heavy = &levels[3];
+        assert_eq!(heavy.level, "heavy");
+        assert!(
+            heavy.fault_events.iter().any(|&n| n > 0),
+            "heavy level should inject events"
         );
+    }
+
+    #[test]
+    fn none_level_matches_the_fault_free_tournament_engine() {
+        // The sweep's baseline level is the fault-free tournament of the
+        // same config, bit for bit: both run the same scenario runner.
+        let cfg = tiny_sweep();
+        let sweep = run_fault_sweep(&cfg).unwrap();
+        let mut plain_cfg = cfg.clone();
+        plain_cfg.faults.clear();
+        let plain = run_campaign(&plain_cfg).unwrap();
+        let none = &sweep[0].report;
+        assert_eq!(none.to_json(), plain.to_json());
+        for (c, p) in none.runs.iter().zip(&plain.runs) {
+            assert_eq!(c.max_stretch.to_bits(), p.max_stretch.to_bits());
+            assert_eq!(c.opt_stretch.to_bits(), p.opt_stretch.to_bits());
+            assert_eq!(c.n_events, p.n_events);
+        }
+        // The tournament entry points refuse a `faults` line instead of
+        // dropping its levels.
+        let err = run_campaign(&cfg).unwrap_err();
+        assert!(err.contains("faults"), "{err}");
+    }
+
+    #[test]
+    fn a_sweep_renders_each_level_as_its_tournament_report() {
+        let cfg = tiny_sweep();
+        let levels = run_fault_sweep(&cfg).unwrap();
+        let (json, markdown) = render_campaign(&cfg, &levels);
+        for l in &levels {
+            let report = l.report.to_json();
+            let nested = report.trim_end().replace('\n', "\n      ");
+            assert!(json.contains(&nested), "{} report missing", l.level);
+            assert!(markdown.contains(&l.report.to_markdown()));
+            let events: Vec<String> = l.fault_events.iter().map(|n| n.to_string()).collect();
+            let head = format!(
+                "\"level\": \"{}\",\n      \"fault_events\": [{}],",
+                l.level,
+                events.join(", ")
+            );
+            assert!(json.contains(&head), "{head}");
+            assert!(markdown.contains(&format!("# Fault level `{}`", l.level)));
+        }
+        assert!(json.starts_with("{\n  \"levels\": [\n    {\n"), "{json}");
+        // Without a `faults` line the report is the tournament's.
+        let mut plain_cfg = cfg.clone();
+        plain_cfg.faults.clear();
+        let plain = run_campaign(&plain_cfg).unwrap();
+        let rendered = render_campaign(&plain_cfg, &run_fault_sweep(&plain_cfg).unwrap());
+        assert_eq!(rendered, (plain.to_json(), plain.to_markdown()));
     }
 
     #[test]

@@ -549,6 +549,34 @@ impl SimResult {
     }
 }
 
+/// The one check of a job entering an engine of `n_machines` machines,
+/// by a push (flat or sharded) or a snapshot restore: why its spec is
+/// invalid (wrong `costs` length, no finite cost, a negative or NaN
+/// cost, a negative or non-finite release or weight), if it is.
+pub(crate) fn check_job(
+    n_machines: usize,
+    release: f64,
+    weight: f64,
+    costs: &[f64],
+) -> Result<(), &'static str> {
+    if costs.len() != n_machines {
+        return Err("costs length does not match the machine count");
+    }
+    if !costs.iter().any(|c| c.is_finite()) {
+        return Err("job can run on no machine");
+    }
+    if !costs.iter().all(|c| *c >= 0.0) {
+        return Err("job has a negative or NaN cost");
+    }
+    if !(release.is_finite() && release >= 0.0) {
+        return Err("job release must be finite and non-negative");
+    }
+    if !(weight.is_finite() && weight >= 0.0) {
+        return Err("job weight must be finite and non-negative");
+    }
+    Ok(())
+}
+
 pub(crate) fn utilization_of(busy: &[f64], first_release: f64, makespan: f64) -> f64 {
     let span = makespan - first_release;
     if !span.is_finite() || span <= 0.0 {
@@ -1062,22 +1090,8 @@ impl Engine {
         weight: f64,
         costs: &[f64],
     ) -> Result<usize, SimError> {
-        let invalid = |reason| Err(SimError::InvalidJob { reason });
-        if costs.len() != self.n_machines {
-            return invalid("costs length does not match the machine count");
-        }
-        if !costs.iter().any(|c| c.is_finite()) {
-            return invalid("job can run on no machine");
-        }
-        if !costs.iter().all(|c| *c >= 0.0) {
-            return invalid("job has a negative or NaN cost");
-        }
-        if !(release.is_finite() && release >= 0.0) {
-            return invalid("job release must be finite and non-negative");
-        }
-        if !(weight.is_finite() && weight >= 0.0) {
-            return invalid("job weight must be finite and non-negative");
-        }
+        check_job(self.n_machines, release, weight, costs)
+            .map_err(|reason| SimError::InvalidJob { reason })?;
         let id = self.next_id;
         self.next_id += 1;
         let slot = self.insert_slot(id, 1.0, release, weight, costs);
@@ -1559,8 +1573,8 @@ impl Engine {
         self.id_slot.get(id).is_some_and(|&slot| slot != NONE)
     }
 
-    /// Re-inserts one pending arrival during restore (no validation —
-    /// the snapshot loader owns format checking; ids need not be dense).
+    /// Re-inserts one pending arrival during restore (the snapshot loader
+    /// has checked the row, as a push would; ids need not be dense).
     pub(crate) fn restore_pending(&mut self, id: usize, release: f64, weight: f64, costs: &[f64]) {
         let slot = self.insert_slot(id, 1.0, release, weight, costs);
         self.pending.push(ArrivalKey { release, id, slot });

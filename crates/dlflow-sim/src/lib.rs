@@ -33,8 +33,8 @@
 //!   [`engine::Engine::snapshot`] / [`engine::Engine::restore`] in the
 //!   byte-stable `dlflow-snapshot v1` format ([`snapshot`]); and fault
 //!   sweeps: a campaign config's `faults` line runs failure intensity ×
-//!   scheduler against the fault-free exact optimum, reported by the
-//!   [`chaos`] module.
+//!   scheduler against the fault-free exact optimum, reported as one
+//!   tournament report per level ([`campaign::render_campaign`]).
 //!
 //! The closed-instance entry point [`engine::simulate`] remains a thin
 //! wrapper over the engine; the seed's dense batch loop survives as
@@ -67,7 +67,6 @@
 #![allow(clippy::needless_range_loop)] // rate-map code indexes machines/jobs in lockstep
 
 pub mod campaign;
-pub mod chaos;
 pub mod engine;
 mod heap;
 pub mod reference;
@@ -78,10 +77,9 @@ pub mod snapshot;
 pub mod workload;
 
 pub use campaign::{
-    parse_campaign, run_campaign, run_campaign_serial, run_fault_sweep, run_fault_sweep_serial,
-    CampaignConfig, CampaignReport, RunRecord, SchedulerSpec,
+    parse_campaign, render_campaign, run_campaign, run_campaign_serial, run_fault_sweep,
+    run_fault_sweep_serial, CampaignConfig, CampaignReport, RunRecord, SchedulerSpec, SweepLevel,
 };
-pub use chaos::{FaultSweepReport, SweepLevel};
 pub use engine::{
     simulate, simulate_dense, simulate_with_events, ActiveJob, ActiveSet, Allocation, CompletedJob,
     Engine, JobSpec, JobView, MetricsAccumulator, OnlineScheduler, PlatformChange, PlatformEvent,

@@ -97,7 +97,9 @@ pub struct FaultInjection {
 /// snapshot flags. [`Default`] is the plain run.
 #[derive(Clone, Debug, Default)]
 pub struct SimOptions {
-    /// Inject a seeded failure/recovery schedule.
+    /// Inject a seeded failure/recovery schedule. One that expects more
+    /// than 2²⁰ failures (machines × failure window ÷ `mtbf`) is refused
+    /// before it is sampled.
     pub faults: Option<FaultInjection>,
     /// Take one snapshot when the engine's event counter first reaches
     /// this value (the run still continues to completion).
@@ -144,6 +146,12 @@ fn input_machines(input: &SimInput) -> usize {
     }
 }
 
+/// Most failures a `--faults` schedule may expect, `n_machines · horizon
+/// / mtbf`. The sampler holds about two events per failure before the
+/// run starts, so 2²⁰ failures bound it to about 50 MB; the schedules in
+/// this tree's tests and docs expect a few thousand at most.
+const MAX_EXPECTED_FAILURES: f64 = 1_048_576.0;
+
 /// The platform events a fresh run pushes, in push order: the trace's
 /// own, then the `--faults` schedule (same-time events apply in push
 /// order).
@@ -157,13 +165,22 @@ fn platform_events(input: &SimInput, opts: &SimOptions) -> Result<Vec<PlatformEv
         if !(horizon.is_finite() && horizon > 0.0) {
             return Err("--faults: the failure window is empty (set until=<t>)".into());
         }
+        let n = input_machines(input);
+        let expected = n as f64 * horizon / f.mtbf;
+        if expected.is_nan() || expected > MAX_EXPECTED_FAILURES {
+            return Err(format!(
+                "--faults: {n} machines over {horizon} s at mtbf {} s expect {expected:.0} \
+                 failures, more than the {MAX_EXPECTED_FAILURES} a schedule may hold",
+                f.mtbf
+            ));
+        }
         let process = FaultProcess {
             mtbf: f.mtbf,
             mttr: f.mttr,
             horizon,
             seed: f.seed,
         };
-        events.extend(process.sample(input_machines(input)));
+        events.extend(process.sample(n));
     }
     Ok(events)
 }
@@ -523,6 +540,36 @@ mod tests {
         assert_eq!(open.completions.len(), 0);
         assert_eq!(closed.completions.len(), 30);
         assert!(open.max_active >= 1);
+    }
+
+    #[test]
+    fn faults_that_expect_more_than_two_to_the_twenty_failures_are_refused() {
+        // Two machines at an mtbf of 1 s: a 2¹⁹ s window expects 2²⁰
+        // failures. A repair longer than any window keeps each machine to
+        // one failure, so what is sampled stays small on either side.
+        let input = SimInput::Open(generate_trace(&TraceSpec {
+            n_requests: 5,
+            n_machines: 2,
+            ..Default::default()
+        }));
+        let opts = |until: f64| SimOptions {
+            faults: Some(FaultInjection {
+                mtbf: 1.0,
+                mttr: 1e12,
+                seed: 1,
+                until: Some(until),
+            }),
+            ..Default::default()
+        };
+        for until in [524_287.5, 524_288.0] {
+            assert_eq!(platform_events(&input, &opts(until)).unwrap().len(), 4);
+        }
+        let err = platform_events(&input, &opts(524_288.5)).unwrap_err();
+        assert_eq!(
+            err,
+            "--faults: 2 machines over 524288.5 s at mtbf 1 s expect 1048577 failures, \
+             more than the 1048576 a schedule may hold"
+        );
     }
 
     #[test]

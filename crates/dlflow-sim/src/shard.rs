@@ -34,7 +34,7 @@
 //! front-ends instead of inventing a second on-disk format.
 
 use crate::engine::{
-    utilization_of, CompletedJob, Engine, JobSpec, MetricsAccumulator, OnlineScheduler,
+    check_job, utilization_of, CompletedJob, Engine, JobSpec, MetricsAccumulator, OnlineScheduler,
     PlatformEvent, RunMetrics, SimError,
 };
 use crate::snapshot::SnapshotError;
@@ -228,22 +228,8 @@ impl ShardedEngine {
         // Full-row validation happens here, not per shard: a sub-engine
         // only ever sees its slice, but a NaN in *any* machine's cost
         // must reject the job with the flat engine's exact error.
-        let invalid = |reason| Err(SimError::InvalidJob { reason });
-        if costs.len() != self.n_machines {
-            return invalid("costs length does not match the machine count");
-        }
-        if !costs.iter().any(|c| c.is_finite()) {
-            return invalid("job can run on no machine");
-        }
-        if !costs.iter().all(|c| *c >= 0.0) {
-            return invalid("job has a negative or NaN cost");
-        }
-        if !(release.is_finite() && release >= 0.0) {
-            return invalid("job release must be finite and non-negative");
-        }
-        if !(weight.is_finite() && weight >= 0.0) {
-            return invalid("job weight must be finite and non-negative");
-        }
+        check_job(self.n_machines, release, weight, costs)
+            .map_err(|reason| SimError::InvalidJob { reason })?;
         // Assignment: fastest machine wins; the strict `<` over an
         // ascending scan breaks ties toward the lowest shard index. A
         // shard where the job runs nowhere scores infinity and the

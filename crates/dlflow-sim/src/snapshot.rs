@@ -24,7 +24,8 @@
 //! queue into an EDF policy is a logic error, not a best-effort merge.
 
 use crate::engine::{
-    CompletedJob, Engine, MetricsAccumulator, OnlineScheduler, PlatformChange, PlatformEvent,
+    check_job, CompletedJob, Engine, MetricsAccumulator, OnlineScheduler, PlatformChange,
+    PlatformEvent,
 };
 use crate::workload::MAX_AVAIL_CELLS;
 use std::collections::BTreeSet;
@@ -444,6 +445,8 @@ impl Engine {
             let mut toks = row.split_whitespace();
             let id = job_id(&r, &engine, "arrival", toks.next())?;
             let vals = parse_hex_row(&r, &mut toks, 2 + n_machines, "arrival")?;
+            check_job(n_machines, vals[0], vals[1], &vals[2..])
+                .map_err(|e| r.bad(format!("arrival: {e}")))?;
             engine.restore_pending(id, vals[0], vals[1], &vals[2..]);
         }
 
@@ -453,6 +456,11 @@ impl Engine {
             let mut toks = row.split_whitespace();
             let id = job_id(&r, &engine, "job", toks.next())?;
             let vals = parse_hex_row(&r, &mut toks, 3 + n_machines, "job")?;
+            if !(vals[0] > 0.0 && vals[0] <= 1.0) {
+                return Err(r.bad(format!("job: remaining {} is outside (0, 1]", vals[0])));
+            }
+            check_job(n_machines, vals[1], vals[2], &vals[3..])
+                .map_err(|e| r.bad(format!("job: {e}")))?;
             let volatile = if faulty {
                 let row = r.field("volatile")?;
                 Some(parse_hex_row(
@@ -696,6 +704,77 @@ mod tests {
             }
             other => panic!("{to:?}: want Malformed, got {other:?}"),
         }
+    }
+
+    /// The row of [`busy_snapshot`] that starts with `at`, and that row
+    /// with each value `(k, v)` set (`k` counted after the id).
+    fn with_values(at: &str, values: &[(usize, f64)]) -> (String, String) {
+        let snap = busy_snapshot();
+        let row = snap.lines().find(|l| l.starts_with(at)).unwrap();
+        let mut toks: Vec<String> = row.split(' ').map(String::from).collect();
+        for &(k, v) in values {
+            toks[2 + k] = hex(v);
+        }
+        (row.to_string(), toks.join(" "))
+    }
+
+    /// [`refused`], with [`with_values`]' row.
+    fn refused_values(at: &str, values: &[(usize, f64)], why: &str) {
+        let (from, to) = with_values(at, values);
+        refused(&from, &to, at, why);
+    }
+
+    // Row values: an `arrival` holds release, weight, then one cost per
+    // machine; a `job` holds remaining first. Each refusal below is one
+    // of the checks a push makes; before restore made them, a −∞ release
+    // or ∞ weight resumed to a report of `inf`, and a −1 cost silently.
+
+    #[test]
+    fn restore_refuses_a_release_a_push_would_refuse() {
+        let why = "job release must be finite and non-negative";
+        for v in [f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -1.0] {
+            refused_values("arrival 2 ", &[(0, v)], &format!("arrival: {why}"));
+        }
+        refused_values("job 1 ", &[(1, f64::NAN)], &format!("job: {why}"));
+    }
+
+    #[test]
+    fn restore_refuses_a_weight_a_push_would_refuse() {
+        let why = "job weight must be finite and non-negative";
+        for v in [f64::INFINITY, f64::NAN, -1.0] {
+            refused_values("arrival 2 ", &[(1, v)], &format!("arrival: {why}"));
+        }
+        refused_values("job 1 ", &[(2, f64::INFINITY)], &format!("job: {why}"));
+    }
+
+    #[test]
+    fn restore_refuses_a_cost_a_push_would_refuse() {
+        let why = "job has a negative or NaN cost";
+        for v in [-1.0, f64::NAN, f64::NEG_INFINITY] {
+            refused_values("arrival 2 ", &[(2, v)], &format!("arrival: {why}"));
+        }
+        refused_values("job 1 ", &[(4, -1.0)], &format!("job: {why}"));
+    }
+
+    #[test]
+    fn restore_refuses_a_job_that_can_run_on_no_machine() {
+        let inf = f64::INFINITY;
+        let why = "job can run on no machine";
+        refused_values("arrival 2 ", &[(2, inf), (3, inf)], why);
+        refused_values("job 1 ", &[(3, inf), (4, inf)], why);
+    }
+
+    #[test]
+    fn restore_refuses_a_remaining_outside_zero_to_one() {
+        for v in [0.0, -0.0, -0.5, 1.5, f64::INFINITY, f64::NAN] {
+            refused_values("job 1 ", &[(0, v)], "is outside (0, 1]");
+        }
+        // A job not yet served holds all of its work.
+        let (from, to) = with_values("job 1 ", &[(0, 1.0)]);
+        let whole = busy_snapshot().replacen(&from, &to, 1);
+        let mut pol = Mct::new();
+        let eng = Engine::restore(&whole, &mut pol).unwrap();
+        assert_eq!(eng.snapshot(&pol), whole);
     }
 
     #[test]
