@@ -134,7 +134,8 @@ fn main() {
             last_snapshot_at = at;
             let snap = eng.snapshot(&policy);
             let mut revived = Swrpt::new();
-            let restored = Engine::restore(&snap, &mut revived).expect("snapshot restores");
+            let restored =
+                Engine::restore(&snap, &mut revived, trace.len()).expect("snapshot restores");
             assert_eq!(
                 restored.snapshot(&revived),
                 snap,

@@ -490,3 +490,41 @@ fn a_repeated_faults_key_is_refused_not_overwritten() {
     assert!(!ok);
     assert_eq!(stderr.trim_end(), "--faults: key \"mtbf\" given twice");
 }
+
+#[test]
+fn faults_values_out_of_range_are_refused_by_the_service() {
+    // The service checks the values where it samples the schedule, on
+    // the flat and the sharded path alike; the CLI prints its message.
+    let t = tempfile_path::TempPath::with_ext(TRACE, "dlt");
+    for (spec, why) in [
+        (
+            "mtbf=-1,mttr=20",
+            "mtbf and mttr must be positive and finite",
+        ),
+        (
+            "mtbf=300,mttr=-1",
+            "mtbf and mttr must be positive and finite",
+        ),
+        (
+            "mtbf=300,mttr=0",
+            "mtbf and mttr must be positive and finite",
+        ),
+        (
+            "mtbf=300,mttr=nan",
+            "mtbf and mttr must be positive and finite",
+        ),
+        (
+            "mtbf=300,mttr=20,until=inf",
+            "until must be positive and finite",
+        ),
+    ] {
+        for shards in ["1", "2"] {
+            let args = ["simulate", t.as_str(), "--faults", spec, "--shards", shards];
+            let out = Command::new(BIN).args(args).output().expect("binary runs");
+            assert_eq!(out.status.code(), Some(1), "{spec}");
+            assert!(out.stdout.is_empty(), "{spec}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(stderr, format!("--faults: {why}\n"), "{spec}");
+        }
+    }
+}

@@ -183,7 +183,8 @@ impl<'a> JobView<'a> {
 }
 
 /// The set of released, unfinished jobs in admission order, as a `Copy`
-/// bundle of borrowed structure-of-arrays columns. This is what
+/// bundle of borrowed structure-of-arrays columns, with the engine's
+/// row of which machines are in service. This is what
 /// [`OnlineScheduler::plan`] receives instead of a `&[ActiveJob]` slice:
 /// indexing yields [`JobView`]s without the engine ever materializing
 /// per-job structs on the hot path.
@@ -197,6 +198,7 @@ pub struct ActiveSet<'a> {
     fastest: &'a [f64],
     costs: &'a [f64],
     n_machines: usize,
+    up: &'a [bool],
 }
 
 impl<'a> ActiveSet<'a> {
@@ -213,6 +215,13 @@ impl<'a> ActiveSet<'a> {
     /// Number of machines each job carries costs for.
     pub fn n_machines(&self) -> usize {
         self.n_machines
+    }
+
+    /// Which machines are in service: `up()[i]` is `false` while machine
+    /// `i` is down. The engine owns this row; a share handed to a down
+    /// machine is rejected with [`SimError::DeadMachineAllocation`].
+    pub fn up(&self) -> &'a [bool] {
+        self.up
     }
 
     /// The `k`-th active job in admission order.
@@ -273,8 +282,9 @@ impl ScratchSet {
         }
     }
 
-    /// The flattened view over the current fill.
-    pub(crate) fn view(&self, n_machines: usize) -> ActiveSet<'_> {
+    /// The flattened view over the current fill, on a platform whose
+    /// machines are in service as `up` says (one entry per machine).
+    pub(crate) fn view<'a>(&'a self, up: &'a [bool]) -> ActiveSet<'a> {
         ActiveSet {
             order: &self.order,
             ids: &self.ids,
@@ -283,7 +293,8 @@ impl ScratchSet {
             weight: &self.weight,
             fastest: &self.fastest,
             costs: &self.costs,
-            n_machines,
+            n_machines: up.len(),
+            up,
         }
     }
 }
@@ -439,18 +450,19 @@ impl ResolveStats {
 }
 
 /// An online scheduling policy, driven by event notifications. The
-/// engine tells the policy about arrivals and completions so it can keep
-/// incremental state; [`OnlineScheduler::plan`] is called at every event
-/// and sees only the currently active jobs (the online model of §5 —
-/// future jobs are unknown).
+/// engine tells the policy about arrivals, completions and platform
+/// changes so it can keep incremental state; [`OnlineScheduler::plan`] is
+/// called at every event and sees only the currently active jobs and the
+/// machines in service (the online model of §5 — future jobs are
+/// unknown).
 pub trait OnlineScheduler {
     /// Display name (used by experiment tables).
     fn name(&self) -> String;
 
     /// A job has entered the system (called once per job, before the
-    /// next `plan`). Policies cache per-job decisions here. The view is
-    /// `Copy`; policies wanting the cost row beyond the call must copy
-    /// it out.
+    /// next `plan`). Policies keeping per-job state start it here. The
+    /// view is `Copy`; policies wanting the cost row beyond the call must
+    /// copy it out.
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {}
 
     /// A job has completed (called before the next `plan`). Policies
@@ -460,17 +472,18 @@ pub trait OnlineScheduler {
     /// Writes the sparse rate allocation to apply until the next event
     /// into `alloc`. `active` lists released unfinished jobs in
     /// admission order, with their remaining fractions and per-machine
-    /// costs. `alloc` arrives reset to `active.n_machines()` empty rows
-    /// (row capacity recycled from the previous event) — policies fill
-    /// it and must not assume it retains prior contents.
+    /// costs, and [`ActiveSet::up`] says which machines are in service:
+    /// a share on a down machine is rejected. `alloc` arrives reset to
+    /// `active.n_machines()` empty rows (row capacity recycled from the
+    /// previous event) — policies fill it and must not assume it retains
+    /// prior contents.
     fn plan(&mut self, now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation);
 
     /// The platform changed (machines failed or recovered) at `now`;
     /// `up[i]` tells whether machine `i` is in service. Policies holding
-    /// machine-keyed cached state (queue assignments, LP plans) must
-    /// drop or rebuild it here: the next `plan` runs against the new
-    /// mask, and any share handed to a down machine is rejected with
-    /// [`SimError::DeadMachineAllocation`].
+    /// machine-keyed state (queue assignments) must drop or rebuild it
+    /// here. The next `plan` reads the same row off [`ActiveSet::up`],
+    /// so a policy need not keep a copy of it.
     fn on_platform_change(&mut self, _now: f64, _up: &[bool]) {}
 
     /// Serializes policy-internal state for [`Engine::snapshot`] as
@@ -618,8 +631,7 @@ pub enum SimError {
         job: usize,
     },
     /// A rate was assigned to a machine that is currently down — the
-    /// policy ignored an [`OnlineScheduler::on_platform_change`]
-    /// notification.
+    /// policy ignored the [`ActiveSet::up`] row it planned with.
     DeadMachineAllocation {
         /// Machine index.
         machine: usize,
@@ -966,6 +978,7 @@ impl Engine {
             fastest: &self.slot_fastest,
             costs: &self.slot_costs,
             n_machines: self.n_machines,
+            up: &self.up,
         }
     }
 
@@ -989,17 +1002,6 @@ impl Engine {
     /// active set).
     pub fn peak_active(&self) -> usize {
         self.peak_active
-    }
-
-    /// Whether machine `machine` is currently in service (always `true`
-    /// before the first platform event applies).
-    pub fn machine_up(&self, machine: usize) -> bool {
-        self.up[machine]
-    }
-
-    /// The per-machine availability mask.
-    pub fn up_mask(&self) -> &[bool] {
-        &self.up
     }
 
     /// Platform events pushed but not yet applied.
@@ -1699,6 +1701,7 @@ pub fn simulate_dense(
     let mut n_plans = 0usize;
     let mut busy = vec![0.0f64; m];
     let mut scratch = ScratchSet::default();
+    let all_up = vec![true; m];
     let mut alloc_buf = Allocation::default();
 
     let admit = |now: f64,
@@ -1742,7 +1745,7 @@ pub fn simulate_dense(
         // m × n_total rate matrix, zeroed from scratch.
         scratch.fill(&active, m);
         alloc_buf.reset(m);
-        policy.plan(now, &scratch.view(m), &mut alloc_buf);
+        policy.plan(now, &scratch.view(&all_up), &mut alloc_buf);
         let sparse = &alloc_buf;
         n_plans += 1;
         let mut rates: Vec<Vec<f64>> = vec![vec![0.0; n]; m];
@@ -1880,6 +1883,65 @@ impl RunMetrics {
 mod tests {
     use super::*;
     use dlflow_core::instance::InstanceBuilder;
+
+    #[test]
+    fn policies_read_the_mask_off_the_active_set() {
+        use crate::campaign::SchedulerSpec;
+        // Machine 1 is every job's fastest machine, and it fails at t = 1
+        // with every job still in the system.
+        let mut eng = Engine::new(3);
+        for (release, costs) in [
+            (0.0, [6.0, 2.0, 9.0]),
+            (0.0, [8.0, 3.0, 8.0]),
+            (0.5, [7.0, 4.0, 5.0]),
+        ] {
+            eng.push_arrival(JobSpec {
+                release,
+                weight: 1.0,
+                costs: costs.to_vec(),
+            })
+            .unwrap();
+        }
+        eng.push_platform_event(PlatformEvent {
+            time: 1.0,
+            machine: 1,
+            change: PlatformChange::Down,
+        })
+        .unwrap();
+        let mut driver = crate::schedulers::Srpt::new();
+        while eng.active().up()[1] {
+            eng.step(&mut driver).unwrap();
+        }
+        assert_eq!((eng.now(), eng.active().len()), (1.0, 3));
+
+        // A policy that was never told of the failure still plans around
+        // it: the mask rides with the jobs.
+        let kinds = [
+            "mct",
+            "fifo",
+            "srpt",
+            "swrpt",
+            "rr",
+            "wage",
+            "edf",
+            "edf:target=3",
+            "ola",
+        ];
+        for kind in kinds {
+            let mut fresh = SchedulerSpec::parse_compact(kind).unwrap().build();
+            let mut alloc = Allocation::idle(3);
+            fresh.plan(eng.now(), &eng.active(), &mut alloc);
+            assert!(
+                alloc.entries(1).is_empty(),
+                "{kind}: {:?}",
+                alloc.entries(1)
+            );
+            assert!(
+                !alloc.entries(0).is_empty() || !alloc.entries(2).is_empty(),
+                "{kind}"
+            );
+        }
+    }
 
     /// Trivial policy: every machine gives its full rate to the lowest-id
     /// active job it can run.
@@ -2372,7 +2434,7 @@ mod tests {
         // then reports Idle instead of stalling.
         eng.drain(&mut p).unwrap();
         assert_eq!(eng.step(&mut p).unwrap(), StepOutcome::Idle);
-        assert!(eng.machine_up(0) && eng.machine_up(1));
+        assert_eq!(eng.active().up(), &[true, true]);
         assert_eq!(eng.platform_pending_len(), 0);
         assert!((eng.now() - 3.0).abs() < 1e-12);
     }
@@ -2496,8 +2558,11 @@ mod tests {
         let done = eng.take_completed();
         assert_eq!(done[0].completion, 1.0);
         assert_eq!(eng.busy()[0], 0.0);
-        assert!(eng.machine_up(0), "mask at t=2 recovered machine 0");
-        assert_eq!(eng.up_mask(), &[true, true]);
+        assert_eq!(
+            eng.active().up(),
+            &[true, true],
+            "mask at t=2 recovered machine 0"
+        );
     }
 
     #[test]

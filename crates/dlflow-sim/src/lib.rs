@@ -29,7 +29,8 @@
 //!   stream ([`engine::PlatformEvent`], the seeded
 //!   [`workload::FaultProcess`] generator, `.dlt` `fail`/`recover`
 //!   directives) with work-loss semantics and scheduler degradation
-//!   via `on_platform_change`; crash-consistent
+//!   (every `plan` reads the live machines off
+//!   [`engine::ActiveSet::up`]); crash-consistent
 //!   [`engine::Engine::snapshot`] / [`engine::Engine::restore`] in the
 //!   byte-stable `dlflow-snapshot v1` format ([`snapshot`]); and fault
 //!   sweeps: a campaign config's `faults` line runs failure intensity ×

@@ -5,8 +5,9 @@
 //! `BinaryHeap<Reverse<_>>` event queues, per-job `Vec<Vec<f64>>`
 //! volatile-work rows, and the machine-major `O(m · |active| · log)`
 //! allocation scan. It speaks the current [`OnlineScheduler`] API
-//! through the same `ScratchSet` adapter as [`simulate_dense`], so every
-//! policy runs unmodified against both implementations.
+//! through the same `ScratchSet` adapter as [`simulate_dense`], which
+//! hands `plan` this engine's own availability row, so every policy runs
+//! unmodified against both implementations.
 //!
 //! `tests/prop_shard.rs` drives randomized traces (with and without
 //! fault processes) through this engine and the flattened
@@ -354,7 +355,7 @@ impl ReferenceEngine {
         self.scratch.fill(&self.active, m);
         let mut alloc = std::mem::take(&mut self.plan_alloc);
         alloc.reset(m);
-        policy.plan(self.now, &self.scratch.view(m), &mut alloc);
+        policy.plan(self.now, &self.scratch.view(&self.up), &mut alloc);
         self.n_plans += 1;
 
         // Validate the allocation and compute per-job progress rates:

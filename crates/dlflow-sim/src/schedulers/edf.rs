@@ -17,13 +17,12 @@
 //! stretch-bound × size" rule of online max-stretch algorithms (cf. the
 //! Bender–Chakrabarti–Muthukrishnan O(1)-competitive scheme).
 //!
-//! The guess is fixed at arrival time, so the policy computes it once in
-//! [`OnlineScheduler::on_arrival`] and keeps it in a map pruned on
-//! completion — incremental state instead of per-plan recomputation.
+//! The guess depends only on the job's release, weight and fastest cost,
+//! which the active set carries bit for bit, so `plan` computes it afresh
+//! and the policy keeps no per-job state.
 
 use crate::engine::{ActiveSet, Allocation, JobView, OnlineScheduler};
 use crate::schedulers::greedy::{assign_by_priority, RankScratch};
-use std::collections::BTreeMap;
 
 /// The guessed deadline of a job under a given target factor.
 fn guess_of(target: f64, job: JobView<'_>) -> f64 {
@@ -36,11 +35,6 @@ pub struct Edf {
     /// the stretch (resp. weighted-flow) bound the policy "bets" the
     /// optimum will reach. Default 2.
     pub target: f64,
-    /// Deadline guesses of the jobs currently in the system. `BTreeMap`
-    /// keeps the policy's state deterministic however it is inspected.
-    guesses: BTreeMap<usize, f64>,
-    /// Platform availability mask (empty = all machines in service).
-    up: Vec<bool>,
     scratch: RankScratch,
 }
 
@@ -48,8 +42,6 @@ impl Default for Edf {
     fn default() -> Self {
         Edf {
             target: 2.0,
-            guesses: BTreeMap::new(),
-            up: Vec::new(),
             scratch: RankScratch::default(),
         }
     }
@@ -80,67 +72,40 @@ impl OnlineScheduler for Edf {
         }
     }
 
-    fn reset(&mut self) {
-        self.guesses.clear();
-        self.up.clear();
+    fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
+        // Stateless: `plan` computes each guess from the active set.
     }
 
-    fn on_arrival(&mut self, _now: f64, job: JobView<'_>) {
-        let d = guess_of(self.target, job);
-        self.guesses.insert(job.id, d);
+    fn on_completion(&mut self, _now: f64, _job_id: usize) {
+        // Stateless: no per-job bookkeeping to drop.
     }
 
-    fn on_completion(&mut self, _now: f64, job_id: usize) {
-        self.guesses.remove(&job_id);
-    }
-
-    fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
-        // Guessed deadlines are machine-independent; only the mask used
-        // by the fastest-free-machine assignment needs updating.
-        self.up.clear();
-        self.up.extend_from_slice(up);
-    }
-
-    fn snapshot_state(&self) -> String {
-        // Guesses are f64s serialized as bit patterns: restore must
-        // reproduce the exact priorities, not a near-equal reparse.
-        let mut s = String::new();
-        for (id, d) in &self.guesses {
-            s.push_str(&format!("guess {id} {:016x}\n", d.to_bits()));
-        }
-        s
+    fn on_platform_change(&mut self, _now: f64, _up: &[bool]) {
+        // Stateless: `plan` reads the mask off the active set.
     }
 
     fn restore_state(&mut self, state: &str) -> Result<(), String> {
+        // Documents written while the policy cached its guesses hold one
+        // `guess <id> <bits>` line per job in the system. `plan` computes
+        // the same values, so they are checked and dropped.
         for line in state.lines() {
             let mut toks = line.split_whitespace();
             if toks.next() != Some("guess") {
                 return Err("EDF state: bad guess line".into());
             }
-            let id: usize = toks
-                .next()
-                .and_then(|v| v.parse().ok())
+            toks.next()
+                .and_then(|v| v.parse::<usize>().ok())
                 .ok_or("EDF state: bad guess id")?;
-            let bits = toks
-                .next()
+            toks.next()
                 .and_then(|v| u64::from_str_radix(v, 16).ok())
                 .ok_or("EDF state: bad guess bits")?;
-            self.guesses.insert(id, f64::from_bits(bits));
         }
         Ok(())
     }
 
     fn plan(&mut self, _now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
         let target = self.target;
-        let guesses = &self.guesses;
-        assign_by_priority(&mut self.scratch, active, &self.up, alloc, |a| {
-            // Cached at arrival; recomputed only if a driver skipped the
-            // arrival notification.
-            -guesses
-                .get(&a.id)
-                .copied()
-                .unwrap_or_else(|| guess_of(target, a))
-        })
+        assign_by_priority(&mut self.scratch, active, alloc, |a| -guess_of(target, a))
     }
 }
 
@@ -186,10 +151,47 @@ mod tests {
         b.machine(vec![Some(2.0), None]);
         b.machine(vec![Some(3.0), Some(1.5)]);
         let inst = b.build().unwrap();
-        let mut edf = Edf::with_target(3.0);
-        let res = simulate(&inst, &mut edf).unwrap();
+        let res = simulate(&inst, &mut Edf::with_target(3.0)).unwrap();
         assert!(res.completions.iter().all(|c| c.is_finite()));
-        // Guess cache is pruned on completion.
-        assert!(edf.guesses.is_empty());
+    }
+
+    #[test]
+    fn snapshots_with_cached_guesses_resume_to_the_straight_run() {
+        use crate::campaign::SchedulerSpec;
+        use crate::engine::Engine;
+        use crate::service::{run_simulation, run_simulation_with, SimInput, SimOptions};
+        use crate::snapshot::SnapshotError;
+        use crate::workload::Trace;
+        // Written at event 35 of the trace by an EDF that cached its
+        // guesses, with two machines down: one `guess` line per active job.
+        let snap = include_str!("../../tests/data/edf_guesses.snapshot");
+        let text = include_str!("../../tests/data/edf_guesses.dlt");
+        let trace = Trace::parse_dlt(text).unwrap();
+        let guesses: Vec<&str> = snap.lines().filter(|l| l.starts_with("guess ")).collect();
+        assert_eq!(guesses.len(), 6);
+
+        let mut edf = Edf::new();
+        let eng = Engine::restore(snap, &mut edf, trace.len()).unwrap();
+        assert!(eng.snapshot(&edf).ends_with("\nscheduler EDF\nstate 0\n"));
+        let bad = snap.replace(guesses[0], "guess 1 zz");
+        match Engine::restore(&bad, &mut Edf::new(), trace.len()) {
+            Err(SnapshotError::SchedulerState { reason }) => {
+                assert_eq!(reason, "EDF state: bad guess bits");
+            }
+            other => panic!("want SchedulerState, got {other:?}"),
+        }
+
+        let spec = SchedulerSpec::parse_compact("edf").unwrap();
+        let input = SimInput::Open(trace);
+        let opts = SimOptions {
+            resume: Some(snap.into()),
+            ..Default::default()
+        };
+        let (mut resumed, _) = run_simulation_with(&input, &spec, &opts).unwrap();
+        let straight = run_simulation(&input, &spec).unwrap();
+        // A resumed report differs from the straight run only in its
+        // peak in-flight count, counted since the snapshot.
+        resumed.max_active = straight.max_active;
+        assert_eq!(resumed.to_json(), straight.to_json());
     }
 }

@@ -31,14 +31,12 @@ fn rank_key(priority: f64, id: usize) -> u128 {
 }
 
 /// Assigns jobs (in the order produced by `priority`, *descending*) to
-/// their fastest still-free **live** machine, written into `alloc`.
-/// `up` is the platform availability mask (empty = all machines in
-/// service). Shared by every list heuristic in this module and by
+/// their fastest still-free **live** machine ([`ActiveSet::up`]), written
+/// into `alloc`. Shared by every list heuristic in this module and by
 /// [`crate::schedulers::edf::Edf`].
 pub(crate) fn assign_by_priority(
     scratch: &mut RankScratch,
     active: &ActiveSet<'_>,
-    up: &[bool],
     alloc: &mut Allocation,
     mut priority: impl FnMut(JobView<'_>) -> f64,
 ) {
@@ -48,19 +46,17 @@ pub(crate) fn assign_by_priority(
         return;
     }
 
-    // Seed the occupancy mask with the platform mask: a dead machine is
-    // just a machine that is never free. Every assignment then retires
-    // one machine, so once `free_left` hits zero the remaining
-    // (lower-priority) jobs cannot be served this plan — they are never
-    // visited at all.
+    // Seed the occupancy mask with the platform mask, counting the live
+    // machines in the same pass: a dead machine is just a machine that
+    // is never free. Every assignment then retires one machine, so once
+    // `free_left` hits zero the remaining (lower-priority) jobs cannot be
+    // served this plan — they are never visited at all.
     scratch.free.clear();
-    let mut free_left = if up.is_empty() {
-        scratch.free.resize(n_machines, true);
-        n_machines
-    } else {
-        scratch.free.extend_from_slice(up);
-        up.iter().filter(|&&ok| ok).count()
-    };
+    let mut free_left = 0;
+    scratch.free.extend(active.up().iter().map(|&ok| {
+        free_left += usize::from(ok);
+        ok
+    }));
 
     // Tries to hand `job` its fastest still-free machine; returns
     // whether a machine was taken. Infinite and NaN costs lose every
@@ -152,8 +148,6 @@ pub(crate) fn assign_by_priority(
 /// the job's fastest machine).
 #[derive(Default)]
 pub struct Srpt {
-    /// Platform availability mask (empty = all machines in service).
-    up: Vec<bool>,
     scratch: RankScratch,
 }
 
@@ -168,21 +162,17 @@ impl OnlineScheduler for Srpt {
     fn name(&self) -> String {
         "SRPT".into()
     }
-    fn reset(&mut self) {
-        self.up.clear();
-    }
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
         // Stateless: every `plan` re-ranks the active set from scratch.
     }
     fn on_completion(&mut self, _now: f64, _job_id: usize) {
         // Stateless: no per-job bookkeeping to drop.
     }
-    fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
-        self.up.clear();
-        self.up.extend_from_slice(up);
+    fn on_platform_change(&mut self, _now: f64, _up: &[bool]) {
+        // Stateless: `plan` reads the mask off the active set.
     }
     fn plan(&mut self, _now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
-        assign_by_priority(&mut self.scratch, active, &self.up, alloc, |a| {
+        assign_by_priority(&mut self.scratch, active, alloc, |a| {
             -(a.remaining * a.fastest_cost())
         })
     }
@@ -193,9 +183,6 @@ impl OnlineScheduler for Srpt {
 /// the max-weighted-flow objective.
 #[derive(Default)]
 pub struct WeightedAge {
-    now: f64,
-    /// Platform availability mask (empty = all machines in service).
-    up: Vec<bool>,
     scratch: RankScratch,
 }
 
@@ -210,23 +197,17 @@ impl OnlineScheduler for WeightedAge {
     fn name(&self) -> String {
         "WeightedAge".into()
     }
-    fn reset(&mut self) {
-        self.now = 0.0;
-        self.up.clear();
-    }
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
         // Stateless: ages are recomputed from `now` and releases in `plan`.
     }
     fn on_completion(&mut self, _now: f64, _job_id: usize) {
         // Stateless: no per-job bookkeeping to drop.
     }
-    fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
-        self.up.clear();
-        self.up.extend_from_slice(up);
+    fn on_platform_change(&mut self, _now: f64, _up: &[bool]) {
+        // Stateless: `plan` reads the mask off the active set.
     }
     fn plan(&mut self, now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
-        self.now = now;
-        assign_by_priority(&mut self.scratch, active, &self.up, alloc, |a| {
+        assign_by_priority(&mut self.scratch, active, alloc, |a| {
             // Weighted flow the job would reach if it finished right now,
             // plus its remaining fastest time (a lookahead tie-breaker).
             a.weight * (now - a.release + a.remaining * a.fastest_cost())
@@ -242,8 +223,6 @@ impl OnlineScheduler for WeightedAge {
 /// max-stretch heuristic the paper's comparison set includes.
 #[derive(Default)]
 pub struct Swrpt {
-    /// Platform availability mask (empty = all machines in service).
-    up: Vec<bool>,
     scratch: RankScratch,
 }
 
@@ -258,21 +237,17 @@ impl OnlineScheduler for Swrpt {
     fn name(&self) -> String {
         "SWRPT".into()
     }
-    fn reset(&mut self) {
-        self.up.clear();
-    }
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
         // Stateless: every `plan` re-ranks the active set from scratch.
     }
     fn on_completion(&mut self, _now: f64, _job_id: usize) {
         // Stateless: no per-job bookkeeping to drop.
     }
-    fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
-        self.up.clear();
-        self.up.extend_from_slice(up);
+    fn on_platform_change(&mut self, _now: f64, _up: &[bool]) {
+        // Stateless: `plan` reads the mask off the active set.
     }
     fn plan(&mut self, _now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
-        assign_by_priority(&mut self.scratch, active, &self.up, alloc, |a| {
+        assign_by_priority(&mut self.scratch, active, alloc, |a| {
             -(a.remaining * a.fastest_cost()) / a.weight.max(1e-12)
         })
     }
@@ -281,8 +256,6 @@ impl OnlineScheduler for Swrpt {
 /// First-in-first-out: earliest release first, fastest free machine.
 #[derive(Default)]
 pub struct FifoFastest {
-    /// Platform availability mask (empty = all machines in service).
-    up: Vec<bool>,
     scratch: RankScratch,
 }
 
@@ -297,21 +270,17 @@ impl OnlineScheduler for FifoFastest {
     fn name(&self) -> String {
         "FIFO".into()
     }
-    fn reset(&mut self) {
-        self.up.clear();
-    }
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
         // Stateless: release order is read off `active` in `plan`.
     }
     fn on_completion(&mut self, _now: f64, _job_id: usize) {
         // Stateless: no per-job bookkeeping to drop.
     }
-    fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
-        self.up.clear();
-        self.up.extend_from_slice(up);
+    fn on_platform_change(&mut self, _now: f64, _up: &[bool]) {
+        // Stateless: `plan` reads the mask off the active set.
     }
     fn plan(&mut self, _now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
-        assign_by_priority(&mut self.scratch, active, &self.up, alloc, |a| -a.release)
+        assign_by_priority(&mut self.scratch, active, alloc, |a| -a.release)
     }
 }
 
@@ -417,15 +386,12 @@ mod tests {
 /// every machine divides its capacity equally among the active jobs it
 /// can serve — the classical fairness baseline.
 #[derive(Default)]
-pub struct RoundRobin {
-    /// Platform availability mask (empty = all machines in service).
-    up: Vec<bool>,
-}
+pub struct RoundRobin;
 
 impl RoundRobin {
     /// Fresh policy.
     pub fn new() -> Self {
-        RoundRobin::default()
+        RoundRobin
     }
 }
 
@@ -433,22 +399,18 @@ impl OnlineScheduler for RoundRobin {
     fn name(&self) -> String {
         "RoundRobin".into()
     }
-    fn reset(&mut self) {
-        self.up.clear();
-    }
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
         // Stateless: eligibility is recomputed per machine in `plan`.
     }
     fn on_completion(&mut self, _now: f64, _job_id: usize) {
         // Stateless: no per-job bookkeeping to drop.
     }
-    fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
-        self.up.clear();
-        self.up.extend_from_slice(up);
+    fn on_platform_change(&mut self, _now: f64, _up: &[bool]) {
+        // Stateless: `plan` reads the mask off the active set.
     }
     fn plan(&mut self, _now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
-        for i in 0..alloc.n_machines() {
-            if !(self.up.is_empty() || self.up[i]) {
+        for (i, &up) in active.up().iter().enumerate() {
+            if !up {
                 continue; // down machine: no shares until it recovers
             }
             // Two passes (count, then set) keep the per-event path free of

@@ -21,8 +21,6 @@ pub struct Mct {
     assigned: BTreeMap<usize, usize>,
     /// FIFO queue per machine (active job ids only).
     queues: Vec<Vec<usize>>,
-    /// Platform availability mask (empty = all machines in service).
-    up: Vec<bool>,
     /// Recycled buffer of not-yet-assigned active-set indices.
     newcomers: Vec<u32>,
 }
@@ -31,11 +29,6 @@ impl Mct {
     /// Fresh policy.
     pub fn new() -> Self {
         Mct::default()
-    }
-
-    /// Whether machine `i` is in service under the current mask.
-    fn live(&self, i: usize) -> bool {
-        self.up.is_empty() || self.up[i]
     }
 }
 
@@ -47,7 +40,6 @@ impl OnlineScheduler for Mct {
     fn reset(&mut self) {
         self.assigned.clear();
         self.queues.clear();
-        self.up.clear();
         self.newcomers.clear();
     }
 
@@ -63,8 +55,6 @@ impl OnlineScheduler for Mct {
     }
 
     fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
-        self.up.clear();
-        self.up.extend_from_slice(up);
         // Evict dead machines' queues: their jobs become newcomers again
         // and the next `plan` re-runs the MCT rule over live machines —
         // "irrevocable" yields to survival when the machine is gone.
@@ -131,6 +121,7 @@ impl OnlineScheduler for Mct {
 
     fn plan(&mut self, _now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
         let n_machines = alloc.n_machines();
+        let up = active.up();
         if self.queues.len() < n_machines {
             self.queues.resize(n_machines, Vec::new()); // dlflint:allow(alloc-in-hot-loop, "grows once to the machine count, then the guard keeps it allocation-free")
         }
@@ -154,7 +145,7 @@ impl OnlineScheduler for Mct {
             let job = active.get(k as usize);
             let mut best: Option<(usize, f64)> = None;
             for i in 0..n_machines {
-                if !(self.up.is_empty() || self.up[i]) {
+                if !up[i] {
                     continue;
                 }
                 let Some(c) = job.cost(i) else {
@@ -181,7 +172,7 @@ impl OnlineScheduler for Mct {
         // queues, so heads are always active; dead machines' queues were
         // evicted by `on_platform_change`).
         for i in 0..n_machines {
-            if !self.live(i) {
+            if !up[i] {
                 continue;
             }
             if let Some(&head) = self.queues[i].first() {

@@ -2,10 +2,12 @@
 //!
 //! All eight speak the event-notification
 //! [`OnlineScheduler`](crate::engine::OnlineScheduler) API: the engine
-//! tells them about arrivals and completions (`on_arrival` /
-//! `on_completion`), they keep incremental per-job state, and `plan`
-//! sees only the active set — never a closed instance — so every policy
-//! runs unchanged on open-arrival traces of any length.
+//! tells them about arrivals, completions and platform changes, those
+//! with incremental state keep it, and `plan` sees only the active set
+//! and the engine's row of live machines
+//! ([`ActiveSet::up`](crate::engine::ActiveSet::up)) — never a closed
+//! instance — so every policy runs unchanged on open-arrival traces of
+//! any length.
 //!
 //! * [`mct::Mct`] — Minimum Completion Time, the classical heuristic the
 //!   paper's conclusion names as the baseline its online adaptation beats
@@ -15,7 +17,7 @@
 //!   list heuristics (preemptive, non-divisible).
 //! * [`edf::Edf`] — Earliest Deadline First on guessed deadlines
 //!   (`d̂_j = r_j + k·p̄_j/w_j`), the deadline-driven member of the
-//!   comparison set (guesses cached at arrival).
+//!   comparison set (guesses computed in `plan`, no per-job state).
 //! * [`offline_adapt::OfflineAdapt`] — the paper's proposal: re-solve the
 //!   offline divisible max-weighted-flow problem at every event with the
 //!   paper's milestone search (§4.3) and follow its first-interval rates

@@ -385,8 +385,6 @@ pub struct OfflineAdapt {
     n_resolves: usize,
     /// Re-plans with at least one warm-started LP solve.
     warm_resolves: usize,
-    /// Platform availability mask (empty = all machines in service).
-    up: Vec<bool>,
     /// Scratch copy of the active set, refreshed per event.
     scratch: JobCols,
     /// Recycled job/cost-matrix buffers for the LP sub-instance (the
@@ -401,27 +399,22 @@ impl OfflineAdapt {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Whether machine `i` is in service under the current mask.
-    fn live(&self, i: usize) -> bool {
-        self.up.is_empty() || self.up[i]
-    }
-
-    /// Hands every live machine wholly to the first job (in id order) it
-    /// can run. For a single job this is the optimum; for several it is
-    /// the last resort when no LP ended optimal.
-    fn whole_machines(&self, cols: &JobCols, alloc: &mut Allocation) {
-        for i in 0..alloc.n_machines() {
-            if let Some(k) = (0..cols.n()).find(|&k| self.live(i) && cols.cost(i, k).is_some()) {
-                alloc.set(i, cols.ids[k], 1.0);
-            }
+/// Hands every machine that `up` says is live wholly to the first job
+/// (in id order) it can run. For a single job this is the optimum; for
+/// several it is the last resort when no LP ended optimal.
+fn whole_machines(cols: &JobCols, up: &[bool], alloc: &mut Allocation) {
+    for (i, &live) in up.iter().enumerate() {
+        if let Some(k) = (0..cols.n()).find(|&k| live && cols.cost(i, k).is_some()) {
+            alloc.set(i, cols.ids[k], 1.0);
         }
     }
 }
 
 /// Builds the *remaining-work* sub-instance at `now` into recycled
 /// buffers: one job per column with cost `remaining · c[i][j]` and
-/// release `now`. Dead machines (per the `up` mask; empty = all live)
+/// release `now`, one machine per entry of `up`. Dead machines
 /// contribute all-`Infinite` rows, so the LP plans over live machines
 /// only. `None` only if some column has no live finite machine — callers
 /// pre-filter, so that is their bug, not an event.
@@ -429,7 +422,6 @@ fn build_sub(
     now: f64,
     cols: &JobCols,
     up: &[bool],
-    n_machines: usize,
     recycle: &mut SubBuffers,
 ) -> Option<Instance<f64>> {
     let (mut jobs, mut cost) = mem::take(recycle);
@@ -444,11 +436,10 @@ fn build_sub(
             name: String::default(), // names are cosmetic; skip the per-job format
         });
     }
-    cost.resize_with(n_machines, Default::default);
-    cost.truncate(n_machines);
-    for (i, row) in cost.iter_mut().enumerate() {
+    cost.resize_with(up.len(), Default::default);
+    cost.truncate(up.len());
+    for (i, (row, &live)) in cost.iter_mut().zip(up).enumerate() {
         row.clear();
-        let live = up.is_empty() || up[i];
         for k in 0..cols.n() {
             row.push(match cols.cost(i, k) {
                 Some(c) if live => Cost::Finite(cols.remaining[k] * c),
@@ -469,7 +460,6 @@ impl OnlineScheduler for OfflineAdapt {
         self.warm_resolves = 0;
         self.lp.solves = 0;
         self.lp.warm = 0;
-        self.up.clear();
     }
 
     fn on_arrival(&mut self, _now: f64, _job: JobView<'_>) {
@@ -480,9 +470,8 @@ impl OnlineScheduler for OfflineAdapt {
         // No per-job state: every re-plan reads the active set afresh.
     }
 
-    fn on_platform_change(&mut self, _now: f64, up: &[bool]) {
-        self.up.clear();
-        self.up.extend_from_slice(up);
+    fn on_platform_change(&mut self, _now: f64, _up: &[bool]) {
+        // No machine-keyed state: every re-plan reads the mask afresh.
     }
 
     fn snapshot_state(&self) -> String {
@@ -536,7 +525,7 @@ impl OnlineScheduler for OfflineAdapt {
         // path needs them beyond this call frame's borrows).
         let mut cols = mem::take(&mut self.scratch);
         cols.fill(active);
-        self.plan_into(now, &mut cols, alloc);
+        self.plan_into(now, &mut cols, active.up(), alloc);
         self.scratch = cols;
     }
 
@@ -554,19 +543,15 @@ impl OnlineScheduler for OfflineAdapt {
 impl OfflineAdapt {
     /// The re-plan proper, over the scratch columns (which it may filter
     /// down to the placeable subset on the degraded no-live-machine
-    /// path), writing into the engine's empty `alloc`.
-    fn plan_into(&mut self, now: f64, cols: &mut JobCols, alloc: &mut Allocation) {
-        let n_machines = alloc.n_machines();
-        if (0..cols.n())
-            .any(|k| (0..n_machines).all(|i| !self.live(i) || cols.cost(i, k).is_none()))
-        {
+    /// path) and the engine's mask `up`, writing into the engine's empty
+    /// `alloc`.
+    fn plan_into(&mut self, now: f64, cols: &mut JobCols, up: &[bool], alloc: &mut Allocation) {
+        let placeable =
+            |c: &JobCols, k: usize| (0..up.len()).any(|i| up[i] && c.cost(i, k).is_some());
+        if (0..cols.n()).any(|k| !placeable(cols, k)) {
             // Some active job runs on no *live* machine: plan the
             // placeable subset instead of stranding everyone.
-            let up = mem::take(&mut self.up);
-            cols.retain_by(|c, k| {
-                (0..n_machines).any(|i| (up.is_empty() || up[i]) && c.cost(i, k).is_some())
-            });
-            self.up = up;
+            cols.retain_by(placeable);
             if cols.n() == 0 {
                 return;
             }
@@ -574,9 +559,8 @@ impl OfflineAdapt {
 
         self.n_resolves += 1;
         if cols.n() == 1 {
-            self.whole_machines(cols, alloc);
-        } else if let Some(sub) = build_sub(now, cols, &self.up, n_machines, &mut self.sub_recycle)
-        {
+            whole_machines(cols, up, alloc);
+        } else if let Some(sub) = build_sub(now, cols, up, &mut self.sub_recycle) {
             let lp = &mut self.lp;
             let warm = lp.warm;
             let hi = serial_bound(&sub, &cols.release, now);
@@ -587,7 +571,7 @@ impl OfflineAdapt {
             self.warm_resolves += usize::from(lp.warm > warm);
             self.sub_recycle = sub.into_parts();
             if !planned {
-                self.whole_machines(cols, alloc);
+                whole_machines(cols, up, alloc);
             }
         }
     }
@@ -760,7 +744,7 @@ mod tests {
                 .collect();
             let up: Vec<bool> = (0..m).map(|i| i == 0 || down[i] != 0).collect();
             let cols = cols_of(&releases[..n], &w, &raw, m);
-            let sub = build_sub(now, &cols, &up, m, &mut (Vec::new(), Vec::new())).unwrap();
+            let sub = build_sub(now, &cols, &up, &mut (Vec::new(), Vec::new())).unwrap();
             let mut lp = PolicyLp::default();
             let hi0 = serial_bound(&sub, &cols.release, now);
             let f_star = lp.min_flow(&sub, &cols.release, now, hi0).expect("range LP optimal");
@@ -792,12 +776,11 @@ mod tests {
         let (now, release, weight) = (7.0, 2.0, 0.5);
         let mut cols = cols_of(&[release], &[weight], &[3.0, 6.0, 1.0], 3);
         cols.remaining[0] = 0.5;
-        let mut ola = OfflineAdapt::new();
-        ola.on_platform_change(now, &[true, true, false]);
+        let up = [true, true, false];
         let mut closed = Allocation::idle(3);
-        ola.whole_machines(&cols, &mut closed);
+        whole_machines(&cols, &up, &mut closed);
 
-        let sub = build_sub(now, &cols, &ola.up, 3, &mut (Vec::new(), Vec::new())).unwrap();
+        let sub = build_sub(now, &cols, &up, &mut (Vec::new(), Vec::new())).unwrap();
         let mut lp = PolicyLp::default();
         let opt = lp
             .min_flow(
@@ -856,7 +839,7 @@ mod tests {
         let hi = serial_bound(&sub, &origins, now);
         let _ = lp.min_flow(&sub, &origins, now, hi);
         // Through `build_sub` the same jobs plan optimally.
-        let sub = build_sub(now, &cols, &[], 4, &mut (Vec::new(), Vec::new())).unwrap();
+        let sub = build_sub(now, &cols, &[true; 4], &mut (Vec::new(), Vec::new())).unwrap();
         assert!(lp
             .min_flow(&sub, &origins, now, serial_bound(&sub, &origins, now))
             .is_some());
@@ -880,11 +863,6 @@ mod tests {
             "permuted OLA".into()
         }
 
-        fn on_platform_change(&mut self, now: f64, up: &[bool]) {
-            self.base.on_platform_change(now, up);
-            self.shadow.on_platform_change(now, up);
-        }
-
         fn plan(&mut self, now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
             self.base.plan(now, active, alloc);
             let n = active.len();
@@ -905,7 +883,7 @@ mod tests {
                 self.jobs.rotate_left(shift % n.max(1));
                 self.scratch.fill(&self.jobs, active.n_machines());
                 self.other.reset(active.n_machines());
-                let view = self.scratch.view(active.n_machines());
+                let view = self.scratch.view(active.up());
                 self.shadow.plan(now, &view, &mut self.other);
                 let bits = |a: &Allocation, i: usize| -> Vec<(usize, u64)> {
                     a.entries(i)
@@ -960,19 +938,18 @@ mod tests {
     }
 
     /// The placeable active jobs of a multi-job re-plan, filtered into
-    /// `cols` as `ola` filters them, and their sub-problem; `None` below
+    /// `cols` as OLA filters them, and their sub-problem; `None` below
     /// two jobs.
     fn multi_job_sub(
-        ola: &OfflineAdapt,
         now: f64,
         active: &ActiveSet<'_>,
         cols: &mut JobCols,
         recycle: &mut SubBuffers,
     ) -> Option<Instance<f64>> {
-        let (m, up) = (active.n_machines(), &ola.up);
+        let up = active.up();
         cols.fill(active);
-        cols.retain_by(|c, k| (0..m).any(|i| (up.is_empty() || up[i]) && c.cost(i, k).is_some()));
-        (cols.n() >= 2).then(|| build_sub(now, cols, up, m, recycle).unwrap())
+        cols.retain_by(|c, k| (0..up.len()).any(|i| up[i] && c.cost(i, k).is_some()));
+        (cols.n() >= 2).then(|| build_sub(now, cols, up, recycle).unwrap())
     }
 
     /// The first stage both ways at every multi-job re-plan of the plans
@@ -1002,15 +979,9 @@ mod tests {
             "OLA, stage 1 both ways".into()
         }
 
-        fn on_platform_change(&mut self, now: f64, up: &[bool]) {
-            self.ola.on_platform_change(now, up);
-        }
-
         fn plan(&mut self, now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
             self.ola.plan(now, active, alloc);
-            let Some(sub) =
-                multi_job_sub(&self.ola, now, active, &mut self.cols, &mut self.recycle)
-            else {
+            let Some(sub) = multi_job_sub(now, active, &mut self.cols, &mut self.recycle) else {
                 return;
             };
             let origins = &self.cols.release;
@@ -1079,15 +1050,9 @@ mod tests {
             "OLA, stage 2 both ways".into()
         }
 
-        fn on_platform_change(&mut self, now: f64, up: &[bool]) {
-            self.ola.on_platform_change(now, up);
-        }
-
         fn plan(&mut self, now: f64, active: &ActiveSet<'_>, alloc: &mut Allocation) {
             self.ola.plan(now, active, alloc);
-            let Some(sub) =
-                multi_job_sub(&self.ola, now, active, &mut self.cols, &mut self.recycle)
-            else {
+            let Some(sub) = multi_job_sub(now, active, &mut self.cols, &mut self.recycle) else {
                 return;
             };
             let origins = &self.cols.release;
@@ -1329,7 +1294,7 @@ mod tests {
         assert_eq!(fresh.resolve_stats(), Some(stats));
         let mut revived = OfflineAdapt::new();
         assert_eq!(
-            Engine::restore(&snap, &mut revived)
+            Engine::restore(&snap, &mut revived, 12)
                 .unwrap()
                 .snapshot(&revived),
             snap
@@ -1345,7 +1310,7 @@ mod tests {
         let tail = format!("scheduler OLA\nstate 1\nn_resolves {}\n", before.n_resolves);
         assert!(old.ends_with(&tail), "{old}");
         let mut ola = OfflineAdapt::new();
-        let mut eng = Engine::restore(&old, &mut ola).unwrap();
+        let mut eng = Engine::restore(&old, &mut ola, 12).unwrap();
         assert_eq!(finish(&mut eng, &mut ola), want);
         // The re-plan count carries over; LP counters restart at zero.
         let (got, all) = (
@@ -1358,7 +1323,7 @@ mod tests {
         // A throttled policy's snapshot names a policy that is gone.
         let throttled = old.replace("scheduler OLA\nstate 1\n", "scheduler OLA(t=10)\nstate 6\n")
             + THROTTLE_CACHE;
-        match Engine::restore(&throttled, &mut OfflineAdapt::new()) {
+        match Engine::restore(&throttled, &mut OfflineAdapt::new(), 12) {
             Err(SnapshotError::SchedulerMismatch { expected, found }) => {
                 assert_eq!((expected.as_str(), found.as_str()), ("OLA(t=10)", "OLA"));
             }
@@ -1382,7 +1347,7 @@ mod tests {
             (snap.replace("\nlp_solves ", "\nlp_solvez "), "`lp_solves`"),
             (old.replace("n_resolves ", "n_resolves -"), "`n_resolves`"),
         ] {
-            match Engine::restore(&bad, &mut OfflineAdapt::new()) {
+            match Engine::restore(&bad, &mut OfflineAdapt::new(), 12) {
                 Err(SnapshotError::SchedulerState { reason }) => {
                     assert!(reason.contains(needle), "{needle}: {reason}");
                 }

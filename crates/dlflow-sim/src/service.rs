@@ -97,8 +97,9 @@ pub struct FaultInjection {
 /// snapshot flags. [`Default`] is the plain run.
 #[derive(Clone, Debug, Default)]
 pub struct SimOptions {
-    /// Inject a seeded failure/recovery schedule. One that expects more
-    /// than 2²⁰ failures (machines × failure window ÷ `mtbf`) is refused
+    /// Inject a seeded failure/recovery schedule. One whose `mtbf`,
+    /// `mttr` or `until` is not positive and finite, or that expects more
+    /// than 2²⁰ failures (machines × failure window ÷ `mtbf`), is refused
     /// before it is sampled.
     pub faults: Option<FaultInjection>,
     /// Take one snapshot when the engine's event counter first reaches
@@ -154,13 +155,20 @@ const MAX_EXPECTED_FAILURES: f64 = 1_048_576.0;
 
 /// The platform events a fresh run pushes, in push order: the trace's
 /// own, then the `--faults` schedule (same-time events apply in push
-/// order).
+/// order). The schedule's parameters are checked here, before they are
+/// sampled.
 fn platform_events(input: &SimInput, opts: &SimOptions) -> Result<Vec<PlatformEvent>, String> {
     let mut events = match input {
         SimInput::Closed(_) => Vec::new(),
         SimInput::Open(trace) => trace.platform_events.clone(),
     };
     if let Some(f) = &opts.faults {
+        if !(f.mtbf > 0.0 && f.mtbf.is_finite() && f.mttr > 0.0 && f.mttr.is_finite()) {
+            return Err("--faults: mtbf and mttr must be positive and finite".into());
+        }
+        if f.until.is_some_and(|u| !(u > 0.0 && u.is_finite())) {
+            return Err("--faults: until must be positive and finite".into());
+        }
         let horizon = f.until.unwrap_or_else(|| default_horizon(input));
         if !(horizon.is_finite() && horizon > 0.0) {
             return Err("--faults: the failure window is empty (set until=<t>)".into());
@@ -260,8 +268,8 @@ fn run_unlabelled(input: &SimInput, spec: &SchedulerSpec, opts: &SimOptions) -> 
             SimInput::Closed(inst) => inst.n_jobs(),
             SimInput::Open(trace) => trace.len(),
         };
-        let eng = Engine::restore_within(snap, policy.as_mut(), n)
-            .map_err(|e| format!("--resume: {e}"))?;
+        let eng =
+            Engine::restore(snap, policy.as_mut(), n).map_err(|e| format!("--resume: {e}"))?;
         if eng.n_machines() != m {
             return Err(RunError::Refused(format!(
                 "--resume: snapshot has {} machines but the input has {m}",
@@ -570,6 +578,67 @@ mod tests {
             "--faults: 2 machines over 524288.5 s at mtbf 1 s expect 1048577 failures, \
              more than the 1048576 a schedule may hold"
         );
+    }
+
+    #[test]
+    fn sharded_runs_refuse_snapshot_and_resume() {
+        // A snapshot document captures one engine; no sharded one exists.
+        let input = SimInput::Open(generate_trace(&TraceSpec {
+            n_requests: 5,
+            ..Default::default()
+        }));
+        let spec = SchedulerSpec::parse_compact("swrpt").unwrap();
+        let snapshot = SimOptions {
+            shards: 2,
+            snapshot_at: Some(3),
+            ..Default::default()
+        };
+        let resume = SimOptions {
+            shards: 2,
+            resume: Some(String::new()),
+            ..Default::default()
+        };
+        for opts in [snapshot, resume] {
+            assert_eq!(
+                run_simulation_with(&input, &spec, &opts).unwrap_err(),
+                "--shards: snapshot and resume cover a single engine; rerun without sharding"
+            );
+        }
+    }
+
+    #[test]
+    fn fault_parameters_are_checked_before_they_are_sampled() {
+        // Unchecked, each of these reaches `FaultProcess::sample`'s
+        // assertion and panics.
+        let input = SimInput::Open(generate_trace(&TraceSpec {
+            n_requests: 5,
+            ..Default::default()
+        }));
+        let spec = SchedulerSpec::parse_compact("swrpt").unwrap();
+        let run = |mtbf: f64, mttr: f64, until: Option<f64>| {
+            let opts = SimOptions {
+                faults: Some(FaultInjection {
+                    mtbf,
+                    mttr,
+                    seed: 1,
+                    until,
+                }),
+                ..Default::default()
+            };
+            run_simulation_with(&input, &spec, &opts).unwrap_err()
+        };
+        for (mtbf, mttr) in [(-1.0, 20.0), (300.0, -1.0), (300.0, 0.0), (300.0, f64::NAN)] {
+            assert_eq!(
+                run(mtbf, mttr, None),
+                "--faults: mtbf and mttr must be positive and finite"
+            );
+        }
+        for until in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            assert_eq!(
+                run(300.0, 20.0, Some(until)),
+                "--faults: until must be positive and finite"
+            );
+        }
     }
 
     #[test]

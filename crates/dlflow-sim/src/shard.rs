@@ -28,16 +28,11 @@
 //! assignment policy has one choice, the merge is the identity, and the
 //! run is bit-identical to driving the inner [`Engine`] directly (the
 //! differential suite in `tests/prop_shard.rs` pins this down).
-//!
-//! Snapshot/resume is a single-engine feature: [`ShardedEngine::snapshot`]
-//! returns [`SnapshotError::ShardedUnsupported`] for multi-shard
-//! front-ends instead of inventing a second on-disk format.
 
 use crate::engine::{
     check_job, utilization_of, CompletedJob, Engine, JobSpec, MetricsAccumulator, OnlineScheduler,
     PlatformEvent, RunMetrics, SimError,
 };
-use crate::snapshot::SnapshotError;
 use crate::workload::{stream_arrivals, ReplayStats, Trace};
 use rayon::prelude::*;
 use std::cmp::Reverse;
@@ -186,6 +181,20 @@ impl ShardedEngine {
         acc
     }
 
+    /// The shard of the lowest-index machine where `costs` (a full row
+    /// that passed `check_job`) is cheapest: the assignment policy of
+    /// [`ShardedEngine::push_arrival`] and of the replay's pre-pass.
+    fn shard_of_fastest(&self, costs: &[f64]) -> usize {
+        let mut at = 0;
+        for (i, &c) in costs.iter().enumerate() {
+            // Strict `<` keeps the lowest index on cost ties.
+            if c < costs[at] {
+                at = i;
+            }
+        }
+        self.shard_of_machine(at)
+    }
+
     /// Which shard owns global machine index `machine`.
     fn shard_of_machine(&self, machine: usize) -> usize {
         debug_assert!(machine < self.n_machines);
@@ -230,20 +239,7 @@ impl ShardedEngine {
         // must reject the job with the flat engine's exact error.
         check_job(self.n_machines, release, weight, costs)
             .map_err(|reason| SimError::InvalidJob { reason })?;
-        // Assignment: fastest machine wins; the strict `<` over an
-        // ascending scan breaks ties toward the lowest shard index. A
-        // shard where the job runs nowhere scores infinity and the
-        // validation above guarantees some shard scores finite.
-        let mut best = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for s in 0..self.shards.len() {
-            let local = &costs[self.starts[s]..self.starts[s + 1]];
-            let fastest = local.iter().cloned().fold(f64::INFINITY, f64::min);
-            if fastest < best_cost {
-                best = s;
-                best_cost = fastest;
-            }
-        }
+        let best = self.shard_of_fastest(costs);
         let id = self.next_id;
         self.next_id += 1;
         let local = self.shards[best].push_arrival_ref(
@@ -400,23 +396,21 @@ impl ShardedEngine {
         }
         self.set_record_completions(false);
         // Pre-pass: validate every arrival against the FULL cost row
-        // (the flat engine's exact messages) and pin it to the shard of
-        // its globally fastest machine — ties to the lowest machine
+        // (`check_job`, as the flat engine does) and pin it to the shard
+        // of its globally fastest machine — ties to the lowest machine
         // index, as in `push_arrival`. Global ids are dealt here, in
         // trace order, so the id map is identical to the push-all path
         // no matter how the per-shard replays interleave.
-        let invalid = |reason| SimError::InvalidJob { reason };
         let mut routed: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()]; // dlflint:allow(alloc-in-hot-loop, "one route list per shard per replay, not per event")
                                                                              // Route probe: every cost is the monotone image `fl(size·ct)` of
                                                                              // its machine's cycle time, so with machines pre-sorted by
                                                                              // (cycle time, index) the global minimum cost sits at the first
-                                                                             // *available* machine in that order, and the engine's
-                                                                             // lowest-index tie-break is recovered by walking the (rare) run
-                                                                             // of equal-cost machines behind it — O(1) expected per arrival
-                                                                             // instead of O(m). Sound only when the cycle-time table and the
-                                                                             // arrival itself are well-formed; anything else (and any probe
-                                                                             // miss) falls back to the full engine-order scan below, which
-                                                                             // also owns every error message.
+                                                                             // *available* machine in that order, and the lowest-index
+                                                                             // tie-break is recovered by walking the (rare) run of equal-cost
+                                                                             // machines behind it — O(1) expected per arrival instead of
+                                                                             // O(m). Sound only when the cycle-time table and the arrival
+                                                                             // itself are well-formed; anything else (and any probe miss)
+                                                                             // builds the full cost row and routes it as `push_arrival` does.
         let cts = &trace.cycle_times;
         let cts_ok = cts.len() == self.n_machines && cts.iter().all(|c| c.is_finite() && *c >= 0.0);
         let mut ct_order: Vec<u32> = (0..cts.len() as u32).collect(); // dlflint:allow(alloc-in-hot-loop, "one probe order per replay, not per event")
@@ -428,15 +422,14 @@ impl ShardedEngine {
                     .then(x.cmp(&y))
             });
         }
+        let mut row = Vec::new();
         for (k, a) in trace.arrivals.iter().enumerate() {
-            let Some(avail) = trace
-                .avail_row(k)
-                .filter(|row| row.len() == self.n_machines)
-            else {
-                return Err(invalid("costs length does not match the machine count"));
-            };
-            let fastest = 'route: {
+            // Without an availability row the cost row is empty, which
+            // `check_job` refuses.
+            let avail = trace.avail_row(k).unwrap_or_default();
+            let s = 'route: {
                 if cts_ok
+                    && !avail.is_empty()
                     && a.size.is_finite()
                     && a.size >= 0.0
                     && a.release.is_finite()
@@ -461,34 +454,20 @@ impl ShardedEngine {
                                 }
                                 lo = lo.min(i as usize);
                             }
-                            break 'route lo;
+                            break 'route self.shard_of_machine(lo);
                         }
                     }
                 }
-                let mut best: Option<(usize, f64)> = None;
-                let mut negative = false;
-                for (i, (ct, &ok)) in trace.cycle_times.iter().zip(avail).enumerate() {
-                    let c = if ok { a.size * ct } else { f64::INFINITY };
-                    negative |= c.is_nan() || c < 0.0;
-                    if c.is_finite() && best.is_none_or(|(_, b)| c < b) {
-                        best = Some((i, c));
-                    }
-                }
-                let Some((fastest, _)) = best else {
-                    return Err(invalid("job can run on no machine"));
-                };
-                if negative {
-                    return Err(invalid("job has a negative or NaN cost"));
-                }
-                if !(a.release.is_finite() && a.release >= 0.0) {
-                    return Err(invalid("job release must be finite and non-negative"));
-                }
-                if !(a.weight.is_finite() && a.weight >= 0.0) {
-                    return Err(invalid("job weight must be finite and non-negative"));
-                }
-                fastest
+                row.clear();
+                row.extend(
+                    cts.iter()
+                        .zip(avail)
+                        .map(|(ct, &ok)| if ok { a.size * ct } else { f64::INFINITY }),
+                );
+                check_job(self.n_machines, a.release, a.weight, &row)
+                    .map_err(|reason| SimError::InvalidJob { reason })?;
+                self.shard_of_fastest(&row)
             };
-            let s = self.shard_of_machine(fastest);
             routed[s].push(k as u32);
             self.global_of[s].push(self.next_id);
             self.next_id += 1;
@@ -510,45 +489,6 @@ impl ShardedEngine {
             metrics: self.metrics(),
             utilization: self.utilization(),
             max_active: self.peak_active(),
-        })
-    }
-
-    /// Serializes the front-end to the single-engine `dlflow-snapshot
-    /// v1` format. Only a 1-shard front-end is snapshotable: the format
-    /// captures one engine, and inventing a multi-shard sibling format
-    /// is out of scope by design.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::ShardedUnsupported`] when `n_shards > 1`.
-    pub fn snapshot(&self, policy: &dyn OnlineScheduler) -> Result<String, SnapshotError> {
-        if self.shards.len() > 1 {
-            return Err(SnapshotError::ShardedUnsupported {
-                n_shards: self.shards.len(),
-            });
-        }
-        Ok(self.shards[0].snapshot(policy))
-    }
-
-    /// Restores a 1-shard front-end from a single-engine snapshot (the
-    /// inverse of [`ShardedEngine::snapshot`] at shard count 1).
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::restore`].
-    pub fn restore_single(
-        text: &str,
-        policy: &mut dyn OnlineScheduler,
-    ) -> Result<ShardedEngine, SnapshotError> {
-        let eng = Engine::restore(text, policy)?;
-        let n_machines = eng.n_machines();
-        let next_id = eng.next_id;
-        Ok(ShardedEngine {
-            n_machines,
-            starts: vec![0, n_machines],
-            global_of: vec![(0..next_id).collect()],
-            shards: vec![eng],
-            next_id,
         })
     }
 }
@@ -812,21 +752,65 @@ mod tests {
     }
 
     #[test]
-    fn multi_shard_snapshot_is_a_typed_error() {
-        let se = ShardedEngine::new(4, 2);
-        let pol = Swrpt::new();
-        match se.snapshot(&pol) {
-            Err(SnapshotError::ShardedUnsupported { n_shards }) => assert_eq!(n_shards, 2),
-            other => panic!("want ShardedUnsupported, got {other:?}"),
+    fn malformed_arrivals_fail_as_in_the_flat_replay() {
+        use crate::campaign::SchedulerSpec;
+        use crate::service::{run_simulation_with, SimInput, SimOptions};
+        // One valid request, then the malformed one: the flat replay
+        // refuses it when its turn to be pushed comes, the sharded
+        // pre-pass before any shard steps.
+        let bad = |release: f64, size: f64, weight: f64| Trace {
+            cycle_times: vec![1.5, 2.0, 3.0, 4.0],
+            arrivals: vec![
+                TraceArrival {
+                    release: 0.0,
+                    size: 1.0,
+                    weight: 1.0,
+                },
+                TraceArrival {
+                    release,
+                    size,
+                    weight,
+                },
+            ],
+            avail: vec![true, true, true, true, false, true, false, true],
+            platform_events: Vec::new(),
+        };
+        let spec = SchedulerSpec::parse_compact("swrpt").unwrap();
+        for (trace, reason) in [
+            (bad(1.0, f64::NAN, 1.0), "job can run on no machine"),
+            (bad(1.0, -1.0, 1.0), "job has a negative or NaN cost"),
+            (
+                bad(f64::INFINITY, 1.0, 1.0),
+                "job release must be finite and non-negative",
+            ),
+            (
+                bad(1.0, 1.0, -1.0),
+                "job weight must be finite and non-negative",
+            ),
+            (
+                bad(1.0, 1.0, f64::NAN),
+                "job weight must be finite and non-negative",
+            ),
+            // `f64::MAX` times every cycle time above 1 overflows to ∞.
+            (bad(1.0, f64::MAX, 1.0), "job can run on no machine"),
+        ] {
+            let flat = trace.replay(&mut Swrpt::new()).unwrap_err();
+            assert_eq!(flat, SimError::InvalidJob { reason });
+            let mut se = ShardedEngine::new(4, 2);
+            let mut pols = vec![boxed(Swrpt::new()), boxed(Swrpt::new())];
+            assert_eq!(se.replay_trace(&trace, &mut pols).unwrap_err(), flat);
+
+            let input = SimInput::Open(trace);
+            let plain = run_simulation_with(&input, &spec, &SimOptions::default()).unwrap_err();
+            let sharded = SimOptions {
+                shards: 2,
+                ..Default::default()
+            };
+            assert_eq!(
+                run_simulation_with(&input, &spec, &sharded).unwrap_err(),
+                plain
+            );
+            assert_eq!(plain, format!("SWRPT: invalid job spec: {reason}"));
         }
-        // One shard snapshots and restores fine.
-        let mut se = ShardedEngine::new(2, 1);
-        se.push_arrival(job(0.0, 1.0, &[2.0, 3.0])).unwrap();
-        let mut pol = Swrpt::new();
-        let text = se.snapshot(&pol).unwrap();
-        let mut restored = ShardedEngine::restore_single(&text, &mut pol).unwrap();
-        let mut pols = vec![boxed(Swrpt::new())];
-        restored.drain(&mut pols).unwrap();
-        assert_eq!(restored.n_completed(), 1);
     }
 }

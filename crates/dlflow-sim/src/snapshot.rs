@@ -59,12 +59,6 @@ pub enum SnapshotError {
         /// The policy's error message.
         reason: String,
     },
-    /// Snapshotting was requested on a multi-shard front-end; the
-    /// `dlflow-snapshot v1` format captures exactly one engine.
-    ShardedUnsupported {
-        /// Shard count of the front-end that refused to serialize.
-        n_shards: usize,
-    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -84,12 +78,6 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::SchedulerState { reason } => {
                 write!(f, "scheduler state rejected: {reason}")
-            }
-            SnapshotError::ShardedUnsupported { n_shards } => {
-                write!(
-                    f,
-                    "snapshots cover a single engine; this front-end has {n_shards} shards"
-                )
             }
         }
     }
@@ -303,27 +291,22 @@ impl Engine {
         s
     }
 
-    /// Rebuilds an engine (and re-arms `policy`) from snapshot `text`.
+    /// Rebuilds an engine (and re-arms `policy`) from snapshot `text`,
+    /// taken of a run over an input of `n_requests` requests: a
+    /// `next_id` past them is refused at its line, before it sizes
+    /// anything.
     ///
     /// The policy must be the same *kind* (same `name()`, which encodes
-    /// tuning knobs) as the one snapshotted; it is `reset`, re-notified
-    /// of the platform mask, then handed its embedded state. Continuing
-    /// the returned engine with that policy reproduces the uninterrupted
-    /// run bit for bit.
+    /// tuning knobs) as the one snapshotted; it is `reset`, then handed
+    /// its embedded state. Continuing the returned engine with that
+    /// policy reproduces the uninterrupted run bit for bit.
     ///
     /// # Errors
     ///
     /// [`SnapshotError`] on an unreadable header, any malformed line
     /// (with its line number), a scheduler kind mismatch, or state the
     /// scheduler rejects.
-    pub fn restore(text: &str, policy: &mut dyn OnlineScheduler) -> Result<Engine, SnapshotError> {
-        Engine::restore_within(text, policy, usize::MAX)
-    }
-
-    /// [`Engine::restore`] of a snapshot of an input of `n_requests`
-    /// requests: a `next_id` past them is refused at its line, before it
-    /// sizes anything.
-    pub(crate) fn restore_within(
+    pub fn restore(
         text: &str,
         policy: &mut dyn OnlineScheduler,
         n_requests: usize,
@@ -380,6 +363,11 @@ impl Engine {
         }
         if toks.next().is_some() {
             return Err(r.bad("up: too many values"));
+        }
+        // Only a platform event takes a machine down, and the first one
+        // pushed makes the engine faulty; policies plan from this row.
+        if !faulty && up.contains(&false) {
+            return Err(r.bad("up: a machine is down but faulty is 0"));
         }
 
         let row = r.field("metrics")?;
@@ -572,15 +560,9 @@ impl Engine {
             });
         }
 
-        // Re-arm the policy: clean slate, then the platform mask it would
-        // have been notified of (before its state, so a policy whose
-        // notification hook clears caches does not clear the restored
-        // ones), then its embedded state.
+        // Re-arm the policy: clean slate, then its embedded state. It
+        // reads the platform mask off the engine when it plans.
         policy.reset();
-        if faulty {
-            let mask = engine.up.clone();
-            policy.on_platform_change(engine.now, &mask);
-        }
         policy
             .restore_state(&state)
             .map_err(|reason| SnapshotError::SchedulerState { reason })?;
@@ -617,20 +599,21 @@ mod tests {
         assert_eq!(a, b);
         // Restore → snapshot reproduces the text exactly.
         let mut pol2 = Mct::new();
-        let eng2 = Engine::restore(&a, &mut pol2).unwrap();
+        let eng2 = Engine::restore(&a, &mut pol2, 2).unwrap();
         assert_eq!(eng2.snapshot(&pol2), a);
     }
 
     #[test]
     fn restore_rejects_wrong_version_and_garbage() {
         let mut pol = Mct::new();
-        match Engine::restore("dlflow-snapshot v99\n", &mut pol) {
+        match Engine::restore("dlflow-snapshot v99\n", &mut pol, 0) {
             Err(SnapshotError::UnsupportedVersion { found }) => {
                 assert!(found.contains("v99"));
             }
             other => panic!("want UnsupportedVersion, got {other:?}"),
         }
-        let err = Engine::restore("dlflow-snapshot v1\nn_machines zero\n", &mut pol).unwrap_err();
+        let err =
+            Engine::restore("dlflow-snapshot v1\nn_machines zero\n", &mut pol, 0).unwrap_err();
         match err {
             SnapshotError::Malformed { line, .. } => assert_eq!(line, 2),
             other => panic!("want Malformed, got {other:?}"),
@@ -645,7 +628,7 @@ mod tests {
         let snap = Engine::new(3).snapshot(&Mct::new());
         for n in [100_000_000_000_000_000, usize::MAX] {
             let bad = snap.replace("n_machines 3\n", &format!("n_machines {n}\n"));
-            match Engine::restore(&bad, &mut Mct::new()) {
+            match Engine::restore(&bad, &mut Mct::new(), 0) {
                 Err(SnapshotError::Malformed { line, reason }) => {
                     assert_eq!(line, 11, "{n}: {reason}");
                     assert!(reason.contains("busy"), "{n}: {reason}");
@@ -691,19 +674,25 @@ mod tests {
         snap
     }
 
-    /// Restores [`busy_snapshot`] with its first `from` replaced by `to`
-    /// and asserts a [`SnapshotError::Malformed`] at the first line that
-    /// starts with `at`, naming `why`.
-    fn refused(from: &str, to: &str, at: &str, why: &str) {
+    /// Restores [`busy_snapshot`] with its first `from` replaced by `to`,
+    /// as a snapshot of an input of `n_requests` requests, and asserts a
+    /// [`SnapshotError::Malformed`] at the first line that starts with
+    /// `at`, naming `why`.
+    fn refused_within(n_requests: usize, from: &str, to: &str, at: &str, why: &str) {
         let bad = busy_snapshot().replacen(from, to, 1);
         let want = bad.lines().position(|l| l.starts_with(at)).unwrap() + 1;
-        match Engine::restore(&bad, &mut Mct::new()) {
+        match Engine::restore(&bad, &mut Mct::new(), n_requests) {
             Err(SnapshotError::Malformed { line, reason }) => {
                 assert_eq!(line, want, "{reason}");
                 assert!(reason.contains(why), "{reason}");
             }
             other => panic!("{to:?}: want Malformed, got {other:?}"),
         }
+    }
+
+    /// [`refused_within`] the three requests [`busy_snapshot`] was taken of.
+    fn refused(from: &str, to: &str, at: &str, why: &str) {
+        refused_within(3, from, to, at, why);
     }
 
     /// The row of [`busy_snapshot`] that starts with `at`, and that row
@@ -773,7 +762,7 @@ mod tests {
         let (from, to) = with_values("job 1 ", &[(0, 1.0)]);
         let whole = busy_snapshot().replacen(&from, &to, 1);
         let mut pol = Mct::new();
-        let eng = Engine::restore(&whole, &mut pol).unwrap();
+        let eng = Engine::restore(&whole, &mut pol, 3).unwrap();
         assert_eq!(eng.snapshot(&pol), whole);
     }
 
@@ -825,7 +814,7 @@ mod tests {
             .replace("platform 1\n", "platform 2\n")
             .replace(event, &format!("{event}\n{event}"));
         let second = twice.lines().position(|l| l == event).unwrap() + 2;
-        match Engine::restore(&twice, &mut Mct::new()) {
+        match Engine::restore(&twice, &mut Mct::new(), 3) {
             Err(SnapshotError::Malformed { line, reason }) => {
                 assert_eq!(line, second, "{reason}");
                 assert!(reason.contains("seq 1 repeats"), "{reason}");
@@ -838,15 +827,62 @@ mod tests {
     #[test]
     fn restore_refuses_a_next_id_past_the_trace_bound() {
         // 2 machines: 2²⁷ ids fill the 2²⁸ cells a `.dlt` trace may hold.
+        // The input is taken to hold more requests, so that bound binds.
         let snap = busy_snapshot();
         let edge = snap.replace("next_id 3\n", "next_id 134217728\n");
         let mut pol = Mct::new();
-        let eng = Engine::restore(&edge, &mut pol).unwrap();
+        let eng = Engine::restore(&edge, &mut pol, usize::MAX).unwrap();
         assert_eq!(eng.snapshot(&pol), edge);
         for n in ["134217729", "18446744073709551615"] {
             let to = format!("next_id {n}\n");
-            refused("next_id 3\n", &to, "next_id ", "passes the 268435456 cells");
+            let why = "passes the 268435456 cells";
+            refused_within(usize::MAX, "next_id 3\n", &to, "next_id ", why);
         }
+    }
+
+    #[test]
+    fn restore_refuses_a_next_id_past_the_input() {
+        refused(
+            "next_id 3\n",
+            "next_id 4\n",
+            "next_id ",
+            "passes the input's 3 requests",
+        );
+        // One machine, `next_id` 2²⁸ and one arrival at the top id: within
+        // the cell bound, it would size a 1 GiB id map.
+        let mut eng = Engine::new(1);
+        eng.push_arrival(spec(5.0, 1.0, &[1.0])).unwrap();
+        let top = eng
+            .snapshot(&Mct::new())
+            .replace("next_id 1\n", "next_id 268435456\n")
+            .replace("\narrival 0 ", "\narrival 268435455 ");
+        match Engine::restore(&top, &mut Mct::new(), 1) {
+            Err(SnapshotError::Malformed { line, reason }) => {
+                assert_eq!(line, 4, "{reason}");
+                assert!(reason.contains("passes the input's 1 requests"), "{reason}");
+            }
+            other => panic!("want Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_machine_down_in_a_fault_free_engine() {
+        // `up` is line 12; the engine and its policies plan from it.
+        let snap = Engine::new(3).snapshot(&Mct::new());
+        let bad = snap.replace("\nup 1 1 1\n", "\nup 1 0 1\n");
+        match Engine::restore(&bad, &mut Mct::new(), 0) {
+            Err(SnapshotError::Malformed { line, reason }) => {
+                assert_eq!(line, 12, "{reason}");
+                assert!(reason.contains("down but faulty is 0"), "{reason}");
+            }
+            other => panic!("want Malformed, got {other:?}"),
+        }
+        // Under `faulty 1` the same row restores.
+        let faulty = bad.replace("\nfaulty 0\n", "\nfaulty 1\n");
+        let mut pol = Mct::new();
+        let eng = Engine::restore(&faulty, &mut pol, 0).unwrap();
+        assert_eq!(eng.active().up(), &[true, false, true]);
+        assert_eq!(eng.snapshot(&pol), faulty);
     }
 
     #[test]
@@ -857,7 +893,7 @@ mod tests {
         eng.step(&mut pol).unwrap();
         let snap = eng.snapshot(&pol);
         let mut other = Edf::new();
-        match Engine::restore(&snap, &mut other) {
+        match Engine::restore(&snap, &mut other, 1) {
             Err(SnapshotError::SchedulerMismatch { expected, found }) => {
                 assert_eq!(expected, "MCT");
                 assert_eq!(found, "EDF");
@@ -872,7 +908,7 @@ mod tests {
         let pol = Mct::new();
         let snap = eng.snapshot(&pol);
         let mut pol2 = Mct::new();
-        let eng2 = Engine::restore(&snap, &mut pol2).unwrap();
+        let eng2 = Engine::restore(&snap, &mut pol2, 0).unwrap();
         assert_eq!(eng2.n_machines(), 3);
         assert_eq!(eng2.n_events(), 0);
         assert!(eng2.active().is_empty());
@@ -909,7 +945,7 @@ mod tests {
         let snap = eng.snapshot(&pol);
 
         let mut pol2 = Mct::new();
-        let mut eng2 = Engine::restore(&snap, &mut pol2).unwrap();
+        let mut eng2 = Engine::restore(&snap, &mut pol2, inst.n_jobs()).unwrap();
         eng2.drain(&mut pol2).unwrap();
         let mut completions = vec![f64::NAN; inst.n_jobs()];
         for c in eng2.take_completed() {
@@ -938,6 +974,9 @@ mod fuzz {
     use rand::{Rng, SeedableRng};
     use std::sync::OnceLock;
 
+    /// Requests of the trace every document is taken of.
+    const N_REQUESTS: usize = 30;
+
     /// Valid documents: a 30-request trace on 3 machines, with and
     /// without faults, under SWRPT, MCT, EDF and OLA (whose state lines
     /// ride along), snapshotted early and mid-run by the streamed service
@@ -950,7 +989,7 @@ mod fuzz {
                 let spec = SchedulerSpec::parse_compact(name).unwrap();
                 for faulty in [false, true] {
                     let trace = generate_trace(&TraceSpec {
-                        n_requests: 30,
+                        n_requests: N_REQUESTS,
                         n_machines: 3,
                         seed: 3,
                         faults: faulty.then_some(FaultProcess {
@@ -994,17 +1033,19 @@ mod fuzz {
         items[rng.gen_range(0..items.len())]
     }
 
-    /// A perturbed decimal: a neighbour of `n`, or a value no allocation
-    /// can hold (2⁶², `usize::MAX`). Values in between would make a
-    /// parser that sizes by them allocate gigabytes before failing.
+    /// A perturbed decimal: a neighbour of `n`, a mid-sized value (2²⁰,
+    /// 2²⁸ − 1) that a parser sizing by it would turn into a large
+    /// allocation, or a value no allocation can hold (2⁶², `usize::MAX`).
     fn perturb_count(n: usize, rng: &mut SmallRng) -> String {
-        match rng.gen_range(0..7) {
+        match rng.gen_range(0..9) {
             0 => n.saturating_add(1).to_string(),
             1 => n.saturating_sub(1).to_string(),
             2 => n.saturating_mul(2).to_string(),
             3 => "0".into(),
             4 => "-1".into(),
-            5 => "4611686018427387904".into(),
+            5 => "1048576".into(),
+            6 => "268435455".into(),
+            7 => "4611686018427387904".into(),
             _ => usize::MAX.to_string(),
         }
     }
@@ -1112,7 +1153,7 @@ mod fuzz {
     /// a fixed point of `restore → snapshot`.
     fn assert_typed_or_fixed_point(spec: &SchedulerSpec, text: &str) -> Result<(), TestCaseError> {
         let mut policy = spec.build();
-        match Engine::restore(text, policy.as_mut()) {
+        match Engine::restore(text, policy.as_mut(), N_REQUESTS) {
             Err(SnapshotError::Malformed { line, reason }) => {
                 prop_assert!(
                     (1..=text.lines().count() + 1).contains(&line),
@@ -1123,7 +1164,7 @@ mod fuzz {
             Ok(eng) => {
                 let once = eng.snapshot(policy.as_ref());
                 let mut again = spec.build();
-                let restored = Engine::restore(&once, again.as_mut());
+                let restored = Engine::restore(&once, again.as_mut(), N_REQUESTS);
                 prop_assert!(restored.is_ok(), "{restored:?} on {once:?}");
                 if let Ok(eng) = restored {
                     prop_assert_eq!(eng.snapshot(again.as_ref()), once);
@@ -1159,7 +1200,7 @@ mod fuzz {
     fn every_document_restores_to_a_fixed_point() {
         for (spec, doc) in documents() {
             let mut policy = spec.build();
-            let eng = Engine::restore(doc, policy.as_mut()).unwrap();
+            let eng = Engine::restore(doc, policy.as_mut(), N_REQUESTS).unwrap();
             assert_eq!(&eng.snapshot(policy.as_ref()), doc);
         }
     }

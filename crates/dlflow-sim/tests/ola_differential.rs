@@ -98,7 +98,7 @@ fn run_interrupted<P: OnlineScheduler>(
         if eng.n_events().is_multiple_of(every) {
             let snap = eng.snapshot(&policy);
             let mut revived = fresh();
-            eng = Engine::restore(&snap, &mut revived).unwrap();
+            eng = Engine::restore(&snap, &mut revived, trace.len()).unwrap();
             policy = revived;
         }
     }

@@ -105,7 +105,7 @@ fn run_interrupted(trace: &Trace, fresh: Factory, every: usize) -> Vec<(usize, u
         if eng.n_events().is_multiple_of(every) {
             let snap = eng.snapshot(policy.as_ref());
             let mut revived = fresh();
-            let restored = Engine::restore(&snap, revived.as_mut()).unwrap();
+            let restored = Engine::restore(&snap, revived.as_mut(), trace.len()).unwrap();
             // The snapshot of the restored pair reproduces the text
             // byte for byte: the format captures a fixed point.
             assert_eq!(restored.snapshot(revived.as_ref()), snap);
@@ -182,13 +182,10 @@ fn snapshot_mid_burst_keeps_pending_arrivals() {
     assert!(eng.platform_pending_len() > 0, "test needs queued events");
     let snap = eng.snapshot(&policy);
     let mut revived = Mct::new();
-    let restored = Engine::restore(&snap, &mut revived).unwrap();
+    let restored = Engine::restore(&snap, &mut revived, trace.len()).unwrap();
     assert_eq!(restored.pending_len(), eng.pending_len());
     assert_eq!(restored.platform_pending_len(), eng.platform_pending_len());
     assert_eq!(restored.n_pushed(), eng.n_pushed());
     assert_eq!(restored.now(), eng.now());
-    assert_eq!(restored.up_mask(), eng.up_mask());
-    for i in 0..trace.n_machines() {
-        assert_eq!(restored.machine_up(i), eng.machine_up(i));
-    }
+    assert_eq!(restored.active().up(), eng.active().up());
 }

@@ -454,54 +454,6 @@ proptest! {
             }
         }
     }
-
-    /// Mid-run interrupts: stepping the flat engine with a snapshot
-    /// round-trip through [`ShardedEngine::restore_single`] at every
-    /// k-th event — fresh policy each time, like a process restart —
-    /// leaves the final stream bit-identical to the straight run, and
-    /// the snapshot text is a fixed point of the front-end round-trip.
-    #[test]
-    fn sharded_restore_round_trip_is_crash_consistent(
-        seed in 0u64..5_000,
-        n in 4usize..10,
-        every in 1usize..5,
-        faulty in 0u8..2,
-    ) {
-        let trace = trace_of(seed, n, 3, faulty == 1);
-        for fresh in factories() {
-            let straight = flat_stream(&trace, fresh().as_mut());
-
-            let mut policy = fresh();
-            policy.reset();
-            let mut eng = Engine::new(trace.n_machines());
-            for e in &trace.platform_events {
-                eng.push_platform_event(*e).unwrap();
-            }
-            for k in 0..trace.len() {
-                eng.push_arrival(trace.job_spec(k)).unwrap();
-            }
-            let mut guard = 0usize;
-            loop {
-                guard += 1;
-                prop_assert!(guard < 1_000_000, "interrupted run does not terminate");
-                if eng.step(policy.as_mut()).unwrap() == StepOutcome::Idle {
-                    break;
-                }
-                if eng.n_events().is_multiple_of(every) {
-                    let snap = eng.snapshot(policy.as_ref());
-                    let mut revived = fresh();
-                    let se = ShardedEngine::restore_single(&snap, revived.as_mut()).unwrap();
-                    prop_assert_eq!(se.n_shards(), 1);
-                    prop_assert_eq!(se.snapshot(revived.as_ref()).unwrap(), snap.clone());
-                    let mut again = fresh();
-                    eng = Engine::restore(&snap, again.as_mut()).unwrap();
-                    policy = again;
-                }
-            }
-            let interrupted = eng.take_completed();
-            prop_assert_eq!(bits(&straight), bits(&interrupted));
-        }
-    }
 }
 
 /// Pinned regression: two shards finishing jobs at the *same* instant
