@@ -6,8 +6,8 @@
 //! per job, then `machine <c1> … <cn>` per machine with `inf` marking an
 //! absent databank; numbers parse as exact rationals.
 
-use dlflow_core::instance::{Cost, Instance, Job};
-use dlflow_num::Rat;
+use dlflow_core::instance::{Cost, Instance, InstanceError, Job};
+use dlflow_num::{ParseRatError, Rat};
 
 /// Parse error with 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,11 +39,15 @@ fn err(line: usize, msg: impl Into<String>) -> ParseError {
 
 /// Parses one numeric token as an exact rational (`"3/2"`, `"0.25"`, `"7"`).
 pub fn parse_rat(tok: &str, line: usize) -> Result<Rat, ParseError> {
-    if let Ok(r) = Rat::from_str_ratio(tok) {
-        return Ok(r);
+    match Rat::from_str_ratio(tok) {
+        Ok(r) => return Ok(r),
+        Err(ParseRatError::ZeroDenominator) => {
+            return Err(err(line, format!("zero denominator in {tok:?}")));
+        }
+        Err(ParseRatError::Digits(_)) => {}
     }
-    // Decimal form a.b → a + b/10^k.
-    if let Some((int, frac)) = tok.split_once('.') {
+    // Decimal form a.b → a + b/10^k, with an integer `a`.
+    if let Some((int, frac)) = tok.split_once('.').filter(|(int, _)| !int.contains('/')) {
         let sign = if int.starts_with('-') { -1i64 } else { 1 };
         let whole =
             Rat::from_str_ratio(int).map_err(|_| err(line, format!("bad number {tok:?}")))?;
@@ -73,6 +77,7 @@ pub(crate) fn parse_cost(tok: &str, line: usize) -> Result<Cost<Rat>, ParseError
 /// Parses a full `.dlf` document into an exact instance.
 pub fn parse_instance(text: &str) -> Result<Instance<Rat>, ParseError> {
     let mut jobs: Vec<Job<Rat>> = Vec::new();
+    let mut job_lines: Vec<usize> = Vec::new();
     let mut machines: Vec<(usize, Vec<Cost<Rat>>)> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
@@ -106,6 +111,7 @@ pub fn parse_instance(text: &str) -> Result<Instance<Rat>, ParseError> {
                     weight,
                     name,
                 });
+                job_lines.push(lineno);
             }
             Some("machine") => {
                 let costs: Result<Vec<_>, _> = toks.map(|t| parse_cost(t, lineno)).collect();
@@ -121,6 +127,7 @@ pub fn parse_instance(text: &str) -> Result<Instance<Rat>, ParseError> {
     }
     let n = jobs.len();
     let mut rows = Vec::with_capacity(machines.len());
+    let mut machine_lines = Vec::with_capacity(machines.len());
     for (lineno, row) in machines {
         if row.len() != n {
             return Err(err(
@@ -132,8 +139,20 @@ pub fn parse_instance(text: &str) -> Result<Instance<Rat>, ParseError> {
             ));
         }
         rows.push(row);
+        machine_lines.push(lineno);
     }
-    Instance::new(jobs, rows).map_err(|e| err(0, e.to_string()))
+    // A refused value is reported at the line that holds it: its job's,
+    // or for a cost its machine's.
+    Instance::new(jobs, rows).map_err(|e| {
+        let line = match e {
+            InstanceError::NegativeRelease(j)
+            | InstanceError::NonPositiveWeight(j)
+            | InstanceError::Unplaceable(j) => job_lines[j],
+            InstanceError::NegativeCost(i, _) => machine_lines[i],
+            InstanceError::NoJobs | InstanceError::NoMachines | InstanceError::BadMatrixShape => 0,
+        };
+        err(line, e.to_string())
+    })
 }
 
 #[cfg(test)]
@@ -195,6 +214,42 @@ machine 8 inf   # second databank absent here
         // Unplaceable job.
         let e = parse_instance("job 0 1\nmachine inf\n").unwrap_err();
         assert!(e.msg.contains("no machine"), "{}", e.msg);
+        // Each refusal names the line that holds the refused value.
+        for (text, line, needle) in [
+            (
+                "job 0 1\n\njob 0 0\nmachine 1 1\n",
+                3,
+                "non-positive weight",
+            ),
+            ("job 0 1\njob -1 1\nmachine 1 1\n", 2, "negative release"),
+            ("job 0 1\nmachine 1\nmachine -2\n", 3, "negative"),
+            ("job 0 1\njob 0 1\nmachine 1 x\n", 2, "no machine"),
+        ] {
+            let e = parse_instance(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}: {e}");
+            assert!(e.msg.contains(needle), "{text:?}: {e}");
+        }
+        let e = parse_instance("job 0 1\n").unwrap_err();
+        assert_eq!((e.line, e.msg.as_str()), (0, "instance has no machines"));
+    }
+
+    #[test]
+    fn zero_denominators_are_line_numbered_errors() {
+        for (text, line) in [
+            ("job 0 1/0\nmachine 1\n", 1),
+            ("job 0 1\nmachine 1/0\n", 2),
+            ("job 0/0 1\nmachine 1\n", 1),
+            ("job 0 1\nmachine 1/0.5\n", 2),
+        ] {
+            let e = parse_instance(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}: {e}");
+        }
+        let e = parse_rat("1/0", 0).unwrap_err();
+        assert_eq!(e.to_string(), "zero denominator in \"1/0\"");
+        assert!(
+            parse_rat("1/2.5", 1).is_err(),
+            "a decimal needs an integer part"
+        );
     }
 
     #[test]
@@ -203,5 +258,134 @@ machine 8 inf   # second databank absent here
         let out = dlflow_core::maxflow::min_max_weighted_flow_divisible(&inst);
         dlflow_core::validate::validate(&inst, &out.schedule).unwrap();
         assert!(out.optimum.is_positive());
+    }
+}
+
+/// Mutation fuzz of the `.dlf` parser, in the manner of the `.dlt` and
+/// compact-spec fuzzes: valid documents, mutated, parse or fail with an
+/// error at one of their lines, and never panic.
+#[cfg(test)]
+mod fuzz {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    const DOCUMENTS: [&str; 3] = [
+        "# two databank servers, two requests\njob 0 1 q1\njob 1 2 q2\n\
+         machine 4 2\nmachine 8 inf   # second databank absent here\n",
+        "job 0 1/3\njob 5/2 0.75\njob 1.5 2 big\nmachine 3/2 x 7\nmachine - 1/4 2.125\n\
+         machine 9 9 INF\n",
+        "job 0 1\nmachine 0\nmachine 2\n",
+    ];
+
+    /// Byte spans of the whitespace-separated tokens of `text`.
+    fn token_spans(text: &str) -> Vec<(usize, usize)> {
+        let mut spans = Vec::new();
+        let mut start = None;
+        for (k, c) in text.char_indices() {
+            match (c.is_whitespace(), start) {
+                (true, Some(a)) => {
+                    spans.push((a, k));
+                    start = None;
+                }
+                (false, None) => start = Some(k),
+                _ => {}
+            }
+        }
+        if let Some(a) = start {
+            spans.push((a, text.len()));
+        }
+        spans
+    }
+
+    /// One mutation: truncation, token splice or deletion, a perturbed
+    /// number, duplicated or swapped lines, or an extra machine line.
+    fn mutate(text: &str, rng: &mut SmallRng) -> String {
+        let toks = token_spans(text);
+        let mut lines: Vec<String> = text.lines().map(|l| format!("{l}\n")).collect();
+        match rng.gen_range(0..7) {
+            0 => {
+                let mut cut = rng.gen_range(0..=text.len());
+                while !text.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                return text[..cut].to_string();
+            }
+            1 if !toks.is_empty() => {
+                let ((a, b), (at, _)) = (
+                    toks[rng.gen_range(0..toks.len())],
+                    toks[rng.gen_range(0..toks.len())],
+                );
+                return format!("{} {} {}", &text[..at], &text[a..b], &text[at..]);
+            }
+            2 if !toks.is_empty() => {
+                let (a, b) = toks[rng.gen_range(0..toks.len())];
+                return format!("{}{}", &text[..a], &text[b..]);
+            }
+            3 if !toks.is_empty() => {
+                let (a, b) = toks[rng.gen_range(0..toks.len())];
+                let numbers = [
+                    "1/0",
+                    "0/0",
+                    "-3/0",
+                    "1/0.5",
+                    "-1",
+                    "-0",
+                    "0",
+                    "-1/2",
+                    "3/-4",
+                    "nan",
+                    "inf",
+                    "1e3",
+                    ".5",
+                    "5.",
+                    "0.x",
+                    "1/2.5",
+                    "99999999999999999999999",
+                    "1/99999999999999999999999",
+                    "0.0000000000000000000001",
+                    "",
+                ];
+                let bad = numbers[rng.gen_range(0..numbers.len())];
+                return format!("{}{bad}{}", &text[..a], &text[b..]);
+            }
+            4 if !lines.is_empty() => {
+                let line = lines[rng.gen_range(0..lines.len())].clone();
+                lines.insert(rng.gen_range(0..=lines.len()), line);
+            }
+            5 if !lines.is_empty() => {
+                let (i, j) = (rng.gen_range(0..lines.len()), rng.gen_range(0..lines.len()));
+                lines.swap(i, j);
+            }
+            _ => lines.insert(rng.gen_range(0..=lines.len()), "machine 1 1/0 2\n".into()),
+        }
+        lines.concat()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// A mutated document parses, or fails at one of its lines; only
+        /// a document without `job` lines or `machine` lines fails at none.
+        #[test]
+        fn mutated_documents_parse_or_name_their_line(
+            seed in any::<u64>(),
+            n_mutations in 1usize..4,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut text = DOCUMENTS[rng.gen_range(0..DOCUMENTS.len())].to_string();
+            for _ in 0..n_mutations {
+                text = mutate(&text, &mut rng);
+            }
+            match parse_instance(&text) {
+                Ok(inst) => prop_assert!(inst.n_jobs() > 0 && inst.n_machines() > 0),
+                Err(e) if e.line == 0 => prop_assert!(
+                    e.msg == "no `job` lines" || e.msg == "instance has no machines",
+                    "{text:?}: {e}"
+                ),
+                Err(e) => prop_assert!(e.line <= text.lines().count(), "{text:?}: {e}"),
+            }
+        }
     }
 }

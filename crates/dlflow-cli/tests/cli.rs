@@ -528,3 +528,50 @@ fn faults_values_out_of_range_are_refused_by_the_service() {
         }
     }
 }
+
+/// Exit code and stderr of one run.
+fn exit_of(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(BIN).args(args).output().expect("binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn zero_cost_jobs_pass_every_offline_command() {
+    // Job 0 costs nothing on machine 0: every schedule leaves it without
+    // a slice, and the validator counts it done at its release.
+    let f = write_instance("job 0 1\njob 0 1\nmachine 0 2\nmachine 3 1\n");
+    for args in [
+        vec!["makespan", f.as_str()],
+        vec!["maxflow", f.as_str()],
+        vec!["maxflow", f.as_str(), "--preemptive"],
+        vec!["deadline", f.as_str(), "5", "5"],
+        vec!["deadline", f.as_str(), "5", "5", "--preemptive"],
+    ] {
+        let (code, stderr) = exit_of(&args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn zero_denominators_are_line_numbered_errors() {
+    for (text, line) in [
+        ("job 0 1/0\nmachine 1\n", "line 1"),
+        ("job 0 1\nmachine 1/0\n", "line 2"),
+        ("job 0 1\n\nmachine 0/0\n", "line 3"),
+    ] {
+        let f = write_instance(text);
+        let (code, stderr) = exit_of(&["maxflow", f.as_str()]);
+        assert_eq!(code, Some(1), "{text:?}: {stderr}");
+        assert!(
+            stderr.contains(line) && stderr.contains("zero denominator"),
+            "{text:?}: {stderr}"
+        );
+    }
+    let f = write_instance("job 0 1\nmachine 1\n");
+    let (code, stderr) = exit_of(&["deadline", f.as_str(), "1/0"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("zero denominator"), "{stderr}");
+}

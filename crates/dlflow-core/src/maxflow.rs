@@ -10,8 +10,12 @@
 //!    optimum. The probe is an LP ([`ProbeMethod::Lp`], and always in
 //!    the preemptive model), or one max-flow on a divisible instance that
 //!    factorizes as uniform machines ([`ProbeMethod::MaxFlowUniform`]).
-//!    Over exact scalars those max-flow probes run on an `f64` copy and
-//!    only guide the search, which still returns exact milestones;
+//!    A max-flow probe asks the certificates of
+//!    [`crate::deadline::deadline_verdict`] first and builds its network
+//!    only where they leave it open; the LP prober asks none, so its
+//!    warm and cold probe counts stay as they were. Over exact scalars
+//!    the max-flow probes run on an `f64` copy and only guide the
+//!    search, which still returns exact milestones;
 //! 3. find the smallest feasible `F` on that range:
 //!    - with LP probes, or over `f64`: one parametric LP (System (3), or
 //!      (5) with the per-job bound), minimizing `F` as an ordinary LP
@@ -32,6 +36,7 @@
 //!    the LP's fractions, or of the certifying, saturating flow),
 //!    Lawler–Labetoulle phase decomposition for preemptive.
 
+use crate::deadline::VerdictScratch;
 use crate::decompose::decompose_interval;
 use crate::instance::Instance;
 use crate::lp_build::{build_deadline_lp, build_range_lp};
@@ -258,7 +263,10 @@ fn solve_min_flow_with<S: Scalar>(
         Some(fac) => {
             // Closed-form max-flow probes: no simplex runs, so neither LP
             // counter moves.
-            let range = locate_range(&ms, &zero, |f| feasible_at_uniform(inst, f, fac));
+            let mut scratch = VerdictScratch::default();
+            let range = locate_range(&ms, &zero, |f| {
+                feasible_at_uniform(inst, f, fac, &mut scratch)
+            });
             (range, 0, 0)
         }
         None => {
@@ -445,8 +453,9 @@ fn min_flow_uniform_exact<S: Scalar>(
 ) -> FlowOutcome<S> {
     let ms = milestones(inst);
     let guide = float_copy(inst, factors, &ms).map(|(fi, ff)| {
+        let mut scratch = VerdictScratch::default();
         locate_range(&ms, &S::zero(), |f| {
-            feasible_at_uniform(&fi, &f.to_f64(), &ff)
+            feasible_at_uniform(&fi, &f.to_f64(), &ff, &mut scratch)
         })
     });
     min_flow_from_guide(inst, factors, &ms, guide)
@@ -466,7 +475,10 @@ fn min_flow_from_guide<S: Scalar>(
     let mut probes = guide.as_ref().map_or(0, |g| g.probes);
     let certified = guide.and_then(|range| min_flow_on_range(inst, factors, &range, &zero));
     let (optimum, schedule) = certified.unwrap_or_else(|| {
-        let range = locate_range(ms, &zero, |f| feasible_at_uniform(inst, f, factors));
+        let mut scratch = VerdictScratch::default();
+        let range = locate_range(ms, &zero, |f| {
+            feasible_at_uniform(inst, f, factors, &mut scratch)
+        });
         probes += range.probes;
         min_flow_on_range(inst, factors, &range, &zero)
             .expect("exact probes place the optimum in their milestone range")
@@ -817,8 +829,9 @@ pub(crate) mod tests {
             let factors = uniform_factors(&inst).expect("campaign shapes are uniform");
             let ms = milestones(&inst);
             let (fi, ff) = float_copy(&inst, &factors, &ms).expect("finite in f64");
+            let mut scratch = VerdictScratch::default();
             let range = locate_range(&ms, &Rat::zero(), |f| {
-                feasible_at_uniform(&fi, &f.to_f64(), &ff)
+                feasible_at_uniform(&fi, &f.to_f64(), &ff, &mut scratch)
             });
             let (optimum, sched) = min_flow_on_range(&inst, &factors, &range, &Rat::zero())
                 .unwrap_or_else(|| panic!("seed {seed}: the guided range failed certification"));

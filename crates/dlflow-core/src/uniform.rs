@@ -11,7 +11,10 @@
 //! which a single max-flow computation decides. This replaces the LP
 //! feasibility probe of the milestone binary search with a polynomial
 //! combinatorial algorithm, and extracts a schedule from the flow values
-//! with no LP at all.
+//! with no LP at all. The probe builds a network only where the
+//! certificates of [`crate::deadline::deadline_verdict`] leave it open:
+//! in the quick tournament they settle 85 of the exact yardstick's 151
+//! probes, and on `--full` 332 of 662.
 //!
 //! Over exact scalars it replaces §4.3's range LP (System (3)) as well.
 //! Inside one milestone range the network's topology is fixed and each
@@ -33,6 +36,7 @@
 //! this way when speeds differ, because a job's wall-clock usage mixes
 //! work units at different rates; the preemptive path keeps the LP.)
 
+use crate::deadline::{deadline_verdict, VerdictScratch};
 use crate::flownet::{Capacity, FlowNetwork, Int};
 use crate::instance::Instance;
 use crate::intervals::{AffineF, SymbolicIntervals};
@@ -159,15 +163,20 @@ pub fn deadline_feasible_with_factors<S: Scalar>(
 
 /// Max-flow feasibility probe for "max weighted flow ≤ f": the uniform
 /// counterpart of [`crate::maxflow::feasible_at`] (divisible model only).
-/// A verdict only: no schedule is packed.
+/// A verdict only: no schedule is packed. The certificates of
+/// [`deadline_verdict`] settle the probe first where they apply, so only
+/// the rest build a network.
 pub(crate) fn feasible_at_uniform<S: Scalar>(
     inst: &Instance<S>,
     f: &S,
     factors: &UniformFactors<S>,
+    scratch: &mut VerdictScratch<S>,
 ) -> bool {
     let deadlines: Vec<S> = (0..inst.n_jobs()).map(|j| inst.deadline(j, f)).collect();
-    deadline_flow(inst, &deadlines, factors)
-        .is_some_and(|(network, _, flow)| network.saturated(&flow))
+    deadline_verdict(inst, &deadlines, scratch).unwrap_or_else(|| {
+        deadline_flow(inst, &deadlines, factors)
+            .is_some_and(|(network, _, flow)| network.saturated(&flow))
+    })
 }
 
 /// The transportation network of one deadline vector, run to a maximum
@@ -829,7 +838,7 @@ mod tests {
         for f in [1i64, 2, 4, 6, 8, 16] {
             let fr = ri(f);
             let lp = crate::maxflow::feasible_at(&inst, &fr, false);
-            let mf = feasible_at_uniform(&inst, &fr, &factors);
+            let mf = feasible_at_uniform(&inst, &fr, &factors, &mut Default::default());
             assert_eq!(lp, mf, "probe disagreement at F = {f}");
         }
     }
@@ -842,7 +851,10 @@ mod tests {
     ) -> (MilestoneRange<Rat>, Rat) {
         use crate::maxflow::{locate_range, min_max_weighted_flow_divisible_with, ProbeMethod};
         let ms = crate::milestones::milestones(inst);
-        let range = locate_range(&ms, &Rat::zero(), |f| feasible_at_uniform(inst, f, factors));
+        let mut scratch = Default::default();
+        let range = locate_range(&ms, &Rat::zero(), |f| {
+            feasible_at_uniform(inst, f, factors, &mut scratch)
+        });
         let lp = min_max_weighted_flow_divisible_with(inst, ProbeMethod::Lp).optimum;
         (range, lp)
     }

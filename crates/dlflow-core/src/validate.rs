@@ -118,11 +118,15 @@ pub fn validate<S: Scalar>(inst: &Instance<S>, sched: &Schedule<S>) -> Result<()
         }
     }
 
-    // Completion: fractions sum to 1 (jobs with zero-cost machines are
-    // complete by definition if they appear at all; absent jobs fail).
+    // Completion: fractions sum to 1. A job with a zero cost on some
+    // machine needs no time there, so it is complete with or without a
+    // slice: the packers emit none for it, and the objectives count a
+    // job without slices as done at its release.
     let fractions = sched.processed_fractions(inst);
     for (j, frac) in fractions.iter().enumerate() {
-        if !frac.sub(&S::one()).is_negligible() {
+        let free =
+            (0..inst.n_machines()).any(|i| inst.cost(i, j).finite().is_some_and(S::is_negligible));
+        if !free && !frac.sub(&S::one()).is_negligible() {
             return Err(ValidationError::IncompleteJob {
                 job: j,
                 fraction_str: format!("{frac}"),
@@ -300,6 +304,37 @@ mod tests {
         assert!(matches!(
             validate(&i, &s),
             Err(ValidationError::IncompleteJob { job: 0, .. })
+        ));
+    }
+
+    #[test]
+    fn zero_cost_jobs_need_no_slice_but_others_do() {
+        // Job 0 costs nothing on machine 0; job 1 costs 2 there.
+        let mut b = InstanceBuilder::new();
+        b.job(0.0, 1.0);
+        b.job(0.0, 1.0);
+        b.machine(vec![Some(0.0), Some(2.0)]);
+        b.machine(vec![Some(3.0), Some(1.0)]);
+        let i = b.build().unwrap();
+        let mut s = Schedule::empty(2, ScheduleKind::Divisible);
+        let slice = |job, end| Slice {
+            job,
+            start: 0.0,
+            end,
+        };
+        s.push(1, slice(1, 1.0));
+        validate(&i, &s).unwrap();
+        // Omitting the positive-cost job still fails, as does a short one.
+        let empty = Schedule::empty(2, ScheduleKind::Divisible);
+        assert!(matches!(
+            validate(&i, &empty),
+            Err(ValidationError::IncompleteJob { job: 1, .. })
+        ));
+        let mut short = Schedule::empty(2, ScheduleKind::Divisible);
+        short.push(1, slice(1, 0.5));
+        assert!(matches!(
+            validate(&i, &short),
+            Err(ValidationError::IncompleteJob { job: 1, .. })
         ));
     }
 

@@ -41,6 +41,6 @@ pub mod traits;
 pub mod ubig;
 
 pub use ibig::{IBig, Sign};
-pub use rational::Rat;
+pub use rational::{ParseRatError, Rat};
 pub use traits::Scalar;
 pub use ubig::{ParseUBigError, UBig};

@@ -14,7 +14,7 @@
 //! bignum representation every one of those heap-allocated.
 
 use crate::ibig::{IBig, Sign};
-use crate::ubig::UBig;
+use crate::ubig::{ParseUBigError, UBig};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -555,13 +555,18 @@ impl Rat {
         }
     }
 
-    /// Parses `"a/b"` or `"a"` (decimal integers, optional sign).
-    pub fn from_str_ratio(s: &str) -> Result<Rat, crate::ubig::ParseUBigError> {
+    /// Parses `"a/b"` or `"a"` (decimal integers, optional sign); a zero
+    /// denominator is an error, not a panic.
+    pub fn from_str_ratio(s: &str) -> Result<Rat, ParseRatError> {
         match s.split_once('/') {
-            Some((n, d)) => Ok(Rat::new(
-                IBig::from_decimal_str(n.trim())?,
-                IBig::from_decimal_str(d.trim())?,
-            )),
+            Some((n, d)) => {
+                let num = IBig::from_decimal_str(n.trim())?;
+                let den = IBig::from_decimal_str(d.trim())?;
+                if den.is_zero() {
+                    return Err(ParseRatError::ZeroDenominator);
+                }
+                Ok(Rat::new(num, den))
+            }
             None => Ok(Rat::from_ibig(IBig::from_decimal_str(s.trim())?)),
         }
     }
@@ -749,6 +754,32 @@ impl DivAssign<&Rat> for Rat {
     }
 }
 
+/// Why [`Rat::from_str_ratio`] refused its input.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ParseRatError {
+    /// The numerator or the denominator is not a decimal integer.
+    Digits(ParseUBigError),
+    /// The denominator is zero.
+    ZeroDenominator,
+}
+
+impl From<ParseUBigError> for ParseRatError {
+    fn from(e: ParseUBigError) -> Self {
+        ParseRatError::Digits(e)
+    }
+}
+
+impl fmt::Display for ParseRatError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseRatError::Digits(e) => write!(f, "{e}"),
+            ParseRatError::ZeroDenominator => write!(f, "zero denominator"),
+        }
+    }
+}
+
+impl std::error::Error for ParseRatError {}
+
 // Serialization: `Rat` round-trips losslessly through its `Display` form
 // (`"n/d"`) and `Rat::from_str_ratio`, so callers that need serde support
 // can wrap it in a newtype with string-based impls. The build environment
@@ -863,6 +894,17 @@ mod tests {
         assert_eq!(Rat::from_str_ratio("5").unwrap(), Rat::from_i64(5));
         assert_eq!(Rat::from_str_ratio(" 1 / 2 ").unwrap(), r(1, 2));
         assert!(Rat::from_str_ratio("x/2").is_err());
+        for zero in ["1/0", "0/0", "-3/ 0", "5/-0"] {
+            assert_eq!(
+                Rat::from_str_ratio(zero),
+                Err(ParseRatError::ZeroDenominator),
+                "{zero}"
+            );
+        }
+        assert_eq!(
+            Rat::from_str_ratio("x/0"),
+            Err(ParseRatError::Digits(ParseUBigError::InvalidDigit))
+        );
     }
 
     #[test]

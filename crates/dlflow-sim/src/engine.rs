@@ -412,9 +412,9 @@ pub struct ResolveStats {
     /// LP solves started from a previous solve's optimal basis: OLA's
     /// second stage, warm from the first stage's basis.
     pub warm_lp_solves: usize,
-    /// LP solves performed from scratch: the milestone-search probes, the
-    /// first stage, any serial-bound fallback, and a second stage whose
-    /// warm start did not fit.
+    /// LP solves performed from scratch: the milestone-search probes
+    /// that no certificate settled, the first stage, any serial-bound
+    /// fallback, and a second stage whose warm start did not fit.
     pub cold_lp_solves: usize,
     /// Re-plans during which at least one LP solve was served warm.
     pub warm_resolves: usize,

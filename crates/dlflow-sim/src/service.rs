@@ -1118,10 +1118,37 @@ mod tests {
             shards: 2,
             ..Default::default()
         };
-        let (report, _) = run_simulation_with(&SimInput::Open(trace), &spec, &opts).unwrap();
+        let (report, _) =
+            run_simulation_with(&SimInput::Open(trace.clone()), &spec, &opts).unwrap();
         let rs = report.resolve_stats.expect("sharded OLA merges telemetry");
-        assert!(rs.n_resolves > 0);
-        assert!(rs.lp_solves() >= rs.n_resolves);
+        // The same replay shard by shard: the report's counters are the
+        // field-wise sums of each shard policy's own.
+        let mut se = ShardedEngine::new(trace.n_machines(), 2);
+        let mut policies: Vec<Box<dyn OnlineScheduler + Send>> =
+            (0..2).map(|_| spec.build()).collect();
+        se.replay_trace(&trace, &mut policies).unwrap();
+        let shards: Vec<ResolveStats> = policies
+            .iter()
+            .map(|p| p.resolve_stats().unwrap())
+            .collect();
+        assert!(shards.iter().all(|s| s.n_resolves > 0), "{shards:?}");
+        let sum = |field: fn(&ResolveStats) -> usize| shards.iter().map(field).sum::<usize>();
+        assert_eq!(
+            [
+                rs.n_resolves,
+                rs.warm_lp_solves,
+                rs.cold_lp_solves,
+                rs.warm_resolves,
+                rs.cold_resolves
+            ],
+            [
+                sum(|s| s.n_resolves),
+                sum(|s| s.warm_lp_solves),
+                sum(|s| s.cold_lp_solves),
+                sum(|s| s.warm_resolves),
+                sum(|s| s.cold_resolves)
+            ]
+        );
     }
 
     #[test]

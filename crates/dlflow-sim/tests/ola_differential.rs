@@ -113,45 +113,61 @@ fn fnv1a(mut hash: u64, word: u64) -> u64 {
     hash
 }
 
+/// Replays the 400-request trace at `intensity` under OLA: the digest
+/// of every completion (id and time bits, in completion order) and of
+/// the bits of max stretch and max weighted flow, with the resolve
+/// counters.
+fn pinned_replay(intensity: u8) -> (u64, ResolveStats) {
+    let trace = traced(2022, 400, intensity);
+    let mut policy = OfflineAdapt::new();
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let stats = replay_with_sink(&trace, &mut policy, |c| {
+        hash = fnv1a(fnv1a(hash, c.id as u64), c.completion.to_bits());
+    })
+    .unwrap();
+    assert_eq!(stats.n_jobs, 400);
+    hash = fnv1a(hash, stats.metrics.max_stretch.to_bits());
+    hash = fnv1a(hash, stats.metrics.max_weighted_flow.to_bits());
+    (hash, policy.resolve_stats().unwrap())
+}
+
 /// OLA's plans pinned to the last bit: replays a 400-request trace,
 /// fault-free and under a seeded fault process, and digests every
-/// completion (id and time bits, in completion order), the resolve
-/// counters and the bits of max stretch and max weighted flow. The
+/// completion and the bits of max stretch and max weighted flow. The
 /// constants pin the dense tableau's arithmetic with the first stage
 /// started from the dual simplex's slack basis and the second stage
 /// re-optimized on the first stage's final tableau: any change in the
 /// LP's arithmetic or pivot path, down to one ULP of one plan, changes a
-/// digest.
+/// digest. Milestone probes that a certificate settles without an LP
+/// reach the LP's verdict, so they leave every digest as it was.
 #[test]
 fn ola_replays_are_pinned_to_the_bit() {
-    let digest = |intensity: u8| {
-        let trace = traced(2022, 400, intensity);
-        let mut policy = OfflineAdapt::new();
-        let mut hash = 0xcbf2_9ce4_8422_2325;
-        let stats = replay_with_sink(&trace, &mut policy, |c| {
-            hash = fnv1a(fnv1a(hash, c.id as u64), c.completion.to_bits());
-        })
-        .unwrap();
-        assert_eq!(stats.n_jobs, 400);
-        let r = policy.resolve_stats().unwrap();
-        for count in [
+    let got = [pinned_replay(0).0, pinned_replay(1).0];
+    assert_eq!(
+        got,
+        [0xff41_920b_b881_f4a4, 0xfdc0_456d_51a5_2c6d],
+        "digests {got:#018x?}"
+    );
+}
+
+/// The resolve counters of the same two replays. They count LP solves,
+/// so they move whenever a probe is settled another way: the
+/// certificates took the cold solves from 504 and 519 to the numbers
+/// below, and no re-plan count moved.
+#[test]
+fn ola_replay_resolve_counters_are_pinned() {
+    let counters = |intensity| {
+        let r = pinned_replay(intensity).1;
+        [
             r.n_resolves,
             r.warm_lp_solves,
             r.cold_lp_solves,
             r.warm_resolves,
             r.cold_resolves,
-        ] {
-            hash = fnv1a(hash, count as u64);
-        }
-        hash = fnv1a(hash, stats.metrics.max_stretch.to_bits());
-        fnv1a(hash, stats.metrics.max_weighted_flow.to_bits())
+        ]
     };
-    let got = [digest(0), digest(1)];
-    assert_eq!(
-        got,
-        [0x60b2_0efd_11e7_89f8, 0xb679_5136_6e60_77ff],
-        "digests {got:#018x?}"
-    );
+    assert_eq!(counters(0), [529, 293, 308, 293, 236]);
+    assert_eq!(counters(1), [538, 299, 315, 299, 239]);
 }
 
 proptest! {
